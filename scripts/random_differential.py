@@ -3,8 +3,9 @@
 randomly generated models.
 
 Generates random transition systems and MDPs, solves each with every
-applicable engine, and compares verdicts with the oracle.  Any mismatch is
-reported with a serialized reproducer.
+applicable engine, and compares verdicts with the oracle.  Any mismatch, and
+any MDP run that exhausts its step budget, is reported with a serialized
+reproducer and makes the exit code non-zero.
 
 Usage: python scripts/random_differential.py [--seed N] [--kripke N] [--mdp N]
 """
@@ -33,6 +34,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)
     mismatches = 0
+    exhausted = 0
 
     t0 = time.perf_counter()
     for i in range(args.kripke):
@@ -62,6 +64,9 @@ def main(argv=None) -> int:
             Mx = dataclasses.replace(M, threshold=lam)
             ans = pdr_ibmdp(Mx, debug=True)
             if ans.verdict is Verdict.BUDGET_EXHAUSTED:
+                exhausted += 1
+                print(f"EXHAUSTED mdp #{i} lambda={lam} "
+                      f"steps={ans.stats.steps}\n{serialize_mdp(Mx)}")
                 continue
             got = ans.verdict is Verdict.TRUE
             if got != expected:
@@ -72,7 +77,8 @@ def main(argv=None) -> int:
           f"{time.perf_counter() - t0:.1f}s")
 
     print("mismatches:", mismatches)
-    return 1 if mismatches else 0
+    print("budget exhausted:", exhausted)
+    return 1 if mismatches or exhausted else 0
 
 
 if __name__ == "__main__":

@@ -299,7 +299,10 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     frame), else Decide or Conflict by their complementary guard.  A supplied
     induction proposer is tried opportunistically after Valid/Model.  The
     fuzz schedule picks uniformly among rules whose guards hold, with
-    Valid/Model always pre-empting.
+    Valid/Model always pre-empting.  Valid is a function of the frames
+    alone, so it is only re-checked after a rule that replaced them
+    (Unfold, Induction, Conflict); Decide and Candidate leave them as they
+    are.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -311,14 +314,17 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     checker = _InvariantChecker(F, alpha, combined=True) if debug else None
     if checker:
         checker.check(cfg)
+    scanned = None  # the frames Valid last failed on
 
     for step in range(1, budget + 1):
         stats.steps = step
-        ans = rule_valid(cfg, F, alpha)
-        if ans is not None:
-            stats.count("valid")
-            _emit(trace, step, "valid", cfg)
-            return _finalize(ans, stats, F, alpha, started, len(cfg.frames))
+        if cfg.frames is not scanned:
+            ans = rule_valid(cfg, F, alpha)
+            if ans is not None:
+                stats.count("valid")
+                _emit(trace, step, "valid", cfg)
+                return _finalize(ans, stats, F, alpha, started, len(cfg.frames))
+            scanned = cfg.frames
         ans = rule_model(cfg, F, alpha)
         if ans is not None:
             stats.count("model")
@@ -400,14 +406,17 @@ def run_positive(F: Transformer, alpha,
     stats = RunStats()
     started = time.perf_counter()
     checker = _InvariantChecker(F, alpha, combined=False) if debug else None
+    scanned = None  # the frames Valid last failed on
 
     for step in range(1, budget + 1):
         stats.steps = step
-        ans = rule_valid(cfg, F, alpha)
-        if ans is not None:
-            stats.count("valid")
-            _emit(trace, step, "valid", cfg)
-            return _finalize(ans, stats, F, alpha, started, len(cfg.frames))
+        if cfg.frames is not scanned:
+            ans = rule_valid(cfg, F, alpha)
+            if ans is not None:
+                stats.count("valid")
+                _emit(trace, step, "valid", cfg)
+                return _finalize(ans, stats, F, alpha, started, len(cfg.frames))
+            scanned = cfg.frames
         nxt = rule_unfold(cfg, F, alpha)
         if nxt is not None:
             cfg = nxt

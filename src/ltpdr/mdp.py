@@ -10,6 +10,13 @@ Obligation values carry a symbolic infinitesimal: ``v + eps`` means
 "strictly greater than v".  The flag propagates through expectations (any
 contributing successor flagged flags the result), which lets the chain
 certify strict inequalities without materialising a concrete epsilon.
+
+Candidate and Decide are instance-specific (the threshold at the initial
+state, and a cheapest supporting valuation from a linear program).
+Conflict uses the paper's canonical choice ``x := F(X_{i-1})``, which caps
+every state at its transformer value.  Capping only the states the current
+obligation violates gives lemmas each barely stronger than the last, and
+Decide and Conflict then alternate until the budget runs out.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .engine import (
     NegativeHeuristics,
     PDRAnswer,
     Transformer,
+    join_induction_proposer,
     run_combined,
     run_negative,
     run_positive,
@@ -251,29 +259,9 @@ def solve_decide_lp(X_prev, C_head, M: MDPModel, F: Optional[Transformer] = None
     return result
 
 
-def heuristic_conflict_mdp(X_prev, C_head, M: MDPModel,
-                           F: Optional[Transformer] = None):
-    """The Conflict choice: cap the violating states at the obligation's base
-    (for strict obligations) or at the transformer value, top elsewhere."""
-    if F is None:
-        F = bellman(M)
-    fx = F(X_prev)
-    out = []
-    violating = 0
-    for s in range(M.state_count):
-        c = C_head[s]
-        if c.leq(fx[s]):
-            out.append(plain(1.0))
-        else:
-            violating += 1
-            out.append(plain(c.base) if c.eps else plain(fx[s].base))
-    if violating == 0:
-        raise ContractFailure("conflict invoked without its guard: the "
-                              "obligation is below the transformer value")
-    return tuple(out)
-
-
 def mdp_bundle(M: MDPModel) -> HeuristicsBundle:
+    """Candidate and Decide are instance-specific; Conflict is the canonical
+    choice ``x := F(X_{i-1})``, which the engine passes in precomputed."""
     F = bellman(M)
 
     def candidate(last, alpha, info):
@@ -283,7 +271,7 @@ def mdp_bundle(M: MDPModel) -> HeuristicsBundle:
         return solve_decide_lp(x_prev, head, M, F)
 
     def conflict(x_prev, head, fx):
-        return heuristic_conflict_mdp(x_prev, head, M, F)
+        return fx
 
     return HeuristicsBundle(candidate, decide, conflict)
 
@@ -323,18 +311,8 @@ def pdr_ibmdp(M: MDPModel, *, budget: int = 100000, schedule: str = "default",
 def pdr_mdp_positive(M: MDPModel, *, budget: int = 100000, debug: bool = False,
                      trace=None) -> PDRAnswer:
     F = bellman(M)
-    lat = F.lattice
-
-    def propose(frames):
-        xs = frames.elements
-        for k in range(2, len(xs)):
-            x = lat.join(xs[k - 1], F(xs[k - 1]))
-            if not lat.leq(xs[k], x):
-                return (k, x)
-        return None
-
-    return run_positive(F, M.bound(), propose, budget=budget, debug=debug,
-                        trace=trace)
+    return run_positive(F, M.bound(), join_induction_proposer(F),
+                        budget=budget, debug=debug, trace=trace)
 
 
 def pdr_mdp_negative(M: MDPModel, *, budget: int = 100000, debug: bool = False,

@@ -23,6 +23,7 @@ from .engine import (
     NegativeHeuristics,
     PDRAnswer,
     Transformer,
+    join_induction_proposer,
     run_combined,
     run_negative,
     run_positive,
@@ -231,18 +232,8 @@ def pdr_mrm(M: MRMModel, *, budget: int = 100000, schedule: str = "default",
 def pdr_mrm_positive(M: MRMModel, *, budget: int = 100000, debug: bool = False,
                      trace=None) -> PDRAnswer:
     F = reward_bellman(M)
-    lat = F.lattice
-
-    def propose(frames):
-        xs = frames.elements
-        for k in range(2, len(xs)):
-            x = lat.join(xs[k - 1], F(xs[k - 1]))
-            if not lat.leq(xs[k], x):
-                return (k, x)
-        return None
-
-    return run_positive(F, M.bound(), propose, budget=budget, debug=debug,
-                        trace=trace)
+    return run_positive(F, M.bound(), join_induction_proposer(F),
+                        budget=budget, debug=debug, trace=trace)
 
 
 def pdr_mrm_negative(M: MRMModel, *, budget: int = 100000, debug: bool = False,

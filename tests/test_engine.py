@@ -1,9 +1,14 @@
 """The seven rewrite rules, the three engines, and the dualization helpers."""
 
 import dataclasses
+import os
+import random
 
 import pytest
 
+import ltpdr.engine as engine
+from conftest import MODELS_DIR
+from ltpdr.cli import parse_kripke, parse_mdp, parse_mrm
 from ltpdr.engine import (
     HeuristicViolation,
     HeuristicsBundle,
@@ -32,6 +37,10 @@ from ltpdr.kripke import (
     forward_transformer,
     join_induction_proposer,
     pdr_fkr,
+    pdr_fkr_positive,
+    pdr_ibkr,
+    pdr_ibkr_positive,
+    pdr_opdual,
 )
 from ltpdr.lattice import (
     KTSequence,
@@ -41,6 +50,11 @@ from ltpdr.lattice import (
     InvolutionViolation,
     check_kleene_witness,
 )
+from ltpdr.mdp import pdr_ibmdp, pdr_mdp_positive
+from ltpdr.mrm import pdr_mrm, pdr_mrm_positive
+from ltpdr.oracles import vi_expected_reward, vi_max_reach
+from ltpdr.simplex import Infeasible
+from util import random_kripke, random_mdp, random_mrm
 
 ALPHA = 0b011
 ALPHA_P = 0b001
@@ -331,3 +345,111 @@ class TestDebugMode:
         c = initial_config(F)
         assert c.frames.elements == (0, 0b001)
         assert c.obligations.empty
+
+
+class TestValidScan:
+    """Valid is re-checked only when a rule replaced the frames.  A full
+    scan -- Valid checked on every step -- must give the same verdicts,
+    rule counts and trace lines."""
+
+    @staticmethod
+    def _solves():
+        solves = []
+        parsers = {".kr": (parse_kripke, (pdr_fkr, pdr_ibkr, pdr_opdual)),
+                   ".mdp": (parse_mdp, (pdr_ibmdp,)),
+                   ".mrm": (parse_mrm, (pdr_mrm,))}
+        for name in sorted(os.listdir(MODELS_DIR)):
+            parse, engines = parsers[os.path.splitext(name)[1]]
+            with open(os.path.join(MODELS_DIR, name)) as fh:
+                model = parse(fh.read())
+            solves += [(solve, model, {}) for solve in engines]
+        rng = random.Random(5)
+        for i in range(60):
+            K = random_kripke(rng)
+            solves += [(pdr_fkr, K, {}), (pdr_ibkr, K, {}),
+                       (pdr_fkr, K, {"schedule": "fuzz", "seed": i})]
+        for _ in range(30):
+            M = random_mdp(rng)
+            value = vi_max_reach(M).value
+            for lam in (max(value - 0.1, value / 2), min(value + 0.1, 1.0)):
+                solves.append((pdr_ibmdp, dataclasses.replace(M, threshold=lam),
+                               {"budget": 2000}))
+        for _ in range(20):
+            M = random_mrm(rng)
+            value = vi_expected_reward(M).value
+            for lam in (value / 2, value + 0.5):
+                solves.append((pdr_mrm, dataclasses.replace(M, threshold=lam),
+                               {"budget": 2000}))
+        return solves
+
+    @staticmethod
+    def _run(solve, model, kwargs):
+        trace = []
+        try:
+            ans = solve(model, trace=trace.append, **kwargs)
+        except Infeasible:  # the known MRM failure must repeat as well
+            return ("Infeasible", trace)
+        return (ans.verdict, ans.stats.rule_counts, ans.stats.steps,
+                ans.stats.frame_count, trace)
+
+    def test_combined_matches_full_scan(self, monkeypatch):
+        solves = self._solves()
+        scans = []
+        rule_valid = engine.rule_valid
+
+        def counted(*args):
+            scans[-1] += 1
+            return rule_valid(*args)
+
+        monkeypatch.setattr(engine, "rule_valid", counted)
+        skipping = []
+        for case in solves:
+            scans.append(0)
+            skipping.append((self._run(*case), scans[-1]))
+
+        # Decide and Candidate keep the frames object; handing the engine a
+        # copy instead makes it scan on every step.
+        def fresh_frames(rule):
+            def wrapped(*args):
+                nxt = rule(*args)
+                if nxt is None:
+                    return None
+                return dataclasses.replace(nxt, frames=KTSequence(nxt.frames.elements))
+            return wrapped
+
+        monkeypatch.setattr(engine, "rule_decide", fresh_frames(engine.rule_decide))
+        monkeypatch.setattr(engine, "rule_candidate",
+                            fresh_frames(engine.rule_candidate))
+        skipped = 0
+        for case, (outcome, skip_scans) in zip(solves, skipping):
+            scans.append(0)
+            full = self._run(*case)
+            assert outcome == full
+            if isinstance(full[0], Verdict):
+                assert scans[-1] == full[2]
+                skipped += full[2] - skip_scans
+        assert skipped > 0
+
+    def test_positive_matches_full_scan(self, monkeypatch):
+        # The positive engine's noop steps keep the whole configuration, so
+        # a full scan is checked from inside the run: every step that gets
+        # past Valid reaches Unfold, where Valid must not hold.
+        rule_valid, rule_unfold = engine.rule_valid, engine.rule_unfold
+        held = []
+
+        def checked_unfold(cfg, F, alpha):
+            held.append(rule_valid(cfg, F, alpha) is not None)
+            return rule_unfold(cfg, F, alpha)
+
+        monkeypatch.setattr(engine, "rule_unfold", checked_unfold)
+        rng = random.Random(6)
+        noops = 0
+        for _ in range(40):
+            K = random_kripke(rng)
+            for solve in (pdr_fkr_positive, pdr_ibkr_positive):
+                noops += solve(K, budget=200).stats.rule_counts.get("noop", 0)
+        for _ in range(15):
+            pdr_mdp_positive(random_mdp(rng), budget=200)
+            pdr_mrm_positive(random_mrm(rng), budget=200)
+        assert held and not any(held)
+        assert noops > 0

@@ -7,14 +7,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltpdr.engine import ContractFailure, Verdict
+from ltpdr.cli import parse_mdp
+from ltpdr.engine import ContractFailure, PDRConfig, Verdict, rule_conflict
+from ltpdr.lattice import KTSequence, KleeneSequence
 from ltpdr.mdp import (
     EpsValue,
     MDPModel,
     bellman,
     eps_val,
     heuristic_candidate_mdp,
-    heuristic_conflict_mdp,
+    mdp_bundle,
     pdr_ibmdp,
     plain,
     solve_decide_lp,
@@ -146,23 +148,92 @@ class TestDecideLP:
 
 
 class TestConflict:
-    def test_caps_violating_state(self, m1):
+    """The bundle's Conflict is the canonical choice ``x := F(X_{i-1})``."""
+
+    def test_returns_transformer_value(self, m1):
         X_prev = frame(0, 0, 1)
         C = (eps_val(0.6), plain(0.0), plain(0.0))
-        out = heuristic_conflict_mdp(X_prev, C, m1)
-        assert out == frame(0.6, 1, 1)
+        fx = bellman(m1)(X_prev)
+        assert mdp_bundle(m1).choose_conflict(X_prev, C, fx) == frame(0.5, 0, 1)
 
     def test_precondition_enforced(self, m1):
-        X_prev = frame(0, 0, 1)
+        # Conflict does not fire while Decide's guard C <= F(X_prev) holds.
+        F = bellman(m1)
         C = (eps_val(0.4), plain(0.0), plain(0.0))  # 0.4+eps <= 0.5
-        with pytest.raises(ContractFailure):
-            heuristic_conflict_mdp(X_prev, C, m1)
+        cfg = PDRConfig(KTSequence((frame(0, 0, 0), frame(0, 0, 1),
+                                    frame(1, 1, 1))),
+                        KleeneSequence((C,), 2))
+        assert rule_conflict(cfg, F, m1.bound(), mdp_bundle(m1)) is None
 
-    def test_plain_violation_capped_at_transformer_value(self, m1):
-        X_prev = frame(0, 0, 1)
-        C = (plain(0.7), plain(0.0), plain(0.0))
-        out = heuristic_conflict_mdp(X_prev, C, m1)
-        assert out == frame(0.5, 1, 1)
+    def test_contract_holds_on_random_frames(self):
+        rng = random.Random(3)
+        checked = 0
+        for _ in range(200):
+            M = random_mdp(rng)
+            F = bellman(M)
+            lat = M.lattice()
+            X_prev = tuple(plain(round(rng.random(), 3))
+                           for _ in range(M.state_count))
+            fx = F(X_prev)
+            C = tuple(EpsValue(min(fx[s].base + rng.choice([0.0, 0.1]), 1.0),
+                               rng.random() < 0.5)
+                      for s in range(M.state_count))
+            if lat.leq(C, fx):
+                continue
+            x = mdp_bundle(M).choose_conflict(X_prev, C, fx)
+            assert x == fx
+            assert not lat.leq(C, x)
+            assert lat.leq(F(lat.meet(X_prev, x)), x)
+            checked += 1
+        assert checked > 50
+
+
+# Two value-1 MDPs on which capping only the violating states at the
+# obligation's value made Decide and Conflict alternate past a 20,000-step
+# budget at threshold 0.9: draw #52 of random_mdp(Random(4)) and draw #40 of
+# random_mdp(Random(11)), counting from 0.
+PING_PONG_MODELS = {
+    "random4-52": """
+states 6
+actions 1
+init 2
+lambda 0.9
+safe 0 1 2 3 4
+trans
+0 0 -> 3:1.0
+1 0 -> 0:0.5 5:0.5
+2 0 -> 5:0.29411764705882354 2:0.17647058823529413 3:0.5294117647058824
+3 0 -> 2:0.3333333333333333 4:0.6666666666666666
+4 0 -> 4:0.5625 0:0.1875 3:0.25
+5 0 -> 2:0.1875 5:0.5625 1:0.25
+""",
+    "random11-40": """
+states 4
+actions 2
+init 3
+lambda 0.9
+safe 1 2 3
+trans
+0 0 -> 2:0.8 3:0.2
+0 1 -> 1:0.8181818181818182 0:0.09090909090909091 3:0.09090909090909091
+1 0 -> 3:1.0
+1 1 -> 2:0.7777777777777778 1:0.2222222222222222
+2 0 -> 1:1.0
+2 1 -> 1:0.16666666666666666 3:0.3333333333333333 2:0.5
+3 0 -> 2:0.8 3:0.2
+3 1 -> 0:0.16666666666666666 2:0.4444444444444444 1:0.3888888888888889
+""",
+}
+
+
+class TestPingPongRegression:
+    @pytest.mark.parametrize("name", sorted(PING_PONG_MODELS))
+    @pytest.mark.parametrize("schedule", ["default", "fuzz"])
+    def test_refuted_within_budget(self, name, schedule):
+        M = parse_mdp(PING_PONG_MODELS[name])
+        assert vi_max_reach(M).value > 0.999
+        ans = pdr_ibmdp(M, budget=2000, schedule=schedule, seed=0, debug=True)
+        assert ans.verdict is Verdict.FALSE
 
 
 class TestSolver:
