@@ -126,8 +126,11 @@ def initial_config(F: Transformer) -> PDRConfig:
 # guard does not hold.
 
 
-def rule_valid(cfg: PDRConfig, F: Transformer, alpha) -> Optional[PDRAnswer]:
-    j = is_conclusive_kt(cfg.frames, F.lattice)
+def rule_valid(cfg: PDRConfig, F: Transformer, alpha, lo: int = 0,
+               hi: Optional[int] = None) -> Optional[PDRAnswer]:
+    """Valid on the frame pairs ``(j, j+1)`` with ``lo <= j < hi``; every
+    pair by default."""
+    j = is_conclusive_kt(cfg.frames, F.lattice, lo, hi)
     if j is None:
         return None
     return PDRAnswer(Verdict.TRUE, kt_witness=cfg.frames)
@@ -151,10 +154,7 @@ def rule_induction(cfg: PDRConfig, F: Transformer, alpha, k: int, x) -> Optional
         return None
     if not lat.leq(F(lat.meet(xs[k - 1], x)), x):
         return None
-    strengthened = tuple(
-        lat.meet(e, x) if 2 <= j <= k else e for j, e in enumerate(xs)
-    )
-    return PDRConfig(KTSequence(strengthened), cfg.obligations)
+    return PDRConfig(_strengthen(lat, xs, k, x), cfg.obligations)
 
 
 def rule_candidate(cfg: PDRConfig, F: Transformer, alpha,
@@ -183,8 +183,9 @@ def rule_model(cfg: PDRConfig, F: Transformer, alpha) -> Optional[PDRAnswer]:
     return PDRAnswer(Verdict.FALSE, kleene_witness=witness)
 
 
-def rule_decide(cfg: PDRConfig, F: Transformer, alpha,
-                heuristics: HeuristicsBundle) -> Optional[PDRConfig]:
+def rule_decide(cfg: PDRConfig, F: Transformer, alpha, heuristics: HeuristicsBundle,
+                fx=None) -> Optional[PDRConfig]:
+    """Decide; ``fx`` is ``F(X_{i-1})`` when the caller has it already."""
     lat = F.lattice
     ob = cfg.obligations
     if ob.empty:
@@ -192,7 +193,8 @@ def rule_decide(cfg: PDRConfig, F: Transformer, alpha,
     i = ob.start_index
     head = ob.elements[0]
     x_prev = cfg.frames.elements[i - 1]
-    fx = F(x_prev)
+    if fx is None:
+        fx = F(x_prev)
     if not lat.leq(head, fx):
         return None
     x = heuristics.choose_decide(x_prev, head, fx)
@@ -203,8 +205,9 @@ def rule_decide(cfg: PDRConfig, F: Transformer, alpha,
     return PDRConfig(cfg.frames, KleeneSequence((x,) + ob.elements, i - 1))
 
 
-def rule_conflict(cfg: PDRConfig, F: Transformer, alpha,
-                  heuristics: HeuristicsBundle) -> Optional[PDRConfig]:
+def rule_conflict(cfg: PDRConfig, F: Transformer, alpha, heuristics: HeuristicsBundle,
+                  fx=None) -> Optional[PDRConfig]:
+    """Conflict; ``fx`` is ``F(X_{i-1})`` when the caller has it already."""
     lat = F.lattice
     ob = cfg.obligations
     if ob.empty:
@@ -212,7 +215,8 @@ def rule_conflict(cfg: PDRConfig, F: Transformer, alpha,
     i = ob.start_index
     head = ob.elements[0]
     x_prev = cfg.frames.elements[i - 1]
-    fx = F(x_prev)
+    if fx is None:
+        fx = F(x_prev)
     if lat.leq(head, fx):
         return None
     x = heuristics.choose_conflict(x_prev, head, fx)
@@ -221,11 +225,13 @@ def rule_conflict(cfg: PDRConfig, F: Transformer, alpha,
     if lat.leq(head, x) or not lat.leq(F(lat.meet(x_prev, x)), x):
         raise HeuristicViolation(
             "conflict output must satisfy C_i !<= x and F(X_{i-1} /\\ x) <= x")
-    xs = cfg.frames.elements
-    strengthened = tuple(
-        lat.meet(e, x) if 2 <= j <= i else e for j, e in enumerate(xs)
-    )
-    return PDRConfig(KTSequence(strengthened), KleeneSequence(ob.elements[1:], i + 1))
+    return PDRConfig(_strengthen(lat, cfg.frames.elements, i, x),
+                     KleeneSequence(ob.elements[1:], i + 1))
+
+
+def _strengthen(lat: Lattice, xs: tuple, k: int, x) -> KTSequence:
+    """The frames with ``x`` met into ``X_2 .. X_k`` (Induction, Conflict)."""
+    return KTSequence(xs[:2] + tuple([lat.meet(e, x) for e in xs[2:k + 1]]) + xs[k + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +273,17 @@ class _InvariantChecker:
 # Runners.
 
 
-def _finalize(answer: PDRAnswer, stats: RunStats, F: Transformer, alpha,
-              started: float, frames_len: int) -> PDRAnswer:
+def _stop(answer: PDRAnswer, stats: RunStats, started: float,
+          frames_len: int) -> PDRAnswer:
     stats.wall_time = time.perf_counter() - started
     stats.frame_count = frames_len
+    return replace(answer, stats=stats)
+
+
+def _finalize(answer: PDRAnswer, stats: RunStats, F: Transformer, alpha,
+              started: float, frames_len: int) -> PDRAnswer:
+    """Stop with a True or False answer after re-checking its certificate."""
+    answer = _stop(answer, stats, started, frames_len)
     lat = F.lattice
     if answer.verdict is Verdict.TRUE:
         j = is_conclusive_kt(answer.kt_witness, lat)
@@ -279,7 +292,28 @@ def _finalize(answer: PDRAnswer, stats: RunStats, F: Transformer, alpha,
     elif answer.verdict is Verdict.FALSE:
         if not check_kleene_witness(answer.kleene_witness, F, alpha):
             raise EngineInvariantError("False answer without a valid negative certificate")
-    return replace(answer, stats=stats)
+    return answer
+
+
+def _fresh_pairs(rule: str, cfg: PDRConfig, k: Optional[int]) -> Optional[tuple[int, int]]:
+    """The range ``(lo, hi)`` of frame pairs ``(j, j+1)``, ``lo <= j < hi``,
+    on which Valid can newly hold after ``rule`` produced ``cfg``; None when
+    the rule kept the frames.
+
+    Valid failed on the frames before the rule.  Induction at ``k`` and
+    Conflict at ``k`` (the obligation index, one below the new start) only
+    shrink ``X_2 .. X_k``, so ``X_{j+1} <= X_j`` can newly hold only for
+    ``1 <= j < k``; at ``j = k`` it would need ``X_{k+1} <= X_k`` already.
+    Unfold adds just the last pair.
+    """
+    if rule == "unfold":
+        n = len(cfg.frames)
+        return (n - 2, n - 1)
+    if rule == "conflict":
+        return (1, cfg.obligations.start_index - 1)
+    if rule == "induction":
+        return (1, k)
+    return None
 
 
 def _emit(trace, step: int, rule: str, cfg: PDRConfig) -> None:
@@ -296,13 +330,19 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
 
     The default schedule applies, in order: Valid, Model, then Unfold or
     Candidate when no obligations are pending (by the bound check on the last
-    frame), else Decide or Conflict by their complementary guard.  A supplied
-    induction proposer is tried opportunistically after Valid/Model.  The
-    fuzz schedule picks uniformly among rules whose guards hold, with
-    Valid/Model always pre-empting.  Valid is a function of the frames
-    alone, so it is only re-checked after a rule that replaced them
-    (Unfold, Induction, Conflict); Decide and Candidate leave them as they
-    are.
+    frame), else Decide or Conflict by their complementary guard; the two
+    share one evaluation of ``F(X_{i-1})``.  A supplied induction proposer is
+    tried opportunistically after Valid/Model.  The fuzz schedule picks
+    uniformly among rules whose guards hold, with Valid/Model always
+    pre-empting.
+
+    Valid is a function of the frames alone and has failed on every earlier
+    chain, so each step re-checks it only on the frame pairs the last rule
+    could have made conclusive: none after Decide or Candidate, which keep
+    the frames; the new last pair after Unfold; and pairs ``1 .. k-1`` after
+    Induction or Conflict at index ``k``, which meet ``X_2 .. X_k`` with a
+    new element (``_fresh_pairs``).  The certificate check at the end scans
+    the whole chain.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -314,30 +354,29 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     checker = _InvariantChecker(F, alpha, combined=True) if debug else None
     if checker:
         checker.check(cfg)
-    scanned = None  # the frames Valid last failed on
+    fresh = (0, len(cfg.frames) - 1)  # the pairs Valid has not yet failed on
 
     for step in range(1, budget + 1):
         stats.steps = step
-        if cfg.frames is not scanned:
-            ans = rule_valid(cfg, F, alpha)
+        if fresh is not None:
+            ans = rule_valid(cfg, F, alpha, *fresh)
             if ans is not None:
                 stats.count("valid")
                 _emit(trace, step, "valid", cfg)
                 return _finalize(ans, stats, F, alpha, started, len(cfg.frames))
-            scanned = cfg.frames
         ans = rule_model(cfg, F, alpha)
         if ans is not None:
             stats.count("model")
             _emit(trace, step, "model", cfg)
             return _finalize(ans, stats, F, alpha, started, len(cfg.frames))
 
-        applied = None
+        applied = k = None
         if heuristics.choose_induction is not None:
             prop = heuristics.choose_induction(cfg.frames)
             if prop is not None:
                 nxt = rule_induction(cfg, F, alpha, prop[0], prop[1])
                 if nxt is not None:
-                    cfg, applied = nxt, "induction"
+                    cfg, applied, k = nxt, "induction", prop[0]
 
         if applied is None and rng is None:
             if cfg.obligations.empty:
@@ -349,26 +388,25 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
                     if nxt is not None:
                         cfg, applied = nxt, "candidate"
             else:
-                nxt = rule_decide(cfg, F, alpha, heuristics)
+                fx = F(cfg.frames.elements[cfg.obligations.start_index - 1])
+                nxt = rule_decide(cfg, F, alpha, heuristics, fx)
                 if nxt is not None:
                     cfg, applied = nxt, "decide"
                 else:
-                    nxt = rule_conflict(cfg, F, alpha, heuristics)
+                    nxt = rule_conflict(cfg, F, alpha, heuristics, fx)
                     if nxt is not None:
                         cfg, applied = nxt, "conflict"
         elif applied is None:
+            can_unfold = lat.leq(cfg.frames.elements[-1], alpha)
             candidates = []
-            if cfg.obligations.empty:
-                if lat.leq(cfg.frames.elements[-1], alpha):
-                    candidates.append(("unfold", lambda c: rule_unfold(c, F, alpha)))
-                else:
-                    candidates.append(
-                        ("candidate", lambda c: rule_candidate(c, F, alpha, heuristics)))
-            else:
-                if lat.leq(cfg.frames.elements[-1], alpha):
-                    candidates.append(("unfold", lambda c: rule_unfold(c, F, alpha)))
+            if can_unfold:
+                candidates.append(("unfold", lambda c: rule_unfold(c, F, alpha)))
+            if not cfg.obligations.empty:
                 candidates.append(("decide", lambda c: rule_decide(c, F, alpha, heuristics)))
                 candidates.append(("conflict", lambda c: rule_conflict(c, F, alpha, heuristics)))
+            elif not can_unfold:
+                candidates.append(
+                    ("candidate", lambda c: rule_candidate(c, F, alpha, heuristics)))
             rng.shuffle(candidates)
             for name, apply_rule in candidates:
                 nxt = apply_rule(cfg)
@@ -377,17 +415,14 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
                     break
 
         if applied is None:
-            stats.wall_time = time.perf_counter() - started
-            stats.frame_count = len(cfg.frames)
-            return PDRAnswer(Verdict.STUCK, stats=stats)
+            return _stop(PDRAnswer(Verdict.STUCK), stats, started, len(cfg.frames))
         stats.count(applied)
         _emit(trace, step, applied, cfg)
         if checker:
             checker.check(cfg)
+        fresh = _fresh_pairs(applied, cfg, k)
 
-    stats.wall_time = time.perf_counter() - started
-    stats.frame_count = len(cfg.frames)
-    return PDRAnswer(Verdict.BUDGET_EXHAUSTED, stats=stats)
+    return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, len(cfg.frames))
 
 
 def run_positive(F: Transformer, alpha,
@@ -397,47 +432,40 @@ def run_positive(F: Transformer, alpha,
     """One-sided engine: Valid, Unfold and Induction only; never answers False.
 
     When no rule fires the step is still consumed, so an unprovable instance
-    exhausts its budget instead of concluding.
+    exhausts its budget instead of concluding.  Valid is re-checked on the
+    same frame pairs as in ``run_combined``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    lat = F.lattice
     cfg = initial_config(F)
     stats = RunStats()
     started = time.perf_counter()
     checker = _InvariantChecker(F, alpha, combined=False) if debug else None
-    scanned = None  # the frames Valid last failed on
+    fresh = (0, len(cfg.frames) - 1)  # the pairs Valid has not yet failed on
 
     for step in range(1, budget + 1):
         stats.steps = step
-        if cfg.frames is not scanned:
-            ans = rule_valid(cfg, F, alpha)
+        if fresh is not None:
+            ans = rule_valid(cfg, F, alpha, *fresh)
             if ans is not None:
                 stats.count("valid")
                 _emit(trace, step, "valid", cfg)
                 return _finalize(ans, stats, F, alpha, started, len(cfg.frames))
-            scanned = cfg.frames
+        applied, k = "unfold", None
         nxt = rule_unfold(cfg, F, alpha)
-        if nxt is not None:
-            cfg = nxt
-            stats.count("unfold")
-            _emit(trace, step, "unfold", cfg)
-        else:
+        if nxt is None:
             prop = induction_proposer(cfg.frames) if induction_proposer else None
             nxt = rule_induction(cfg, F, alpha, prop[0], prop[1]) if prop else None
-            if nxt is not None:
-                cfg = nxt
-                stats.count("induction")
-                _emit(trace, step, "induction", cfg)
-            else:
-                stats.count("noop")
-                continue
-        if checker:
-            checker.check(cfg)
+            applied, k = ("induction", prop[0]) if nxt is not None else ("noop", None)
+        stats.count(applied)
+        if nxt is not None:
+            cfg = nxt
+            _emit(trace, step, applied, cfg)
+            if checker:
+                checker.check(cfg)
+        fresh = _fresh_pairs(applied, cfg, k)
 
-    stats.wall_time = time.perf_counter() - started
-    stats.frame_count = len(cfg.frames)
-    return PDRAnswer(Verdict.BUDGET_EXHAUSTED, stats=stats)
+    return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, len(cfg.frames))
 
 
 def run_negative(F: Transformer, alpha, heuristics: NegativeHeuristics, *,
@@ -479,8 +507,7 @@ def run_negative(F: Transformer, alpha, heuristics: NegativeHeuristics, *,
             return _finalize(ans, stats, F, alpha, started, 0)
         if not elements:
             if not restart(step):
-                stats.wall_time = time.perf_counter() - started
-                return PDRAnswer(Verdict.STUCK, stats=stats)
+                return _stop(PDRAnswer(Verdict.STUCK), stats, started, 0)
             continue
         x = heuristics.choose_decide(elements[0])
         if x is not None:
@@ -492,13 +519,10 @@ def run_negative(F: Transformer, alpha, heuristics: NegativeHeuristics, *,
                 trace(f"step={step} rule=decide frames=0 obligations={len(elements)}")
             if debug and not is_kleene_sequence(KleeneSequence(elements, 0), F, alpha):
                 raise EngineInvariantError("obligation chain invariant broken")
-        else:
-            if not restart(step):
-                stats.wall_time = time.perf_counter() - started
-                return PDRAnswer(Verdict.STUCK, stats=stats)
+        elif not restart(step):
+            return _stop(PDRAnswer(Verdict.STUCK), stats, started, 0)
 
-    stats.wall_time = time.perf_counter() - started
-    return PDRAnswer(Verdict.BUDGET_EXHAUSTED, stats=stats)
+    return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,22 @@ transformers are provided:
 ``pdr_fkr`` decides safety with the forward transformer bounded by the safe
 set; ``pdr_ibkr`` decides the same property with the inverse-backward
 transformer bounded by the complement of the initial set.
+
+The forward and inverse-backward images are unions of per-state successor
+or predecessor masks.  ``_image`` computes such a union a byte of the
+argument at a time: each byte position of a state set owns a 256-slot
+table, indexed by the byte's value, that holds the union of the masks of
+the up to eight states the byte selects.  Slots are filled on first use,
+so a solve pays only for the byte values it actually meets, and an image
+costs one table lookup per non-zero byte instead of one step per state.
+Structures of at most eight states keep the per-state loop (see
+``_image``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .engine import (
     HeuristicsBundle,
@@ -90,29 +100,47 @@ class SubsetLattice(Lattice):
         return a | b
 
 
-def _post(K: KripkeStructure, mask: int) -> int:
-    out = 0
-    m = mask
-    while m:
-        bit = _lowest_bit(m)
-        out |= K.succ[bit.bit_length() - 1]
-        m ^= bit
-    return out
+def _image(masks: tuple) -> Callable[[int], int]:
+    """Return ``A -> union of masks[s] for s in A``.
 
+    ``A`` is read eight states at a time: byte ``p`` of ``A`` indexes a
+    256-slot table of the unions of ``masks[8p .. 8p+7]``.  A slot is filled
+    the first time its byte value is seen, so a solve pays only for the
+    bytes it actually meets.  A structure of at most eight states is imaged
+    one state at a time instead: its solves make a few dozen images, too
+    few for the table to pay for its own fills.
+    """
 
-def _pre_exists(K: KripkeStructure, mask: int) -> int:
-    out = 0
-    m = mask
-    while m:
-        bit = _lowest_bit(m)
-        out |= K.pred[bit.bit_length() - 1]
-        m ^= bit
-    return out
+    def union(A: int) -> int:
+        out = 0
+        while A:
+            bit = A & -A
+            out |= masks[bit.bit_length() - 1]
+            A ^= bit
+        return out
+
+    if len(masks) <= 8:
+        return union
+    size = (len(masks) + 7) // 8
+    tables = [(8 * p, [None] * 256) for p in range(size)]
+
+    def image(A: int) -> int:
+        out = 0
+        for (shift, table), byte in zip(tables, A.to_bytes(size, "little")):
+            if byte:
+                part = table[byte]
+                if part is None:
+                    part = table[byte] = union(byte << shift)
+                out |= part
+        return out
+
+    return image
 
 
 def forward_transformer(K: KripkeStructure) -> Transformer:
     lat = SubsetLattice(K.state_count)
-    return Transformer(lat, lambda A: K.initial | _post(K, A))
+    post = _image(K.succ)
+    return Transformer(lat, lambda A: K.initial | post(A))
 
 
 def backward_transformer(K: KripkeStructure) -> Transformer:
@@ -132,7 +160,8 @@ def backward_transformer(K: KripkeStructure) -> Transformer:
 def inverse_backward_transformer(K: KripkeStructure) -> Transformer:
     lat = SubsetLattice(K.state_count)
     unsafe = lat.top & ~K.safe
-    return Transformer(lat, lambda A: unsafe | _pre_exists(K, A))
+    pre_exists = _image(K.pred)
+    return Transformer(lat, lambda A: unsafe | pre_exists(A))
 
 
 def _set_heuristics(lat: SubsetLattice, base_mask: int, contributor_masks: tuple,

@@ -157,10 +157,14 @@ def is_kleene_sequence(C: KleeneSequence, F: Transformer, alpha) -> bool:
     return not lat.leq(cs[-1], alpha)
 
 
-def is_conclusive_kt(X: KTSequence, lattice: Lattice) -> Optional[int]:
-    """Smallest j < n-1 with ``X_{j+1} <= X_j``, or None."""
+def is_conclusive_kt(X: KTSequence, lattice: Lattice, lo: int = 0,
+                     hi: Optional[int] = None) -> Optional[int]:
+    """Smallest j with ``lo <= j < hi`` and ``X_{j+1} <= X_j``, or None.
+
+    The default range is every pair of the chain, ``0 <= j < n-1``.
+    """
     xs = X.elements
-    for j in range(len(xs) - 1):
+    for j in range(lo, len(xs) - 1 if hi is None else hi):
         if lattice.leq(xs[j + 1], xs[j]):
             return j
     return None

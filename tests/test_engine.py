@@ -348,12 +348,20 @@ class TestDebugMode:
 
 
 class TestValidScan:
-    """Valid is re-checked only when a rule replaced the frames.  A full
-    scan -- Valid checked on every step -- must give the same verdicts,
-    rule counts and trace lines."""
+    """Valid is re-checked only on the frame pairs the last rule could have
+    made conclusive.  A full scan -- every pair of the chain on every step --
+    must give the same verdicts, rule counts, steps, frames and trace
+    lines."""
 
     @staticmethod
-    def _solves():
+    def _fkr_with_induction(K, **kwargs):
+        F = forward_transformer(K)
+        bundle = dataclasses.replace(forward_bundle(K),
+                                     choose_induction=join_induction_proposer(F))
+        return run_combined(F, K.safe, bundle, **kwargs)
+
+    @classmethod
+    def _combined_solves(cls):
         solves = []
         parsers = {".kr": (parse_kripke, (pdr_fkr, pdr_ibkr, pdr_opdual)),
                    ".mdp": (parse_mdp, (pdr_ibmdp,)),
@@ -380,6 +388,11 @@ class TestValidScan:
             for lam in (value / 2, value + 0.5):
                 solves.append((pdr_mrm, dataclasses.replace(M, threshold=lam),
                                {"budget": 2000}))
+        rng = random.Random(7)
+        for i in range(40):
+            K = random_kripke(rng, max_states=12)
+            solves += [(cls._fkr_with_induction, K, {}),
+                       (cls._fkr_with_induction, K, {"schedule": "fuzz", "seed": i})]
         return solves
 
     @staticmethod
@@ -392,48 +405,68 @@ class TestValidScan:
         return (ans.verdict, ans.stats.rule_counts, ans.stats.steps,
                 ans.stats.frame_count, trace)
 
-    def test_combined_matches_full_scan(self, monkeypatch):
-        solves = self._solves()
-        scans = []
+    @classmethod
+    def _compare_with_full_scan(cls, monkeypatch, solves):
+        """Run ``solves`` as they are, then again with Valid over the whole
+        chain on every step; return the rule counts of the first runs."""
+        pairs = []  # frame pairs compared by Valid, per solve
         rule_valid = engine.rule_valid
 
-        def counted(*args):
-            scans[-1] += 1
-            return rule_valid(*args)
+        def restricted(cfg, F, alpha, lo=0, hi=None):
+            pairs[-1] += (len(cfg.frames) - 1 if hi is None else hi) - lo
+            return rule_valid(cfg, F, alpha, lo, hi)
 
-        monkeypatch.setattr(engine, "rule_valid", counted)
-        skipping = []
+        monkeypatch.setattr(engine, "rule_valid", restricted)
+        outcomes = []
         for case in solves:
-            scans.append(0)
-            skipping.append((self._run(*case), scans[-1]))
+            pairs.append(0)
+            outcomes.append(cls._run(*case))
+        restricted_pairs = sum(pairs)
 
-        # Decide and Candidate keep the frames object; handing the engine a
-        # copy instead makes it scan on every step.
-        def fresh_frames(rule):
-            def wrapped(*args):
-                nxt = rule(*args)
-                if nxt is None:
-                    return None
-                return dataclasses.replace(nxt, frames=KTSequence(nxt.frames.elements))
-            return wrapped
+        scans = []
 
-        monkeypatch.setattr(engine, "rule_decide", fresh_frames(engine.rule_decide))
-        monkeypatch.setattr(engine, "rule_candidate",
-                            fresh_frames(engine.rule_candidate))
-        skipped = 0
-        for case, (outcome, skip_scans) in zip(solves, skipping):
+        def full_scan(cfg, F, alpha, lo=0, hi=None):
+            scans[-1] += 1
+            pairs[-1] += len(cfg.frames) - 1
+            return rule_valid(cfg, F, alpha)
+
+        monkeypatch.setattr(engine, "rule_valid", full_scan)
+        monkeypatch.setattr(engine, "_fresh_pairs",
+                            lambda rule, cfg, k: (0, len(cfg.frames) - 1))
+        pairs.clear()
+        for case, outcome in zip(solves, outcomes):
+            pairs.append(0)
             scans.append(0)
-            full = self._run(*case)
+            full = cls._run(*case)
             assert outcome == full
             if isinstance(full[0], Verdict):
                 assert scans[-1] == full[2]
-                skipped += full[2] - skip_scans
-        assert skipped > 0
+        assert sum(pairs) > restricted_pairs
+        monkeypatch.undo()
+        return [o[1] for o in outcomes if isinstance(o[0], Verdict)]
+
+    def test_combined_matches_full_scan(self, monkeypatch):
+        rules = self._compare_with_full_scan(monkeypatch, self._combined_solves())
+        for rule in ("unfold", "induction", "conflict"):
+            assert sum(r.get(rule, 0) for r in rules) > 0
 
     def test_positive_matches_full_scan(self, monkeypatch):
-        # The positive engine's noop steps keep the whole configuration, so
-        # a full scan is checked from inside the run: every step that gets
-        # past Valid reaches Unfold, where Valid must not hold.
+        rng = random.Random(6)
+        solves = []
+        for _ in range(40):
+            K = random_kripke(rng)
+            solves += [(pdr_fkr_positive, K, {"budget": 200}),
+                       (pdr_ibkr_positive, K, {"budget": 200})]
+        for _ in range(15):
+            solves += [(pdr_mdp_positive, random_mdp(rng), {"budget": 200}),
+                       (pdr_mrm_positive, random_mrm(rng), {"budget": 200})]
+        rules = self._compare_with_full_scan(monkeypatch, solves)
+        for rule in ("unfold", "induction", "noop", "valid"):
+            assert sum(r.get(rule, 0) for r in rules) > 0
+
+        # Noop steps keep the whole configuration, so Valid is also checked
+        # from inside the run: every step that gets past Valid reaches
+        # Unfold, where Valid must not hold on any pair.
         rule_valid, rule_unfold = engine.rule_valid, engine.rule_unfold
         held = []
 
@@ -442,14 +475,6 @@ class TestValidScan:
             return rule_unfold(cfg, F, alpha)
 
         monkeypatch.setattr(engine, "rule_unfold", checked_unfold)
-        rng = random.Random(6)
-        noops = 0
-        for _ in range(40):
-            K = random_kripke(rng)
-            for solve in (pdr_fkr_positive, pdr_ibkr_positive):
-                noops += solve(K, budget=200).stats.rule_counts.get("noop", 0)
-        for _ in range(15):
-            pdr_mdp_positive(random_mdp(rng), budget=200)
-            pdr_mrm_positive(random_mrm(rng), budget=200)
+        for solve, model, kwargs in solves:
+            solve(model, **kwargs)
         assert held and not any(held)
-        assert noops > 0

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ltpdr.engine import Verdict
 from ltpdr.kripke import (
     KripkeStructure,
+    _image,
     backward_transformer,
     forward_transformer,
     inverse_backward_transformer,
@@ -68,6 +69,52 @@ def test_duality_on_random_small_models(seed):
     full = K.full_mask
     for A in range(full + 1):
         assert ib(A) == full & ~(K.safe & bw(full & ~A))
+
+
+def _union_per_bit(masks, A):
+    out = 0
+    for s in range(len(masks)):
+        if A >> s & 1:
+            out |= masks[s]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 300])
+def test_image_matches_per_bit_union(n):
+    # n covers one partial byte, whole bytes, and a partial byte after
+    # whole ones; each mask is imaged twice, filling a table slot and then
+    # reading it back.
+    rng = random.Random(n)
+    top = (1 << n) - 1
+    for density in (0.0, 2 / n, 0.3):
+        masks = tuple(sum(1 << b for b in range(n) if rng.random() < density)
+                      for _ in range(n))
+        image = _image(masks)
+        samples = [0, top] + [rng.getrandbits(n) for _ in range(40)] \
+            + [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+               for _ in range(40)]
+        for A in samples:
+            expected = _union_per_bit(masks, A)
+            assert image(A) == expected
+            assert image(A) == expected
+
+
+def unsafe_chain(n: int) -> KripkeStructure:
+    """States 0 -> 1 -> ... -> n-1, initial {0}, only n-1 unsafe."""
+    return KripkeStructure(n, frozenset((i, i + 1) for i in range(n - 1)),
+                           initial=1, safe=((1 << n) - 1) & ~(1 << (n - 1)))
+
+
+@pytest.mark.parametrize("solve", [pdr_fkr, pdr_ibkr])
+def test_unsafe_chain_search_is_pinned(solve):
+    # The exact search on a depth-99 counterexample: a change to the image
+    # or to the engine's bookkeeping must not alter a single rule choice.
+    ans = solve(unsafe_chain(100))
+    assert ans.verdict is Verdict.FALSE
+    assert ans.stats.steps == 9902
+    assert ans.stats.rule_counts == {"unfold": 99, "candidate": 99, "decide": 4852,
+                                     "conflict": 4851, "model": 1}
+    assert ans.stats.frame_count == 101
 
 
 class TestSolverInstances:
