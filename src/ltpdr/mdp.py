@@ -21,8 +21,9 @@ Decide and Conflict then alternate until the budget runs out.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engine import (
     ContractFailure,
@@ -41,24 +42,17 @@ from .simplex import simplex_min
 _SNAP = 1e-9
 
 
-@dataclass(frozen=True, order=False)
-class EpsValue:
+class EpsValue(NamedTuple):
     """A real with an optional ``+eps`` strictness marker.
 
     Order: ``a+eps <= b`` iff ``a < b``; ``a <= b+eps`` iff ``a <= b``;
     same-flavour comparisons are plain ``<=``.  This is the lexicographic
-    order on ``(base, eps)`` and is total; meet is the minimum under it.
+    order on ``(base, eps)``, which is the tuple order, so the comparison
+    operators implement it; it is total and meet is the minimum under it.
     """
 
     base: float
     eps: bool = False
-
-    @property
-    def key(self):
-        return (self.base, self.eps)
-
-    def leq(self, other: "EpsValue") -> bool:
-        return self.key <= other.key
 
 
 def plain(v: float) -> EpsValue:
@@ -81,14 +75,16 @@ class PointwiseLattice(Lattice):
         self.top = (plain(top_value),) * state_count
 
     def leq_info(self, a, b):
-        bad = tuple(s for s in range(self.state_count) if not a[s].leq(b[s]))
-        return (not bad, bad)
+        if all(map(operator.le, a, b)):
+            return (True, ())
+        return (False, tuple(s for s in range(self.state_count) if not a[s] <= b[s]))
 
+    # min and max keep their first argument on ties.
     def meet(self, a, b):
-        return tuple(x if x.key <= y.key else y for x, y in zip(a, b))
+        return tuple(map(min, a, b))
 
     def join(self, a, b):
-        return tuple(x if x.key >= y.key else y for x, y in zip(a, b))
+        return tuple(map(max, a, b))
 
 
 @dataclass(frozen=True)
@@ -163,7 +159,7 @@ def bellman(M: MDPModel) -> Transformer:
                 if dist is None:
                     continue
                 v = _expectation(dist, d)
-                if best is None or v.key > best.key:
+                if best is None or v > best:
                     best = v
             out.append(best if best is not None else one)
         return tuple(out)
@@ -175,7 +171,7 @@ def heuristic_candidate_mdp(X_last, M: MDPModel):
     """Obligation with threshold+eps at the initial state, zero elsewhere."""
     lam = M.threshold
     s0 = M.initial_state
-    if not X_last[s0].key > (lam, False):
+    if not X_last[s0] > (lam, False):
         raise ContractFailure("candidate requires the last frame to exceed "
                               "the threshold at the initial state")
     return tuple(eps_val(lam) if s == s0 else plain(0.0)
@@ -192,13 +188,13 @@ def _decide_program(M: MDPModel, X_prev, C_head, F):
     var_index: dict[int, int] = {}
     for s in range(M.state_count):
         c = C_head[s]
-        if s not in M.safe or c.key <= (0.0, False):
+        if s not in M.safe or c <= (0.0, False):
             continue
         chosen = None
         for dist in M.delta[s]:
             if dist is None:
                 continue
-            if c.leq(_expectation(dist, X_prev)):
+            if c <= _expectation(dist, X_prev):
                 chosen = dist
                 break
         if chosen is None:

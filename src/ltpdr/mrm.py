@@ -28,7 +28,8 @@ from .engine import (
     run_negative,
     run_positive,
 )
-from .mdp import EpsValue, PointwiseLattice, eps_val, plain
+from .mdp import (EpsValue, PointwiseLattice, eps_val,
+                  heuristic_candidate_mdp, plain)
 from .simplex import simplex_min
 
 _CAP = 1e9
@@ -99,14 +100,7 @@ def reward_bellman(M: MRMModel) -> Transformer:
     return Transformer(lat, fn)
 
 
-def heuristic_candidate_mrm(X_last, M: MRMModel):
-    lam = M.threshold
-    s0 = M.initial_state
-    if not X_last[s0].key > (lam, False):
-        raise ContractFailure("candidate requires the last frame to exceed "
-                              "the threshold at the initial state")
-    return tuple(eps_val(lam) if s == s0 else plain(0.0)
-                 for s in range(M.state_count))
+heuristic_candidate_mrm = heuristic_candidate_mdp  # threshold+eps at init
 
 
 def solve_decide_lp_mrm(X_prev, C_head, M: MRMModel,
@@ -126,9 +120,9 @@ def solve_decide_lp_mrm(X_prev, C_head, M: MRMModel,
     var_index: dict[int, int] = {}
     for s in range(M.state_count):
         c = C_head[s]
-        if s not in M.safe or c.key <= (0.0, False):
+        if s not in M.safe or c <= (0.0, False):
             continue
-        if not c.leq(_expectation(M.delta[s], X_prev)):
+        if not c <= _expectation(M.delta[s], X_prev):
             raise ContractFailure("decide invoked without its guard")
         r_s = sum(p * c_ for (c_, _t), p in M.delta[s] if p > 0)
         coeffs_by_state: dict[int, float] = {}
@@ -179,7 +173,7 @@ def heuristic_conflict_mrm(X_prev, C_head, M: MRMModel,
     violating = 0
     for s in range(M.state_count):
         c = C_head[s]
-        if c.leq(fx[s]):
+        if c <= fx[s]:
             out.append(plain(math.inf))
         else:
             violating += 1
@@ -216,6 +210,12 @@ def mrm_negative_heuristics(M: MRMModel) -> NegativeHeuristics:
             for s in range(M.state_count))
 
     def decide(head):
+        # Against top, the LP may put value on an unsafe state and its
+        # fallback copies infinite entries; no chain from such a head
+        # reaches bot (F^n(bot) is finite, and 0 off the safe set).
+        if any(math.isinf(c.base) or (s not in M.safe and c > (0.0, False))
+               for s, c in enumerate(head)):
+            return None
         return solve_decide_lp_mrm(top, head, M, F)
 
     return NegativeHeuristics(candidate, decide)

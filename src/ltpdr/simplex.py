@@ -4,11 +4,17 @@ Solves ``minimize c . x  subject to  A x >= b,  lo <= x <= hi`` exactly in
 the shape needed by the probabilistic Decide heuristics: a handful of
 variables, nonnegative costs, box bounds.  Bland's rule guarantees
 termination; all comparisons use an absolute tolerance of 1e-9.
+
+The tableau is a list of Python float lists: the Decide programs have about
+three variables and one or two rows, so an array library's per-call overhead
+would cost more than the arithmetic.  Each tableau update is the single IEEE
+operation an array library performs, so with zero lower bounds, as in both
+Decide programs, the results match a numpy tableau to the last bit.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 TOL = 1e-9
 
@@ -25,18 +31,20 @@ class Unbounded(SimplexError):
     """The objective decreases without bound (impossible with finite boxes)."""
 
 
-def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and abs(T[r, col]) > 0.0:
-            T[r] -= T[r, col] * T[row]
+def _pivot(T: list, basis: list[int], row: int, col: int) -> None:
+    p = T[row][col]
+    prow = T[row] = [v / p for v in T[row]]
+    for r, other in enumerate(T):
+        f = other[col]
+        if r != row and abs(f) > 0.0:
+            T[r] = [v - f * w for v, w in zip(other, prow)]
     basis[row] = col
 
 
-def _run(T: np.ndarray, basis: list[int], ncols: int) -> None:
+def _run(T: list, basis: list[int], ncols: int) -> None:
     """Minimize the objective in the last row over columns [0, ncols)."""
     while True:
-        obj = T[-1, :ncols]
+        obj = T[-1]
         entering = -1
         for j in range(ncols):
             if obj[j] < -TOL:
@@ -46,10 +54,10 @@ def _run(T: np.ndarray, basis: list[int], ncols: int) -> None:
             return
         best_ratio = None
         leaving = -1
-        for i in range(T.shape[0] - 1):
-            a = T[i, entering]
+        for i in range(len(T) - 1):
+            a = T[i][entering]
             if a > TOL:
-                ratio = T[i, -1] / a
+                ratio = T[i][-1] / a
                 if (best_ratio is None or ratio < best_ratio - TOL
                         or (abs(ratio - best_ratio) <= TOL
                             and basis[i] < basis[leaving])):
@@ -65,99 +73,95 @@ def simplex_min(costs, constraints, bounds):
 
     ``constraints`` is a sequence of ``(coeffs, rhs)`` pairs read as
     ``coeffs . x >= rhs``; ``bounds`` is a sequence of ``(lo, hi)`` boxes.
+    A NaN anywhere raises ValueError; an infinite ``rhs`` of ``+inf`` can
+    never be met and raises Infeasible.
     """
     n = len(costs)
     if any(len(coeffs) != n for coeffs, _ in constraints):
         raise ValueError("constraint arity does not match variable count")
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
-    if np.any(hi - lo < -TOL):
+    costs = [float(c) for c in costs]
+    A = [[float(a) for a in coeffs] for coeffs, _ in constraints]
+    b = [float(rhs) for _, rhs in constraints]
+    lo = [float(lo_j) for lo_j, _ in bounds]
+    hi = [float(hi_j) for _, hi_j in bounds]
+    if any(math.isnan(v) for v in (*costs, *b, *lo, *hi, *(a for r in A for a in r))):
+        raise ValueError("NaN in the program")
+    if any(h - l < -TOL for l, h in zip(lo, hi)):
         raise Infeasible("empty box")
-    u = np.maximum(hi - lo, 0.0)
-    boxed = [j for j in range(n) if np.isfinite(u[j])]
-    m = len(constraints)
-    if m == 0 and n == 0:
-        return []
-    A = np.array([list(coeffs) for coeffs, _ in constraints], dtype=float)
-    A = A.reshape(m, n)
-    b = np.array([rhs for _, rhs in constraints], dtype=float)
-    b_shift = b - A @ lo if m else b
+    if math.inf in b:
+        raise Infeasible("a row demands coeffs . x >= inf")
+    u = [max(h - l, 0.0) for l, h in zip(lo, hi)]
+    boxed = [j for j in range(n) if math.isfinite(u[j])]
 
     # Equality system over x' = x - lo >= 0 with surplus s and slack t
     # (one slack per finite upper bound):
-    #   A x' - s = b_shift          (m rows)
+    #   A x' - s = b - A lo         (m rows)
     #   x'_j + t_j = u_j            (one row per boxed j)
+    m = len(constraints)
     nb = len(boxed)
     M = m + nb
     ncore = n + m + nb
-    rows = np.zeros((M, ncore))
-    rhs_col = np.zeros(M)
-    rows[:m, :n] = A
+    rows, rhs_col = [], []
     for i in range(m):
-        rows[i, n + i] = -1.0
-    rhs_col[:m] = b_shift
+        rows.append(A[i] + [0.0] * (m + nb))
+        rows[i][n + i] = -1.0
+        rhs_col.append(b[i] - sum(a * l for a, l in zip(A[i], lo)))
     for k, j in enumerate(boxed):
-        rows[m + k, j] = 1.0
-        rows[m + k, n + m + k] = 1.0
-        rhs_col[m + k] = u[j]
+        rows.append([0.0] * ncore)
+        rows[m + k][j] = rows[m + k][n + m + k] = 1.0
+        rhs_col.append(u[j])
 
-    flipped = rhs_col < 0
-    rows[flipped] *= -1.0
-    rhs_col[flipped] = -rhs_col[flipped]
-
-    basis: list[int] = [-1] * M
-    art_cols: list[int] = []
-    extra = []
-    for i in range(M):
-        if i >= m:
-            basis[i] = n + m + (i - m)  # slack t_k (box rows are never flipped)
-        elif flipped[i]:
-            basis[i] = n + i  # surplus entered with coefficient +1
+    # A constraint row with a negative rhs is negated and starts with its
+    # surplus basic; the others get one artificial column each, in row
+    # order.  Box rows start with their slack basic (u_j is never negative).
+    basis: list[int] = []
+    art_rows: list[int] = []
+    for i in range(m):
+        if rhs_col[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs_col[i] = -rhs_col[i]
+            basis.append(n + i)
         else:
-            col = ncore + len(art_cols)
-            art_cols.append(col)
-            unit = np.zeros(M)
-            unit[i] = 1.0
-            extra.append(unit)
-            basis[i] = col
-
-    total = ncore + len(art_cols)
-    T = np.zeros((M + 1, total + 1))
-    T[:M, :ncore] = rows
-    for k, unit in enumerate(extra):
-        T[:M, ncore + k] = unit
-    T[:M, -1] = rhs_col
+            basis.append(ncore + len(art_rows))
+            art_rows.append(i)
+    basis += range(n + m, ncore)
+    total = ncore + len(art_rows)
+    art_cols = range(ncore, total)
+    T = [row + [0.0] * len(art_rows) + [r] for row, r in zip(rows, rhs_col)]
+    for i in art_rows:
+        T[i][basis[i]] = 1.0
+    T.append([0.0] * (total + 1))
 
     if art_cols:
         # Phase 1: minimize the sum of artificials.
         for col in art_cols:
-            T[-1, col] = 1.0
-        for i in range(M):
-            if basis[i] in art_cols:
-                T[-1] -= T[i]
+            T[-1][col] = 1.0
+        for i in art_rows:
+            T[-1] = [v - w for v, w in zip(T[-1], T[i])]
         _run(T, basis, total)
-        if T[-1, -1] < -TOL:
+        if T[-1][-1] < -TOL:
             raise Infeasible("phase-1 optimum is positive")
         for i in range(M):
             if basis[i] in art_cols:
                 for j in range(ncore):
-                    if abs(T[i, j]) > TOL:
+                    if abs(T[i][j]) > TOL:
                         _pivot(T, basis, i, j)
                         break
-        for col in art_cols:
-            T[:, col] = 0.0
+        for row in T:
+            for col in art_cols:
+                row[col] = 0.0
 
     # Phase 2: the real objective over x' (s and t cost nothing).
-    T[-1, :] = 0.0
-    for j in range(n):
-        T[-1, j] = costs[j]
+    obj = costs + [0.0] * (total + 1 - n)
     for i in range(M):
         if basis[i] < n:
-            T[-1] -= T[-1, basis[i]] * T[i]
+            f = obj[basis[i]]
+            obj = [v - f * w for v, w in zip(obj, T[i])]
+    T[-1] = obj
     _run(T, basis, ncore)
 
-    x = np.array(lo, dtype=float)
+    x = list(lo)
     for i in range(M):
         if basis[i] < n:
-            x[basis[i]] = lo[basis[i]] + T[i, -1]
-    return [float(v) for v in x]
+            x[basis[i]] = lo[basis[i]] + T[i][-1]
+    return x

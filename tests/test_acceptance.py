@@ -11,7 +11,8 @@ Criterion overview:
   2 rule-order-fuzz      200 randomly scheduled runs terminate and agree
   3 mrm-reference        the 4/3-ground-truth reward model, both verdicts
   4 mdp-differential     200 random MDPs at threshold = value +/- 0.1
-  5 one-sided-soundness  positive engine never False, negative never True
+  5 one-sided-soundness  positive engine never False, negative never True,
+                         on Kripke structures, MDPs and reward models
   6 invariant-suite      zero debug-mode violations across suites 1-4
   7 lp-correctness       simplex vs. vertex enumeration within 1e-6
 """
@@ -35,7 +36,7 @@ from ltpdr.kripke import (
 )
 from ltpdr.lattice import check_kleene_witness, check_kt_witness, is_conclusive_kt
 from ltpdr.mdp import pdr_ibmdp, pdr_mdp_negative, pdr_mdp_positive
-from ltpdr.mrm import pdr_mrm
+from ltpdr.mrm import pdr_mrm, pdr_mrm_negative, pdr_mrm_positive
 from ltpdr.oracles import (
     NoConvergence,
     bfs_safe,
@@ -43,7 +44,7 @@ from ltpdr.oracles import (
     vi_max_reach,
 )
 from ltpdr.simplex import Infeasible, simplex_min
-from util import lp_vertex_min, random_kripke, random_mdp
+from util import lp_vertex_min, random_kripke, random_mdp, random_mrm
 
 
 def report(number, name, ok):
@@ -211,6 +212,22 @@ def test_acceptance_5_one_sided_soundness(kripke_suite, mdp_suite):
                          is not Verdict.FALSE)
             ok = ok and (pdr_mdp_negative(Mx, budget=100).verdict
                          is not Verdict.TRUE)
+
+    # Reward models, on both sides of the value: a one-sided verdict must
+    # also be the right one, and any raise fails the criterion.
+    with open(model_path("die_by_coin.mrm")) as fh:
+        mrms = [parse_mrm(fh.read())]
+    rng = random.Random(7)
+    mrms += [random_mrm(rng) for _ in range(40)]
+    for M in mrms:
+        value = vi_expected_reward(M).value
+        for lam in (value * 0.9, value * 1.1 + 0.05):
+            Mx = dataclasses.replace(M, threshold=lam)
+            pos = pdr_mrm_positive(Mx, budget=100).verdict
+            neg = pdr_mrm_negative(Mx, budget=100).verdict
+            ok = ok and pos is not Verdict.FALSE and neg is not Verdict.TRUE
+            ok = ok and (pos is not Verdict.TRUE or lam >= value)
+            ok = ok and (neg is not Verdict.FALSE or lam < value)
 
     # Safe micro model: the one-sided falsifier spins, the combined engine
     # proves safety.

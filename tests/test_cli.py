@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ltpdr
 from conftest import model_path
 from ltpdr.cli import (
     DistributionError,
@@ -190,3 +194,14 @@ class TestRunner:
     def test_canonical_decide_flag(self):
         assert main(["kripke-forward", model_path("k1_unsafe.kr"),
                      "--canonical-decide"]) == 10
+
+
+def test_library_import_loads_no_numpy():
+    # The library has no runtime dependencies; numpy would add most of the
+    # import time and memory of a command-line run.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ltpdr.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import ltpdr.cli, ltpdr.oracles; print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -113,6 +113,40 @@ class TestSolver:
                                                              abs=1e-9)
 
 
+# (draw, threshold) -> (verdict, steps, rule counts, frames) of pdr_mrm on
+# the draw-th random_mrm of Random(2026), counted from 0.
+PINNED_SEARCHES = {
+    (4, 9.9): (Verdict.FALSE, 124, {"unfold": 10, "candidate": 10,
+                                    "conflict": 51, "decide": 52,
+                                    "model": 1}, 12),
+    (16, 1.0125): (Verdict.FALSE, 42, {"unfold": 5, "candidate": 5,
+                                       "conflict": 15, "decide": 16,
+                                       "model": 1}, 7),
+    (20, 8.415): (Verdict.TRUE, 765, {"unfold": 61, "candidate": 61,
+                                      "conflict": 350, "decide": 292,
+                                      "valid": 1}, 63),
+    (32, 5.432432): (Verdict.FALSE, 218, {"unfold": 10, "candidate": 10,
+                                          "conflict": 98, "decide": 99,
+                                          "model": 1}, 12),
+}
+
+
+@pytest.mark.parametrize("draw, threshold", sorted(PINNED_SEARCHES))
+def test_random_search_is_pinned(draw, threshold):
+    # Every Decide solves an LP and every rule tests the eps order: an LP
+    # result or an order test that drifts by one ulp changes these counts.
+    rng = random.Random(2026)
+    for _ in range(draw):
+        random_mrm(rng)
+    M = dataclasses.replace(random_mrm(rng), threshold=threshold)
+    verdict, steps, rules, frames = PINNED_SEARCHES[draw, threshold]
+    ans = pdr_mrm(M)
+    assert ans.verdict is verdict
+    assert ans.stats.steps == steps
+    assert ans.stats.rule_counts == rules
+    assert ans.stats.frame_count == frames
+
+
 class TestModelValidation:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):

@@ -82,3 +82,31 @@ class TestAgainstVertexOracle:
             assert objective(costs, xs) == pytest.approx(expected, abs=1e-6)
             agreements += 1
         assert agreements > 30
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonFiniteInput:
+    def test_infinite_rhs_is_infeasible(self):
+        with pytest.raises(Infeasible):
+            simplex_min([1.0], [([1.0], math.inf)], [(0.0, 1e9)])
+
+    def test_infinite_rhs_from_a_reward_decide(self):
+        # A Decide program of the reward instance whose obligation values
+        # were copied from an infinite frame: the ratio tie-break would
+        # compute inf - inf.
+        with pytest.raises(Infeasible):
+            simplex_min([1.0] * 4,
+                        [([0.8, 0.2, 0.0, 0.0], math.inf),
+                         ([0.0, 0.1, 0.42000000000000004, 0.48], math.inf)],
+                        [(0.0, 1e9), (0.0, 0.0), (0.0, 4.840000000000001),
+                         (0.0, 1e9)])
+
+    @pytest.mark.parametrize("costs, constraints, bounds", [
+        ([math.nan], [([1.0], 0.5)], [(0.0, 1.0)]),
+        ([1.0], [([math.nan], 0.5)], [(0.0, 1.0)]),
+        ([1.0], [([1.0], math.nan)], [(0.0, 1.0)]),
+        ([1.0], [([1.0], 0.5)], [(0.0, math.nan)]),
+    ])
+    def test_nan_is_rejected(self, costs, constraints, bounds):
+        with pytest.raises(ValueError):
+            simplex_min(costs, constraints, bounds)
