@@ -73,8 +73,8 @@ def simplex_min(costs, constraints, bounds):
 
     ``constraints`` is a sequence of ``(coeffs, rhs)`` pairs read as
     ``coeffs . x >= rhs``; ``bounds`` is a sequence of ``(lo, hi)`` boxes.
-    A NaN anywhere raises ValueError; an infinite ``rhs`` of ``+inf`` can
-    never be met and raises Infeasible.
+    A NaN anywhere raises ValueError; a ``+inf`` rhs can never be met and
+    raises Infeasible.
     """
     n = len(costs)
     if any(len(coeffs) != n for coeffs, _ in constraints):
