@@ -3,9 +3,10 @@
 randomly generated models.
 
 Generates random transition systems and MDPs, solves each with every
-applicable engine, and compares verdicts with the oracle.  Any mismatch, and
-any MDP run that exhausts its step budget, is reported with a serialized
-reproducer and makes the exit code non-zero.
+applicable engine in debug mode, under the default schedule and under the
+fuzz schedule seeded with the model's index, and compares verdicts with the
+oracle.  Any mismatch, and any MDP run that exhausts its step budget, is
+reported with a serialized reproducer and makes the exit code non-zero.
 
 Usage: python scripts/random_differential.py [--seed N] [--kripke N] [--mdp N]
 """
@@ -25,6 +26,8 @@ from ltpdr.kripke import pdr_fkr, pdr_ibkr  # noqa: E402
 from ltpdr.mdp import pdr_ibmdp  # noqa: E402
 from ltpdr.oracles import NoConvergence, bfs_safe, vi_max_reach  # noqa: E402
 
+SCHEDULES = ("default", "fuzz")
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
@@ -41,13 +44,14 @@ def main(argv=None) -> int:
         K = random_kripke(rng)
         expected = bfs_safe(K).verdict
         for name, solve in (("fkr", pdr_fkr), ("ibkr", pdr_ibkr)):
-            ans = solve(K, debug=True)
-            got = ans.verdict is Verdict.TRUE
-            if ans.verdict not in (Verdict.TRUE, Verdict.FALSE) or got != expected:
-                mismatches += 1
-                print(f"MISMATCH kripke #{i} engine={name} got={ans.verdict} "
-                      f"expected={expected}\n{serialize_kripke(K)}")
-    print(f"kripke: {args.kripke} models x 2 engines, "
+            for schedule in SCHEDULES:
+                ans = solve(K, schedule=schedule, seed=i, debug=True)
+                got = ans.verdict is Verdict.TRUE
+                if ans.verdict not in (Verdict.TRUE, Verdict.FALSE) or got != expected:
+                    mismatches += 1
+                    print(f"MISMATCH kripke #{i} engine={name} schedule={schedule} "
+                          f"got={ans.verdict} expected={expected}\n{serialize_kripke(K)}")
+    print(f"kripke: {args.kripke} models x 2 engines x 2 schedules, "
           f"{time.perf_counter() - t0:.1f}s")
 
     t0 = time.perf_counter()
@@ -62,18 +66,19 @@ def main(argv=None) -> int:
         for lam, expected in ((min(gt + 0.1, 1.0), True),
                               (gt - 0.1 if gt >= 0.1 else gt / 2, False)):
             Mx = dataclasses.replace(M, threshold=lam)
-            ans = pdr_ibmdp(Mx, debug=True)
-            if ans.verdict is Verdict.BUDGET_EXHAUSTED:
-                exhausted += 1
-                print(f"EXHAUSTED mdp #{i} lambda={lam} "
-                      f"steps={ans.stats.steps}\n{serialize_mdp(Mx)}")
-                continue
-            got = ans.verdict is Verdict.TRUE
-            if got != expected:
-                mismatches += 1
-                print(f"MISMATCH mdp #{i} lambda={lam} got={ans.verdict} "
-                      f"expected={expected}\n{serialize_mdp(Mx)}")
-    print(f"mdp: {args.mdp} models x 2 thresholds, "
+            for schedule in SCHEDULES:
+                ans = pdr_ibmdp(Mx, schedule=schedule, seed=i, debug=True)
+                if ans.verdict is Verdict.BUDGET_EXHAUSTED:
+                    exhausted += 1
+                    print(f"EXHAUSTED mdp #{i} lambda={lam} schedule={schedule} "
+                          f"steps={ans.stats.steps}\n{serialize_mdp(Mx)}")
+                    continue
+                got = ans.verdict is Verdict.TRUE
+                if got != expected:
+                    mismatches += 1
+                    print(f"MISMATCH mdp #{i} lambda={lam} schedule={schedule} "
+                          f"got={ans.verdict} expected={expected}\n{serialize_mdp(Mx)}")
+    print(f"mdp: {args.mdp} models x 2 thresholds x 2 schedules, "
           f"{time.perf_counter() - t0:.1f}s")
 
     print("mismatches:", mismatches)

@@ -230,8 +230,19 @@ def rule_conflict(cfg: PDRConfig, F: Transformer, alpha, heuristics: HeuristicsB
 
 
 def _strengthen(lat: Lattice, xs: tuple, k: int, x) -> KTSequence:
-    """The frames with ``x`` met into ``X_2 .. X_k`` (Induction, Conflict)."""
-    return KTSequence(xs[:2] + tuple([lat.meet(e, x) for e in xs[2:k + 1]]) + xs[k + 1:])
+    """The frames with ``x`` met into ``X_2 .. X_k`` (Induction, Conflict).
+
+    The chain ascends, so once ``X_j <= x`` every frame below ``X_j`` is
+    below ``x`` too and the meet leaves it as it is.  Only the frames above
+    the highest such ``X_j`` are met; ``X_0 .. X_j`` are kept as the same
+    objects, which ``_fresh_pairs`` and the ``F`` cache of ``run_combined``
+    rely on.
+    """
+    j = k
+    while j >= 2 and not lat.leq(xs[j], x):
+        j -= 1
+    return KTSequence(xs[:j + 1] + tuple([lat.meet(e, x) for e in xs[j + 1:k + 1]])
+                      + xs[k + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -295,25 +306,44 @@ def _finalize(answer: PDRAnswer, stats: RunStats, F: Transformer, alpha,
     return answer
 
 
-def _fresh_pairs(rule: str, cfg: PDRConfig, k: Optional[int]) -> Optional[tuple[int, int]]:
+def _fresh_pairs(rule: str, old: KTSequence, cfg: PDRConfig,
+                 k: Optional[int]) -> Optional[tuple[int, int]]:
     """The range ``(lo, hi)`` of frame pairs ``(j, j+1)``, ``lo <= j < hi``,
-    on which Valid can newly hold after ``rule`` produced ``cfg``; None when
-    the rule kept the frames.
+    on which Valid can newly hold after ``rule`` turned the frames ``old``
+    into those of ``cfg``; None when the rule kept the frames.
 
-    Valid failed on the frames before the rule.  Induction at ``k`` and
-    Conflict at ``k`` (the obligation index, one below the new start) only
-    shrink ``X_2 .. X_k``, so ``X_{j+1} <= X_j`` can newly hold only for
-    ``1 <= j < k``; at ``j = k`` it would need ``X_{k+1} <= X_k`` already.
-    Unfold adds just the last pair.
+    Valid failed on ``old``.  Unfold adds just the last pair.  Induction at
+    ``k`` and Conflict at ``k`` (the obligation index, one below the new
+    start) meet a new element into ``X_2 .. X_k``; ``_strengthen`` keeps the
+    frames the meet leaves unchanged as the same objects, and since the
+    chain ascends these are a prefix ``X_0 .. X_{j0}``.  A pair of two
+    unchanged frames has already failed, and at ``j = k`` the pair would
+    need ``X_{k+1} <= X_k`` already, so only ``j0 <= j < k`` are fresh.
     """
     if rule == "unfold":
         n = len(cfg.frames)
         return (n - 2, n - 1)
     if rule == "conflict":
-        return (1, cfg.obligations.start_index - 1)
-    if rule == "induction":
-        return (1, k)
-    return None
+        k = cfg.obligations.start_index - 1
+    elif rule != "induction":
+        return None
+    xs, ys = old.elements, cfg.frames.elements
+    j0 = k
+    while j0 > 1 and xs[j0] is not ys[j0]:
+        j0 -= 1
+    return (j0, k)
+
+
+def _image_at(F: Transformer, cache: dict, xs: tuple, j: int):
+    """``F(X_j)`` through ``cache``, which maps ``j`` to ``(X_j, F(X_j))``.
+
+    An entry is reused only while ``X_j`` is the very object it was computed
+    for, so it goes stale exactly when the frame changes.
+    """
+    entry = cache.get(j)
+    if entry is None or entry[0] is not xs[j]:
+        entry = cache[j] = (xs[j], F(xs[j]))
+    return entry[1]
 
 
 def _emit(trace, step: int, rule: str, cfg: PDRConfig) -> None:
@@ -338,11 +368,19 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
 
     Valid is a function of the frames alone and has failed on every earlier
     chain, so each step re-checks it only on the frame pairs the last rule
-    could have made conclusive: none after Decide or Candidate, which keep
-    the frames; the new last pair after Unfold; and pairs ``1 .. k-1`` after
-    Induction or Conflict at index ``k``, which meet ``X_2 .. X_k`` with a
-    new element (``_fresh_pairs``).  The certificate check at the end scans
-    the whole chain.
+    could have made conclusive (``_fresh_pairs``): none after Decide or
+    Candidate, which keep the frames; the new last pair after Unfold; and
+    after Induction or Conflict at index ``k``, pairs ``j0 .. k-1``, where
+    ``X_{j0}`` is the highest frame the meet left unchanged.  Since the
+    chain ascends, the meet changes only ``X_{j0+1} .. X_k``
+    (``_strengthen``).  The certificate check at the end scans the whole
+    chain.
+
+    ``F(X_{i-1})`` for Decide and Conflict comes from a per-index cache of
+    ``(X_j, F(X_j))`` (``_image_at``) in both schedules; an entry is reused
+    only while its frame is the same object, so a Conflict or Induction
+    that changes ``X_j`` makes it stale and every unchanged frame keeps its
+    image.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -355,6 +393,7 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     if checker:
         checker.check(cfg)
     fresh = (0, len(cfg.frames) - 1)  # the pairs Valid has not yet failed on
+    images: dict = {}  # j -> (X_j, F(X_j))
 
     for step in range(1, budget + 1):
         stats.steps = step
@@ -364,6 +403,7 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
                 stats.count("valid")
                 _emit(trace, step, "valid", cfg)
                 return _finalize(ans, stats, F, alpha, started, len(cfg.frames))
+        before = cfg.frames
         ans = rule_model(cfg, F, alpha)
         if ans is not None:
             stats.count("model")
@@ -378,6 +418,8 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
                 if nxt is not None:
                     cfg, applied, k = nxt, "induction", prop[0]
 
+        if applied is None and not cfg.obligations.empty:
+            fx = _image_at(F, images, cfg.frames.elements, cfg.obligations.start_index - 1)
         if applied is None and rng is None:
             if cfg.obligations.empty:
                 nxt = rule_unfold(cfg, F, alpha)
@@ -388,7 +430,6 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
                     if nxt is not None:
                         cfg, applied = nxt, "candidate"
             else:
-                fx = F(cfg.frames.elements[cfg.obligations.start_index - 1])
                 nxt = rule_decide(cfg, F, alpha, heuristics, fx)
                 if nxt is not None:
                     cfg, applied = nxt, "decide"
@@ -402,8 +443,10 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
             if can_unfold:
                 candidates.append(("unfold", lambda c: rule_unfold(c, F, alpha)))
             if not cfg.obligations.empty:
-                candidates.append(("decide", lambda c: rule_decide(c, F, alpha, heuristics)))
-                candidates.append(("conflict", lambda c: rule_conflict(c, F, alpha, heuristics)))
+                candidates.append(
+                    ("decide", lambda c: rule_decide(c, F, alpha, heuristics, fx)))
+                candidates.append(
+                    ("conflict", lambda c: rule_conflict(c, F, alpha, heuristics, fx)))
             elif not can_unfold:
                 candidates.append(
                     ("candidate", lambda c: rule_candidate(c, F, alpha, heuristics)))
@@ -420,7 +463,7 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
         _emit(trace, step, applied, cfg)
         if checker:
             checker.check(cfg)
-        fresh = _fresh_pairs(applied, cfg, k)
+        fresh = _fresh_pairs(applied, before, cfg, k)
 
     return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, len(cfg.frames))
 
@@ -451,6 +494,7 @@ def run_positive(F: Transformer, alpha,
                 stats.count("valid")
                 _emit(trace, step, "valid", cfg)
                 return _finalize(ans, stats, F, alpha, started, len(cfg.frames))
+        before = cfg.frames
         applied, k = "unfold", None
         nxt = rule_unfold(cfg, F, alpha)
         if nxt is None:
@@ -463,7 +507,7 @@ def run_positive(F: Transformer, alpha,
             _emit(trace, step, applied, cfg)
             if checker:
                 checker.check(cfg)
-        fresh = _fresh_pairs(applied, cfg, k)
+        fresh = _fresh_pairs(applied, before, cfg, k)
 
     return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, len(cfg.frames))
 

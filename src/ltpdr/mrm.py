@@ -165,10 +165,12 @@ def solve_decide_lp_mrm(X_prev, C_head, M: MRMModel,
 
 
 def heuristic_conflict_mrm(X_prev, C_head, M: MRMModel,
-                           F: Optional[Transformer] = None):
-    if F is None:
-        F = reward_bellman(M)
-    fx = F(X_prev)
+                           F: Optional[Transformer] = None, fx=None):
+    """``fx`` is ``F(X_prev)`` when the caller has it already."""
+    if fx is None:
+        if F is None:
+            F = reward_bellman(M)
+        fx = F(X_prev)
     out = []
     violating = 0
     for s in range(M.state_count):
@@ -193,7 +195,7 @@ def mrm_heuristics(M: MRMModel) -> HeuristicsBundle:
         return solve_decide_lp_mrm(x_prev, head, M, F)
 
     def conflict(x_prev, head, fx):
-        return heuristic_conflict_mrm(x_prev, head, M, F)
+        return heuristic_conflict_mrm(x_prev, head, M, F, fx)
 
     return HeuristicsBundle(candidate, decide, conflict)
 

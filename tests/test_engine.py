@@ -1,6 +1,7 @@
 """The seven rewrite rules, the three engines, and the dualization helpers."""
 
 import dataclasses
+import math
 import os
 import random
 
@@ -31,6 +32,7 @@ from ltpdr.engine import (
     run_positive,
 )
 from ltpdr.kripke import (
+    SubsetLattice,
     backward_transformer,
     forward_bundle,
     forward_negative_heuristics,
@@ -45,12 +47,13 @@ from ltpdr.kripke import (
 from ltpdr.lattice import (
     KTSequence,
     KleeneSequence,
+    OppositeLattice,
     Transformer,
     UnsupportedDual,
     InvolutionViolation,
     check_kleene_witness,
 )
-from ltpdr.mdp import pdr_ibmdp, pdr_mdp_positive
+from ltpdr.mdp import PointwiseLattice, eps_val, pdr_ibmdp, pdr_mdp_positive, plain
 from ltpdr.mrm import pdr_mrm, pdr_mrm_positive
 from ltpdr.oracles import vi_expected_reward, vi_max_reach
 from ltpdr.simplex import Infeasible
@@ -349,9 +352,10 @@ class TestDebugMode:
 
 class TestValidScan:
     """Valid is re-checked only on the frame pairs the last rule could have
-    made conclusive.  A full scan -- every pair of the chain on every step --
-    must give the same verdicts, rule counts, steps, frames and trace
-    lines."""
+    made conclusive, and ``F(X_j)`` is reused while ``X_j`` is unchanged.  A
+    full scan -- every pair of the chain on every step, with ``F``
+    evaluated afresh -- must give the same verdicts, rule counts, steps,
+    frames and trace lines."""
 
     @staticmethod
     def _fkr_with_induction(K, **kwargs):
@@ -408,7 +412,8 @@ class TestValidScan:
     @classmethod
     def _compare_with_full_scan(cls, monkeypatch, solves):
         """Run ``solves`` as they are, then again with Valid over the whole
-        chain on every step; return the rule counts of the first runs."""
+        chain and without the ``F`` cache on every step; return the rule
+        counts of the first runs."""
         pairs = []  # frame pairs compared by Valid, per solve
         rule_valid = engine.rule_valid
 
@@ -432,7 +437,9 @@ class TestValidScan:
 
         monkeypatch.setattr(engine, "rule_valid", full_scan)
         monkeypatch.setattr(engine, "_fresh_pairs",
-                            lambda rule, cfg, k: (0, len(cfg.frames) - 1))
+                            lambda rule, old, cfg, k: (0, len(cfg.frames) - 1))
+        # ... and with a fresh F(X_{i-1}) on every step, bypassing the cache.
+        monkeypatch.setattr(engine, "_image_at", lambda F, cache, xs, j: F(xs[j]))
         pairs.clear()
         for case, outcome in zip(solves, outcomes):
             pairs.append(0)
@@ -478,3 +485,65 @@ class TestValidScan:
         for solve, model, kwargs in solves:
             solve(model, **kwargs)
         assert held and not any(held)
+
+
+class TestStrengthen:
+    """Conflict and Induction meet ``x`` only into the frames above the
+    highest ``X_j <= x``; on an ascending chain that is the full meet."""
+
+    @staticmethod
+    def _lattices():
+        pool01 = [plain(0.0), eps_val(0.0), plain(0.5), eps_val(0.5), plain(1.0)]
+        pool_inf = pool01[:4] + [plain(2.0), eps_val(2.0), plain(math.inf)]
+        return [
+            (SubsetLattice(10), lambda rng: rng.getrandbits(10)),
+            (PointwiseLattice(4, 1.0),
+             lambda rng: tuple(rng.choice(pool01) for _ in range(4))),
+            (PointwiseLattice(4, math.inf),
+             lambda rng: tuple(rng.choice(pool_inf) for _ in range(4))),
+            (OppositeLattice(SubsetLattice(10)), lambda rng: rng.getrandbits(10)),
+        ]
+
+    @pytest.mark.parametrize("case", range(4), ids=["subset", "unit-interval",
+                                                   "extended-reals", "opposite"])
+    def test_matches_full_meet(self, case, monkeypatch):
+        lat, draw = self._lattices()[case]
+        full_meet = lat.meet
+        met = []
+
+        def counted_meet(a, b):
+            met.append(a)
+            return full_meet(a, b)
+
+        monkeypatch.setattr(lat, "meet", counted_meet)
+        rng = random.Random(case)
+        kept = changed = 0
+        for _ in range(300):
+            n = rng.randint(3, 9)
+            xs = [full_meet(draw(rng), draw(rng))]
+            for _ in range(n - 1):
+                xs.append(xs[-1] if rng.random() < 0.2 else lat.join(xs[-1], draw(rng)))
+            xs = tuple(xs)
+            r = rng.random()
+            if r < 0.4:
+                x = draw(rng)
+            elif r < 0.7:
+                x = xs[rng.randrange(n)]
+            else:
+                x = lat.join(xs[rng.randrange(n)], draw(rng))
+            k = rng.randint(2, n - 1)
+            met.clear()
+            ys = engine._strengthen(lat, xs, k, x).elements
+            assert not any(lat.leq(a, x) for a in met)
+            assert len(ys) == n
+            for j in range(n):
+                if not 2 <= j <= k:
+                    assert ys[j] is xs[j]
+                    continue
+                assert ys[j] == full_meet(xs[j], x)
+                if lat.leq(xs[j], x):
+                    assert ys[j] is xs[j]
+                    kept += 1
+                else:
+                    changed += 1
+        assert kept > 0 and changed > 0
