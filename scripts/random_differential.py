@@ -2,29 +2,37 @@
 """Differential testing of the solvers against brute-force oracles on
 randomly generated models.
 
-Generates random transition systems and MDPs, solves each with every
-applicable engine in debug mode, under the default schedule and under the
-fuzz schedule seeded with the model's index, and compares verdicts with the
-oracle.  Any mismatch, and any MDP run that exhausts its step budget, is
-reported with a serialized reproducer and makes the exit code non-zero.
+Generates random transition systems, MDPs and Markov reward models, solves
+each with every applicable engine in debug mode, under the default schedule
+and under the fuzz schedule seeded with the model's index, and compares
+verdicts with the oracle.  MDPs are probed 0.1 above and below their value,
+reward models at 0.9 and 1.1 times theirs.  Any mismatch, any MDP or reward
+model run that exhausts its step budget and any reward model run that
+raises is reported with a serialized reproducer and makes the exit code
+non-zero.
 
 Usage: python scripts/random_differential.py [--seed N] [--kripke N] [--mdp N]
+                                             [--mrm N]
 """
 
 import argparse
 import dataclasses
+import math
 import random
 import sys
 import time
+import traceback
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent.parent / "tests"))
-from util import random_kripke, random_mdp  # noqa: E402
+from util import random_kripke, random_mdp, random_mrm  # noqa: E402
 
-from ltpdr.cli import serialize_kripke, serialize_mdp  # noqa: E402
+from ltpdr.cli import serialize_kripke, serialize_mdp, serialize_mrm  # noqa: E402
 from ltpdr.engine import Verdict  # noqa: E402
 from ltpdr.kripke import pdr_fkr, pdr_ibkr  # noqa: E402
 from ltpdr.mdp import pdr_ibmdp  # noqa: E402
-from ltpdr.oracles import NoConvergence, bfs_safe, vi_max_reach  # noqa: E402
+from ltpdr.mrm import pdr_mrm  # noqa: E402
+from ltpdr.oracles import (NoConvergence, bfs_safe, vi_expected_reward,  # noqa: E402
+                           vi_max_reach)
 
 SCHEDULES = ("default", "fuzz")
 
@@ -34,10 +42,12 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--kripke", type=int, default=200)
     ap.add_argument("--mdp", type=int, default=50)
+    ap.add_argument("--mrm", type=int, default=100)
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)
     mismatches = 0
     exhausted = 0
+    raised = 0
 
     t0 = time.perf_counter()
     for i in range(args.kripke):
@@ -81,9 +91,42 @@ def main(argv=None) -> int:
     print(f"mdp: {args.mdp} models x 2 thresholds x 2 schedules, "
           f"{time.perf_counter() - t0:.1f}s")
 
+    t0 = time.perf_counter()
+    for i in range(args.mrm):
+        M = random_mrm(rng)
+        try:
+            gt = vi_expected_reward(M).value
+        except NoConvergence:
+            continue
+        if not 1e-6 < gt < math.inf:
+            continue
+        for lam, expected in ((1.1 * gt, True), (0.9 * gt, False)):
+            Mx = dataclasses.replace(M, threshold=lam)
+            for schedule in SCHEDULES:
+                try:
+                    ans = pdr_mrm(Mx, schedule=schedule, seed=i, debug=True)
+                except Exception:  # any raise is a finding; keep going
+                    raised += 1
+                    print(f"RAISED mrm #{i} lambda={lam} schedule={schedule}\n"
+                          f"{traceback.format_exc()}{serialize_mrm(Mx)}")
+                    continue
+                if ans.verdict is Verdict.BUDGET_EXHAUSTED:
+                    exhausted += 1
+                    print(f"EXHAUSTED mrm #{i} lambda={lam} schedule={schedule} "
+                          f"steps={ans.stats.steps}\n{serialize_mrm(Mx)}")
+                    continue
+                got = ans.verdict is Verdict.TRUE
+                if got != expected:
+                    mismatches += 1
+                    print(f"MISMATCH mrm #{i} lambda={lam} schedule={schedule} "
+                          f"got={ans.verdict} expected={expected}\n{serialize_mrm(Mx)}")
+    print(f"mrm: {args.mrm} models x 2 thresholds x 2 schedules, "
+          f"{time.perf_counter() - t0:.1f}s")
+
     print("mismatches:", mismatches)
     print("budget exhausted:", exhausted)
-    return 1 if mismatches or exhausted else 0
+    print("raised:", raised)
+    return 1 if mismatches or exhausted or raised else 0
 
 
 if __name__ == "__main__":

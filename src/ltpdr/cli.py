@@ -81,7 +81,6 @@ class RunRequest:
     validate_witness: bool = False
     oracle: bool = False
     json_output: bool = False
-    canonical_decide: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +417,6 @@ def _instance(req: RunRequest, model):
         if eng == "combined":
             fn = kr.pdr_fkr if forward else kr.pdr_ibkr
             runner = lambda **kw: fn(model, schedule=req.schedule, seed=req.seed,
-                                     canonical_decide=req.canonical_decide,
                                      **common, **kw)
         elif eng == "positive":
             fn = kr.pdr_fkr_positive if forward else kr.pdr_ibkr_positive
@@ -560,16 +558,11 @@ def main(argv=None) -> int:
     ap.add_argument("--validate-witness", action="store_true")
     ap.add_argument("--oracle", action="store_true")
     ap.add_argument("--json", action="store_true", dest="json_output")
-    ap.add_argument("--canonical-decide", action="store_true",
-                    help="use the whole previous frame as the Decide choice "
-                         "instead of a singleton predecessor (state-set "
-                         "instances only)")
     args = ap.parse_args(argv)
     req = RunRequest(kind=args.kind, engine=args.engine, model_path=args.model,
                      budget=args.budget, schedule=args.schedule, seed=args.seed,
                      trace=args.trace, validate_witness=args.validate_witness,
-                     oracle=args.oracle, json_output=args.json_output,
-                     canonical_decide=args.canonical_decide)
+                     oracle=args.oracle, json_output=args.json_output)
     return run_cli(req)
 
 

@@ -14,6 +14,11 @@ All rules are pure config-to-config steps; the runners add scheduling,
 budgeting, statistics, optional per-step invariant checking (``debug=True``)
 and an optional trace sink.  Heuristic outputs are always re-verified against
 their contracts; instance code is never trusted.
+
+Every instance's Conflict lemma is the paper's canonical ``x := F(X_{i-1})``
+(``canonical_conflict``), which meets its contract by monotonicity.  A lemma
+blocking only the part of the frame the obligation violates makes the
+search take order ``n^2`` steps on a chain of depth ``n``.
 """
 
 from __future__ import annotations
@@ -85,6 +90,12 @@ class PDRConfig:
     obligations: KleeneSequence
 
 
+def canonical_conflict(x_prev, head, fx):
+    """Conflict's canonical choice ``x := F(X_{i-1})``, which the engine
+    passes in precomputed as ``fx``."""
+    return fx
+
+
 @dataclass(frozen=True)
 class HeuristicsBundle:
     """Instance-supplied choice functions for the combined engine.
@@ -92,11 +103,12 @@ class HeuristicsBundle:
     Each function may return None ("no choice available"); any returned
     element is re-verified by the engine and a violation aborts the run.
     ``choose_decide``/``choose_conflict`` receive ``F(X_{i-1})`` precomputed.
+    Conflict defaults to ``canonical_conflict``, which every instance uses.
     """
 
     choose_candidate: Callable[[Any, Any, Any], Optional[Any]]
     choose_decide: Callable[[Any, Any, Any], Optional[Any]]
-    choose_conflict: Callable[[Any, Any, Any], Optional[Any]]
+    choose_conflict: Callable[[Any, Any, Any], Optional[Any]] = canonical_conflict
     choose_induction: Optional[Callable[[KTSequence], Optional[tuple[int, Any]]]] = None
 
 
@@ -207,7 +219,11 @@ def rule_decide(cfg: PDRConfig, F: Transformer, alpha, heuristics: HeuristicsBun
 
 def rule_conflict(cfg: PDRConfig, F: Transformer, alpha, heuristics: HeuristicsBundle,
                   fx=None) -> Optional[PDRConfig]:
-    """Conflict; ``fx`` is ``F(X_{i-1})`` when the caller has it already."""
+    """Conflict; ``fx`` is ``F(X_{i-1})`` when the caller has it already.
+
+    The guard is ``C_i !<= F(X_{i-1})``, Decide's negated; the lemma
+    (``F(X_{i-1})`` by default) is re-checked against its contract.
+    """
     lat = F.lattice
     ob = cfg.obligations
     if ob.empty:
@@ -250,34 +266,50 @@ def _strengthen(lat: Lattice, xs: tuple, k: int, x) -> KTSequence:
 
 
 class _InvariantChecker:
+    """The configuration invariants of debug mode, checked after every step.
+
+    Frames are immutable and ``_strengthen`` keeps unchanged ones as the same
+    objects, so only the frame pairs and ``F^i(bot) <= X_i`` entries that
+    touch a frame not identical to the one at its index in the last checked
+    chain are re-tested.  ``X_{n-2} <= alpha``, the prefix and the
+    obligations are re-tested on every step.
+    """
+
     def __init__(self, F: Transformer, alpha, combined: bool):
         self.F = F
         self.alpha = alpha
         self.combined = combined
-        self.chain = [F.lattice.bot]  # iterates of F from bottom
+        self.chain = [F.lattice.bot, F(F.lattice.bot)]  # iterates of F from bottom
+        self.frames: tuple = ()  # the last chain that passed
 
     def check(self, cfg: PDRConfig) -> None:
         F, lat = self.F, self.F.lattice
-        frames, ob = cfg.frames, cfg.obligations
-        n = len(frames)
-        if not is_kt_sequence(frames, F, self.alpha):
+        xs, ob = cfg.frames.elements, cfg.obligations
+        n = len(xs)
+        old = self.frames
+        changed = [i >= len(old) or x is not old[i] for i, x in enumerate(xs)]
+        while len(self.chain) < n:
+            self.chain.append(F(self.chain[-1]))
+        if n < 2 or not lat.eq(xs[0], lat.bot) or not lat.leq(xs[n - 2], self.alpha):
             raise EngineInvariantError("frame chain invariant broken")
+        for i in range(n - 1):
+            if (changed[i] or changed[i + 1]) and not (
+                    lat.leq(xs[i], xs[i + 1]) and lat.leq(F(xs[i]), xs[i + 1])):
+                raise EngineInvariantError("frame chain invariant broken")
         if not is_kleene_sequence(ob, F, self.alpha):
             raise EngineInvariantError("obligation chain invariant broken")
         if not ob.empty:
             if ob.start_index + len(ob) != n:
                 raise EngineInvariantError("obligation indexing out of sync with frames")
             for off, c in enumerate(ob.elements):
-                if not lat.leq(c, frames[ob.start_index + off]):
+                if not lat.leq(c, xs[ob.start_index + off]):
                     raise EngineInvariantError("obligation not admissible (C_j !<= X_j)")
-        if self.combined:
-            if not lat.eq(frames[0], lat.bot) or not lat.eq(frames[1], F(lat.bot)):
-                raise EngineInvariantError("frame prefix (bot, F bot) not preserved")
-        while len(self.chain) < n:
-            self.chain.append(F(self.chain[-1]))
+        if self.combined and not lat.eq(xs[1], self.chain[1]):
+            raise EngineInvariantError("frame prefix (bot, F bot) not preserved")
         for i in range(n):
-            if not lat.leq(self.chain[i], frames[i]):
+            if changed[i] and not lat.leq(self.chain[i], xs[i]):
                 raise EngineInvariantError("frames no longer over-approximate F^i(bot)")
+        self.frames = xs
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +324,14 @@ def _stop(answer: PDRAnswer, stats: RunStats, started: float,
 
 
 def _finalize(answer: PDRAnswer, stats: RunStats, F: Transformer, alpha,
-              started: float, frames_len: int) -> PDRAnswer:
-    """Stop with a True or False answer after re-checking its certificate."""
-    answer = _stop(answer, stats, started, frames_len)
+              started: float, frames: Optional[KTSequence],
+              debug: bool = False) -> PDRAnswer:
+    """Stop with a True or False answer after re-checking its certificate;
+    in debug mode also re-check the whole final frame chain (None for the
+    negative engine)."""
+    answer = _stop(answer, stats, started, 0 if frames is None else len(frames))
+    if debug and frames is not None and not is_kt_sequence(frames, F, alpha):
+        raise EngineInvariantError("frame chain invariant broken")
     lat = F.lattice
     if answer.verdict is Verdict.TRUE:
         j = is_conclusive_kt(answer.kt_witness, lat)
@@ -402,13 +439,13 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
             if ans is not None:
                 stats.count("valid")
                 _emit(trace, step, "valid", cfg)
-                return _finalize(ans, stats, F, alpha, started, len(cfg.frames))
+                return _finalize(ans, stats, F, alpha, started, cfg.frames, debug)
         before = cfg.frames
         ans = rule_model(cfg, F, alpha)
         if ans is not None:
             stats.count("model")
             _emit(trace, step, "model", cfg)
-            return _finalize(ans, stats, F, alpha, started, len(cfg.frames))
+            return _finalize(ans, stats, F, alpha, started, cfg.frames, debug)
 
         applied = k = None
         if heuristics.choose_induction is not None:
@@ -493,7 +530,7 @@ def run_positive(F: Transformer, alpha,
             if ans is not None:
                 stats.count("valid")
                 _emit(trace, step, "valid", cfg)
-                return _finalize(ans, stats, F, alpha, started, len(cfg.frames))
+                return _finalize(ans, stats, F, alpha, started, cfg.frames, debug)
         before = cfg.frames
         applied, k = "unfold", None
         nxt = rule_unfold(cfg, F, alpha)
@@ -548,7 +585,7 @@ def run_negative(F: Transformer, alpha, heuristics: NegativeHeuristics, *,
                 trace(f"step={step} rule=model frames=0 obligations={len(elements)}")
             witness = KleeneSequence(elements, 0)
             ans = PDRAnswer(Verdict.FALSE, kleene_witness=witness)
-            return _finalize(ans, stats, F, alpha, started, 0)
+            return _finalize(ans, stats, F, alpha, started, None)
         if not elements:
             if not restart(step):
                 return _stop(PDRAnswer(Verdict.STUCK), stats, started, 0)
@@ -583,10 +620,7 @@ def canonical_heuristics(F: Transformer) -> HeuristicsBundle:
     def decide(x_prev, head, fx):
         return x_prev
 
-    def conflict(x_prev, head, fx):
-        return fx
-
-    return HeuristicsBundle(candidate, decide, conflict)
+    return HeuristicsBundle(candidate, decide)
 
 
 def join_induction_proposer(F: Transformer):

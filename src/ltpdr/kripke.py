@@ -25,7 +25,7 @@ Structures of at most eight states keep the per-state loop (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .engine import (
@@ -164,19 +164,17 @@ def inverse_backward_transformer(K: KripkeStructure) -> Transformer:
     return Transformer(lat, lambda A: unsafe | pre_exists(A))
 
 
-def _set_heuristics(lat: SubsetLattice, base_mask: int, contributor_masks: tuple,
-                    canonical_decide: bool) -> HeuristicsBundle:
+def _set_heuristics(base_mask: int, contributor_masks: tuple) -> HeuristicsBundle:
     """Shared choice functions for transformers of shape F(A) = base | image(A),
     where ``contributor_masks[s]`` is the set of states whose presence in A
-    puts ``s`` into image(A)."""
+    puts ``s`` into image(A).  Decide keeps one contributor per state, so a
+    counterexample is a path; Conflict is the engine's canonical one."""
 
     def candidate(last, alpha, diff):
         # diff is the violation mask X_{n-1} & ~alpha from leq_info.
         return _lowest_bit(diff)
 
     def decide(x_prev, head, fx):
-        if canonical_decide:
-            return x_prev
         x = 0
         m = head & ~base_mask
         while m:
@@ -186,20 +184,15 @@ def _set_heuristics(lat: SubsetLattice, base_mask: int, contributor_masks: tuple
             m ^= bit
         return x
 
-    def conflict(x_prev, head, fx):
-        return lat.top & ~(head & ~fx)
-
-    return HeuristicsBundle(candidate, decide, conflict)
+    return HeuristicsBundle(candidate, decide)
 
 
-def forward_bundle(K: KripkeStructure, canonical_decide: bool = False) -> HeuristicsBundle:
-    lat = SubsetLattice(K.state_count)
-    return _set_heuristics(lat, K.initial, K.pred, canonical_decide)
+def forward_bundle(K: KripkeStructure) -> HeuristicsBundle:
+    return _set_heuristics(K.initial, K.pred)
 
 
-def inverse_backward_bundle(K: KripkeStructure, canonical_decide: bool = False) -> HeuristicsBundle:
-    lat = SubsetLattice(K.state_count)
-    return _set_heuristics(lat, lat.top & ~K.safe, K.succ, canonical_decide)
+def inverse_backward_bundle(K: KripkeStructure) -> HeuristicsBundle:
+    return _set_heuristics(K.full_mask & ~K.safe, K.succ)
 
 
 def _set_negative_heuristics(lat: SubsetLattice, base_mask: int,
@@ -238,20 +231,18 @@ def inverse_backward_negative_heuristics(K: KripkeStructure) -> NegativeHeuristi
 
 
 def pdr_fkr(K: KripkeStructure, *, budget: int = 100000, schedule: str = "default",
-            seed: Optional[int] = None, debug: bool = False, trace=None,
-            canonical_decide: bool = False) -> PDRAnswer:
+            seed: Optional[int] = None, debug: bool = False, trace=None) -> PDRAnswer:
     F = forward_transformer(K)
-    return run_combined(F, K.safe, forward_bundle(K, canonical_decide),
+    return run_combined(F, K.safe, forward_bundle(K),
                         schedule=schedule, budget=budget, seed=seed,
                         debug=debug, trace=trace)
 
 
 def pdr_ibkr(K: KripkeStructure, *, budget: int = 100000, schedule: str = "default",
-             seed: Optional[int] = None, debug: bool = False, trace=None,
-             canonical_decide: bool = False) -> PDRAnswer:
+             seed: Optional[int] = None, debug: bool = False, trace=None) -> PDRAnswer:
     F = inverse_backward_transformer(K)
     alpha = F.lattice.top & ~K.initial
-    return run_combined(F, alpha, inverse_backward_bundle(K, canonical_decide),
+    return run_combined(F, alpha, inverse_backward_bundle(K),
                         schedule=schedule, budget=budget, seed=seed,
                         debug=debug, trace=trace)
 

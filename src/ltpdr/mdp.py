@@ -13,7 +13,7 @@ certify strict inequalities without materialising a concrete epsilon.
 
 Candidate and Decide are instance-specific (the threshold at the initial
 state, and a cheapest supporting valuation from a linear program).
-Conflict uses the paper's canonical choice ``x := F(X_{i-1})``, which caps
+Conflict is the engine's canonical choice ``x := F(X_{i-1})``, which caps
 every state at its transformer value.  Capping only the states the current
 obligation violates gives lemmas each barely stronger than the last, and
 Decide and Conflict then alternate until the budget runs out.
@@ -256,8 +256,8 @@ def solve_decide_lp(X_prev, C_head, M: MDPModel, F: Optional[Transformer] = None
 
 
 def mdp_bundle(M: MDPModel) -> HeuristicsBundle:
-    """Candidate and Decide are instance-specific; Conflict is the canonical
-    choice ``x := F(X_{i-1})``, which the engine passes in precomputed."""
+    """Candidate and Decide are instance-specific; Conflict is the engine's
+    canonical choice ``x := F(X_{i-1})``."""
     F = bellman(M)
 
     def candidate(last, alpha, info):
@@ -266,10 +266,7 @@ def mdp_bundle(M: MDPModel) -> HeuristicsBundle:
     def decide(x_prev, head, fx):
         return solve_decide_lp(x_prev, head, M, F)
 
-    def conflict(x_prev, head, fx):
-        return fx
-
-    return HeuristicsBundle(candidate, decide, conflict)
+    return HeuristicsBundle(candidate, decide)
 
 
 def mdp_negative_heuristics(M: MDPModel) -> NegativeHeuristics:

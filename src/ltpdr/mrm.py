@@ -164,27 +164,6 @@ def solve_decide_lp_mrm(X_prev, C_head, M: MRMModel,
     return result
 
 
-def heuristic_conflict_mrm(X_prev, C_head, M: MRMModel,
-                           F: Optional[Transformer] = None, fx=None):
-    """``fx`` is ``F(X_prev)`` when the caller has it already."""
-    if fx is None:
-        if F is None:
-            F = reward_bellman(M)
-        fx = F(X_prev)
-    out = []
-    violating = 0
-    for s in range(M.state_count):
-        c = C_head[s]
-        if c <= fx[s]:
-            out.append(plain(math.inf))
-        else:
-            violating += 1
-            out.append(plain(c.base) if c.eps else plain(fx[s].base))
-    if violating == 0:
-        raise ContractFailure("conflict invoked without its guard")
-    return tuple(out)
-
-
 def mrm_heuristics(M: MRMModel) -> HeuristicsBundle:
     F = reward_bellman(M)
 
@@ -194,10 +173,7 @@ def mrm_heuristics(M: MRMModel) -> HeuristicsBundle:
     def decide(x_prev, head, fx):
         return solve_decide_lp_mrm(x_prev, head, M, F)
 
-    def conflict(x_prev, head, fx):
-        return heuristic_conflict_mrm(x_prev, head, M, F, fx)
-
-    return HeuristicsBundle(candidate, decide, conflict)
+    return HeuristicsBundle(candidate, decide)
 
 
 def mrm_negative_heuristics(M: MRMModel) -> NegativeHeuristics:

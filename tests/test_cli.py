@@ -191,10 +191,6 @@ class TestRunner:
         assert main(["mdp", model_path("m1.mdp"), "--engine", "positive",
                      "--budget", "500"]) == 0
 
-    def test_canonical_decide_flag(self):
-        assert main(["kripke-forward", model_path("k1_unsafe.kr"),
-                     "--canonical-decide"]) == 10
-
 
 def test_library_import_loads_no_numpy():
     # The library has no runtime dependencies; numpy would add most of the

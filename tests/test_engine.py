@@ -11,6 +11,7 @@ import ltpdr.engine as engine
 from conftest import MODELS_DIR
 from ltpdr.cli import parse_kripke, parse_mdp, parse_mrm
 from ltpdr.engine import (
+    EngineInvariantError,
     HeuristicViolation,
     HeuristicsBundle,
     NegativeHeuristics,
@@ -348,6 +349,56 @@ class TestDebugMode:
         c = initial_config(F)
         assert c.frames.elements == (0, 0b001)
         assert c.obligations.empty
+
+    # (frames, obligations, start) of a corrupted config reached from the
+    # valid chain (0, 1, 3, 3, 7): each changes frames, which the checker
+    # sees as new objects, except the last, which adds an obligation that is
+    # not below its frame.
+    CORRUPTED = {
+        "not ascending": ([0, 0b001, 0b111, 0b011, 0b111], [], None),
+        "not a prefixed point": ([0, 0b001, 0b001, 0b011, 0b111], [], None),
+        "bound": ([0, 0b001, 0b011, 0b111, 0b111], [], None),
+        "below F^i(bot)": ([0, 0, 0, 0b011, 0b111], [], None),
+        "prefix": ([0, 0b011, 0b011, 0b011, 0b111], [], None),
+        "obligation": ([0, 0b001, 0b011, 0b011, 0b111], [0b100, 0b100], 3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTED))
+    def test_checker_catches_a_corrupted_changed_frame(self, F, case):
+        checker = engine._InvariantChecker(F, ALPHA, combined=True)
+        checker.check(cfg([0, 0b001, 0b011, 0b011, 0b111]))
+        with pytest.raises(EngineInvariantError):
+            checker.check(cfg(*self.CORRUPTED[case]))
+
+    def test_checker_skips_unchanged_frames(self, F):
+        calls = []
+
+        def counted(A):
+            calls.append(A)
+            return F(A)
+
+        checker = engine._InvariantChecker(Transformer(F.lattice, counted), ALPHA,
+                                           combined=True)
+        xs = [0, 0b001, 0b011, 0b011, 0b111]
+        checker.check(cfg(xs))
+        calls.clear()
+        checker.check(cfg(xs))
+        assert calls == []
+        # A new last frame touches one pair: one F call, on X_3.
+        checker.check(cfg(xs[:4] + [0b011]))
+        assert calls == [0b011]
+
+    def test_final_check_rescans_the_whole_chain(self, F):
+        # The per-step checker trusts unchanged frames; the final check in
+        # debug mode does not.  The negative certificate is valid, so only
+        # the frame chain (not ascending at X_2) can fail.
+        witness = KleeneSequence((0, 0b001, 0b010), 0)
+        ans = engine.PDRAnswer(Verdict.FALSE, kleene_witness=witness)
+        broken = KTSequence((0, 0b001, 0b111, 0b011))
+        stats = engine.RunStats()
+        engine._finalize(ans, stats, F, ALPHA_P, 0.0, broken)
+        with pytest.raises(EngineInvariantError):
+            engine._finalize(ans, stats, F, ALPHA_P, 0.0, broken, debug=True)
 
 
 class TestValidScan:

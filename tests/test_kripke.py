@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltpdr.engine import Verdict
+from ltpdr.engine import Verdict, canonical_heuristics, run_combined
 from ltpdr.kripke import (
     KripkeStructure,
     SubsetLattice,
@@ -111,10 +111,11 @@ def unsafe_chain(n: int) -> KripkeStructure:
 def test_unsafe_chain_search_is_pinned(solve, monkeypatch):
     # The exact search on a depth-99 counterexample: a change to the image
     # or to the engine's bookkeeping must not alter a single rule choice.
-    # The F and meet counts pin the work the incremental frame chain saves
-    # (taken with it in place; a full meet of X_2 .. X_i on every Conflict
-    # and a fresh F(X_{i-1}) on every Decide/Conflict step made 166,551
-    # meets and 19,507 F calls).
+    # Each Unfold is followed by one Candidate, one Decide and one Conflict,
+    # so the step count is linear in the depth: the canonical Conflict
+    # x := F(X_{i-1}) caps the frame at everything reachable within i-1
+    # steps, where the lemma that excluded only the obligation's state took
+    # 9,902 steps (4,851 Conflicts, 14,656 F calls and 9,702 meets).
     counts = {"F": 0, "meet": 0}
     call, meet = Transformer.__call__, SubsetLattice.meet
 
@@ -130,11 +131,25 @@ def test_unsafe_chain_search_is_pinned(solve, monkeypatch):
     monkeypatch.setattr(SubsetLattice, "meet", counted_meet)
     ans = solve(unsafe_chain(100))
     assert ans.verdict is Verdict.FALSE
-    assert ans.stats.steps == 9902
-    assert ans.stats.rule_counts == {"unfold": 99, "candidate": 99, "decide": 4852,
-                                     "conflict": 4851, "model": 1}
+    assert ans.stats.steps == 396
+    assert ans.stats.rule_counts == {"unfold": 99, "candidate": 99, "decide": 99,
+                                     "conflict": 98, "model": 1}
     assert ans.stats.frame_count == 101
-    assert counts == {"F": 14656, "meet": 9702}
+    assert counts == {"F": 397, "meet": 196}
+
+
+@pytest.mark.parametrize("solve", [pdr_fkr, pdr_ibkr])
+def test_deep_unsafe_chain_is_refuted_within_budget(solve):
+    # With a Conflict that blocks one state at a time the search takes
+    # order n^2 steps, and the depth-999 chain exhausts the default
+    # 100,000-step budget.
+    ans = solve(unsafe_chain(1000))
+    assert ans.verdict is Verdict.FALSE
+    assert ans.stats.steps == 3996
+    # The path-shaped Decide keeps one state per obligation: the witness is
+    # bot followed by the 1000 states of the path.
+    path = ans.kleene_witness.elements[1:]
+    assert len(path) == 1000 and all(c and c & (c - 1) == 0 for c in path)
 
 
 class TestSolverInstances:
@@ -161,10 +176,19 @@ class TestSolverInstances:
         K = dataclasses.replace(k1, safe=0b111)
         assert pdr_ibkr(K).verdict is Verdict.TRUE
 
-    def test_canonical_decide_agrees(self, k1):
-        K = dataclasses.replace(k1, safe=0b001)
-        assert pdr_fkr(K, canonical_decide=True).verdict is Verdict.FALSE
-        assert pdr_fkr(k1, canonical_decide=True).verdict is Verdict.TRUE
+    def test_canonical_heuristics_agree(self):
+        # The lattice-agnostic bundle (Candidate X_{n-1}, Decide X_{i-1})
+        # reaches the same verdicts as the set heuristics, on both
+        # transformers.
+        rng = random.Random(5)
+        for _ in range(100):
+            K = random_kripke(rng)
+            expected = Verdict.TRUE if bfs_safe(K).verdict else Verdict.FALSE
+            for F, alpha in ((forward_transformer(K), K.safe),
+                             (inverse_backward_transformer(K),
+                              K.full_mask & ~K.initial)):
+                ans = run_combined(F, alpha, canonical_heuristics(F), debug=True)
+                assert ans.verdict is expected
 
     def test_opdual_agrees(self, k1):
         assert pdr_opdual(k1).verdict is Verdict.TRUE

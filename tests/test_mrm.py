@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from ltpdr.engine import ContractFailure, Verdict
+from ltpdr.engine import ContractFailure, PDRConfig, Verdict, rule_conflict
+from ltpdr.lattice import KleeneSequence, KTSequence
 from ltpdr.mdp import eps_val, plain
 from ltpdr.mrm import (
     MRMModel,
     heuristic_candidate_mrm,
-    heuristic_conflict_mrm,
+    mrm_heuristics,
     pdr_mrm,
     reward_bellman,
     solve_decide_lp_mrm,
@@ -83,9 +84,17 @@ class TestHeuristics:
         with pytest.raises(ContractFailure):
             solve_decide_lp_mrm(frame(0, 0), (eps_val(1.3), plain(0.0)), m2)
 
-    def test_conflict_at_zero_frame(self, m2):
-        out = heuristic_conflict_mrm(frame(0, 0), (eps_val(1.3), plain(0.0)), m2)
-        assert out == (plain(1.3), plain(math.inf))
+    def test_conflict_caps_frames_at_image(self, m2):
+        # 1.3+eps <= F(X_1)(s0) = 1.25 fails, so Conflict fires with the
+        # lemma F(X_1) = (1.25, 0): it caps X_2 at every state, the unsafe
+        # one included, where the obligation asks for nothing.
+        M = dataclasses.replace(m2, threshold=1.3)
+        F = reward_bellman(M)
+        cfg = PDRConfig(KTSequence((frame(0, 0), frame(1, 0), M.lattice().top)),
+                        KleeneSequence(((eps_val(1.3), plain(0.0)),), 2))
+        out = rule_conflict(cfg, F, M.bound(), mrm_heuristics(M))
+        assert out.frames.elements == (frame(0, 0), frame(1, 0), frame(1.25, 0))
+        assert out.obligations.empty and out.obligations.start_index == 3
 
     def test_decide_contract_on_unfolded_frame(self, m2):
         F = reward_bellman(m2)
@@ -116,35 +125,52 @@ class TestSolver:
 # (draw, threshold) -> (verdict, steps, rule counts, frames) of pdr_mrm on
 # the draw-th random_mrm of Random(2026), counted from 0.
 PINNED_SEARCHES = {
-    (4, 9.9): (Verdict.FALSE, 124, {"unfold": 10, "candidate": 10,
-                                    "conflict": 51, "decide": 52,
-                                    "model": 1}, 12),
-    (16, 1.0125): (Verdict.FALSE, 42, {"unfold": 5, "candidate": 5,
-                                       "conflict": 15, "decide": 16,
+    (4, 9.9): (Verdict.FALSE, 40, {"unfold": 10, "candidate": 10,
+                                   "conflict": 9, "decide": 10,
+                                   "model": 1}, 12),
+    (16, 1.0125): (Verdict.FALSE, 20, {"unfold": 5, "candidate": 5,
+                                       "conflict": 4, "decide": 5,
                                        "model": 1}, 7),
-    (20, 8.415): (Verdict.TRUE, 765, {"unfold": 61, "candidate": 61,
-                                      "conflict": 350, "decide": 292,
-                                      "valid": 1}, 63),
-    (32, 5.432432): (Verdict.FALSE, 218, {"unfold": 10, "candidate": 10,
-                                          "conflict": 98, "decide": 99,
-                                          "model": 1}, 12),
+    (20, 8.415): (Verdict.TRUE, 181, {"unfold": 60, "candidate": 60,
+                                      "conflict": 60, "valid": 1}, 62),
+    (32, 5.432432): (Verdict.FALSE, 40, {"unfold": 10, "candidate": 10,
+                                         "conflict": 9, "decide": 10,
+                                         "model": 1}, 12),
 }
+
+
+def nth_random_mrm(draw: int) -> MRMModel:
+    """The draw-th ``random_mrm`` of ``Random(2026)``, counted from 0."""
+    rng = random.Random(2026)
+    for _ in range(draw):
+        random_mrm(rng)
+    return random_mrm(rng)
 
 
 @pytest.mark.parametrize("draw, threshold", sorted(PINNED_SEARCHES))
 def test_random_search_is_pinned(draw, threshold):
     # Every Decide solves an LP and every rule tests the eps order: an LP
     # result or an order test that drifts by one ulp changes these counts.
-    rng = random.Random(2026)
-    for _ in range(draw):
-        random_mrm(rng)
-    M = dataclasses.replace(random_mrm(rng), threshold=threshold)
+    M = dataclasses.replace(nth_random_mrm(draw), threshold=threshold)
     verdict, steps, rules, frames = PINNED_SEARCHES[draw, threshold]
     ans = pdr_mrm(M)
     assert ans.verdict is verdict
     assert ans.stats.steps == steps
     assert ans.stats.rule_counts == rules
     assert ans.stats.frame_count == frames
+
+
+@pytest.mark.parametrize("draw", [52, 112, 153])
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_decide_lp_stays_feasible(draw, factor):
+    # With a Conflict that capped only the states the obligation violated,
+    # these draws of random_mrm(Random(2026)) led Decide into an infeasible
+    # LP and the solve raised Infeasible (at 1.1x the value for #52 and
+    # #112, at both factors for #153).
+    M = nth_random_mrm(draw)
+    value = vi_expected_reward(M).value
+    ans = pdr_mrm(dataclasses.replace(M, threshold=factor * value), debug=True)
+    assert ans.verdict is (Verdict.TRUE if factor > 1 else Verdict.FALSE)
 
 
 class TestModelValidation:
