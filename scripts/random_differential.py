@@ -9,16 +9,18 @@ verdicts with the oracle.  MDPs are probed 0.1 above and below their value,
 reward models at 0.9 and 1.1 times theirs.  Any mismatch, any MDP or reward
 model run that exhausts its step budget and any reward model run that
 raises is reported with a serialized reproducer and makes the exit code
-non-zero.
+non-zero.  Each phase also reports the median and maximum step counts of
+its True answers and how many of them closed through Induction.
 
 Usage: python scripts/random_differential.py [--seed N] [--kripke N] [--mdp N]
-                                             [--mrm N]
+                                             [--mrm N] [--budget N]
 """
 
 import argparse
 import dataclasses
 import math
 import random
+import statistics
 import sys
 import time
 import traceback
@@ -37,12 +39,26 @@ from ltpdr.oracles import (NoConvergence, bfs_safe, vi_expected_reward,  # noqa:
 SCHEDULES = ("default", "fuzz")
 
 
+def true_summary(answers) -> str:
+    """The step counts of the True answers among ``answers``, and how many
+    of those closed through Induction."""
+    trues = [a.stats for a in answers if a.verdict is Verdict.TRUE]
+    if not trues:
+        return "no True answers"
+    steps = [stats.steps for stats in trues]
+    induction = sum("induction" in stats.rule_counts for stats in trues)
+    return (f"True answers: {len(trues)}, steps median {statistics.median(steps):g} "
+            f"max {max(steps)}, {induction} through Induction")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--kripke", type=int, default=200)
     ap.add_argument("--mdp", type=int, default=50)
     ap.add_argument("--mrm", type=int, default=100)
+    ap.add_argument("--budget", type=int, default=100000,
+                    help="step budget of every solve")
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)
     mismatches = 0
@@ -50,21 +66,25 @@ def main(argv=None) -> int:
     raised = 0
 
     t0 = time.perf_counter()
+    answers = []
     for i in range(args.kripke):
         K = random_kripke(rng)
         expected = bfs_safe(K).verdict
         for name, solve in (("fkr", pdr_fkr), ("ibkr", pdr_ibkr)):
             for schedule in SCHEDULES:
-                ans = solve(K, schedule=schedule, seed=i, debug=True)
+                ans = solve(K, schedule=schedule, seed=i, debug=True,
+                            budget=args.budget)
+                answers.append(ans)
                 got = ans.verdict is Verdict.TRUE
                 if ans.verdict not in (Verdict.TRUE, Verdict.FALSE) or got != expected:
                     mismatches += 1
                     print(f"MISMATCH kripke #{i} engine={name} schedule={schedule} "
                           f"got={ans.verdict} expected={expected}\n{serialize_kripke(K)}")
     print(f"kripke: {args.kripke} models x 2 engines x 2 schedules, "
-          f"{time.perf_counter() - t0:.1f}s")
+          f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
 
     t0 = time.perf_counter()
+    answers = []
     for i in range(args.mdp):
         M = random_mdp(rng)
         try:
@@ -77,7 +97,9 @@ def main(argv=None) -> int:
                               (gt - 0.1 if gt >= 0.1 else gt / 2, False)):
             Mx = dataclasses.replace(M, threshold=lam)
             for schedule in SCHEDULES:
-                ans = pdr_ibmdp(Mx, schedule=schedule, seed=i, debug=True)
+                ans = pdr_ibmdp(Mx, schedule=schedule, seed=i, debug=True,
+                                budget=args.budget)
+                answers.append(ans)
                 if ans.verdict is Verdict.BUDGET_EXHAUSTED:
                     exhausted += 1
                     print(f"EXHAUSTED mdp #{i} lambda={lam} schedule={schedule} "
@@ -89,9 +111,10 @@ def main(argv=None) -> int:
                     print(f"MISMATCH mdp #{i} lambda={lam} schedule={schedule} "
                           f"got={ans.verdict} expected={expected}\n{serialize_mdp(Mx)}")
     print(f"mdp: {args.mdp} models x 2 thresholds x 2 schedules, "
-          f"{time.perf_counter() - t0:.1f}s")
+          f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
 
     t0 = time.perf_counter()
+    answers = []
     for i in range(args.mrm):
         M = random_mrm(rng)
         try:
@@ -104,12 +127,14 @@ def main(argv=None) -> int:
             Mx = dataclasses.replace(M, threshold=lam)
             for schedule in SCHEDULES:
                 try:
-                    ans = pdr_mrm(Mx, schedule=schedule, seed=i, debug=True)
+                    ans = pdr_mrm(Mx, schedule=schedule, seed=i, debug=True,
+                                  budget=args.budget)
                 except Exception:  # any raise is a finding; keep going
                     raised += 1
                     print(f"RAISED mrm #{i} lambda={lam} schedule={schedule}\n"
                           f"{traceback.format_exc()}{serialize_mrm(Mx)}")
                     continue
+                answers.append(ans)
                 if ans.verdict is Verdict.BUDGET_EXHAUSTED:
                     exhausted += 1
                     print(f"EXHAUSTED mrm #{i} lambda={lam} schedule={schedule} "
@@ -121,7 +146,7 @@ def main(argv=None) -> int:
                     print(f"MISMATCH mrm #{i} lambda={lam} schedule={schedule} "
                           f"got={ans.verdict} expected={expected}\n{serialize_mrm(Mx)}")
     print(f"mrm: {args.mrm} models x 2 thresholds x 2 schedules, "
-          f"{time.perf_counter() - t0:.1f}s")
+          f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
 
     print("mismatches:", mismatches)
     print("budget exhausted:", exhausted)

@@ -246,7 +246,7 @@ def parse_mdp(text: str) -> mdp_mod.MDPModel:
             t_tok, p_tok = tok.rsplit(":", 1)
             dist.append((_state(t_tok, n, no), _number(p_tok, no, "probability")))
         total = sum(p for _, p in dist)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise DistributionError(s, a, total)
         table[s][a] = tuple(dist)
 
@@ -312,7 +312,7 @@ def parse_mrm(text: str) -> mrm_mod.MRMModel:
             dist.append(((c, _state(t_tok, n, no)),
                          _number(p_tok, no, "probability")))
         total = sum(p for _, p in dist)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise DistributionError(s, None, total)
         table[s] = tuple(dist)
     for s in range(n):

@@ -104,6 +104,11 @@ class HeuristicsBundle:
     element is re-verified by the engine and a violation aborts the run.
     ``choose_decide``/``choose_conflict`` receive ``F(X_{i-1})`` precomputed.
     Conflict defaults to ``canonical_conflict``, which every instance uses.
+    ``choose_induction`` is offered the frames before the other rules on
+    every step and returns ``(k, x)``; ``rule_induction`` applies it when
+    ``X_k !<= x`` and ``F(X_{k-1} /\\ x) <= x``.  The MDP and reward
+    instances supply ``mdp.optimistic_induction``; the Kripke instance
+    supplies none.
     """
 
     choose_candidate: Callable[[Any, Any, Any], Optional[Any]]

@@ -17,6 +17,13 @@ Conflict is the engine's canonical choice ``x := F(X_{i-1})``, which caps
 every state at its transformer value.  Capping only the states the current
 obligation violates gives lemmas each barely stronger than the last, and
 Decide and Conflict then alternate until the budget runs out.
+
+With that Conflict the frames of a true instance are the Kleene iterates
+``F^i(bot)``, which reach a prefixed point only when two of them coincide
+in floating point.  ``optimistic_induction``, the Induction proposer of
+this instance and of the reward instance, guesses one instead: it
+extrapolates the frames, lifts the guess towards ``alpha`` and proposes it
+when ``F(x) <= x``.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .engine import (
     run_negative,
     run_positive,
 )
-from .lattice import Lattice
+from .lattice import KTSequence, Lattice
 from .simplex import simplex_min
 
 _SNAP = 1e-9
@@ -87,6 +94,108 @@ class PointwiseLattice(Lattice):
         return tuple(map(max, a, b))
 
 
+def _aitken(u: float, w: float, v: float) -> Optional[float]:
+    """The limit of ``u, w, v`` read as a geometric sequence: Aitken's
+    extrapolation when the increments shrink, ``v`` when it stands still,
+    None when the increments grow or only one of them is zero."""
+    d1, d2 = w - u, v - w
+    if 0.0 < d2 < d1:
+        return v + d2 * d2 / (d1 - d2)
+    if d1 <= 0.0 and d2 <= 0.0:
+        return v
+    return None
+
+
+def optimistic_induction(F: Transformer, alpha, s0: int):
+    """The Induction proposer of the pointwise instances: a guessed prefixed
+    point below ``alpha``, as in Optimistic Value Iteration (Hartmanns and
+    Kretinsky, CAV 2020).
+
+    With the canonical Conflict alone, the frames of a true instance are the
+    Kleene iterates ``F^i(bot)``, and Valid waits until two of them coincide
+    in floating point.  Right after Unfold (the first call on a chain of a
+    new length ``n >= 4`` that ends in ``top``) this proposer extrapolates
+    ``X_{n-4}, X_{n-3}, X_{n-2}`` state by state to their Aitken limit ``L``
+    (``X_{n-2}`` where a state's increments do not shrink), over every second
+    frame when the iterates at ``s0`` alternate, and lifts it to
+    ``x = min(c*L + d, F(top))``: ``c = 1 + e`` and ``d = e * L(s0)``, with
+    ``e`` chosen so that ``x(s0)`` lies nine tenths of the way from ``L(s0)``
+    to ``alpha(s0)``.  The cap ``F(top)`` keeps ``x`` at 0 wherever ``F`` is
+    0 (the unsafe states of the reward instance), so that ``d`` does not
+    flow back into the other states.  At most two repair rounds
+    ``x := x v F(x)`` follow, each kept below ``alpha``, and ``(n-1, x)`` is
+    proposed only if ``F(x) <= x <= alpha``.  On the next level the
+    canonical Conflict sets ``X_n = F(x) <= X_{n-1}`` and Valid closes, so
+    the proposer never lifts a chain whose ``X_{n-2}`` is its own proposal.
+
+    It gives up without an ``F`` call when the iterates at ``s0`` do not
+    converge geometrically, when their limit is not below ``alpha(s0)``, or
+    when the last increment exceeds the lift ``x - X_{n-2}`` at some state.
+    A false instance has no prefixed point below ``alpha``, so there it
+    never proposes and the search is the same as without it.  ``F(top)`` is
+    computed on first use.  The proposer keeps the chain length it last saw
+    and its last proposal: build one per solve.
+    """
+    lat = F.lattice
+    top = lat.top
+    lam = alpha[s0].base
+    cap = None  # F(top)
+    seen = 0  # the length of the last chain offered
+    last = None  # the last proposal
+
+    def propose(frames: KTSequence):
+        nonlocal cap, seen, last
+        xs = frames.elements
+        n = len(xs)
+        if xs[-1] is not top or n <= seen:
+            return None
+        seen = n
+        if xs[-2] == last:
+            return None
+        v = xs[-2]
+        for stride in (1, 2):
+            if n < 2 + 2 * stride:
+                return None
+            w, u = xs[-2 - stride], xs[-2 - 2 * stride]
+            limit = _aitken(u[s0].base, w[s0].base, v[s0].base)
+            if limit is not None:
+                break
+        else:
+            return None
+        target = limit + 0.9 * (lam - limit)
+        if not 0.0 < v[s0].base < target < lam:
+            return None
+        e = (target - limit) / (2.0 * limit)
+        c, d = 1.0 + e, e * limit
+        lifted = []
+        for us, ws, vs in zip(u, w, v):
+            us, ws, vs = us.base, ws.base, vs.base
+            ls = _aitken(us, ws, vs)
+            guess = c * (vs if ls is None else ls) + d
+            if vs - ws > guess - vs:
+                return None
+            lifted.append(plain(guess))
+        if cap is None:
+            cap = F(top)
+        x = tuple(map(min, lifted, cap))
+        for _ in range(2):
+            fx = F(x)
+            if lat.leq(fx, x):
+                break
+            x = tuple(map(max, x, fx))
+            if not x[s0] <= alpha[s0]:
+                return None
+        else:
+            if not lat.leq(F(x), x):
+                return None
+        if not lat.leq(x, alpha):
+            return None
+        last = x
+        return (n - 1, x)
+
+    return propose
+
+
 @dataclass(frozen=True)
 class MDPModel:
     state_count: int
@@ -116,13 +225,13 @@ class MDPModel:
                 if dist is None:
                     continue
                 total = sum(p for _, p in dist)
-                if abs(total - 1.0) > 1e-9:
+                if not abs(total - 1.0) <= 1e-9:  # NaN fails too
                     raise ValueError(
                         f"distribution at state {s} action {a} sums to {total}")
                 for t, p in dist:
                     if not 0 <= t < n:
                         raise ValueError("transition target out of range")
-                    if p < 0:
+                    if not p >= 0:
                         raise ValueError("negative probability")
 
     def lattice(self) -> PointwiseLattice:
@@ -178,7 +287,7 @@ def heuristic_candidate_mdp(X_last, M: MDPModel):
                  for s in range(M.state_count))
 
 
-def _decide_program(M: MDPModel, X_prev, C_head, F):
+def _decide_program(M: MDPModel, X_prev, C_head):
     """Build the witnessing actions, variable set and LP of the Decide step.
 
     Returns (constraints, var_states) where each constraint is
@@ -221,7 +330,7 @@ def solve_decide_lp(X_prev, C_head, M: MDPModel, F: Optional[Transformer] = None
     """
     if F is None:
         F = bellman(M)
-    constraints, var_states, var_index = _decide_program(M, X_prev, C_head, F)
+    constraints, var_states, var_index = _decide_program(M, X_prev, C_head)
     n = len(var_states)
     if n == 0:
         return (plain(0.0),) * M.state_count
@@ -255,10 +364,13 @@ def solve_decide_lp(X_prev, C_head, M: MDPModel, F: Optional[Transformer] = None
     return result
 
 
-def mdp_bundle(M: MDPModel) -> HeuristicsBundle:
-    """Candidate and Decide are instance-specific; Conflict is the engine's
-    canonical choice ``x := F(X_{i-1})``."""
-    F = bellman(M)
+def mdp_bundle(M: MDPModel, F: Optional[Transformer] = None) -> HeuristicsBundle:
+    """Candidate and Decide are instance-specific, Induction is
+    ``optimistic_induction``; Conflict is the engine's canonical choice
+    ``x := F(X_{i-1})``.  ``F`` is the solve's transformer (built from ``M``
+    when not given); the proposer knows the chain's ``top`` by identity."""
+    if F is None:
+        F = bellman(M)
 
     def candidate(last, alpha, info):
         return heuristic_candidate_mdp(last, M)
@@ -266,7 +378,8 @@ def mdp_bundle(M: MDPModel) -> HeuristicsBundle:
     def decide(x_prev, head, fx):
         return solve_decide_lp(x_prev, head, M, F)
 
-    return HeuristicsBundle(candidate, decide)
+    return HeuristicsBundle(candidate, decide, choose_induction=optimistic_induction(
+        F, M.bound(), M.initial_state))
 
 
 def mdp_negative_heuristics(M: MDPModel) -> NegativeHeuristics:
@@ -297,7 +410,7 @@ def pdr_ibmdp(M: MDPModel, *, budget: int = 100000, schedule: str = "default",
               seed: Optional[int] = None, debug: bool = False,
               trace=None) -> PDRAnswer:
     F = bellman(M)
-    return run_combined(F, M.bound(), mdp_bundle(M), schedule=schedule,
+    return run_combined(F, M.bound(), mdp_bundle(M, F), schedule=schedule,
                         budget=budget, seed=seed, debug=debug, trace=trace)
 
 

@@ -8,7 +8,11 @@ expectation from the initial state is at most a threshold.
 
 Obligation values reuse the symbolic-eps strictness marker of the MDP
 instance; infinity is absorbing in the arithmetic (``p * inf = inf`` for
-``p > 0``, and zero-probability terms are skipped).
+``p > 0``, and zero-probability terms are skipped).  Candidate and the
+Induction proposer (``mdp.optimistic_induction``) are the MDP instance's
+too: a true bound is proved by a guessed prefixed point instead of by
+waiting for the Kleene iterates to converge.  The proposer caps its guess
+by ``F(top)``, which is 0 off the safe set.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .engine import (
     run_positive,
 )
 from .mdp import (EpsValue, PointwiseLattice, eps_val,
-                  heuristic_candidate_mdp, plain)
+                  heuristic_candidate_mdp, optimistic_induction, plain)
 from .simplex import simplex_min
 
 _CAP = 1e9
@@ -57,14 +61,14 @@ class MRMModel:
             raise ValueError("delta must cover every state")
         for s, dist in enumerate(self.delta):
             total = sum(p for _, p in dist)
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:  # NaN fails too
                 raise ValueError(f"distribution at state {s} sums to {total}")
             for (c, t), p in dist:
                 if not 0 <= t < n:
                     raise ValueError("transition target out of range")
                 if c < 0 or c != int(c):
                     raise ValueError("rewards must be nonnegative integers")
-                if p < 0:
+                if not p >= 0:
                     raise ValueError("negative probability")
 
     def lattice(self) -> PointwiseLattice:
@@ -164,8 +168,10 @@ def solve_decide_lp_mrm(X_prev, C_head, M: MRMModel,
     return result
 
 
-def mrm_heuristics(M: MRMModel) -> HeuristicsBundle:
-    F = reward_bellman(M)
+def mrm_heuristics(M: MRMModel, F: Optional[Transformer] = None) -> HeuristicsBundle:
+    """As ``mdp_bundle``, with the reward Decide program."""
+    if F is None:
+        F = reward_bellman(M)
 
     def candidate(last, alpha, info):
         return heuristic_candidate_mrm(last, M)
@@ -173,7 +179,8 @@ def mrm_heuristics(M: MRMModel) -> HeuristicsBundle:
     def decide(x_prev, head, fx):
         return solve_decide_lp_mrm(x_prev, head, M, F)
 
-    return HeuristicsBundle(candidate, decide)
+    return HeuristicsBundle(candidate, decide, choose_induction=optimistic_induction(
+        F, M.bound(), M.initial_state))
 
 
 def mrm_negative_heuristics(M: MRMModel) -> NegativeHeuristics:
@@ -203,7 +210,7 @@ def pdr_mrm(M: MRMModel, *, budget: int = 100000, schedule: str = "default",
             seed: Optional[int] = None, debug: bool = False,
             trace=None) -> PDRAnswer:
     F = reward_bellman(M)
-    return run_combined(F, M.bound(), mrm_heuristics(M), schedule=schedule,
+    return run_combined(F, M.bound(), mrm_heuristics(M, F), schedule=schedule,
                         budget=budget, seed=seed, debug=debug, trace=trace)
 
 

@@ -192,6 +192,26 @@ class TestRunner:
                      "--budget", "500"]) == 0
 
 
+@pytest.mark.parametrize("kind, text", [
+    ("mrm", "states 2\ninit 0\nlambda 1\nsafe 0\ntrans\n"
+            "0 -> (1,0):nan\n1 -> (0,1):1\n"),
+    ("mdp", "states 2\nactions 1\ninit 0\nlambda 0.5\nsafe 0\ntrans\n"
+            "0 0 -> 0:nan 1:1\n1 0 -> 1:1\n"),
+], ids=["mrm", "mdp"])
+def test_nan_probability_exit_one(kind, text, tmp_path):
+    # NaN compares false both ways, so a sum test written as
+    # ``abs(total - 1) > tol`` let it through and the solve crashed.
+    path = tmp_path / f"nan.{kind}"
+    path.write_text(text)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ltpdr.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "ltpdr.cli", kind, str(path)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "nan" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_library_import_loads_no_numpy():
     # The library has no runtime dependencies; numpy would add most of the
     # import time and memory of a command-line run.

@@ -333,3 +333,8 @@ class TestModelValidation:
     def test_rejects_threshold_outside_unit_interval(self):
         with pytest.raises(ValueError):
             MDPModel(1, 1, ((((0, 1.0),),),), 0, 1.5, frozenset({0}))
+
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ValueError):
+            MDPModel(2, 1, ((((0, math.nan), (1, 1.0)),), (((1, 1.0),),)), 0, 0.5,
+                     frozenset({0}))
