@@ -134,7 +134,8 @@ def optimistic_induction(F: Transformer, alpha, s0: int):
     A false instance has no prefixed point below ``alpha``, so there it
     never proposes and the search is the same as without it.  ``F(top)`` is
     computed on first use.  The proposer keeps the chain length it last saw
-    and its last proposal: build one per solve.
+    and its last proposal, and forgets both when a shorter chain, that of a
+    new solve, is offered.
     """
     lat = F.lattice
     top = lat.top
@@ -147,6 +148,8 @@ def optimistic_induction(F: Transformer, alpha, s0: int):
         nonlocal cap, seen, last
         xs = frames.elements
         n = len(xs)
+        if n < seen:  # chains only grow: this is a new solve
+            seen, last = 0, None
         if xs[-1] is not top or n <= seen:
             return None
         seen = n
@@ -364,14 +367,11 @@ def solve_decide_lp(X_prev, C_head, M: MDPModel, F: Optional[Transformer] = None
     return result
 
 
-def mdp_bundle(M: MDPModel, F: Optional[Transformer] = None) -> HeuristicsBundle:
+def mdp_bundle(M: MDPModel, F: Transformer) -> HeuristicsBundle:
     """Candidate and Decide are instance-specific, Induction is
     ``optimistic_induction``; Conflict is the engine's canonical choice
-    ``x := F(X_{i-1})``.  ``F`` is the solve's transformer (built from ``M``
-    when not given); the proposer knows the chain's ``top`` by identity."""
-    if F is None:
-        F = bellman(M)
-
+    ``x := F(X_{i-1})``.  ``F`` must be the transformer the engine runs
+    with: the proposer knows the chain's ``top`` by identity."""
     def candidate(last, alpha, info):
         return heuristic_candidate_mdp(last, M)
 

@@ -168,11 +168,8 @@ def solve_decide_lp_mrm(X_prev, C_head, M: MRMModel,
     return result
 
 
-def mrm_heuristics(M: MRMModel, F: Optional[Transformer] = None) -> HeuristicsBundle:
+def mrm_heuristics(M: MRMModel, F: Transformer) -> HeuristicsBundle:
     """As ``mdp_bundle``, with the reward Decide program."""
-    if F is None:
-        F = reward_bellman(M)
-
     def candidate(last, alpha, info):
         return heuristic_candidate_mrm(last, M)
 

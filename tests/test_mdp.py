@@ -190,7 +190,7 @@ class TestConflict:
         X_prev = frame(0, 0, 1)
         C = (eps_val(0.6), plain(0.0), plain(0.0))
         fx = bellman(m1)(X_prev)
-        assert mdp_bundle(m1).choose_conflict(X_prev, C, fx) == frame(0.5, 0, 1)
+        assert mdp_bundle(m1, bellman(m1)).choose_conflict(X_prev, C, fx) == frame(0.5, 0, 1)
 
     def test_precondition_enforced(self, m1):
         # Conflict does not fire while Decide's guard C <= F(X_prev) holds.
@@ -199,7 +199,7 @@ class TestConflict:
         cfg = PDRConfig(KTSequence((frame(0, 0, 0), frame(0, 0, 1),
                                     frame(1, 1, 1))),
                         KleeneSequence((C,), 2))
-        assert rule_conflict(cfg, F, m1.bound(), mdp_bundle(m1)) is None
+        assert rule_conflict(cfg, F, m1.bound(), mdp_bundle(m1, F)) is None
 
     def test_contract_holds_on_random_frames(self):
         rng = random.Random(3)
@@ -216,7 +216,7 @@ class TestConflict:
                       for s in range(M.state_count))
             if lat.leq(C, fx):
                 continue
-            x = mdp_bundle(M).choose_conflict(X_prev, C, fx)
+            x = mdp_bundle(M, F).choose_conflict(X_prev, C, fx)
             assert x == fx
             assert not lat.leq(C, x)
             assert lat.leq(F(lat.meet(X_prev, x)), x)

@@ -92,7 +92,7 @@ class TestHeuristics:
         F = reward_bellman(M)
         cfg = PDRConfig(KTSequence((frame(0, 0), frame(1, 0), M.lattice().top)),
                         KleeneSequence(((eps_val(1.3), plain(0.0)),), 2))
-        out = rule_conflict(cfg, F, M.bound(), mrm_heuristics(M))
+        out = rule_conflict(cfg, F, M.bound(), mrm_heuristics(M, F))
         assert out.frames.elements == (frame(0, 0), frame(1, 0), frame(1.25, 0))
         assert out.obligations.empty and out.obligations.start_index == 3
 

@@ -119,6 +119,63 @@ def test_fires_once_per_chain_length():
     # The limit 2 is extrapolated from 1, 1.5, 1.75 and lifted nine tenths
     # of the way to the bound; the unsafe state stays at 0.
     assert k == 4 and x == (plain(2.45), plain(0.0))
-    assert F(x) <= x
+    assert F.lattice.leq(F(x), x)
     assert propose(frames) is None  # the same chain again, as after Candidate
     assert propose(KTSequence(tuple(chain) + (x, top))) is None  # own proposal
+
+
+def kleene_chain(F, length):
+    """``bot, F(bot), ..., F^{length-1}(bot)``."""
+    chain = [F.lattice.bot]
+    while len(chain) < length:
+        chain.append(F(chain[-1]))
+    return chain
+
+
+def test_alternating_iterates_are_extrapolated_over_every_second_frame():
+    # s0 pays 1 and moves to s1, which returns with probability 1/2: the
+    # value at s0 is 2, and its iterates 0, 1, 1, 1.5, 1.5, 1.75, ... stand
+    # still every second step, so no three consecutive ones are geometric.
+    M = MRMModel(3, ((((1, 1), 1.0),), (((0, 0), 0.5), ((0, 2), 0.5)),
+                     (((0, 2), 1.0),)), 0, 2.5, frozenset({0, 1}))
+    F = reward_bellman(M)
+    top = F.lattice.top
+    propose = optimistic_induction(F, M.bound(), M.initial_state)
+    chain = kleene_chain(F, 5)
+    for n in (4, 5):
+        assert propose(KTSequence(tuple(chain[:n - 1]) + (top,))) is None
+    k, x = propose(KTSequence(tuple(chain) + (top,)))
+    # X_0, X_2, X_4 at s0 are 0, 1, 1.5: limit 2, lifted to 2.45.  s1 is
+    # lifted from its own limit 1 (X_4(s1) is 0.75), and F(x) <= x as is.
+    assert k == 5
+    assert [v.base for v in x] == pytest.approx([2.45, 1.3375, 0.0])
+    assert F.lattice.leq(F(x), x)
+
+
+def test_a_reused_bundle_proposes_on_the_next_solve():
+    M = MRMModel(2, ((((1, 0), 0.5), ((1, 1), 0.5)), (((0, 1), 1.0),)), 0, 2.5,
+                 frozenset({0}))
+    F = reward_bellman(M)
+    bundle = mrm_heuristics(M, F)
+    first, second = (run_combined(F, M.bound(), bundle) for _ in range(2))
+    assert first.verdict is second.verdict is Verdict.TRUE
+    assert first.stats.rule_counts == second.stats.rule_counts
+    assert second.stats.rule_counts["induction"] == 1
+
+
+def test_a_repair_round_completes_the_guess():
+    # s0 pays 1 and stays with probability 1/2, moves to s1 with 1/4 and
+    # stops with 1/4; s1 returns to s0 for free.  Both values are 3.
+    M = MRMModel(3, ((((1, 0), 0.5), ((1, 1), 0.25), ((0, 2), 0.25)),
+                     (((0, 0), 1.0),), (((0, 2), 1.0),)), 0, 3.3, frozenset({0, 1}))
+    F = reward_bellman(M)
+    propose = optimistic_induction(F, M.bound(), M.initial_state)
+    # X_0, X_1, X_2 at s0 are 0, 0.75, 1.125: limit 1.5, lifted to 3.12.
+    # s1 (0, 0, 0.75) does not converge yet and is lifted from 0.75 to
+    # 1.965, below F(x)(s1) = x(s0); one round x := x v F(x) raises it.
+    guess = (plain(3.12), plain(1.965), plain(0.0))
+    assert not F.lattice.leq(F(guess), guess)
+    k, x = propose(KTSequence(tuple(kleene_chain(F, 3)) + (F.lattice.top,)))
+    assert k == 3
+    assert [v.base for v in x] == pytest.approx([3.12, 3.12, 0.0])
+    assert F.lattice.leq(F(x), x)
