@@ -3,9 +3,8 @@
 randomly generated models.
 
 Generates random transition systems, MDPs and Markov reward models, solves
-each with every applicable engine in debug mode, under the default schedule
-and under the fuzz schedule seeded with the model's index, and compares
-verdicts with the oracle.  MDPs are probed 0.1 above and below their value,
+each with every applicable engine in debug mode, and compares verdicts
+with the oracle.  MDPs are probed 0.1 above and below their value,
 reward models at 0.9 and 1.1 times theirs.  Any mismatch, any MDP or reward
 model run that exhausts its step budget and any reward model run that
 raises is reported with a serialized reproducer and makes the exit code
@@ -29,14 +28,12 @@ sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent.par
 from util import random_kripke, random_mdp, random_mrm  # noqa: E402
 
 from ltpdr.cli import serialize_kripke, serialize_mdp, serialize_mrm  # noqa: E402
-from ltpdr.engine import Verdict  # noqa: E402
-from ltpdr.kripke import pdr_fkr, pdr_ibkr  # noqa: E402
-from ltpdr.mdp import pdr_ibmdp  # noqa: E402
-from ltpdr.mrm import pdr_mrm  # noqa: E402
+from ltpdr.engine import Verdict, solve  # noqa: E402
+from ltpdr.kripke import forward, inverse_backward  # noqa: E402
+from ltpdr.mdp import max_reach  # noqa: E402
+from ltpdr.mrm import expected_reward  # noqa: E402
 from ltpdr.oracles import (NoConvergence, bfs_safe, vi_expected_reward,  # noqa: E402
                            vi_max_reach)
-
-SCHEDULES = ("default", "fuzz")
 
 
 def true_summary(answers) -> str:
@@ -70,17 +67,15 @@ def main(argv=None) -> int:
     for i in range(args.kripke):
         K = random_kripke(rng)
         expected = bfs_safe(K).verdict
-        for name, solve in (("fkr", pdr_fkr), ("ibkr", pdr_ibkr)):
-            for schedule in SCHEDULES:
-                ans = solve(K, schedule=schedule, seed=i, debug=True,
-                            budget=args.budget)
-                answers.append(ans)
-                got = ans.verdict is Verdict.TRUE
-                if ans.verdict not in (Verdict.TRUE, Verdict.FALSE) or got != expected:
-                    mismatches += 1
-                    print(f"MISMATCH kripke #{i} engine={name} schedule={schedule} "
-                          f"got={ans.verdict} expected={expected}\n{serialize_kripke(K)}")
-    print(f"kripke: {args.kripke} models x 2 engines x 2 schedules, "
+        for name, build in (("fkr", forward), ("ibkr", inverse_backward)):
+            ans = solve(build(K), debug=True, budget=args.budget)
+            answers.append(ans)
+            got = ans.verdict is Verdict.TRUE
+            if ans.verdict not in (Verdict.TRUE, Verdict.FALSE) or got != expected:
+                mismatches += 1
+                print(f"MISMATCH kripke #{i} engine={name} "
+                      f"got={ans.verdict} expected={expected}\n{serialize_kripke(K)}")
+    print(f"kripke: {args.kripke} models x 2 engines, "
           f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
 
     t0 = time.perf_counter()
@@ -96,21 +91,19 @@ def main(argv=None) -> int:
         for lam, expected in ((min(gt + 0.1, 1.0), True),
                               (gt - 0.1 if gt >= 0.1 else gt / 2, False)):
             Mx = dataclasses.replace(M, threshold=lam)
-            for schedule in SCHEDULES:
-                ans = pdr_ibmdp(Mx, schedule=schedule, seed=i, debug=True,
-                                budget=args.budget)
-                answers.append(ans)
-                if ans.verdict is Verdict.BUDGET_EXHAUSTED:
-                    exhausted += 1
-                    print(f"EXHAUSTED mdp #{i} lambda={lam} schedule={schedule} "
-                          f"steps={ans.stats.steps}\n{serialize_mdp(Mx)}")
-                    continue
-                got = ans.verdict is Verdict.TRUE
-                if got != expected:
-                    mismatches += 1
-                    print(f"MISMATCH mdp #{i} lambda={lam} schedule={schedule} "
-                          f"got={ans.verdict} expected={expected}\n{serialize_mdp(Mx)}")
-    print(f"mdp: {args.mdp} models x 2 thresholds x 2 schedules, "
+            ans = solve(max_reach(Mx), debug=True, budget=args.budget)
+            answers.append(ans)
+            if ans.verdict is Verdict.BUDGET_EXHAUSTED:
+                exhausted += 1
+                print(f"EXHAUSTED mdp #{i} lambda={lam} "
+                      f"steps={ans.stats.steps}\n{serialize_mdp(Mx)}")
+                continue
+            got = ans.verdict is Verdict.TRUE
+            if got != expected:
+                mismatches += 1
+                print(f"MISMATCH mdp #{i} lambda={lam} "
+                      f"got={ans.verdict} expected={expected}\n{serialize_mdp(Mx)}")
+    print(f"mdp: {args.mdp} models x 2 thresholds, "
           f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
 
     t0 = time.perf_counter()
@@ -125,27 +118,25 @@ def main(argv=None) -> int:
             continue
         for lam, expected in ((1.1 * gt, True), (0.9 * gt, False)):
             Mx = dataclasses.replace(M, threshold=lam)
-            for schedule in SCHEDULES:
-                try:
-                    ans = pdr_mrm(Mx, schedule=schedule, seed=i, debug=True,
-                                  budget=args.budget)
-                except Exception:  # any raise is a finding; keep going
-                    raised += 1
-                    print(f"RAISED mrm #{i} lambda={lam} schedule={schedule}\n"
-                          f"{traceback.format_exc()}{serialize_mrm(Mx)}")
-                    continue
-                answers.append(ans)
-                if ans.verdict is Verdict.BUDGET_EXHAUSTED:
-                    exhausted += 1
-                    print(f"EXHAUSTED mrm #{i} lambda={lam} schedule={schedule} "
-                          f"steps={ans.stats.steps}\n{serialize_mrm(Mx)}")
-                    continue
-                got = ans.verdict is Verdict.TRUE
-                if got != expected:
-                    mismatches += 1
-                    print(f"MISMATCH mrm #{i} lambda={lam} schedule={schedule} "
-                          f"got={ans.verdict} expected={expected}\n{serialize_mrm(Mx)}")
-    print(f"mrm: {args.mrm} models x 2 thresholds x 2 schedules, "
+            try:
+                ans = solve(expected_reward(Mx), debug=True, budget=args.budget)
+            except Exception:  # any raise is a finding; keep going
+                raised += 1
+                print(f"RAISED mrm #{i} lambda={lam}\n"
+                      f"{traceback.format_exc()}{serialize_mrm(Mx)}")
+                continue
+            answers.append(ans)
+            if ans.verdict is Verdict.BUDGET_EXHAUSTED:
+                exhausted += 1
+                print(f"EXHAUSTED mrm #{i} lambda={lam} "
+                      f"steps={ans.stats.steps}\n{serialize_mrm(Mx)}")
+                continue
+            got = ans.verdict is Verdict.TRUE
+            if got != expected:
+                mismatches += 1
+                print(f"MISMATCH mrm #{i} lambda={lam} "
+                      f"got={ans.verdict} expected={expected}\n{serialize_mrm(Mx)}")
+    print(f"mrm: {args.mrm} models x 2 thresholds, "
           f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
 
     print("mismatches:", mismatches)

@@ -13,12 +13,15 @@ import pathlib
 import sys
 import time
 
-from ltpdr.cli import parse_kripke, parse_mdp, parse_mrm
-from ltpdr.engine import Verdict
-from ltpdr.kripke import pdr_fkr, pdr_ibkr, pdr_opdual
-from ltpdr.mdp import pdr_ibmdp
-from ltpdr.mrm import pdr_mrm
-from ltpdr.oracles import bfs_safe, vi_expected_reward, vi_max_reach
+from ltpdr.cli import KINDS, instance
+from ltpdr.engine import Verdict, solve
+
+# (file suffix, label, command-line kind, engine), in the order printed.
+RUNS = ((".kr", "fkr", "kripke-forward", "combined"),
+        (".kr", "ibkr", "kripke-ibackward", "combined"),
+        (".kr", "opdual", "kripke-forward", "opdual"),
+        (".mdp", "ibmdp", "mdp", "combined"),
+        (".mrm", "mrm", "mrm", "combined"))
 
 
 def main(argv=None) -> int:
@@ -28,22 +31,17 @@ def main(argv=None) -> int:
     ap.add_argument("--budget", type=int, default=100000)
     args = ap.parse_args(argv)
 
-    runners = {
-        ".kr": (parse_kripke, bfs_safe,
-                [("fkr", pdr_fkr), ("ibkr", pdr_ibkr), ("opdual", pdr_opdual)]),
-        ".mdp": (parse_mdp, vi_max_reach, [("ibmdp", pdr_ibmdp)]),
-        ".mrm": (parse_mrm, vi_expected_reward, [("mrm", pdr_mrm)]),
-    }
     failures = 0
     for path in sorted(pathlib.Path(args.models).iterdir()):
-        if path.suffix not in runners:
+        runs = [run for run in RUNS if run[0] == path.suffix]
+        if not runs:
             continue
-        parse, oracle, engines = runners[path.suffix]
+        parse, _build, oracle = KINDS[runs[0][2]]
         model = parse(path.read_text())
         expected = oracle(model).verdict
-        for name, solve in engines:
+        for _suffix, name, kind, engine in runs:
             t0 = time.perf_counter()
-            ans = solve(model, budget=args.budget)
+            ans = solve(*instance(kind, engine, model), budget=args.budget)
             dt = time.perf_counter() - t0
             agree = "-"
             if ans.verdict in (Verdict.TRUE, Verdict.FALSE):

@@ -12,6 +12,7 @@ from .engine import (
     EngineInvariantError,
     HeuristicViolation,
     HeuristicsBundle,
+    Instance,
     NegativeHeuristics,
     PDRAnswer,
     PDRConfig,
@@ -23,6 +24,7 @@ from .engine import (
     run_combined,
     run_negative,
     run_positive,
+    solve,
 )
 from .kripke import (
     KripkeStructure,
@@ -30,8 +32,6 @@ from .kripke import (
     backward_transformer,
     forward_transformer,
     inverse_backward_transformer,
-    pdr_fkr,
-    pdr_ibkr,
 )
 from .lattice import (
     InvolutionViolation,
@@ -50,8 +50,8 @@ from .lattice import (
     is_kt_sequence,
     kt_order_leq,
 )
-from .mdp import EpsValue, MDPModel, bellman, pdr_ibmdp, solve_decide_lp
-from .mrm import MRMModel, pdr_mrm, reward_bellman
+from .mdp import EpsValue, MDPModel, bellman, decide_lp
+from .mrm import MRMModel, reward_bellman
 from .oracles import (
     NoConvergence,
     OracleResult,

@@ -30,8 +30,15 @@ lines are ignored):
     trans
     s -> (c,t):p ...  # c = nonnegative integer reward
 
+The three parsers share one line reader, ``_Lines``, which also reads the
+header lines; state counts are capped at ``MAX_STATES`` and action counts
+at ``MAX_ACTIONS``.  ``KINDS`` maps each command-line kind to its parser,
+its ``Instance`` builder and its oracle; ``run_cli`` solves the instance
+with ``engine.solve``, and ``scripts/run_corpus.py`` reads the same table.
+
 Exit codes: 0 verdict True; 10 verdict False; 2 BudgetExhausted or Stuck;
-3 witness-validation or oracle mismatch; 1 parse or I/O error.
+3 witness-validation or oracle mismatch; 1 parse or I/O error (a model the
+parsers reject never ends in a traceback).
 """
 
 from __future__ import annotations
@@ -41,13 +48,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import kripke as kr
 from . import mdp as mdp_mod
 from . import mrm as mrm_mod
-from .engine import Verdict
+from .engine import Instance, Verdict, solve
 from .lattice import check_kleene_witness, check_kt_witness, is_conclusive_kt
 from .mdp import EpsValue
 from .oracles import DIVERGED, bfs_safe, vi_expected_reward, vi_max_reach
@@ -69,34 +75,58 @@ class DistributionError(Exception):
         self.total = total
 
 
-@dataclass(frozen=True)
-class RunRequest:
-    kind: str  # kripke-forward | kripke-ibackward | mdp | mrm
-    engine: str  # combined | positive | negative | opdual
-    model_path: str
-    budget: int = 100000
-    schedule: str = "default"
-    seed: Optional[int] = None
-    trace: bool = False
-    validate_witness: bool = False
-    oracle: bool = False
-    json_output: bool = False
-
-
 # ---------------------------------------------------------------------------
 # Parsing.
 
-
-def _lines(text: str):
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield no, line
+# Far above any model the solvers finish on, and low enough that a hostile
+# count cannot make ``parse_mdp`` allocate a huge states x actions table.
+MAX_STATES = 100_000
+MAX_ACTIONS = 100
 
 
-def _expect(tokens, keyword, no):
-    if not tokens or tokens[0] != keyword:
-        raise ParseError(no, f"expected '{keyword}' line")
+class _Lines:
+    """The lines of a model file that hold tokens, with comments stripped,
+    read front to back as ``(line number, tokens)``."""
+
+    def __init__(self, text: str):
+        self.rows = []
+        for no, raw in enumerate(text.splitlines(), start=1):
+            toks = raw.split("#", 1)[0].split()
+            if toks:
+                self.rows.append((no, toks))
+        self.pos = 0
+
+    def __bool__(self) -> bool:
+        return self.pos < len(self.rows)
+
+    def next(self, keyword=None):
+        if not self:
+            last = self.rows[-1][0] + 1 if self.rows else 1
+            raise ParseError(last, "unexpected end of file"
+                             if keyword is None else f"missing '{keyword}' line")
+        self.pos += 1
+        return self.rows[self.pos - 1]
+
+    def header(self, keyword: str, arg: Optional[str] = None):
+        """The next line, which must start with ``keyword``; when ``arg``
+        names its argument, it must have exactly one."""
+        no, toks = self.next(keyword)
+        if toks[0] != keyword:
+            raise ParseError(no, f"expected '{keyword}' line")
+        if arg is not None and len(toks) != 2:
+            raise ParseError(no, f"'{keyword}' takes exactly one {arg}")
+        return no, toks
+
+    def count(self, keyword: str, what: str, cap: int,
+              positive: bool = False) -> int:
+        """The argument of a ``keyword`` count line, at most ``cap``."""
+        no, toks = self.header(keyword, "count")
+        n = _int(toks[1], no, what)
+        if positive and n <= 0:
+            raise ParseError(no, f"{what} must be positive")
+        if n > cap:
+            raise ParseError(no, f"{what} {n} exceeds the limit {cap}")
+        return n
 
 
 def _int(tok: str, no: int, what: str) -> int:
@@ -119,60 +149,40 @@ def _number(tok: str, no: int, what: str) -> float:
             num, den = tok.split("/", 1)
             return int(num) / int(den)
         return float(tok)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ParseError(no, f"bad {what} {tok!r}") from None
 
 
+def _state_set(rd: _Lines, n: int) -> frozenset:
+    no, toks = rd.header("safe")
+    return frozenset(_state(tok, n, no) for tok in toks[1:])
+
+
 def parse_kripke(text: str) -> kr.KripkeStructure:
-    it = _lines(text)
-    rows = list(it)
-    pos = 0
+    rd = _Lines(text)
+    n = rd.count("states", "state count", MAX_STATES, positive=True)
 
-    def next_line(keyword=None):
-        nonlocal pos
-        if pos >= len(rows):
-            last = rows[-1][0] + 1 if rows else 1
-            raise ParseError(last, "unexpected end of file"
-                             if keyword is None else f"missing '{keyword}' line")
-        no, line = rows[pos]
-        pos += 1
-        return no, line.split()
-
-    no, toks = next_line("states")
-    _expect(toks, "states", no)
-    if len(toks) != 2:
-        raise ParseError(no, "'states' takes exactly one count")
-    n = _int(toks[1], no, "state count")
-    if n <= 0:
-        raise ParseError(no, "state count must be positive")
-
-    no, toks = next_line("init")
-    _expect(toks, "init", no)
+    no, toks = rd.header("init")
     init = 0
     for tok in toks[1:]:
         init |= 1 << _state(tok, n, no)
 
-    no, toks = next_line("safe")
-    full = (1 << n) - 1
-    if toks and toks[0] == "unsafe":
-        bad = 0
-        for tok in toks[1:]:
-            bad |= 1 << _state(tok, n, no)
-        safe = full & ~bad
-    else:
-        _expect(toks, "safe", no)
-        safe = 0
-        for tok in toks[1:]:
-            safe |= 1 << _state(tok, n, no)
+    no, toks = rd.next("safe")
+    if toks[0] not in ("safe", "unsafe"):
+        raise ParseError(no, "expected 'safe' line")
+    safe = 0
+    for tok in toks[1:]:
+        safe |= 1 << _state(tok, n, no)
+    if toks[0] == "unsafe":
+        safe = ((1 << n) - 1) & ~safe
 
-    no, toks = next_line("trans")
-    _expect(toks, "trans", no)
+    no, toks = rd.header("trans")
     if len(toks) != 1:
         raise ParseError(no, "'trans' takes no arguments")
 
     transitions = set()
-    while pos < len(rows):
-        no, toks = next_line()
+    while rd:
+        no, toks = rd.next()
         if len(toks) != 2:
             raise ParseError(no, "transition lines are 'src dst'")
         transitions.add((_state(toks[0], n, no), _state(toks[1], n, no)))
@@ -180,57 +190,22 @@ def parse_kripke(text: str) -> kr.KripkeStructure:
     return kr.KripkeStructure(n, frozenset(transitions), init, safe)
 
 
-def _parse_safe_set(toks, n, no) -> frozenset:
-    _expect(toks, "safe", no)
-    return frozenset(_state(tok, n, no) for tok in toks[1:])
-
-
 def parse_mdp(text: str) -> mdp_mod.MDPModel:
-    rows = list(_lines(text))
-    pos = 0
-
-    def next_line(keyword=None):
-        nonlocal pos
-        if pos >= len(rows):
-            last = rows[-1][0] + 1 if rows else 1
-            raise ParseError(last, "unexpected end of file"
-                             if keyword is None else f"missing '{keyword}' line")
-        no, line = rows[pos]
-        pos += 1
-        return no, line.split()
-
-    no, toks = next_line("states")
-    _expect(toks, "states", no)
-    if len(toks) != 2:
-        raise ParseError(no, "'states' takes exactly one count")
-    n = _int(toks[1], no, "state count")
-    no, toks = next_line("actions")
-    _expect(toks, "actions", no)
-    if len(toks) != 2:
-        raise ParseError(no, "'actions' takes exactly one count")
-    m = _int(toks[1], no, "action count")
-    if m <= 0:
-        raise ParseError(no, "action count must be positive")
-    no, toks = next_line("init")
-    _expect(toks, "init", no)
-    if len(toks) != 2:
-        raise ParseError(no, "'init' takes exactly one state")
+    rd = _Lines(text)
+    n = rd.count("states", "state count", MAX_STATES)
+    m = rd.count("actions", "action count", MAX_ACTIONS, positive=True)
+    no, toks = rd.header("init", "state")
     s0 = _state(toks[1], n, no)
-    no, toks = next_line("lambda")
-    _expect(toks, "lambda", no)
-    if len(toks) != 2:
-        raise ParseError(no, "'lambda' takes exactly one value")
+    no, toks = rd.header("lambda", "value")
     lam = _number(toks[1], no, "threshold")
     if not 0.0 <= lam <= 1.0:
         raise ParseError(no, "threshold must lie in [0, 1]")
-    no, toks = next_line("safe")
-    safe = _parse_safe_set(toks, n, no)
-    no, toks = next_line("trans")
-    _expect(toks, "trans", no)
+    safe = _state_set(rd, n)
+    rd.header("trans")
 
     table: list[list] = [[None] * m for _ in range(n)]
-    while pos < len(rows):
-        no, toks = next_line()
+    while rd:
+        no, toks = rd.next()
         if len(toks) < 4 or toks[2] != "->":
             raise ParseError(no, "transition lines are 's a -> t:p ...'")
         s = _state(toks[0], n, no)
@@ -255,44 +230,20 @@ def parse_mdp(text: str) -> mdp_mod.MDPModel:
 
 
 def parse_mrm(text: str) -> mrm_mod.MRMModel:
-    rows = list(_lines(text))
-    pos = 0
-
-    def next_line(keyword=None):
-        nonlocal pos
-        if pos >= len(rows):
-            last = rows[-1][0] + 1 if rows else 1
-            raise ParseError(last, "unexpected end of file"
-                             if keyword is None else f"missing '{keyword}' line")
-        no, line = rows[pos]
-        pos += 1
-        return no, line.split()
-
-    no, toks = next_line("states")
-    _expect(toks, "states", no)
-    if len(toks) != 2:
-        raise ParseError(no, "'states' takes exactly one count")
-    n = _int(toks[1], no, "state count")
-    no, toks = next_line("init")
-    _expect(toks, "init", no)
-    if len(toks) != 2:
-        raise ParseError(no, "'init' takes exactly one state")
+    rd = _Lines(text)
+    n = rd.count("states", "state count", MAX_STATES)
+    no, toks = rd.header("init", "state")
     s0 = _state(toks[1], n, no)
-    no, toks = next_line("lambda")
-    _expect(toks, "lambda", no)
-    if len(toks) != 2:
-        raise ParseError(no, "'lambda' takes exactly one value")
+    no, toks = rd.header("lambda", "value")
     lam = math.inf if toks[1] == "inf" else _number(toks[1], no, "threshold")
     if lam < 0:
         raise ParseError(no, "threshold must be nonnegative")
-    no, toks = next_line("safe")
-    safe = _parse_safe_set(toks, n, no)
-    no, toks = next_line("trans")
-    _expect(toks, "trans", no)
+    safe = _state_set(rd, n)
+    rd.header("trans")
 
     table: list = [None] * n
-    while pos < len(rows):
-        no, toks = next_line()
+    while rd:
+        no, toks = rd.next()
         if len(toks) < 3 or toks[1] != "->":
             raise ParseError(no, "transition lines are 's -> (c,t):p ...'")
         s = _state(toks[0], n, no)
@@ -309,6 +260,8 @@ def parse_mrm(text: str) -> mrm_mod.MRMModel:
             c = _int(c_tok, no, "reward")
             if c < 0:
                 raise ParseError(no, "rewards must be nonnegative integers")
+            if c > sys.float_info.max:
+                raise ParseError(no, f"reward {c_tok} is too large")
             dist.append(((c, _state(t_tok, n, no)),
                          _number(p_tok, no, "probability")))
         total = sum(p for _, p in dist)
@@ -317,7 +270,7 @@ def parse_mrm(text: str) -> mrm_mod.MRMModel:
         table[s] = tuple(dist)
     for s in range(n):
         if table[s] is None:
-            last = rows[-1][0] if rows else 1
+            last = rd.rows[-1][0] if rd.rows else 1
             raise ParseError(last, f"state {s} has no distribution")
 
     return mrm_mod.MRMModel(n, tuple(table), s0, lam, safe)
@@ -405,78 +358,43 @@ def _witness_jsonable(answer):
     return None
 
 
-def _instance(req: RunRequest, model):
-    """Return (F, alpha, runner) for the request's kind and engine."""
-    kind, eng = req.kind, req.engine
-    common = dict(budget=req.budget)
-    if kind in ("kripke-forward", "kripke-ibackward"):
-        forward = kind == "kripke-forward"
-        F = (kr.forward_transformer if forward
-             else kr.inverse_backward_transformer)(model)
-        alpha = model.safe if forward else F.lattice.top & ~model.initial
-        if eng == "combined":
-            fn = kr.pdr_fkr if forward else kr.pdr_ibkr
-            runner = lambda **kw: fn(model, schedule=req.schedule, seed=req.seed,
-                                     **common, **kw)
-        elif eng == "positive":
-            fn = kr.pdr_fkr_positive if forward else kr.pdr_ibkr_positive
-            runner = lambda **kw: fn(model, **common, **kw)
-        elif eng == "negative":
-            fn = kr.pdr_fkr_negative if forward else kr.pdr_ibkr_negative
-            runner = lambda **kw: fn(model, **common, **kw)
-        else:  # opdual
-            runner = lambda **kw: kr.pdr_opdual(model, schedule=req.schedule,
-                                                seed=req.seed, **common, **kw)
-            F = None  # witness lives on the opposite lattice
-            alpha = None
-        return F, alpha, runner
-    if kind == "mdp":
-        F = mdp_mod.bellman(model)
-        alpha = model.bound()
-        fns = {"combined": lambda **kw: mdp_mod.pdr_ibmdp(
-                   model, schedule=req.schedule, seed=req.seed, **common, **kw),
-               "positive": lambda **kw: mdp_mod.pdr_mdp_positive(model, **common, **kw),
-               "negative": lambda **kw: mdp_mod.pdr_mdp_negative(model, **common, **kw)}
-        return F, alpha, fns[eng]
-    if kind == "mrm":
-        F = mrm_mod.reward_bellman(model)
-        alpha = model.bound()
-        fns = {"combined": lambda **kw: mrm_mod.pdr_mrm(
-                   model, schedule=req.schedule, seed=req.seed, **common, **kw),
-               "positive": lambda **kw: mrm_mod.pdr_mrm_positive(model, **common, **kw),
-               "negative": lambda **kw: mrm_mod.pdr_mrm_negative(model, **common, **kw)}
-        return F, alpha, fns[eng]
-    raise ValueError(f"unknown kind {kind!r}")
+# kind -> (parser, Instance builder, oracle)
+KINDS = {
+    "kripke-forward": (parse_kripke, kr.forward, bfs_safe),
+    "kripke-ibackward": (parse_kripke, kr.inverse_backward, bfs_safe),
+    "mdp": (parse_mdp, mdp_mod.max_reach, vi_max_reach),
+    "mrm": (parse_mrm, mrm_mod.expected_reward, vi_expected_reward),
+}
 
 
-def _run_oracle(req: RunRequest, model):
-    if req.kind in ("kripke-forward", "kripke-ibackward"):
-        res = bfs_safe(model)
-        return {"name": "bfs_safe", "safe": res.verdict, "value": None}
-    if req.kind == "mdp":
-        res = vi_max_reach(model)
-        return {"name": "vi_max_reach", "safe": bool(res.verdict),
-                "value": res.value}
-    res = vi_expected_reward(model)
-    if res.verdict == DIVERGED:
-        safe = math.isinf(model.threshold)
-        return {"name": "vi_expected_reward", "safe": safe, "value": "inf"}
-    return {"name": "vi_expected_reward", "safe": bool(res.verdict),
-            "value": res.value}
+def _oracle_report(oracle, model) -> dict:
+    res = oracle(model)
+    if res.verdict == DIVERGED:  # an infinite expected reward
+        return {"name": oracle.__name__, "safe": math.isinf(model.threshold),
+                "value": "inf"}
+    return {"name": oracle.__name__, "safe": bool(res.verdict), "value": res.value}
 
 
-def run_cli(req: RunRequest) -> int:
+def instance(kind: str, engine: str, model) -> tuple[Instance, str]:
+    """The ``Instance`` and ``solve`` engine a kind and ``--engine`` pair
+    runs: ``opdual`` is the combined engine on ``kripke.opdual``."""
+    if engine == "opdual":
+        return kr.opdual(model), "combined"
+    return KINDS[kind][1](model), engine
+
+
+def run_cli(req: argparse.Namespace) -> int:
+    """Run the request ``main`` parsed and report; returns the exit code."""
     try:
-        with open(req.model_path, "r", encoding="utf-8") as fh:
+        with open(req.model, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    parser = {"kripke-forward": parse_kripke, "kripke-ibackward": parse_kripke,
-              "mdp": parse_mdp, "mrm": parse_mrm}[req.kind]
+    parse, _build, run_oracle = KINDS[req.kind]
     try:
-        model = parser(text)
+        model = parse(text)
     except (ParseError, DistributionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -488,11 +406,12 @@ def run_cli(req: RunRequest) -> int:
 
     trace_on = req.trace or os.environ.get("LTPDR_TRACE") == "1"
     sink = (lambda line: print(line)) if trace_on else None
-    F, alpha, runner = _instance(req, model)
-    answer = runner(trace=sink)
+    inst, engine = instance(req.kind, req.engine, model)
+    answer = solve(inst, engine, budget=req.budget, trace=sink)
 
     validation = None
-    if req.validate_witness and F is not None:
+    if req.validate_witness:
+        F, alpha = inst.F, inst.alpha
         if answer.verdict is Verdict.TRUE:
             j = is_conclusive_kt(answer.kt_witness, F.lattice)
             validation = j is not None and check_kt_witness(
@@ -500,7 +419,7 @@ def run_cli(req: RunRequest) -> int:
         elif answer.verdict is Verdict.FALSE:
             validation = check_kleene_witness(answer.kleene_witness, F, alpha)
 
-    oracle = _run_oracle(req, model) if req.oracle else None
+    oracle = _oracle_report(run_oracle, model) if req.oracle else None
     mismatch = False
     if oracle is not None and answer.verdict in (Verdict.TRUE, Verdict.FALSE):
         mismatch = (answer.verdict is Verdict.TRUE) != oracle["safe"]
@@ -546,24 +465,16 @@ def main(argv=None) -> int:
         description="Property-directed reachability over complete lattices: "
                     "decide fixed-point bounds for transition systems, MDPs "
                     "and Markov reward models.")
-    ap.add_argument("kind", choices=["kripke-forward", "kripke-ibackward",
-                                     "mdp", "mrm"])
+    ap.add_argument("kind", choices=list(KINDS))
     ap.add_argument("model", help="path to a .kr/.mdp/.mrm model file")
     ap.add_argument("--engine", choices=["combined", "positive", "negative",
                                          "opdual"], default="combined")
     ap.add_argument("--budget", type=int, default=100000)
-    ap.add_argument("--schedule", choices=["default", "fuzz"], default="default")
-    ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--trace", action="store_true")
     ap.add_argument("--validate-witness", action="store_true")
     ap.add_argument("--oracle", action="store_true")
     ap.add_argument("--json", action="store_true", dest="json_output")
-    args = ap.parse_args(argv)
-    req = RunRequest(kind=args.kind, engine=args.engine, model_path=args.model,
-                     budget=args.budget, schedule=args.schedule, seed=args.seed,
-                     trace=args.trace, validate_witness=args.validate_witness,
-                     oracle=args.oracle, json_output=args.json_output)
-    return run_cli(req)
+    return run_cli(ap.parse_args(argv))
 
 
 if __name__ == "__main__":

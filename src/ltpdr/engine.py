@@ -10,6 +10,12 @@ Three engines share the rule vocabulary:
 * ``run_negative`` -- obligations only (Candidate, Model, Decide); can answer
   False, get Stuck, or exhaust its budget, never True.
 
+An ``Instance`` bundles one question ``mu F <= alpha`` with the choices the
+engines need for it, and ``solve(instance, engine)`` runs one of the three
+engines on it.  Each instance module builds its ``Instance`` values
+(``kripke.forward``, ``kripke.inverse_backward``, ``kripke.opdual``,
+``mdp.max_reach``, ``mrm.expected_reward``).
+
 All rules are pure config-to-config steps; the runners add scheduling,
 budgeting, statistics, optional per-step invariant checking (``debug=True``)
 and an optional trace sink.  Heuristic outputs are always re-verified against
@@ -23,7 +29,6 @@ search take order ``n^2`` steps on a chain of depth ``n``.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -163,9 +168,11 @@ def rule_unfold(cfg: PDRConfig, F: Transformer, alpha) -> Optional[PDRConfig]:
 
 
 def rule_induction(cfg: PDRConfig, F: Transformer, alpha, k: int, x) -> Optional[PDRConfig]:
+    """Induction, which the paper applies only with no obligations pending:
+    strengthening a frame under a pending ``C_j`` could leave ``C_j !<= X_j``."""
     lat = F.lattice
     xs = cfg.frames.elements
-    if not 2 <= k <= len(xs) - 1:
+    if not cfg.obligations.empty or not 2 <= k <= len(xs) - 1:
         return None
     if lat.leq(xs[k], x):
         return None
@@ -395,18 +402,18 @@ def _emit(trace, step: int, rule: str, cfg: PDRConfig) -> None:
 
 
 def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
-                 schedule: str = "default", budget: int = 100000,
-                 seed: Optional[int] = None, debug: bool = False,
+                 budget: int = 100000, debug: bool = False,
                  trace: Optional[Callable[[str], None]] = None) -> PDRAnswer:
     """Run the full engine from the initial config (bot <= F(bot); ()).
 
-    The default schedule applies, in order: Valid, Model, then Unfold or
-    Candidate when no obligations are pending (by the bound check on the last
-    frame), else Decide or Conflict by their complementary guard; the two
-    share one evaluation of ``F(X_{i-1})``.  A supplied induction proposer is
-    tried opportunistically after Valid/Model.  The fuzz schedule picks
-    uniformly among rules whose guards hold, with Valid/Model always
-    pre-empting.
+    Each step applies Valid, then Model, then exactly one of the remaining
+    rules, whose guards leave no choice.  With no obligations pending, the
+    bundle's Induction proposer is asked first and its lemma applied when
+    it passes the guard; otherwise Unfold needs ``X_{n-1} <= alpha`` and
+    Candidate its negation.  With obligations pending, Decide needs
+    ``C_i <= F(X_{i-1})`` and Conflict its negation; the two share one
+    evaluation of ``F(X_{i-1})``.  The only freedom left is the Induction
+    proposer and the element each rule picks.
 
     Valid is a function of the frames alone and has failed on every earlier
     chain, so each step re-checks it only on the frame pairs the last rule
@@ -419,18 +426,15 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     chain.
 
     ``F(X_{i-1})`` for Decide and Conflict comes from a per-index cache of
-    ``(X_j, F(X_j))`` (``_image_at``) in both schedules; an entry is reused
-    only while its frame is the same object, so a Conflict or Induction
-    that changes ``X_j`` makes it stale and every unchanged frame keeps its
-    image.
+    ``(X_j, F(X_j))`` (``_image_at``); an entry is reused only while its
+    frame is the same object, so a Conflict or Induction that changes
+    ``X_j`` makes it stale and every unchanged frame keeps its image.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    lat = F.lattice
     cfg = initial_config(F)
     stats = RunStats()
     started = time.perf_counter()
-    rng = random.Random(seed) if schedule == "fuzz" else None
     checker = _InvariantChecker(F, alpha, combined=True) if debug else None
     if checker:
         checker.check(cfg)
@@ -453,17 +457,14 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
             return _finalize(ans, stats, F, alpha, started, cfg.frames, debug)
 
         applied = k = None
-        if heuristics.choose_induction is not None:
-            prop = heuristics.choose_induction(cfg.frames)
+        if cfg.obligations.empty:
+            propose = heuristics.choose_induction
+            prop = propose(cfg.frames) if propose is not None else None
             if prop is not None:
                 nxt = rule_induction(cfg, F, alpha, prop[0], prop[1])
                 if nxt is not None:
                     cfg, applied, k = nxt, "induction", prop[0]
-
-        if applied is None and not cfg.obligations.empty:
-            fx = _image_at(F, images, cfg.frames.elements, cfg.obligations.start_index - 1)
-        if applied is None and rng is None:
-            if cfg.obligations.empty:
+            if applied is None:
                 nxt = rule_unfold(cfg, F, alpha)
                 if nxt is not None:
                     cfg, applied = nxt, "unfold"
@@ -471,33 +472,15 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
                     nxt = rule_candidate(cfg, F, alpha, heuristics)
                     if nxt is not None:
                         cfg, applied = nxt, "candidate"
+        else:
+            fx = _image_at(F, images, cfg.frames.elements, cfg.obligations.start_index - 1)
+            nxt = rule_decide(cfg, F, alpha, heuristics, fx)
+            if nxt is not None:
+                cfg, applied = nxt, "decide"
             else:
-                nxt = rule_decide(cfg, F, alpha, heuristics, fx)
+                nxt = rule_conflict(cfg, F, alpha, heuristics, fx)
                 if nxt is not None:
-                    cfg, applied = nxt, "decide"
-                else:
-                    nxt = rule_conflict(cfg, F, alpha, heuristics, fx)
-                    if nxt is not None:
-                        cfg, applied = nxt, "conflict"
-        elif applied is None:
-            can_unfold = lat.leq(cfg.frames.elements[-1], alpha)
-            candidates = []
-            if can_unfold:
-                candidates.append(("unfold", lambda c: rule_unfold(c, F, alpha)))
-            if not cfg.obligations.empty:
-                candidates.append(
-                    ("decide", lambda c: rule_decide(c, F, alpha, heuristics, fx)))
-                candidates.append(
-                    ("conflict", lambda c: rule_conflict(c, F, alpha, heuristics, fx)))
-            elif not can_unfold:
-                candidates.append(
-                    ("candidate", lambda c: rule_candidate(c, F, alpha, heuristics)))
-            rng.shuffle(candidates)
-            for name, apply_rule in candidates:
-                nxt = apply_rule(cfg)
-                if nxt is not None:
-                    cfg, applied = nxt, name
-                    break
+                    cfg, applied = nxt, "conflict"
 
         if applied is None:
             return _stop(PDRAnswer(Verdict.STUCK), stats, started, len(cfg.frames))
@@ -642,6 +625,36 @@ def join_induction_proposer(F: Transformer):
         return None
 
     return propose
+
+
+@dataclass(frozen=True)
+class Instance:
+    """One question ``mu F <= alpha`` with the choices the engines need.
+
+    ``bundle`` serves the combined engine; ``negative``, when the instance
+    has one, builds the choices of the negative engine on first use, so
+    that building an instance costs no ``F`` call.  The positive engine
+    needs only ``F``: it proposes ``join_induction_proposer(F)``.
+    """
+
+    F: Transformer
+    alpha: Any
+    bundle: HeuristicsBundle
+    negative: Optional[Callable[[], NegativeHeuristics]] = None
+
+
+def solve(inst: Instance, engine: str = "combined", *, budget: int = 100000,
+          debug: bool = False,
+          trace: Optional[Callable[[str], None]] = None) -> PDRAnswer:
+    """Run ``engine`` (``combined``, ``positive`` or ``negative``) on ``inst``."""
+    kw = dict(budget=budget, debug=debug, trace=trace)
+    if engine == "combined":
+        return run_combined(inst.F, inst.alpha, inst.bundle, **kw)
+    if engine == "positive":
+        return run_positive(inst.F, inst.alpha, join_induction_proposer(inst.F), **kw)
+    if engine == "negative" and inst.negative is not None:
+        return run_negative(inst.F, inst.alpha, inst.negative(), **kw)
+    raise ValueError(f"no {engine!r} engine for this instance")
 
 
 def dualize(F: Transformer, alpha) -> tuple[Transformer, Any]:

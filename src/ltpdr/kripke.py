@@ -8,9 +8,12 @@ transformers are provided:
 * inverse-backward: unsafe states plus existential predecessors, whose least
   fixed point is the set of states that can reach an unsafe state.
 
-``pdr_fkr`` decides safety with the forward transformer bounded by the safe
-set; ``pdr_ibkr`` decides the same property with the inverse-backward
-transformer bounded by the complement of the initial set.
+Three ``Instance`` builders ask whether every reachable state is safe:
+``forward`` bounds the forward transformer by the safe set;
+``inverse_backward`` bounds the inverse-backward transformer by the
+complement of the initial set; ``opdual`` asks the dual question on the
+opposite lattice.  ``pdr_fkr`` and ``pdr_ibkr`` run the combined engine on
+the first two.
 
 The forward and inverse-backward images are unions of per-state successor
 or predecessor masks.  ``_image`` computes such a union a byte of the
@@ -26,19 +29,17 @@ Structures of at most eight states keep the per-state loop (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .engine import (
     HeuristicsBundle,
+    Instance,
     NegativeHeuristics,
     PDRAnswer,
     Transformer,
     canonical_heuristics,
     dualize,
-    join_induction_proposer,
     run_combined,
-    run_negative,
-    run_positive,
 )
 from .lattice import Lattice
 
@@ -164,27 +165,36 @@ def inverse_backward_transformer(K: KripkeStructure) -> Transformer:
     return Transformer(lat, lambda A: unsafe | pre_exists(A))
 
 
-def _set_heuristics(base_mask: int, contributor_masks: tuple) -> HeuristicsBundle:
-    """Shared choice functions for transformers of shape F(A) = base | image(A),
-    where ``contributor_masks[s]`` is the set of states whose presence in A
-    puts ``s`` into image(A).  Decide keeps one contributor per state, so a
-    counterexample is a path; Conflict is the engine's canonical one."""
+def _path_decide(base_mask: int, contributor_masks: tuple):
+    """Decide for transformers of shape F(A) = base | image(A), where
+    ``contributor_masks[s]`` is the set of states whose presence in A puts
+    ``s`` into image(A): one contributor in ``x_prev`` for each state of
+    ``head`` outside ``base``, so a counterexample is a path; None when a
+    state has none (never under the combined engine's Decide guard)."""
 
-    def candidate(last, alpha, diff):
-        # diff is the violation mask X_{n-1} & ~alpha from leq_info.
-        return _lowest_bit(diff)
-
-    def decide(x_prev, head, fx):
+    def decide(x_prev, head, fx=None):
         x = 0
         m = head & ~base_mask
         while m:
             bit = _lowest_bit(m)
             preds = contributor_masks[bit.bit_length() - 1] & x_prev
+            if preds == 0:
+                return None
             x |= _lowest_bit(preds)
             m ^= bit
         return x
 
-    return HeuristicsBundle(candidate, decide)
+    return decide
+
+
+def _set_heuristics(base_mask: int, contributor_masks: tuple) -> HeuristicsBundle:
+    """The set instances' choices; Conflict is the engine's canonical one."""
+
+    def candidate(last, alpha, diff):
+        # diff is the violation mask X_{n-1} & ~alpha from leq_info.
+        return _lowest_bit(diff)
+
+    return HeuristicsBundle(candidate, _path_decide(base_mask, contributor_masks))
 
 
 def forward_bundle(K: KripkeStructure) -> HeuristicsBundle:
@@ -197,98 +207,54 @@ def inverse_backward_bundle(K: KripkeStructure) -> HeuristicsBundle:
 
 def _set_negative_heuristics(lat: SubsetLattice, base_mask: int,
                              contributor_masks: tuple) -> NegativeHeuristics:
+    decide = _path_decide(base_mask, contributor_masks)
+
     def candidate(alpha):
         bad = lat.top & ~alpha
         if bad == 0:
             return None
         return _lowest_bit(bad)
 
-    def decide(head):
-        if head & ~base_mask == 0:
-            return 0
-        x = 0
-        m = head & ~base_mask
-        while m:
-            bit = _lowest_bit(m)
-            preds = contributor_masks[bit.bit_length() - 1]
-            if preds == 0:
-                return None
-            x |= _lowest_bit(preds)
-            m ^= bit
-        return x
-
-    return NegativeHeuristics(candidate, decide)
+    return NegativeHeuristics(candidate, lambda head: decide(lat.top, head))
 
 
-def forward_negative_heuristics(K: KripkeStructure) -> NegativeHeuristics:
-    lat = SubsetLattice(K.state_count)
-    return _set_negative_heuristics(lat, K.initial, K.pred)
-
-
-def inverse_backward_negative_heuristics(K: KripkeStructure) -> NegativeHeuristics:
-    lat = SubsetLattice(K.state_count)
-    return _set_negative_heuristics(lat, lat.top & ~K.safe, K.succ)
-
-
-def pdr_fkr(K: KripkeStructure, *, budget: int = 100000, schedule: str = "default",
-            seed: Optional[int] = None, debug: bool = False, trace=None) -> PDRAnswer:
+def forward(K: KripkeStructure) -> Instance:
+    """Are the reachable states, ``mu (initial | post)``, all safe?"""
     F = forward_transformer(K)
-    return run_combined(F, K.safe, forward_bundle(K),
-                        schedule=schedule, budget=budget, seed=seed,
-                        debug=debug, trace=trace)
+    return Instance(F, K.safe, forward_bundle(K),
+                    lambda: _set_negative_heuristics(F.lattice, K.initial, K.pred))
 
 
-def pdr_ibkr(K: KripkeStructure, *, budget: int = 100000, schedule: str = "default",
-             seed: Optional[int] = None, debug: bool = False, trace=None) -> PDRAnswer:
+def inverse_backward(K: KripkeStructure) -> Instance:
+    """Is no initial state among those that can reach an unsafe state,
+    ``mu (unsafe | pre)``?"""
     F = inverse_backward_transformer(K)
-    alpha = F.lattice.top & ~K.initial
-    return run_combined(F, alpha, inverse_backward_bundle(K),
-                        schedule=schedule, budget=budget, seed=seed,
-                        debug=debug, trace=trace)
+    unsafe = F.lattice.top & ~K.safe
+    return Instance(F, F.lattice.top & ~K.initial, inverse_backward_bundle(K),
+                    lambda: _set_negative_heuristics(F.lattice, unsafe, K.succ))
 
 
-def pdr_fkr_positive(K: KripkeStructure, *, budget: int = 100000, debug: bool = False,
-                     trace=None) -> PDRAnswer:
-    F = forward_transformer(K)
-    return run_positive(F, K.safe, join_induction_proposer(F),
-                        budget=budget, debug=debug, trace=trace)
+def opdual(K: KripkeStructure) -> Instance:
+    """Safety as the dual under-approximation problem: is the initial set
+    below the greatest fixed point of ``x -> safe /\\ backward(x)``?
 
-
-def pdr_fkr_negative(K: KripkeStructure, *, budget: int = 100000, debug: bool = False,
-                     trace=None) -> PDRAnswer:
-    F = forward_transformer(K)
-    return run_negative(F, K.safe, forward_negative_heuristics(K),
-                        budget=budget, debug=debug, trace=trace)
-
-
-def pdr_ibkr_positive(K: KripkeStructure, *, budget: int = 100000,
-                      debug: bool = False, trace=None) -> PDRAnswer:
-    F = inverse_backward_transformer(K)
-    alpha = F.lattice.top & ~K.initial
-    return run_positive(F, alpha, join_induction_proposer(F),
-                        budget=budget, debug=debug, trace=trace)
-
-
-def pdr_ibkr_negative(K: KripkeStructure, *, budget: int = 100000,
-                      debug: bool = False, trace=None) -> PDRAnswer:
-    F = inverse_backward_transformer(K)
-    alpha = F.lattice.top & ~K.initial
-    return run_negative(F, alpha, inverse_backward_negative_heuristics(K),
-                        budget=budget, debug=debug, trace=trace)
-
-
-def pdr_opdual(K: KripkeStructure, *, budget: int = 100000, schedule: str = "default",
-               seed: Optional[int] = None, debug: bool = False, trace=None) -> PDRAnswer:
-    """Decide safety as the dual under-approximation problem: is the initial
-    set below the greatest fixed point of ``x -> safe /\\ backward(x)``?
-
-    The engine runs over the opposite lattice with the canonical (lattice-
-    agnostic) heuristics.
+    The question is asked on the opposite lattice, with the canonical
+    (lattice-agnostic) heuristics and no negative engine.
     """
     Fb = backward_transformer(K)
-    lat = Fb.lattice
-    G = Transformer(lat, lambda A: K.safe & Fb(A))
+    G = Transformer(Fb.lattice, lambda A: K.safe & Fb(A))
     G_op, alpha_op = dualize(G, K.initial)
-    return run_combined(G_op, alpha_op, canonical_heuristics(G_op),
-                        schedule=schedule, budget=budget, seed=seed,
-                        debug=debug, trace=trace)
+    return Instance(G_op, alpha_op, canonical_heuristics(G_op))
+
+
+def pdr_fkr(K: KripkeStructure, **kw) -> PDRAnswer:
+    """The combined engine on ``forward(K)``.  ``perfbench`` calls it and
+    wraps ``run_combined`` in this module, hence no ``engine.solve``."""
+    inst = forward(K)
+    return run_combined(inst.F, inst.alpha, inst.bundle, **kw)
+
+
+def pdr_ibkr(K: KripkeStructure, **kw) -> PDRAnswer:
+    """The combined engine on ``inverse_backward(K)``, as ``pdr_fkr``."""
+    inst = inverse_backward(K)
+    return run_combined(inst.F, inst.alpha, inst.bundle, **kw)

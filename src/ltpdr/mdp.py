@@ -11,8 +11,11 @@ Obligation values carry a symbolic infinitesimal: ``v + eps`` means
 contributing successor flagged flags the result), which lets the chain
 certify strict inequalities without materialising a concrete epsilon.
 
-Candidate and Decide are instance-specific (the threshold at the initial
-state, and a cheapest supporting valuation from a linear program).
+``max_reach(M)`` is the ``Instance`` of this question.  Its choices,
+``pointwise_bundle``, are shared with the reward instance: Candidate is the
+threshold at the initial state, and Decide is a cheapest supporting
+valuation from the linear program ``decide_lp``, which each instance feeds
+with its own support rows and costs.
 Conflict is the engine's canonical choice ``x := F(X_{i-1})``, which caps
 every state at its transformer value.  Capping only the states the current
 obligation violates gives lemmas each barely stronger than the last, and
@@ -35,17 +38,16 @@ from typing import NamedTuple, Optional
 from .engine import (
     ContractFailure,
     HeuristicsBundle,
+    Instance,
     NegativeHeuristics,
     PDRAnswer,
     Transformer,
-    join_induction_proposer,
     run_combined,
-    run_negative,
-    run_positive,
 )
 from .lattice import KTSequence, Lattice
 from .simplex import simplex_min
 
+_CAP = 1e9  # replaces infinite frame entries as an LP bound
 _SNAP = 1e-9
 
 
@@ -279,119 +281,124 @@ def bellman(M: MDPModel) -> Transformer:
     return Transformer(lat, fn)
 
 
-def heuristic_candidate_mdp(X_last, M: MDPModel):
-    """Obligation with threshold+eps at the initial state, zero elsewhere."""
-    lam = M.threshold
-    s0 = M.initial_state
-    if not X_last[s0] > (lam, False):
-        raise ContractFailure("candidate requires the last frame to exceed "
-                              "the threshold at the initial state")
-    return tuple(eps_val(lam) if s == s0 else plain(0.0)
+def threshold_obligation(M) -> tuple:
+    """The first obligation of the MDP and reward instances: the threshold
+    plus eps at the initial state, zero elsewhere."""
+    return tuple(eps_val(M.threshold) if s == M.initial_state else plain(0.0)
                  for s in range(M.state_count))
 
 
-def _decide_program(M: MDPModel, X_prev, C_head):
-    """Build the witnessing actions, variable set and LP of the Decide step.
+def heuristic_candidate_mdp(X_last, M: MDPModel):
+    """``threshold_obligation``, when the last frame exceeds the threshold."""
+    if not X_last[M.initial_state] > (M.threshold, False):
+        raise ContractFailure("candidate requires the last frame to exceed "
+                              "the threshold at the initial state")
+    return threshold_obligation(M)
 
-    Returns (constraints, var_states) where each constraint is
-    (state, action-distribution, value, strict-flag)."""
-    constraints = []
+
+def decide_lp(M, F: Transformer, X_prev, C_head, support, cost):
+    """The Decide choice of the pointwise instances: a cheapest successor
+    valuation supporting the obligation, from a linear program over the
+    states it touches.
+
+    ``M`` is an ``MDPModel`` or ``MRMModel``.  Each safe state ``s`` with
+    ``C_head(s) > 0`` gives one row ``sum_t p_t x_t >= rhs`` from
+    ``support(M, s, C_head(s), X_prev) = (((t, p_t), ...), rhs)``, which raises
+    ``ContractFailure`` when ``X_prev`` cannot support the value.  The
+    program minimizes ``sum cost(X_prev(t)) * x_t`` subject to these rows
+    and ``0 <= x_t <= min(X_prev(t), 1e9)``; the finite cap replaces
+    infinite frame entries.  Strictness is restored symbolically: outputs
+    strictly below their frame value carry the eps flag.  If rounding makes
+    the numeric solution miss a strict constraint, the frame values
+    themselves restricted to the touched states are returned (always
+    contract-valid).
+    """
+    supports = []
     var_states: list[int] = []
     var_index: dict[int, int] = {}
     for s in range(M.state_count):
         c = C_head[s]
         if s not in M.safe or c <= (0.0, False):
             continue
-        chosen = None
-        for dist in M.delta[s]:
-            if dist is None:
-                continue
-            if c <= _expectation(dist, X_prev):
-                chosen = dist
-                break
-        if chosen is None:
-            raise ContractFailure("decide invoked without its guard: no "
-                                  "action dominates the obligation value")
-        constraints.append((s, chosen, c.base, c.eps))
-        for t, p in chosen:
+        dist, rhs = support(M, s, c, X_prev)
+        supports.append((dist, rhs))
+        for t, p in dist:
             if p > 0 and t not in var_index:
                 var_index[t] = len(var_states)
                 var_states.append(t)
-    return constraints, var_states, var_index
-
-
-def solve_decide_lp(X_prev, C_head, M: MDPModel, F: Optional[Transformer] = None):
-    """The Decide choice: a cheapest successor valuation supporting the
-    obligation, assembled from a linear program over the touched states.
-
-    Minimizes ``sum (2 - X_prev(s)) * x_s`` subject to each obligation value
-    being at most the expectation of ``x`` under its witnessing action, with
-    ``0 <= x_s <= X_prev(s)``.  Strictness is restored symbolically: outputs
-    strictly below their frame cap carry the eps flag.  If rounding makes the
-    numeric solution miss a strict constraint, fall back to the frame values
-    themselves restricted to the touched states (always contract-valid).
-    """
-    if F is None:
-        F = bellman(M)
-    constraints, var_states, var_index = _decide_program(M, X_prev, C_head)
     n = len(var_states)
     if n == 0:
         return (plain(0.0),) * M.state_count
-    costs = [2.0 - X_prev[t].base for t in var_states]
     rows = []
-    for s, dist, v, _strict in constraints:
+    for dist, rhs in supports:
         coeffs = [0.0] * n
         for t, p in dist:
             if p > 0:
                 coeffs[var_index[t]] += p
-        rows.append((coeffs, v))
-    bounds = [(0.0, X_prev[t].base) for t in var_states]
-    xs = simplex_min(costs, rows, bounds)
+        rows.append((coeffs, rhs))
+    caps = [min(X_prev[t].base, _CAP) for t in var_states]
+    xs = simplex_min([cost(X_prev[t]) for t in var_states], rows,
+                     [(0.0, cap) for cap in caps])
 
     out = [plain(0.0)] * M.state_count
-    for t, x in zip(var_states, xs):
-        cap = X_prev[t].base
+    for t, x, cap in zip(var_states, xs, caps):
         x = min(max(x, 0.0), cap)
-        if cap - x <= _SNAP:
+        if cap - x <= _SNAP and X_prev[t].base <= _CAP:
             out[t] = plain(cap)
         else:
             out[t] = eps_val(x)
     result = tuple(out)
 
     lat = F.lattice
-    ok = lat.leq(result, X_prev) and lat.leq(C_head, F(result))
-    if not ok:
+    if not (lat.leq(result, X_prev) and lat.leq(C_head, F(result))):
         result = tuple(
             X_prev[s] if s in var_index else plain(0.0)
             for s in range(M.state_count))
     return result
 
 
-def mdp_bundle(M: MDPModel, F: Transformer) -> HeuristicsBundle:
-    """Candidate and Decide are instance-specific, Induction is
-    ``optimistic_induction``; Conflict is the engine's canonical choice
-    ``x := F(X_{i-1})``.  ``F`` must be the transformer the engine runs
-    with: the proposer knows the chain's ``top`` by identity."""
+def _dominating_action(M: MDPModel, s: int, c: EpsValue, X_prev):
+    """The MDP's ``support`` for ``decide_lp``: the first action whose
+    expectation under ``X_prev`` dominates the obligation value."""
+    for dist in M.delta[s]:
+        if dist is not None and c <= _expectation(dist, X_prev):
+            return dist, c.base
+    raise ContractFailure("decide invoked without its guard: no "
+                          "action dominates the obligation value")
+
+
+def _mdp_cost(v: EpsValue) -> float:
+    return 2.0 - v.base
+
+
+def pointwise_bundle(M, F: Transformer, support, cost) -> HeuristicsBundle:
+    """The choices of the MDP and reward instances: Candidate
+    ``heuristic_candidate_mdp``, Decide ``decide_lp`` with the instance's
+    ``support`` and ``cost``, Induction ``optimistic_induction``; Conflict
+    is the engine's canonical choice ``x := F(X_{i-1})``.  ``F`` must be the
+    transformer the engine runs with: the proposer knows the chain's
+    ``top`` by identity."""
     def candidate(last, alpha, info):
         return heuristic_candidate_mdp(last, M)
 
     def decide(x_prev, head, fx):
-        return solve_decide_lp(x_prev, head, M, F)
+        return decide_lp(M, F, x_prev, head, support, cost)
 
     return HeuristicsBundle(candidate, decide, choose_induction=optimistic_induction(
         F, M.bound(), M.initial_state))
 
 
-def mdp_negative_heuristics(M: MDPModel) -> NegativeHeuristics:
-    F = bellman(M)
+def mdp_bundle(M: MDPModel, F: Transformer) -> HeuristicsBundle:
+    """Decide supports each value by its first dominating action, at cost
+    ``2 - X_prev(t)``."""
+    return pointwise_bundle(M, F, _dominating_action, _mdp_cost)
+
+
+def mdp_negative_heuristics(M: MDPModel, F: Transformer) -> NegativeHeuristics:
     top = F.lattice.top
 
     def candidate(alpha):
-        if M.threshold >= 1.0:
-            return None
-        return tuple(
-            eps_val(M.threshold) if s == M.initial_state else plain(0.0)
-            for s in range(M.state_count))
+        return None if M.threshold >= 1.0 else threshold_obligation(M)
 
     def decide(head):
         # Unlike the combined engine, there is no guard check before this
@@ -399,30 +406,22 @@ def mdp_negative_heuristics(M: MDPModel) -> NegativeHeuristics:
         # every action's expectation by rounding, in which case the chain
         # cannot be extended and the search restarts.
         try:
-            return solve_decide_lp(top, head, M, F)
+            return decide_lp(M, F, top, head, _dominating_action, _mdp_cost)
         except ContractFailure:
             return None
 
     return NegativeHeuristics(candidate, decide)
 
 
-def pdr_ibmdp(M: MDPModel, *, budget: int = 100000, schedule: str = "default",
-              seed: Optional[int] = None, debug: bool = False,
-              trace=None) -> PDRAnswer:
+def max_reach(M: MDPModel) -> Instance:
+    """Is the maximum probability of leaving the safe set from the initial
+    state at most the threshold?"""
     F = bellman(M)
-    return run_combined(F, M.bound(), mdp_bundle(M, F), schedule=schedule,
-                        budget=budget, seed=seed, debug=debug, trace=trace)
+    return Instance(F, M.bound(), mdp_bundle(M, F),
+                    lambda: mdp_negative_heuristics(M, F))
 
 
-def pdr_mdp_positive(M: MDPModel, *, budget: int = 100000, debug: bool = False,
-                     trace=None) -> PDRAnswer:
-    F = bellman(M)
-    return run_positive(F, M.bound(), join_induction_proposer(F),
-                        budget=budget, debug=debug, trace=trace)
-
-
-def pdr_mdp_negative(M: MDPModel, *, budget: int = 100000, debug: bool = False,
-                     trace=None) -> PDRAnswer:
-    F = bellman(M)
-    return run_negative(F, M.bound(), mdp_negative_heuristics(M),
-                        budget=budget, debug=debug, trace=trace)
+def pdr_ibmdp(M: MDPModel, **kw) -> PDRAnswer:
+    """The combined engine on ``max_reach(M)``, as ``kripke.pdr_fkr``."""
+    inst = max_reach(M)
+    return run_combined(inst.F, inst.alpha, inst.bundle, **kw)

@@ -8,36 +8,37 @@ expectation from the initial state is at most a threshold.
 
 Obligation values reuse the symbolic-eps strictness marker of the MDP
 instance; infinity is absorbing in the arithmetic (``p * inf = inf`` for
-``p > 0``, and zero-probability terms are skipped).  Candidate and the
-Induction proposer (``mdp.optimistic_induction``) are the MDP instance's
-too: a true bound is proved by a guessed prefixed point instead of by
-waiting for the Kleene iterates to converge.  The proposer caps its guess
-by ``F(top)``, which is 0 off the safe set.
+``p > 0``, and zero-probability terms are skipped).  ``expected_reward(M)``
+is the ``Instance`` of this question.  Its choices are the MDP instance's
+``mdp.pointwise_bundle``: the same Candidate, the Decide program
+``mdp.decide_lp`` with the reward moved to the right-hand side and unit
+costs, and the Induction proposer ``mdp.optimistic_induction``, so that a
+true bound is proved by a guessed prefixed point instead of by waiting for
+the Kleene iterates to converge.  The proposer caps its guess by
+``F(top)``, which is 0 off the safe set.  The negative engine solves its
+Decide program against a frame that is also 0 off the safe set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .engine import (
     ContractFailure,
     HeuristicsBundle,
+    Instance,
     NegativeHeuristics,
     PDRAnswer,
     Transformer,
-    join_induction_proposer,
     run_combined,
-    run_negative,
-    run_positive,
 )
-from .mdp import (EpsValue, PointwiseLattice, eps_val,
-                  heuristic_candidate_mdp, optimistic_induction, plain)
-from .simplex import simplex_min
-
-_CAP = 1e9
-_SNAP = 1e-9
+from .mdp import (EpsValue, PointwiseLattice, decide_lp, plain, pointwise_bundle,
+                  threshold_obligation)
+# ``mdp.decide_lp`` solves the reward Decide programs too, so
+# ``simplex_min`` is not called here; ``perfbench/spans.py`` wraps
+# ``mrm.simplex_min`` and needs the name.
+from .simplex import Infeasible, simplex_min  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -104,122 +105,62 @@ def reward_bellman(M: MRMModel) -> Transformer:
     return Transformer(lat, fn)
 
 
-heuristic_candidate_mrm = heuristic_candidate_mdp  # threshold+eps at init
+def _reward_support(M: MRMModel, s: int, c: EpsValue, X_prev):
+    """The reward model's ``support`` for ``mdp.decide_lp``: the state's
+    distribution, with the expected one-step reward ``r_s`` moved to the
+    right-hand side, ``v_s - r_s <= sum_t p(s,t) x_t``."""
+    if not c <= _expectation(M.delta[s], X_prev):
+        raise ContractFailure("decide invoked without its guard")
+    r_s = sum(p * c_ for (c_, _t), p in M.delta[s] if p > 0)
+    return [(t, p) for (_c, t), p in M.delta[s]], c.base - r_s
 
 
-def solve_decide_lp_mrm(X_prev, C_head, M: MRMModel,
-                        F: Optional[Transformer] = None):
-    """Decide choice via a linear program analogous to the MDP instance.
-
-    Per obligation-supporting safe state ``s`` the constraint reads
-    ``v_s <= r_s + sum_t p(s,t) x_t`` with ``r_s`` the expected one-step
-    reward; bounds are ``0 <= x_t <= min(X_prev(t), 1e9)`` (a finite cap
-    replaces infinite frame entries) and the objective weights every variable
-    by 1.  Eps flags and the frame-restriction fallback mirror the MDP case.
-    """
-    if F is None:
-        F = reward_bellman(M)
-    constraints = []
-    var_states: list[int] = []
-    var_index: dict[int, int] = {}
-    for s in range(M.state_count):
-        c = C_head[s]
-        if s not in M.safe or c <= (0.0, False):
-            continue
-        if not c <= _expectation(M.delta[s], X_prev):
-            raise ContractFailure("decide invoked without its guard")
-        r_s = sum(p * c_ for (c_, _t), p in M.delta[s] if p > 0)
-        coeffs_by_state: dict[int, float] = {}
-        for (_c, t), p in M.delta[s]:
-            if p > 0:
-                coeffs_by_state[t] = coeffs_by_state.get(t, 0.0) + p
-                if t not in var_index:
-                    var_index[t] = len(var_states)
-                    var_states.append(t)
-        constraints.append((coeffs_by_state, c.base - r_s, c.eps))
-    n = len(var_states)
-    if n == 0:
-        return (plain(0.0),) * M.state_count
-    costs = [1.0] * n
-    rows = []
-    for coeffs_by_state, rhs, _strict in constraints:
-        coeffs = [0.0] * n
-        for t, p in coeffs_by_state.items():
-            coeffs[var_index[t]] = p
-        rows.append((coeffs, rhs))
-    bounds = [(0.0, min(X_prev[t].base, _CAP)) for t in var_states]
-    xs = simplex_min(costs, rows, bounds)
-
-    out = [plain(0.0)] * M.state_count
-    for t, x in zip(var_states, xs):
-        cap = min(X_prev[t].base, _CAP)
-        x = min(max(x, 0.0), cap)
-        if cap - x <= _SNAP and X_prev[t].base <= _CAP:
-            out[t] = plain(cap)
-        else:
-            out[t] = eps_val(x)
-    result = tuple(out)
-
-    lat = F.lattice
-    if not (lat.leq(result, X_prev) and lat.leq(C_head, F(result))):
-        result = tuple(
-            X_prev[s] if s in var_index else plain(0.0)
-            for s in range(M.state_count))
-    return result
+def _unit_cost(v: EpsValue) -> float:
+    return 1.0
 
 
 def mrm_heuristics(M: MRMModel, F: Transformer) -> HeuristicsBundle:
-    """As ``mdp_bundle``, with the reward Decide program."""
-    def candidate(last, alpha, info):
-        return heuristic_candidate_mrm(last, M)
-
-    def decide(x_prev, head, fx):
-        return solve_decide_lp_mrm(x_prev, head, M, F)
-
-    return HeuristicsBundle(candidate, decide, choose_induction=optimistic_induction(
-        F, M.bound(), M.initial_state))
+    """``mdp.pointwise_bundle`` with the reward support and unit costs."""
+    return pointwise_bundle(M, F, _reward_support, _unit_cost)
 
 
-def mrm_negative_heuristics(M: MRMModel) -> NegativeHeuristics:
-    F = reward_bellman(M)
-    top = F.lattice.top
+def mrm_negative_heuristics(M: MRMModel, F: Transformer) -> NegativeHeuristics:
+    """Candidate is the threshold plus eps at the initial state.  Decide
+    supports the obligation with ``bot`` when ``F(bot)`` already does, and
+    otherwise solves the reward Decide program against ``frame``: ``inf`` on
+    the safe states and 0 elsewhere, where ``F`` is 0 too.  A head that
+    ``F(frame)`` does not cover has no chain down to ``bot``, and a head
+    with an infinite entry has none either, since ``F^n(bot)`` is finite."""
+    lat = F.lattice
+    frame = tuple(lat.top[s] if s in M.safe else plain(0.0)
+                  for s in range(M.state_count))
+    bot_image, frame_image = F(lat.bot), F(frame)
 
     def candidate(alpha):
-        if math.isinf(M.threshold):
-            return None
-        return tuple(
-            eps_val(M.threshold) if s == M.initial_state else plain(0.0)
-            for s in range(M.state_count))
+        return None if math.isinf(M.threshold) else threshold_obligation(M)
 
     def decide(head):
-        # Against top, the LP may put value on an unsafe state and its
-        # fallback copies infinite entries; no chain from such a head
-        # reaches bot (F^n(bot) is finite, and 0 off the safe set).
-        if any(math.isinf(c.base) or (s not in M.safe and c > (0.0, False))
-               for s, c in enumerate(head)):
+        if lat.leq(head, bot_image):
+            return lat.bot
+        if any(math.isinf(c.base) for c in head) or not lat.leq(head, frame_image):
             return None
-        return solve_decide_lp_mrm(top, head, M, F)
+        try:
+            return decide_lp(M, F, frame, head, _reward_support, _unit_cost)
+        except Infeasible:  # the head needs a value above the LP's cap
+            return None
 
     return NegativeHeuristics(candidate, decide)
 
 
-def pdr_mrm(M: MRMModel, *, budget: int = 100000, schedule: str = "default",
-            seed: Optional[int] = None, debug: bool = False,
-            trace=None) -> PDRAnswer:
+def expected_reward(M: MRMModel) -> Instance:
+    """Is the expected reward accumulated from the initial state until the
+    safe set is left at most the threshold?"""
     F = reward_bellman(M)
-    return run_combined(F, M.bound(), mrm_heuristics(M, F), schedule=schedule,
-                        budget=budget, seed=seed, debug=debug, trace=trace)
+    return Instance(F, M.bound(), mrm_heuristics(M, F),
+                    lambda: mrm_negative_heuristics(M, F))
 
 
-def pdr_mrm_positive(M: MRMModel, *, budget: int = 100000, debug: bool = False,
-                     trace=None) -> PDRAnswer:
-    F = reward_bellman(M)
-    return run_positive(F, M.bound(), join_induction_proposer(F),
-                        budget=budget, debug=debug, trace=trace)
-
-
-def pdr_mrm_negative(M: MRMModel, *, budget: int = 100000, debug: bool = False,
-                     trace=None) -> PDRAnswer:
-    F = reward_bellman(M)
-    return run_negative(F, M.bound(), mrm_negative_heuristics(M),
-                        budget=budget, debug=debug, trace=trace)
+def pdr_mrm(M: MRMModel, **kw) -> PDRAnswer:
+    """The combined engine on ``expected_reward(M)``, as ``kripke.pdr_fkr``."""
+    inst = expected_reward(M)
+    return run_combined(inst.F, inst.alpha, inst.bundle, **kw)

@@ -8,7 +8,8 @@ frame/obligation invariants; any violation raises and fails the criterion.
 Criterion overview:
   1 kripke-differential  both set-based engines vs. breadth-first search on
                          500 random models, witnesses validated, < 30 s
-  2 rule-order-fuzz      200 randomly scheduled runs terminate and agree
+  2 rule-order-fuzz      200 runs with a random Induction proposer, the one
+                         choice the rules leave open, terminate and agree
   3 mrm-reference        the 4/3-ground-truth reward model, both verdicts
   4 mdp-differential     200 random MDPs at threshold = value +/- 0.1
   5 one-sided-soundness  positive engine never False, negative never True,
@@ -25,18 +26,17 @@ import pytest
 
 from conftest import model_path
 from ltpdr.cli import parse_kripke, parse_mdp, parse_mrm
-from ltpdr.engine import Verdict
+from ltpdr.engine import Verdict, solve
 from ltpdr.kripke import (
+    forward,
     forward_transformer,
     inverse_backward_transformer,
     pdr_fkr,
-    pdr_fkr_negative,
-    pdr_fkr_positive,
     pdr_ibkr,
 )
 from ltpdr.lattice import check_kleene_witness, check_kt_witness, is_conclusive_kt
-from ltpdr.mdp import pdr_ibmdp, pdr_mdp_negative, pdr_mdp_positive
-from ltpdr.mrm import pdr_mrm, pdr_mrm_negative, pdr_mrm_positive
+from ltpdr.mdp import max_reach, pdr_ibmdp
+from ltpdr.mrm import expected_reward, pdr_mrm
 from ltpdr.oracles import (
     NoConvergence,
     bfs_safe,
@@ -128,17 +128,40 @@ def test_acceptance_1_kripke_differential(kripke_suite, debug_ledger):
     report(1, "kripke-differential", ok and elapsed < 30.0)
 
 
+def random_join_proposer(F, rng):
+    """Offer the join lemma ``X_{k-1} v F(X_{k-1})`` at a random index
+    ``k``, or nothing; the engine applies it only when its guard holds."""
+    lat = F.lattice
+
+    def propose(frames):
+        xs = frames.elements
+        k = rng.randrange(2, len(xs) + 1)
+        if k == len(xs):
+            return None
+        return (k, lat.join(xs[k - 1], F(xs[k - 1])))
+
+    return propose
+
+
 def test_acceptance_2_rule_order_fuzz(debug_ledger):
+    # Unfold/Candidate and Decide/Conflict have complementary guards, so
+    # the only choice left to vary is which Induction lemma is offered.
     rng = random.Random(7)
     models = [random_kripke(rng) for _ in range(20)]
     ok = True
+    inductions = 0
     for K in models:
         expected = bfs_safe(K).verdict
         for seed in range(10):
-            ans = pdr_fkr(K, schedule="fuzz", seed=seed, budget=100000,
-                          debug=True)
+            inst = forward(K)
+            bundle = dataclasses.replace(inst.bundle, choose_induction=random_join_proposer(
+                inst.F, random.Random(seed)))
+            ans = solve(dataclasses.replace(inst, bundle=bundle), budget=100000,
+                        debug=True)
             ok = ok and ans.verdict in (Verdict.TRUE, Verdict.FALSE)
             ok = ok and (ans.verdict is Verdict.TRUE) == expected
+            inductions += ans.stats.rule_counts.get("induction", 0)
+    ok = ok and inductions > 0
     debug_ledger["fuzz"] = True
     report(2, "rule-order-fuzz", ok)
 
@@ -202,15 +225,17 @@ def test_acceptance_4_mdp_differential(mdp_suite, debug_ledger):
 def test_acceptance_5_one_sided_soundness(kripke_suite, mdp_suite):
     ok = True
     for K, _expected in kripke_suite:
-        ok = ok and pdr_fkr_positive(K, budget=200).verdict is not Verdict.FALSE
-        ok = ok and pdr_fkr_negative(K, budget=200).verdict is not Verdict.TRUE
+        ok = ok and solve(forward(K), "positive", budget=200).verdict \
+            is not Verdict.FALSE
+        ok = ok and solve(forward(K), "negative", budget=200).verdict \
+            is not Verdict.TRUE
     for M, value in mdp_suite[:50]:
         for lam in (value - 0.05 if value >= 0.05 else value / 2,
                     min(value + 0.05, 1.0)):
             Mx = dataclasses.replace(M, threshold=lam)
-            ok = ok and (pdr_mdp_positive(Mx, budget=100).verdict
+            ok = ok and (solve(max_reach(Mx), "positive", budget=100).verdict
                          is not Verdict.FALSE)
-            ok = ok and (pdr_mdp_negative(Mx, budget=100).verdict
+            ok = ok and (solve(max_reach(Mx), "negative", budget=100).verdict
                          is not Verdict.TRUE)
 
     # Reward models, on both sides of the value: a one-sided verdict must
@@ -223,8 +248,8 @@ def test_acceptance_5_one_sided_soundness(kripke_suite, mdp_suite):
         value = vi_expected_reward(M).value
         for lam in (value * 0.9, value * 1.1 + 0.05):
             Mx = dataclasses.replace(M, threshold=lam)
-            pos = pdr_mrm_positive(Mx, budget=100).verdict
-            neg = pdr_mrm_negative(Mx, budget=100).verdict
+            pos = solve(expected_reward(Mx), "positive", budget=100).verdict
+            neg = solve(expected_reward(Mx), "negative", budget=100).verdict
             ok = ok and pos is not Verdict.FALSE and neg is not Verdict.TRUE
             ok = ok and (pos is not Verdict.TRUE or lam >= value)
             ok = ok and (neg is not Verdict.FALSE or lam < value)
@@ -233,7 +258,7 @@ def test_acceptance_5_one_sided_soundness(kripke_suite, mdp_suite):
     # proves safety.
     with open(model_path("micro_latch.kr")) as fh:
         latch = parse_kripke(fh.read())
-    ok = ok and pdr_fkr_negative(latch, budget=500).verdict \
+    ok = ok and solve(forward(latch), "negative", budget=500).verdict \
         is Verdict.BUDGET_EXHAUSTED
     ok = ok and pdr_fkr(latch, debug=True).verdict is Verdict.TRUE
 
@@ -241,7 +266,7 @@ def test_acceptance_5_one_sided_soundness(kripke_suite, mdp_suite):
     # finds the counterexample.
     with open(model_path("micro_counter.kr")) as fh:
         counter = parse_kripke(fh.read())
-    ok = ok and pdr_fkr_positive(counter, budget=500).verdict \
+    ok = ok and solve(forward(counter), "positive", budget=500).verdict \
         is Verdict.BUDGET_EXHAUSTED
     ok = ok and pdr_fkr(counter, debug=True).verdict is Verdict.FALSE
 

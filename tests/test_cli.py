@@ -170,12 +170,12 @@ class TestRunner:
             assert set(report) == {"verdict", "witness", "stats", "oracle"}
             assert report["stats"] is not None
 
-    def test_fuzz_seed_matches_default(self, capsys):
-        base = main(["kripke-forward", model_path("k1.kr")])
-        fuzz = main(["kripke-forward", model_path("k1.kr"),
-                     "--schedule", "fuzz", "--seed", "7"])
-        capsys.readouterr()
-        assert base == fuzz == 0
+    @pytest.mark.parametrize("name, code", [("k1.kr", 0), ("k1_unsafe.kr", 10)])
+    def test_opdual_witness_is_validated(self, name, code, capsys):
+        # The certificate lives on the opposite lattice and is checked there.
+        assert main(["kripke-forward", model_path(name), "--engine", "opdual",
+                     "--validate-witness"]) == code
+        assert "witness-valid: True" in capsys.readouterr().out
 
     def test_trace_flag(self, capsys):
         main(["kripke-forward", model_path("k1.kr"), "--trace"])
@@ -201,15 +201,44 @@ class TestRunner:
 def test_nan_probability_exit_one(kind, text, tmp_path):
     # NaN compares false both ways, so a sum test written as
     # ``abs(total - 1) > tol`` let it through and the solve crashed.
-    path = tmp_path / f"nan.{kind}"
+    assert "nan" in rejected(kind, text, tmp_path)
+
+
+def rejected(kind, text, tmp_path) -> str:
+    """Run the command line on the model ``text``; it must exit 1 with an
+    ``error:`` message and no traceback, which is returned."""
+    path = tmp_path / f"model.{kind}"
     path.write_text(text)
     src = os.path.dirname(os.path.dirname(os.path.abspath(ltpdr.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-m", "ltpdr.cli", kind, str(path)],
                          capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 1
-    assert out.stderr.startswith("error: ") and "nan" in out.stderr
-    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+    return out.stderr
+
+
+BIG = "9" * 400
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    # int / int overflows a float: OverflowError, not ValueError.
+    ("mrm", f"states 1\ninit 0\nlambda {BIG}/1\nsafe 0\ntrans\n0 -> (1,0):1\n",
+     "bad threshold"),
+    # Parsed as an int, the reward overflowed on the first F call.
+    ("mrm", f"states 2\ninit 0\nlambda 1\nsafe 0\ntrans\n0 -> ({BIG},1):1\n"
+            "1 -> (0,1):1\n", "too large"),
+    # Rejected before parse_mdp allocates its states x actions table.
+    ("mdp", f"states {BIG}\nactions 1\ninit 0\nlambda 0.5\nsafe 0\ntrans\n",
+     "exceeds the limit"),
+    ("mdp", f"states 1\nactions {BIG}\ninit 0\nlambda 0.5\nsafe 0\ntrans\n",
+     "exceeds the limit"),
+    ("kripke-forward", f"states {BIG}\ninit 0\nsafe 0\ntrans\n",
+     "exceeds the limit"),
+], ids=["lambda-overflow", "reward-overflow", "mdp-states", "mdp-actions",
+        "kripke-states"])
+def test_hostile_model_exit_one(kind, text, message, tmp_path):
+    assert message in rejected(kind, text, tmp_path)
 
 
 def test_library_import_loads_no_numpy():

@@ -21,6 +21,7 @@ from ltpdr.engine import (
     dualize,
     initial_config,
     involution_reduce,
+    join_induction_proposer,
     rule_candidate,
     rule_conflict,
     rule_decide,
@@ -31,19 +32,17 @@ from ltpdr.engine import (
     run_combined,
     run_negative,
     run_positive,
+    solve,
 )
 from ltpdr.kripke import (
     SubsetLattice,
     backward_transformer,
+    forward,
     forward_bundle,
-    forward_negative_heuristics,
     forward_transformer,
-    join_induction_proposer,
+    inverse_backward,
+    opdual,
     pdr_fkr,
-    pdr_fkr_positive,
-    pdr_ibkr,
-    pdr_ibkr_positive,
-    pdr_opdual,
 )
 from ltpdr.lattice import (
     KTSequence,
@@ -54,8 +53,8 @@ from ltpdr.lattice import (
     InvolutionViolation,
     check_kleene_witness,
 )
-from ltpdr.mdp import PointwiseLattice, eps_val, pdr_ibmdp, pdr_mdp_positive, plain
-from ltpdr.mrm import pdr_mrm, pdr_mrm_positive
+from ltpdr.mdp import PointwiseLattice, eps_val, max_reach, plain
+from ltpdr.mrm import expected_reward
 from ltpdr.oracles import vi_expected_reward, vi_max_reach
 from ltpdr.simplex import Infeasible
 from util import random_kripke, random_mdp, random_mrm
@@ -116,6 +115,13 @@ class TestRules:
 
     def test_induction_rejects_top(self, F):
         assert rule_induction(cfg([0, 0b001, 0b111]), F, ALPHA, 2, 0b111) is None
+
+    def test_induction_waits_for_pending_obligations(self, F):
+        # The lemma passes its guard, but meeting it into X_2 would leave
+        # the pending obligation {2} above the frame.
+        c = cfg([0, 0b001, 0b111], [0b100], start=2)
+        assert rule_induction(c, F, ALPHA, 2, 0b011) is None
+        assert rule_induction(cfg([0, 0b001, 0b111]), F, ALPHA, 2, 0b011) is not None
 
     def test_candidate_installs_singleton(self, F, H):
         out = rule_candidate(cfg([0, 0b001, 0b111]), F, ALPHA, H)
@@ -207,17 +213,6 @@ class TestCombined:
         ans = pdr_fkr(k1)
         assert sum(ans.stats.rule_counts.values()) == ans.stats.steps
 
-    def test_fuzz_schedule_matches_default(self, k1):
-        K = dataclasses.replace(k1, safe=ALPHA_P)
-        for seed in range(5):
-            assert pdr_fkr(k1, schedule="fuzz", seed=seed).verdict is Verdict.TRUE
-            assert pdr_fkr(K, schedule="fuzz", seed=seed).verdict is Verdict.FALSE
-
-    def test_fuzz_is_deterministic_per_seed(self, k1):
-        a = pdr_fkr(k1, schedule="fuzz", seed=42)
-        b = pdr_fkr(k1, schedule="fuzz", seed=42)
-        assert a.stats.rule_counts == b.stats.rule_counts
-
     def test_heuristic_violation_aborts(self, F):
         bad = HeuristicsBundle(
             choose_candidate=lambda last, alpha, info: 0,  # bottom <= alpha
@@ -229,6 +224,34 @@ class TestCombined:
     def test_canonical_heuristics_are_always_admissible(self, F):
         ans = run_combined(F, ALPHA, canonical_heuristics(F), debug=True)
         assert ans.verdict is Verdict.TRUE
+
+
+class TestSolve:
+    def test_engines_on_one_instance(self, k1):
+        inst = forward(k1)
+        assert solve(inst).verdict is Verdict.TRUE
+        assert solve(inst, "positive").verdict is Verdict.TRUE
+        assert solve(inst, "negative", budget=50).verdict is Verdict.BUDGET_EXHAUSTED
+        assert solve(forward(dataclasses.replace(k1, safe=ALPHA_P)),
+                     "negative").verdict is Verdict.FALSE
+
+    def test_unknown_or_missing_engine_rejected(self, k1):
+        with pytest.raises(ValueError):
+            solve(opdual(k1), "negative")  # the dual instance has none
+        with pytest.raises(ValueError):
+            solve(forward(k1), "fuzz")
+
+    def test_building_an_instance_calls_no_transformer(self, k1, monkeypatch):
+        calls = []
+        call = Transformer.__call__
+        monkeypatch.setattr(Transformer, "__call__",
+                            lambda self, x: calls.append(x) or call(self, x))
+        rng = random.Random(3)
+        for build, model in ((forward, k1), (inverse_backward, k1), (opdual, k1),
+                             (max_reach, random_mdp(rng)),
+                             (expected_reward, random_mrm(rng))):
+            build(model)
+        assert calls == []
 
 
 class TestPositive:
@@ -257,18 +280,18 @@ class TestPositive:
 class TestNegative:
     def test_unsafe_finds_counterexample(self, k1):
         F = forward_transformer(k1)
-        ans = run_negative(F, ALPHA_P, forward_negative_heuristics(k1), debug=True)
+        ans = run_negative(F, ALPHA_P, forward(k1).negative(), debug=True)
         assert ans.verdict is Verdict.FALSE
         assert ans.kleene_witness.elements == (0, 0b001, 0b010)
 
     def test_alpha_top_is_stuck(self, k1):
         F = forward_transformer(k1)
-        ans = run_negative(F, 0b111, forward_negative_heuristics(k1), budget=50)
+        ans = run_negative(F, 0b111, forward(k1).negative(), budget=50)
         assert ans.verdict is Verdict.STUCK
 
     def test_safe_exhausts_budget(self, k1):
         F = forward_transformer(k1)
-        ans = run_negative(F, ALPHA, forward_negative_heuristics(k1), budget=100)
+        ans = run_negative(F, ALPHA, forward(k1).negative(), budget=100)
         assert ans.verdict is Verdict.BUDGET_EXHAUSTED
 
     def test_bad_candidate_rejected(self, k1):
@@ -409,52 +432,49 @@ class TestValidScan:
     frames and trace lines."""
 
     @staticmethod
-    def _fkr_with_induction(K, **kwargs):
-        F = forward_transformer(K)
-        bundle = dataclasses.replace(forward_bundle(K),
-                                     choose_induction=join_induction_proposer(F))
-        return run_combined(F, K.safe, bundle, **kwargs)
+    def _forward_with_induction(K):
+        inst = forward(K)
+        return dataclasses.replace(inst, bundle=dataclasses.replace(
+            inst.bundle, choose_induction=join_induction_proposer(inst.F)))
 
     @classmethod
     def _combined_solves(cls):
         solves = []
-        parsers = {".kr": (parse_kripke, (pdr_fkr, pdr_ibkr, pdr_opdual)),
-                   ".mdp": (parse_mdp, (pdr_ibmdp,)),
-                   ".mrm": (parse_mrm, (pdr_mrm,))}
+        parsers = {".kr": (parse_kripke, (forward, inverse_backward, opdual)),
+                   ".mdp": (parse_mdp, (max_reach,)),
+                   ".mrm": (parse_mrm, (expected_reward,))}
         for name in sorted(os.listdir(MODELS_DIR)):
-            parse, engines = parsers[os.path.splitext(name)[1]]
+            parse, builders = parsers[os.path.splitext(name)[1]]
             with open(os.path.join(MODELS_DIR, name)) as fh:
                 model = parse(fh.read())
-            solves += [(solve, model, {}) for solve in engines]
+            solves += [(build, model, {}) for build in builders]
         rng = random.Random(5)
-        for i in range(60):
+        for _ in range(60):
             K = random_kripke(rng)
-            solves += [(pdr_fkr, K, {}), (pdr_ibkr, K, {}),
-                       (pdr_fkr, K, {"schedule": "fuzz", "seed": i})]
+            solves += [(forward, K, {}), (inverse_backward, K, {})]
         for _ in range(30):
             M = random_mdp(rng)
             value = vi_max_reach(M).value
             for lam in (max(value - 0.1, value / 2), min(value + 0.1, 1.0)):
-                solves.append((pdr_ibmdp, dataclasses.replace(M, threshold=lam),
+                solves.append((max_reach, dataclasses.replace(M, threshold=lam),
                                {"budget": 2000}))
         for _ in range(20):
             M = random_mrm(rng)
             value = vi_expected_reward(M).value
             for lam in (value / 2, value + 0.5):
-                solves.append((pdr_mrm, dataclasses.replace(M, threshold=lam),
+                solves.append((expected_reward, dataclasses.replace(M, threshold=lam),
                                {"budget": 2000}))
         rng = random.Random(7)
-        for i in range(40):
+        for _ in range(40):
             K = random_kripke(rng, max_states=12)
-            solves += [(cls._fkr_with_induction, K, {}),
-                       (cls._fkr_with_induction, K, {"schedule": "fuzz", "seed": i})]
+            solves.append((cls._forward_with_induction, K, {}))
         return solves
 
     @staticmethod
-    def _run(solve, model, kwargs):
+    def _run(build, model, kwargs):
         trace = []
         try:
-            ans = solve(model, trace=trace.append, **kwargs)
+            ans = solve(build(model), trace=trace.append, **kwargs)
         except Infeasible:  # the known MRM failure must repeat as well
             return ("Infeasible", trace)
         return (ans.verdict, ans.stats.rule_counts, ans.stats.steps,
@@ -511,13 +531,13 @@ class TestValidScan:
     def test_positive_matches_full_scan(self, monkeypatch):
         rng = random.Random(6)
         solves = []
+        positive = {"engine": "positive", "budget": 200}
         for _ in range(40):
             K = random_kripke(rng)
-            solves += [(pdr_fkr_positive, K, {"budget": 200}),
-                       (pdr_ibkr_positive, K, {"budget": 200})]
+            solves += [(forward, K, positive), (inverse_backward, K, positive)]
         for _ in range(15):
-            solves += [(pdr_mdp_positive, random_mdp(rng), {"budget": 200}),
-                       (pdr_mrm_positive, random_mrm(rng), {"budget": 200})]
+            solves += [(max_reach, random_mdp(rng), positive),
+                       (expected_reward, random_mrm(rng), positive)]
         rules = self._compare_with_full_scan(monkeypatch, solves)
         for rule in ("unfold", "induction", "noop", "valid"):
             assert sum(r.get(rule, 0) for r in rules) > 0
@@ -533,8 +553,8 @@ class TestValidScan:
             return rule_unfold(cfg, F, alpha)
 
         monkeypatch.setattr(engine, "rule_unfold", checked_unfold)
-        for solve, model, kwargs in solves:
-            solve(model, **kwargs)
+        for build, model, kwargs in solves:
+            solve(build(model), **kwargs)
         assert held and not any(held)
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltpdr.engine import Verdict, canonical_heuristics, run_combined
+from ltpdr.engine import Verdict, canonical_heuristics, run_combined, solve
 from ltpdr.kripke import (
     KripkeStructure,
     SubsetLattice,
@@ -14,9 +14,9 @@ from ltpdr.kripke import (
     backward_transformer,
     forward_transformer,
     inverse_backward_transformer,
+    opdual,
     pdr_fkr,
     pdr_ibkr,
-    pdr_opdual,
 )
 from ltpdr.lattice import Transformer
 from ltpdr.oracles import bfs_safe
@@ -191,9 +191,9 @@ class TestSolverInstances:
                 assert ans.verdict is expected
 
     def test_opdual_agrees(self, k1):
-        assert pdr_opdual(k1).verdict is Verdict.TRUE
+        assert solve(opdual(k1)).verdict is Verdict.TRUE
         K = dataclasses.replace(k1, safe=0b001)
-        assert pdr_opdual(K).verdict is Verdict.FALSE
+        assert solve(opdual(K)).verdict is Verdict.FALSE
 
 
 @settings(max_examples=80, deadline=None)
@@ -204,7 +204,7 @@ def test_all_instances_agree_with_reachability(seed):
     expected = Verdict.TRUE if bfs_safe(K).verdict else Verdict.FALSE
     assert pdr_fkr(K, debug=True).verdict is expected
     assert pdr_ibkr(K, debug=True).verdict is expected
-    assert pdr_opdual(K).verdict is expected
+    assert solve(opdual(K)).verdict is expected
 
 
 class TestModelValidation:

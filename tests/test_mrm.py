@@ -6,18 +6,19 @@ import random
 
 import pytest
 
-from ltpdr.engine import ContractFailure, PDRConfig, Verdict, rule_conflict
+from conftest import model_path
+from ltpdr.cli import parse_mrm
+from ltpdr.engine import ContractFailure, PDRConfig, Verdict, rule_conflict, solve
 from ltpdr.lattice import KleeneSequence, KTSequence
-from ltpdr.mdp import eps_val, plain
+from ltpdr.mdp import eps_val, heuristic_candidate_mdp, plain
 from ltpdr.mrm import (
     MRMModel,
-    heuristic_candidate_mrm,
+    expected_reward,
     mrm_heuristics,
     pdr_mrm,
     reward_bellman,
-    solve_decide_lp_mrm,
 )
-from ltpdr.oracles import vi_expected_reward
+from ltpdr.oracles import NoConvergence, vi_expected_reward
 from util import random_mrm
 
 
@@ -33,6 +34,11 @@ def m2() -> MRMModel:
 
 def frame(*vals):
     return tuple(plain(v) for v in vals)
+
+
+def solve_decide_lp_mrm(X_prev, C, M, F=None):
+    """The Decide choice of the reward bundle (``mdp.decide_lp``)."""
+    return mrm_heuristics(M, F or reward_bellman(M)).choose_decide(X_prev, C, None)
 
 
 class TestRewardBellman:
@@ -72,12 +78,12 @@ class TestRewardBellman:
 class TestHeuristics:
     def test_candidate(self, m2):
         M = dataclasses.replace(m2, threshold=1.3)
-        out = heuristic_candidate_mrm(frame(4.0 / 3.0, 0), M)
+        out = heuristic_candidate_mdp(frame(4.0 / 3.0, 0), M)
         assert out == (eps_val(1.3), plain(0.0))
 
     def test_candidate_precondition(self, m2):
         with pytest.raises(ContractFailure):
-            heuristic_candidate_mrm(frame(1.0, 0), m2)
+            heuristic_candidate_mdp(frame(1.0, 0), m2)
 
     def test_decide_guard_fails_on_zero_frame(self, m2):
         # 1.3+eps <= F(0)(s0) = 1 fails, so Decide must not be invoked here.
@@ -174,6 +180,40 @@ def test_decide_lp_stays_feasible(draw, factor):
     value = vi_expected_reward(M).value
     ans = pdr_mrm(dataclasses.replace(M, threshold=factor * value), debug=True)
     assert ans.verdict is (Verdict.TRUE if factor > 1 else Verdict.FALSE)
+
+
+class TestNegativeEngine:
+    def test_refutes_the_tight_reference_model(self):
+        # 1.3 is below the value 4/3.  Against a frame that is infinite off
+        # the safe set too, every Decide put value on the unsafe state and
+        # the search restarted until the budget ran out.
+        with open(model_path("die_by_coin_tight.mrm")) as fh:
+            M = parse_mrm(fh.read())
+        ans = solve(expected_reward(M), "negative", debug=True)
+        assert ans.verdict is Verdict.FALSE
+        assert ans.stats.steps == 5
+
+    def test_refutes_most_false_random_bounds(self):
+        # 46 of 150 draws of random_mrm(Random(7)) have a finite non-zero
+        # value; at 0.9x the value, solving against the safe-set frame
+        # alone refuted 10 of them, and returning bot once F(bot) covers
+        # the obligation brings that to 27.
+        rng = random.Random(7)
+        false = refuted = 0
+        for _ in range(150):
+            M = random_mrm(rng)
+            try:
+                value = vi_expected_reward(M).value
+            except NoConvergence:
+                continue
+            if not 0 < value < math.inf:
+                continue
+            false += 1
+            M = dataclasses.replace(M, threshold=0.9 * value)
+            ans = solve(expected_reward(M), "negative", budget=200, debug=True)
+            assert ans.verdict is not Verdict.TRUE
+            refuted += ans.verdict is Verdict.FALSE
+        assert false == 46 and refuted >= 27
 
 
 class TestModelValidation:

@@ -7,19 +7,18 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ltpdr.engine import Verdict, run_combined
+from ltpdr.engine import Verdict, run_combined, solve
 from ltpdr.lattice import KTSequence
-from ltpdr.mdp import bellman, mdp_bundle, optimistic_induction, pdr_ibmdp, plain
-from ltpdr.mrm import MRMModel, mrm_heuristics, pdr_mrm, reward_bellman
+from ltpdr.mdp import max_reach, optimistic_induction, plain
+from ltpdr.mrm import MRMModel, expected_reward, mrm_heuristics, reward_bellman
 from ltpdr.oracles import NoConvergence, vi_expected_reward, vi_max_reach
 from util import random_mdp, random_mrm
 
-# kind -> (draw, oracle, transformer, bundle, solver, true threshold,
-# false threshold)
+# kind -> (draw, oracle, Instance builder, true threshold, false threshold)
 KINDS = {
-    "mrm": (random_mrm, vi_expected_reward, reward_bellman, mrm_heuristics,
-            pdr_mrm, lambda v: 1.1 * v, lambda v: 0.9 * v),
-    "mdp": (random_mdp, vi_max_reach, bellman, mdp_bundle, pdr_ibmdp,
+    "mrm": (random_mrm, vi_expected_reward, expected_reward,
+            lambda v: 1.1 * v, lambda v: 0.9 * v),
+    "mdp": (random_mdp, vi_max_reach, max_reach,
             lambda v: min(v + 0.1, 1.0), lambda v: v - 0.1 if v >= 0.2 else v / 2),
 }
 
@@ -42,36 +41,33 @@ def valued_draws(kind, count, seed=2026):
 def solve_recorded(kind, M, **kwargs):
     """Solve ``M`` with the instance's bundle, its Induction proposer
     wrapped to record every ``(frames, proposal)`` pair."""
-    transformer, bundle = KINDS[kind][2:4]
-    F = transformer(M)
-    b = bundle(M, F)
+    inst = KINDS[kind][2](M)
     calls = []
 
     def record(frames):
-        out = b.choose_induction(frames)
+        out = inst.bundle.choose_induction(frames)
         calls.append((frames, out))
         return out
 
-    ans = run_combined(F, M.bound(), dataclasses.replace(b, choose_induction=record),
-                       **kwargs)
-    return F, ans, calls
+    bundle = dataclasses.replace(inst.bundle, choose_induction=record)
+    ans = solve(dataclasses.replace(inst, bundle=bundle), **kwargs)
+    return inst.F, ans, calls
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
-@pytest.mark.parametrize("schedule", ["default", "fuzz"])
-def test_true_bounds_proved_within_100_steps(kind, schedule):
+def test_true_bounds_proved_within_100_steps(kind):
     # Without the proposer a proof waits for two float Kleene iterates to
     # coincide: hundreds of steps on slowly mixing models, or never.
-    solve, upper = KINDS[kind][4:6]
+    build, upper = KINDS[kind][2:4]
     for i, M, value in valued_draws(kind, 200):
-        ans = solve(dataclasses.replace(M, threshold=upper(value)), budget=100,
-                    schedule=schedule, seed=i, debug=True)
+        ans = solve(build(dataclasses.replace(M, threshold=upper(value))),
+                    budget=100, debug=True)
         assert ans.verdict is Verdict.TRUE, (i, ans.stats)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_false_bounds_never_get_a_proposal(kind):
-    lower = KINDS[kind][6]
+    lower = KINDS[kind][4]
     for i, M, value in valued_draws(kind, 200):
         _, ans, calls = solve_recorded(kind, dataclasses.replace(M, threshold=lower(value)),
                                        budget=1000)
@@ -82,8 +78,8 @@ def test_false_bounds_never_get_a_proposal(kind):
 
 @settings(max_examples=80, deadline=None)
 @given(kind=st.sampled_from(sorted(KINDS)), seed=st.integers(0, 2**32 - 1),
-       factor=st.floats(0.5, 2.0), schedule=st.sampled_from(["default", "fuzz"]))
-def test_proposals_are_prefixed_points_below_alpha(kind, seed, factor, schedule):
+       factor=st.floats(0.5, 2.0))
+def test_proposals_are_prefixed_points_below_alpha(kind, seed, factor):
     draw, oracle = KINDS[kind][:2]
     M = draw(random.Random(seed))
     try:
@@ -93,7 +89,7 @@ def test_proposals_are_prefixed_points_below_alpha(kind, seed, factor, schedule)
     assume(1e-6 < value < math.inf)
     lam = value * factor if kind == "mrm" else min(value * factor, 1.0)
     M = dataclasses.replace(M, threshold=lam)
-    F, _, calls = solve_recorded(kind, M, budget=300, schedule=schedule, seed=seed)
+    F, _, calls = solve_recorded(kind, M, budget=300)
     lat, alpha = F.lattice, M.bound()
     for frames, out in calls:
         if out is not None:
