@@ -459,6 +459,16 @@ def run_cli(req: argparse.Namespace) -> int:
     return 2
 
 
+def _positive_int(tok: str) -> int:
+    """The type of ``--budget``: an integer of at least 1."""
+    try:
+        if int(tok) >= 1:
+            return int(tok)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {tok!r}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="ltpdr",
@@ -469,7 +479,7 @@ def main(argv=None) -> int:
     ap.add_argument("model", help="path to a .kr/.mdp/.mrm model file")
     ap.add_argument("--engine", choices=["combined", "positive", "negative",
                                          "opdual"], default="combined")
-    ap.add_argument("--budget", type=int, default=100000)
+    ap.add_argument("--budget", type=_positive_int, default=100000)
     ap.add_argument("--trace", action="store_true")
     ap.add_argument("--validate-witness", action="store_true")
     ap.add_argument("--oracle", action="store_true")

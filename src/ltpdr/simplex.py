@@ -1,20 +1,41 @@
-"""Dense two-phase tableau simplex for small box-constrained programs.
+"""Bounded-variable dual simplex for small box-constrained programs.
 
-Solves ``minimize c . x  subject to  A x >= b,  lo <= x <= hi`` exactly in
-the shape needed by the probabilistic Decide heuristics: a handful of
-variables, nonnegative costs, box bounds.  Bland's rule guarantees
-termination; all comparisons use an absolute tolerance of 1e-9.
+Solves ``minimize c . x  subject to  A x >= b,  lo <= x <= hi`` in the shape
+of the probabilistic Decide programs: a handful of variables, one to five
+rows, nonnegative costs, box bounds.  All comparisons use an absolute
+tolerance of 1e-9.
+
+Over ``x' = x - lo`` with ``u = hi - lo``, row ``i`` reads
+``-A_i x' + s_i = -(b_i - A_i lo)`` with a surplus ``s_i >= 0``: the tableau
+has one row per constraint and ``n + m`` columns, and the surpluses are the
+first basis.  The box bounds stay implicit (the upper-bounding technique;
+Chvatal, *Linear Programming*, 1983, ch. 8): a nonbasic variable sits at its
+lower bound 0 or at its upper bound ``u_j``.
+
+The dual simplex keeps every reduced cost of the sign its bound wants and
+moves towards primal feasibility, so it needs no phase 1: with every cost
+``>= 0``, as in both Decide programs, ``x' = 0`` is dual feasible from the
+start, and a negative cost on a column with a finite bound starts that
+column at the bound.  Each iteration takes the basic variable out of its
+bounds with the smallest index to leave at the bound it breaks, and the
+dual ratio test picks the entering column, the smallest index among ties.
+Bland's smallest-index choices make the method terminate.  An empty ratio
+test proves the program infeasible; the first primal feasible basis is
+optimal.  A negative cost on a column with no finite upper bound has no
+dual feasible start: the column is priced at 0, and ``Unbounded`` is raised
+once the program is known to be feasible (exact when the column has no
+negative coefficient, so that it is a ray of the feasible set).
 
 The tableau is a list of Python float lists: the Decide programs have about
-three variables and one or two rows, so an array library's per-call overhead
-would cost more than the arithmetic.  Each tableau update is the single IEEE
-operation an array library performs, so with zero lower bounds, as in both
-Decide programs, the results match a numpy tableau to the last bit.
+three variables and two rows, so an array library's per-call overhead would
+cost more than the arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
+from operator import mul
 
 TOL = 1e-9
 
@@ -28,44 +49,8 @@ class Infeasible(SimplexError):
 
 
 class Unbounded(SimplexError):
-    """The objective decreases without bound (impossible with finite boxes)."""
-
-
-def _pivot(T: list, basis: list[int], row: int, col: int) -> None:
-    p = T[row][col]
-    prow = T[row] = [v / p for v in T[row]]
-    for r, other in enumerate(T):
-        f = other[col]
-        if r != row and abs(f) > 0.0:
-            T[r] = [v - f * w for v, w in zip(other, prow)]
-    basis[row] = col
-
-
-def _run(T: list, basis: list[int], ncols: int) -> None:
-    """Minimize the objective in the last row over columns [0, ncols)."""
-    while True:
-        obj = T[-1]
-        entering = -1
-        for j in range(ncols):
-            if obj[j] < -TOL:
-                entering = j  # Bland: smallest eligible index
-                break
-        if entering < 0:
-            return
-        best_ratio = None
-        leaving = -1
-        for i in range(len(T) - 1):
-            a = T[i][entering]
-            if a > TOL:
-                ratio = T[i][-1] / a
-                if (best_ratio is None or ratio < best_ratio - TOL
-                        or (abs(ratio - best_ratio) <= TOL
-                            and basis[i] < basis[leaving])):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
-            raise Unbounded("no blocking constraint for the entering column")
-        _pivot(T, basis, leaving, entering)
+    """A negative cost on a variable with no finite upper bound, in a
+    feasible program (impossible with finite boxes)."""
 
 
 def simplex_min(costs, constraints, bounds):
@@ -84,84 +69,72 @@ def simplex_min(costs, constraints, bounds):
     b = [float(rhs) for _, rhs in constraints]
     lo = [float(lo_j) for lo_j, _ in bounds]
     hi = [float(hi_j) for _, hi_j in bounds]
-    if any(math.isnan(v) for v in (*costs, *b, *lo, *hi, *(a for r in A for a in r))):
+    if any(map(math.isnan, (*costs, *b, *lo, *hi, *chain.from_iterable(A)))):
         raise ValueError("NaN in the program")
     if any(h - l < -TOL for l, h in zip(lo, hi)):
         raise Infeasible("empty box")
     if math.inf in b:
         raise Infeasible("a row demands coeffs . x >= inf")
-    u = [max(h - l, 0.0) for l, h in zip(lo, hi)]
-    boxed = [j for j in range(n) if math.isfinite(u[j])]
 
-    # Equality system over x' = x - lo >= 0 with surplus s and slack t
-    # (one slack per finite upper bound):
-    #   A x' - s = b - A lo         (m rows)
-    #   x'_j + t_j = u_j            (one row per boxed j)
-    m = len(constraints)
-    nb = len(boxed)
-    M = m + nb
-    ncore = n + m + nb
-    rows, rhs_col = [], []
-    for i in range(m):
-        rows.append(A[i] + [0.0] * (m + nb))
-        rows[i][n + i] = -1.0
-        rhs_col.append(b[i] - sum(a * l for a, l in zip(A[i], lo)))
-    for k, j in enumerate(boxed):
-        rows.append([0.0] * ncore)
-        rows[m + k][j] = rows[m + k][n + m + k] = 1.0
-        rhs_col.append(u[j])
+    m = len(A)
+    u = [max(h - l, 0.0) for l, h in zip(lo, hi)] + [math.inf] * m
+    # Negative costs: see the module docstring.
+    upper = [c < -TOL and u_j < math.inf for c, u_j in zip(costs, u)] + [False] * m
+    rays = [j for j, c in enumerate(costs) if c < -TOL and not upper[j]]
+    d = costs + [0.0] * m  # the reduced costs
+    for j in rays:
+        d[j] = 0.0
+    x0 = [l + u_j if up else l for l, u_j, up in zip(lo, u, upper)]
+    beta = [sum(map(mul, row, x0)) - b_i for row, b_i in zip(A, b)]  # basic values
+    T = []
+    for i, row in enumerate(A):
+        T.append([-a for a in row] + [0.0] * m)
+        T[i][n + i] = 1.0
+    basis = list(range(n, n + m))
+    basic = [False] * n + [True] * m
 
-    # A constraint row with a negative rhs is negated and starts with its
-    # surplus basic; the others get one artificial column each, in row
-    # order.  Box rows start with their slack basic (u_j is never negative).
-    basis: list[int] = []
-    art_rows: list[int] = []
-    for i in range(m):
-        if rhs_col[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs_col[i] = -rhs_col[i]
-            basis.append(n + i)
-        else:
-            basis.append(ncore + len(art_rows))
-            art_rows.append(i)
-    basis += range(n + m, ncore)
-    total = ncore + len(art_rows)
-    art_cols = range(ncore, total)
-    T = [row + [0.0] * len(art_rows) + [r] for row, r in zip(rows, rhs_col)]
-    for i in art_rows:
-        T[i][basis[i]] = 1.0
-    T.append([0.0] * (total + 1))
+    while True:
+        r, p = -1, n + m
+        for i, q in enumerate(basis):
+            if q < p and (beta[i] < -TOL or beta[i] > u[q] + TOL):
+                r, p = i, q
+        if r < 0:
+            break
+        below = beta[r] < -TOL
+        row = T[r]
+        q, best = -1, math.inf
+        for j, a in enumerate(row):
+            if basic[j] or u[j] == 0.0:
+                continue
+            # How far moving x_j off its bound pushes x_p towards its bound.
+            push = -a if below != upper[j] else a
+            if push > TOL:
+                ratio = abs(d[j]) / push
+                if ratio < best - TOL:
+                    q, best = j, ratio
+        if q < 0:
+            raise Infeasible("an out-of-bounds row has an empty ratio test")
 
-    if art_cols:
-        # Phase 1: minimize the sum of artificials.
-        for col in art_cols:
-            T[-1][col] = 1.0
-        for i in art_rows:
-            T[-1] = [v - w for v, w in zip(T[-1], T[i])]
-        _run(T, basis, total)
-        if T[-1][-1] < -TOL:
-            raise Infeasible("phase-1 optimum is positive")
-        for i in range(M):
-            if basis[i] in art_cols:
-                for j in range(ncore):
-                    if abs(T[i][j]) > TOL:
-                        _pivot(T, basis, i, j)
-                        break
-        for row in T:
-            for col in art_cols:
-                row[col] = 0.0
+        a_q = row[q]
+        theta = (beta[r] - (0.0 if below else u[p])) / a_q
+        for i, other in enumerate(T):
+            beta[i] -= other[q] * theta
+        beta[r] = (u[q] if upper[q] else 0.0) + theta
+        upper[p], upper[q] = not below, False
+        basic[p], basic[q] = False, True
+        basis[r] = q
+        prow = T[r] = [v / a_q for v in row]
+        for i, other in enumerate(T):
+            f = other[q]
+            if i != r and f != 0.0:
+                T[i] = [v - f * w for v, w in zip(other, prow)]
+        f = d[q]
+        d = [v - f * w for v, w in zip(d, prow)]
 
-    # Phase 2: the real objective over x' (s and t cost nothing).
-    obj = costs + [0.0] * (total + 1 - n)
-    for i in range(M):
-        if basis[i] < n:
-            f = obj[basis[i]]
-            obj = [v - f * w for v, w in zip(obj, T[i])]
-    T[-1] = obj
-    _run(T, basis, ncore)
-
-    x = list(lo)
-    for i in range(M):
-        if basis[i] < n:
-            x[basis[i]] = lo[basis[i]] + T[i][-1]
+    if rays:
+        raise Unbounded("a negative cost on a column with no upper bound")
+    x = [l + u_j if up else l for l, u_j, up in zip(lo, u, upper)]
+    for i, q in enumerate(basis):
+        if q < n:
+            x[q] = lo[q] + beta[i]
     return x

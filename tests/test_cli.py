@@ -144,6 +144,16 @@ class TestRunner:
                      "--engine", "negative", "--budget", "50"])
         assert code == 2
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_is_a_usage_error(self, budget, capsys):
+        # The engine raised ValueError on such a budget, after parsing the
+        # model, and the command line ended in a traceback.
+        with pytest.raises(SystemExit) as exc:
+            main(["kripke-forward", model_path("k1.kr"), "--budget", budget])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --budget: expected a positive integer" in err
+
     def test_parse_error_exit_one(self, tmp_path):
         bad = tmp_path / "bad.kr"
         bad.write_text("states 2\ninit 9\nsafe 0\ntrans\n")

@@ -1,9 +1,12 @@
-"""The dense two-phase simplex against a vertex-enumeration reference."""
+"""The bounded-variable dual simplex against an exact vertex-enumeration
+reference: fixed programs, seeded Decide-shaped ones, generated box programs
+with degenerate corners, and non-finite input."""
 
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltpdr.simplex import Infeasible, Unbounded, simplex_min
 from util import lp_vertex_min
@@ -82,6 +85,58 @@ class TestAgainstVertexOracle:
             assert objective(costs, xs) == pytest.approx(expected, abs=1e-6)
             agreements += 1
         assert agreements > 30
+
+
+@st.composite
+def box_programs(draw):
+    """Programs of up to four variables and four rows with the corners a
+    bounded simplex must get right: zero-width boxes, nonzero lower bounds,
+    ``inf`` upper bounds (with nonnegative costs), tied costs, all-zero and
+    duplicate rows, and right-hand sides exactly at the box limit."""
+    n = draw(st.integers(1, 4))
+    costs, bounds = [], []
+    for _ in range(n):
+        lo = draw(st.sampled_from([0.0, 0.1, 0.25]))
+        hi = lo + draw(st.sampled_from([0.0, 0.5, 1.0, math.inf]))
+        bounds.append((lo, hi))
+        costs.append(draw(st.sampled_from(
+            [0.0, 1.0, 1.5] + ([-1.0] if hi < math.inf else []))))
+    coeff = st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.5])
+    constraints = []
+    for _ in range(draw(st.integers(0, 4))):
+        shape = draw(st.sampled_from(["free", "limit", "zero", "duplicate"]))
+        if shape == "duplicate" and constraints:
+            constraints.append(constraints[-1])
+            continue
+        coeffs = ([0.0] * n if shape == "zero"
+                  else draw(st.lists(coeff, min_size=n, max_size=n)))
+        # The largest value the row takes on the box.
+        limit = sum(a * (hi if a > 0 else lo)
+                    for a, (lo, hi) in zip(coeffs, bounds))
+        if shape == "limit" and limit < math.inf:
+            rhs = limit
+        else:
+            rhs = draw(st.sampled_from([-0.5, 0.0, 0.3, 0.6, 1.2, 2.0]))
+        constraints.append((coeffs, rhs))
+    return costs, constraints, bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_programs())
+def test_box_programs_against_vertex_oracle(program):
+    costs, constraints, bounds = program
+    expected = lp_vertex_min(costs, constraints, bounds)
+    try:
+        xs = simplex_min(costs, constraints, bounds)
+    except Infeasible:
+        assert expected is None
+        return
+    assert expected is not None
+    for coeffs, rhs in constraints:
+        assert objective(coeffs, xs) >= rhs - 1e-9
+    for x, (lo, hi) in zip(xs, bounds):
+        assert lo - 1e-9 <= x <= hi + 1e-9
+    assert objective(costs, xs) == pytest.approx(expected, abs=1e-6)
 
 
 @pytest.mark.filterwarnings("error")

@@ -6,8 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-
-import numpy as np
+from fractions import Fraction
 
 from ltpdr.kripke import KripkeStructure
 from ltpdr.mdp import MDPModel
@@ -63,39 +62,64 @@ def random_mrm(rng: random.Random, max_states: int = 5) -> MRMModel:
     return MRMModel(n, tuple(delta), rng.randrange(n), 1.0, safe)
 
 
+def _solve_exact(rows, rhs):
+    """The solution of the square system ``rows x = rhs`` by Gaussian
+    elimination over fractions, or None when it is singular."""
+    n = len(rows)
+    aug = [row + [r] for row, r in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if aug[i][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        p = aug[col]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                f = aug[i][col] / p[col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], p)]
+    return [aug[i][n] / aug[i][i] for i in range(n)]
+
+
 def lp_vertex_min(costs, constraints, bounds, tol: float = 1e-9):
-    """Brute-force LP reference: enumerate candidate vertices as
-    intersections of n active facets (constraints or box faces), keep the
-    feasible ones, return the best objective value, or None if infeasible."""
+    """Brute-force LP reference: enumerate the candidate vertices, keep the
+    feasible ones, return the best objective value, or None if infeasible.
+
+    A vertex meets ``k`` of the rows with equality, and each of the other
+    ``n - k`` variables sits at a face of its box.  Every float is read as
+    the exact fraction it stores and each vertex is solved exactly, so only
+    the feasibility test carries the tolerance."""
     n = len(costs)
-    planes = []
-    for coeffs, rhs in constraints:
-        planes.append((list(coeffs), rhs))
-    for j, (lo, hi) in enumerate(bounds):
-        row = [0.0] * n
-        row[j] = 1.0
-        planes.append((row, lo))
-        if math.isfinite(hi):
-            planes.append((row, hi))
+    costs = [Fraction(c) for c in costs]
+    rows = [([Fraction(a) for a in coeffs], Fraction(rhs))
+            for coeffs, rhs in constraints]
+    boxes = [(Fraction(lo), Fraction(hi) if math.isfinite(hi) else None)
+             for lo, hi in bounds]
+    faces = [[lo] if hi is None or hi == lo else [lo, hi] for lo, hi in boxes]
+    tol = Fraction(tol)
 
     def feasible(x):
-        for coeffs, rhs in constraints:
-            if sum(c * v for c, v in zip(coeffs, x)) < rhs - tol:
-                return False
-        for v, (lo, hi) in zip(x, bounds):
-            if v < lo - tol or v > hi + tol:
-                return False
-        return True
+        return (all(sum(c * v for c, v in zip(coeffs, x)) >= rhs - tol
+                    for coeffs, rhs in rows)
+                and all(lo - tol <= v and (hi is None or v <= hi + tol)
+                        for v, (lo, hi) in zip(x, boxes)))
 
     best = None
-    for combo in itertools.combinations(range(len(planes)), n):
-        A = np.array([planes[i][0] for i in combo], dtype=float)
-        b = np.array([planes[i][1] for i in combo], dtype=float)
-        if abs(np.linalg.det(A)) < 1e-12:
-            continue
-        x = np.linalg.solve(A, b)
-        if feasible(x):
-            value = float(np.dot(costs, x))
-            if best is None or value < best:
-                best = value
-    return best
+    for k in range(min(n, len(rows)) + 1):
+        for active, free in itertools.product(
+                itertools.combinations(rows, k), itertools.combinations(range(n), k)):
+            fixed = [j for j in range(n) if j not in free]
+            for values in itertools.product(*(faces[j] for j in fixed)):
+                point = dict(zip(fixed, values))
+                sol = _solve_exact(
+                    [[coeffs[j] for j in free] for coeffs, _ in active],
+                    [rhs - sum(coeffs[j] * v for j, v in point.items())
+                     for coeffs, rhs in active])
+                if sol is None:
+                    continue
+                point.update(zip(free, sol))
+                x = [point[j] for j in range(n)]
+                if feasible(x):
+                    value = sum(c * v for c, v in zip(costs, x))
+                    if best is None or value < best:
+                        best = value
+    return None if best is None else float(best)
