@@ -91,8 +91,9 @@ class TestAgainstVertexOracle:
 def box_programs(draw):
     """Programs of up to four variables and four rows with the corners a
     bounded simplex must get right: zero-width boxes, nonzero lower bounds,
-    ``inf`` upper bounds (with nonnegative costs), tied costs, all-zero and
-    duplicate rows, and right-hand sides exactly at the box limit."""
+    ``inf`` upper bounds (with nonnegative costs), tied costs, negative costs
+    on finite boxes, all-zero and duplicate rows, and right-hand sides
+    exactly at the box limit."""
     n = draw(st.integers(1, 4))
     costs, bounds = [], []
     for _ in range(n):
