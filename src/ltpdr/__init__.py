@@ -13,7 +13,6 @@ from .engine import (
     HeuristicViolation,
     HeuristicsBundle,
     Instance,
-    NegativeHeuristics,
     PDRAnswer,
     PDRConfig,
     RunStats,

@@ -46,7 +46,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Optional
 
@@ -64,15 +63,6 @@ class ParseError(Exception):
         super().__init__(f"line {line}: {message}")
         self.line = line
         self.message = message
-
-
-class DistributionError(Exception):
-    def __init__(self, state: int, action: Optional[int], total: float):
-        where = f"state {state}" + ("" if action is None else f" action {action}")
-        super().__init__(f"distribution at {where} sums to {total}")
-        self.state = state
-        self.action = action
-        self.total = total
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +210,6 @@ def parse_mdp(text: str) -> mdp_mod.MDPModel:
                 raise ParseError(no, f"bad transition entry {tok!r}")
             t_tok, p_tok = tok.rsplit(":", 1)
             dist.append((_state(t_tok, n, no), _number(p_tok, no, "probability")))
-        total = sum(p for _, p in dist)
-        if not abs(total - 1.0) <= 1e-9:  # NaN fails too
-            raise DistributionError(s, a, total)
         table[s][a] = tuple(dist)
 
     return mdp_mod.MDPModel(n, m, tuple(tuple(row) for row in table),
@@ -264,9 +251,6 @@ def parse_mrm(text: str) -> mrm_mod.MRMModel:
                 raise ParseError(no, f"reward {c_tok} is too large")
             dist.append(((c, _state(t_tok, n, no)),
                          _number(p_tok, no, "probability")))
-        total = sum(p for _, p in dist)
-        if not abs(total - 1.0) <= 1e-9:  # NaN fails too
-            raise DistributionError(s, None, total)
         table[s] = tuple(dist)
     for s in range(n):
         if table[s] is None:
@@ -395,7 +379,7 @@ def run_cli(req: argparse.Namespace) -> int:
     parse, _build, run_oracle = KINDS[req.kind]
     try:
         model = parse(text)
-    except (ParseError, DistributionError, ValueError) as exc:
+    except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -404,10 +388,8 @@ def run_cli(req: argparse.Namespace) -> int:
               "(kripke-forward or kripke-ibackward)", file=sys.stderr)
         return 1
 
-    trace_on = req.trace or os.environ.get("LTPDR_TRACE") == "1"
-    sink = (lambda line: print(line)) if trace_on else None
     inst, engine = instance(req.kind, req.engine, model)
-    answer = solve(inst, engine, budget=req.budget, trace=sink)
+    answer = solve(inst, engine, budget=req.budget, trace=print if req.trace else None)
 
     validation = None
     if req.validate_witness:

@@ -8,13 +8,15 @@ Three engines share the rule vocabulary:
 * ``run_positive`` -- frames only (Valid, Unfold, Induction); can answer True
   or exhaust its budget, never False;
 * ``run_negative`` -- obligations only (Candidate, Model, Decide); can answer
-  False, get Stuck, or exhaust its budget, never True.
+  False, get Stuck, or exhaust its budget, never True.  It makes the
+  combined engine's Candidate and Decide choices, with Decide bounded by a
+  fixed prefixed point of ``F`` instead of a frame.
 
-An ``Instance`` bundles one question ``mu F <= alpha`` with the choices the
-engines need for it, and ``solve(instance, engine)`` runs one of the three
-engines on it.  Each instance module builds its ``Instance`` values
-(``kripke.forward``, ``kripke.inverse_backward``, ``kripke.opdual``,
-``mdp.max_reach``, ``mrm.expected_reward``).
+An ``Instance`` bundles one question ``mu F <= alpha`` with the one set of
+choices both engines use and that prefixed point, and ``solve(instance,
+engine)`` runs one of the three engines on it.  Each instance module builds
+its ``Instance`` values (``kripke.forward``, ``kripke.inverse_backward``,
+``kripke.opdual``, ``mdp.max_reach``, ``mrm.expected_reward``).
 
 All rules are pure config-to-config steps; the runners add scheduling,
 budgeting, statistics, optional per-step invariant checking (``debug=True``)
@@ -120,18 +122,6 @@ class HeuristicsBundle:
     choose_decide: Callable[[Any, Any, Any], Optional[Any]]
     choose_conflict: Callable[[Any, Any, Any], Optional[Any]] = canonical_conflict
     choose_induction: Optional[Callable[[KTSequence], Optional[tuple[int, Any]]]] = None
-
-
-@dataclass(frozen=True)
-class NegativeHeuristics:
-    """Choice functions for the one-sided negative engine.
-
-    Candidate here is unconstrained by frames: any ``x`` not below alpha.
-    Decide must produce ``x`` with ``C_head <= F(x)``.
-    """
-
-    choose_candidate: Callable[[Any], Optional[Any]]
-    choose_decide: Callable[[Any], Optional[Any]]
 
 
 def _empty_obligations(n: int) -> KleeneSequence:
@@ -537,24 +527,33 @@ def run_positive(F: Transformer, alpha,
     return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, len(cfg.frames))
 
 
-def run_negative(F: Transformer, alpha, heuristics: NegativeHeuristics, *,
+def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, frame, *,
                  budget: int = 100000, debug: bool = False,
                  trace: Optional[Callable[[str], None]] = None) -> PDRAnswer:
     """One-sided engine: Candidate, Model and Decide only; never answers True.
 
-    A failed Decide falls back to a fresh Candidate (resetting the chain);
-    Stuck is reported only when no candidate exists at all (alpha = top).
+    The rules are those of ``run_combined`` with the frames replaced by two
+    fixed elements.  Candidate is ``choose_candidate(top, alpha, info)``, as
+    if the last frame were ``top``; Stuck is reported when ``top <= alpha``.
+    Decide on a head ``C`` is ``bot`` when ``C <= F(bot)``, and otherwise
+    ``choose_decide(frame, C, F(frame))`` when ``C <= F(frame)``.  ``frame``
+    must be a prefixed point, ``F(frame) <= frame``: it then lies above
+    ``mu F`` (Knaster-Tarski) and so above every element of a chain from
+    ``bot``, and bounding Decide by it loses no counterexample.  A Decide without a choice falls
+    back to a fresh Candidate, which restarts the chain.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     lat = F.lattice
+    bot_image, frame_image = F(lat.bot), F(frame)
+    below, info = lat.leq_info(lat.top, alpha)
     elements: tuple = ()
     stats = RunStats()
     started = time.perf_counter()
 
     def restart(step: int) -> bool:
         nonlocal elements
-        x = heuristics.choose_candidate(alpha)
+        x = None if below else heuristics.choose_candidate(lat.top, alpha, info)
         if x is None:
             return False
         if lat.leq(x, alpha):
@@ -564,6 +563,13 @@ def run_negative(F: Transformer, alpha, heuristics: NegativeHeuristics, *,
         if trace is not None:
             trace(f"step={step} rule=candidate frames=0 obligations=1")
         return True
+
+    def decide(head):
+        if lat.leq(head, bot_image):
+            return lat.bot
+        if lat.leq(head, frame_image):
+            return heuristics.choose_decide(frame, head, frame_image)
+        return None
 
     for step in range(1, budget + 1):
         stats.steps = step
@@ -578,7 +584,7 @@ def run_negative(F: Transformer, alpha, heuristics: NegativeHeuristics, *,
             if not restart(step):
                 return _stop(PDRAnswer(Verdict.STUCK), stats, started, 0)
             continue
-        x = heuristics.choose_decide(elements[0])
+        x = decide(elements[0])
         if x is not None:
             if not lat.leq(elements[0], F(x)):
                 raise HeuristicViolation("negative decide must satisfy C_0 <= F(x)")
@@ -631,16 +637,18 @@ def join_induction_proposer(F: Transformer):
 class Instance:
     """One question ``mu F <= alpha`` with the choices the engines need.
 
-    ``bundle`` serves the combined engine; ``negative``, when the instance
-    has one, builds the choices of the negative engine on first use, so
-    that building an instance costs no ``F`` call.  The positive engine
-    needs only ``F``: it proposes ``join_induction_proposer(F)``.
+    ``bundle`` holds the instance's one set of choices; the combined and
+    the negative engine both use its Candidate and Decide.  ``frame``, when
+    the instance has a negative engine, is the prefixed point
+    (``F(frame) <= frame``) that bounds the negative engine's Decide in
+    place of ``X_{i-1}``; it is built without an ``F`` call.  The positive
+    engine needs only ``F``: it proposes ``join_induction_proposer(F)``.
     """
 
     F: Transformer
     alpha: Any
     bundle: HeuristicsBundle
-    negative: Optional[Callable[[], NegativeHeuristics]] = None
+    frame: Any = None
 
 
 def solve(inst: Instance, engine: str = "combined", *, budget: int = 100000,
@@ -652,8 +660,8 @@ def solve(inst: Instance, engine: str = "combined", *, budget: int = 100000,
         return run_combined(inst.F, inst.alpha, inst.bundle, **kw)
     if engine == "positive":
         return run_positive(inst.F, inst.alpha, join_induction_proposer(inst.F), **kw)
-    if engine == "negative" and inst.negative is not None:
-        return run_negative(inst.F, inst.alpha, inst.negative(), **kw)
+    if engine == "negative" and inst.frame is not None:
+        return run_negative(inst.F, inst.alpha, inst.bundle, inst.frame, **kw)
     raise ValueError(f"no {engine!r} engine for this instance")
 
 

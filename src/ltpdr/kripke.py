@@ -34,7 +34,6 @@ from typing import Callable
 from .engine import (
     HeuristicsBundle,
     Instance,
-    NegativeHeuristics,
     PDRAnswer,
     Transformer,
     canonical_heuristics,
@@ -170,7 +169,7 @@ def _path_decide(base_mask: int, contributor_masks: tuple):
     ``contributor_masks[s]`` is the set of states whose presence in A puts
     ``s`` into image(A): one contributor in ``x_prev`` for each state of
     ``head`` outside ``base``, so a counterexample is a path; None when a
-    state has none (never under the combined engine's Decide guard)."""
+    state has none (never under the engines' Decide guard)."""
 
     def decide(x_prev, head, fx=None):
         x = 0
@@ -205,33 +204,18 @@ def inverse_backward_bundle(K: KripkeStructure) -> HeuristicsBundle:
     return _set_heuristics(K.full_mask & ~K.safe, K.succ)
 
 
-def _set_negative_heuristics(lat: SubsetLattice, base_mask: int,
-                             contributor_masks: tuple) -> NegativeHeuristics:
-    decide = _path_decide(base_mask, contributor_masks)
-
-    def candidate(alpha):
-        bad = lat.top & ~alpha
-        if bad == 0:
-            return None
-        return _lowest_bit(bad)
-
-    return NegativeHeuristics(candidate, lambda head: decide(lat.top, head))
-
-
 def forward(K: KripkeStructure) -> Instance:
     """Are the reachable states, ``mu (initial | post)``, all safe?"""
     F = forward_transformer(K)
-    return Instance(F, K.safe, forward_bundle(K),
-                    lambda: _set_negative_heuristics(F.lattice, K.initial, K.pred))
+    return Instance(F, K.safe, forward_bundle(K), F.lattice.top)
 
 
 def inverse_backward(K: KripkeStructure) -> Instance:
     """Is no initial state among those that can reach an unsafe state,
     ``mu (unsafe | pre)``?"""
     F = inverse_backward_transformer(K)
-    unsafe = F.lattice.top & ~K.safe
     return Instance(F, F.lattice.top & ~K.initial, inverse_backward_bundle(K),
-                    lambda: _set_negative_heuristics(F.lattice, unsafe, K.succ))
+                    F.lattice.top)
 
 
 def opdual(K: KripkeStructure) -> Instance:

@@ -15,7 +15,8 @@ certify strict inequalities without materialising a concrete epsilon.
 ``pointwise_bundle``, are shared with the reward instance: Candidate is the
 threshold at the initial state, and Decide is a cheapest supporting
 valuation from the linear program ``decide_lp``, which each instance feeds
-with its own support rows and costs.
+with its own support rows and costs.  The negative engine makes the same
+choices with ``top`` as its frame.
 Conflict is the engine's canonical choice ``x := F(X_{i-1})``, which caps
 every state at its transformer value.  Capping only the states the current
 obligation violates gives lemmas each barely stronger than the last, and
@@ -39,13 +40,12 @@ from .engine import (
     ContractFailure,
     HeuristicsBundle,
     Instance,
-    NegativeHeuristics,
     PDRAnswer,
     Transformer,
     run_combined,
 )
 from .lattice import KTSequence, Lattice
-from .simplex import simplex_min
+from .simplex import Infeasible, simplex_min
 
 _CAP = 1e9  # replaces infinite frame entries as an LP bound
 _SNAP = 1e-9
@@ -281,19 +281,15 @@ def bellman(M: MDPModel) -> Transformer:
     return Transformer(lat, fn)
 
 
-def threshold_obligation(M) -> tuple:
-    """The first obligation of the MDP and reward instances: the threshold
-    plus eps at the initial state, zero elsewhere."""
-    return tuple(eps_val(M.threshold) if s == M.initial_state else plain(0.0)
-                 for s in range(M.state_count))
-
-
-def heuristic_candidate_mdp(X_last, M: MDPModel):
-    """``threshold_obligation``, when the last frame exceeds the threshold."""
+def heuristic_candidate_mdp(X_last, M):
+    """The first obligation of the MDP and reward instances, when the last
+    frame exceeds the threshold: the threshold plus eps at the initial
+    state, zero elsewhere."""
     if not X_last[M.initial_state] > (M.threshold, False):
         raise ContractFailure("candidate requires the last frame to exceed "
                               "the threshold at the initial state")
-    return threshold_obligation(M)
+    return tuple(eps_val(M.threshold) if s == M.initial_state else plain(0.0)
+                 for s in range(M.state_count))
 
 
 def decide_lp(M, F: Transformer, X_prev, C_head, support, cost):
@@ -311,7 +307,8 @@ def decide_lp(M, F: Transformer, X_prev, C_head, support, cost):
     strictly below their frame value carry the eps flag.  If rounding makes
     the numeric solution miss a strict constraint, the frame values
     themselves restricted to the touched states are returned (always
-    contract-valid).
+    contract-valid).  None when the program is infeasible, which only a
+    head needing a value above the cap makes it.
     """
     supports = []
     var_states: list[int] = []
@@ -337,8 +334,11 @@ def decide_lp(M, F: Transformer, X_prev, C_head, support, cost):
                 coeffs[var_index[t]] += p
         rows.append((coeffs, rhs))
     caps = [min(X_prev[t].base, _CAP) for t in var_states]
-    xs = simplex_min([cost(X_prev[t]) for t in var_states], rows,
-                     [(0.0, cap) for cap in caps])
+    try:
+        xs = simplex_min([cost(X_prev[t]) for t in var_states], rows,
+                         [(0.0, cap) for cap in caps])
+    except Infeasible:  # the head needs a value above the cap
+        return None
 
     out = [plain(0.0)] * M.state_count
     for t, x, cap in zip(var_states, xs, caps):
@@ -394,31 +394,11 @@ def mdp_bundle(M: MDPModel, F: Transformer) -> HeuristicsBundle:
     return pointwise_bundle(M, F, _dominating_action, _mdp_cost)
 
 
-def mdp_negative_heuristics(M: MDPModel, F: Transformer) -> NegativeHeuristics:
-    top = F.lattice.top
-
-    def candidate(alpha):
-        return None if M.threshold >= 1.0 else threshold_obligation(M)
-
-    def decide(head):
-        # Unlike the combined engine, there is no guard check before this
-        # call: with float transition weights an obligation value may exceed
-        # every action's expectation by rounding, in which case the chain
-        # cannot be extended and the search restarts.
-        try:
-            return decide_lp(M, F, top, head, _dominating_action, _mdp_cost)
-        except ContractFailure:
-            return None
-
-    return NegativeHeuristics(candidate, decide)
-
-
 def max_reach(M: MDPModel) -> Instance:
     """Is the maximum probability of leaving the safe set from the initial
     state at most the threshold?"""
     F = bellman(M)
-    return Instance(F, M.bound(), mdp_bundle(M, F),
-                    lambda: mdp_negative_heuristics(M, F))
+    return Instance(F, M.bound(), mdp_bundle(M, F), F.lattice.top)
 
 
 def pdr_ibmdp(M: MDPModel, **kw) -> PDRAnswer:

@@ -15,8 +15,10 @@ is the ``Instance`` of this question.  Its choices are the MDP instance's
 costs, and the Induction proposer ``mdp.optimistic_induction``, so that a
 true bound is proved by a guessed prefixed point instead of by waiting for
 the Kleene iterates to converge.  The proposer caps its guess by
-``F(top)``, which is 0 off the safe set.  The negative engine solves its
-Decide program against a frame that is also 0 off the safe set.
+``F(top)``, which is 0 off the safe set.  The negative engine makes the
+same choices against a frame that is ``top`` on the safe set and 0 off it,
+as ``F`` is; against ``top`` itself the cheapest support would put value on
+an unsafe state, where every element of a chain from ``bot`` is 0.
 """
 
 from __future__ import annotations
@@ -28,17 +30,15 @@ from .engine import (
     ContractFailure,
     HeuristicsBundle,
     Instance,
-    NegativeHeuristics,
     PDRAnswer,
     Transformer,
     run_combined,
 )
-from .mdp import (EpsValue, PointwiseLattice, decide_lp, plain, pointwise_bundle,
-                  threshold_obligation)
+from .mdp import EpsValue, PointwiseLattice, plain, pointwise_bundle
 # ``mdp.decide_lp`` solves the reward Decide programs too, so
 # ``simplex_min`` is not called here; ``perfbench/spans.py`` wraps
 # ``mrm.simplex_min`` and needs the name.
-from .simplex import Infeasible, simplex_min  # noqa: F401
+from .simplex import simplex_min  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -124,40 +124,13 @@ def mrm_heuristics(M: MRMModel, F: Transformer) -> HeuristicsBundle:
     return pointwise_bundle(M, F, _reward_support, _unit_cost)
 
 
-def mrm_negative_heuristics(M: MRMModel, F: Transformer) -> NegativeHeuristics:
-    """Candidate is the threshold plus eps at the initial state.  Decide
-    supports the obligation with ``bot`` when ``F(bot)`` already does, and
-    otherwise solves the reward Decide program against ``frame``: ``inf`` on
-    the safe states and 0 elsewhere, where ``F`` is 0 too.  A head that
-    ``F(frame)`` does not cover has no chain down to ``bot``, and a head
-    with an infinite entry has none either, since ``F^n(bot)`` is finite."""
-    lat = F.lattice
-    frame = tuple(lat.top[s] if s in M.safe else plain(0.0)
-                  for s in range(M.state_count))
-    bot_image, frame_image = F(lat.bot), F(frame)
-
-    def candidate(alpha):
-        return None if math.isinf(M.threshold) else threshold_obligation(M)
-
-    def decide(head):
-        if lat.leq(head, bot_image):
-            return lat.bot
-        if any(math.isinf(c.base) for c in head) or not lat.leq(head, frame_image):
-            return None
-        try:
-            return decide_lp(M, F, frame, head, _reward_support, _unit_cost)
-        except Infeasible:  # the head needs a value above the LP's cap
-            return None
-
-    return NegativeHeuristics(candidate, decide)
-
-
 def expected_reward(M: MRMModel) -> Instance:
     """Is the expected reward accumulated from the initial state until the
     safe set is left at most the threshold?"""
     F = reward_bellman(M)
-    return Instance(F, M.bound(), mrm_heuristics(M, F),
-                    lambda: mrm_negative_heuristics(M, F))
+    top, zero = F.lattice.top, plain(0.0)
+    frame = tuple(top[s] if s in M.safe else zero for s in range(M.state_count))
+    return Instance(F, M.bound(), mrm_heuristics(M, F), frame)
 
 
 def pdr_mrm(M: MRMModel, **kw) -> PDRAnswer:

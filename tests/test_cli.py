@@ -11,7 +11,6 @@ import pytest
 import ltpdr
 from conftest import model_path
 from ltpdr.cli import (
-    DistributionError,
     ParseError,
     main,
     parse_kripke,
@@ -69,9 +68,8 @@ class TestParseMdp:
         assert M.delta[0][0] == ((1, 0.5), (2, 0.5))
 
     def test_bad_distribution_sum(self):
-        with pytest.raises(DistributionError) as exc:
+        with pytest.raises(ValueError, match="distribution at state 0 action 0 sums to 0.9"):
             parse_mdp(self.SRC.replace("1:0.5 2:0.5", "1:0.5 2:0.4"))
-        assert exc.value.state == 0 and exc.value.action == 0
 
     def test_threshold_outside_unit_interval(self):
         with pytest.raises(ParseError):
@@ -191,11 +189,6 @@ class TestRunner:
         main(["kripke-forward", model_path("k1.kr"), "--trace"])
         out = capsys.readouterr().out
         assert "step=1 rule=" in out and "obligations=" in out
-
-    def test_trace_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("LTPDR_TRACE", "1")
-        main(["kripke-forward", model_path("k1.kr")])
-        assert "step=1 rule=" in capsys.readouterr().out
 
     def test_positive_engine_on_mdp(self):
         assert main(["mdp", model_path("m1.mdp"), "--engine", "positive",

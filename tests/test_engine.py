@@ -14,7 +14,6 @@ from ltpdr.engine import (
     EngineInvariantError,
     HeuristicViolation,
     HeuristicsBundle,
-    NegativeHeuristics,
     PDRConfig,
     Verdict,
     canonical_heuristics,
@@ -280,26 +279,26 @@ class TestPositive:
 class TestNegative:
     def test_unsafe_finds_counterexample(self, k1):
         F = forward_transformer(k1)
-        ans = run_negative(F, ALPHA_P, forward(k1).negative(), debug=True)
+        ans = run_negative(F, ALPHA_P, forward_bundle(k1), F.lattice.top, debug=True)
         assert ans.verdict is Verdict.FALSE
         assert ans.kleene_witness.elements == (0, 0b001, 0b010)
 
     def test_alpha_top_is_stuck(self, k1):
         F = forward_transformer(k1)
-        ans = run_negative(F, 0b111, forward(k1).negative(), budget=50)
+        ans = run_negative(F, 0b111, forward_bundle(k1), F.lattice.top, budget=50)
         assert ans.verdict is Verdict.STUCK
 
     def test_safe_exhausts_budget(self, k1):
         F = forward_transformer(k1)
-        ans = run_negative(F, ALPHA, forward(k1).negative(), budget=100)
+        ans = run_negative(F, ALPHA, forward_bundle(k1), F.lattice.top, budget=100)
         assert ans.verdict is Verdict.BUDGET_EXHAUSTED
 
     def test_bad_candidate_rejected(self, k1):
         F = forward_transformer(k1)
-        bad = NegativeHeuristics(choose_candidate=lambda alpha: 0,
-                                 choose_decide=lambda head: None)
+        bad = HeuristicsBundle(choose_candidate=lambda last, alpha, info: 0,
+                               choose_decide=lambda xp, c, fx: None)
         with pytest.raises(HeuristicViolation):
-            run_negative(F, ALPHA, bad, budget=10)
+            run_negative(F, ALPHA, bad, F.lattice.top, budget=10)
 
 
 class TestDualization:

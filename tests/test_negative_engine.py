@@ -1,4 +1,5 @@
-"""The negative engine, pinned on fixed random draws of every instance."""
+"""The negative engine: the frame that bounds its Decide, and its searches
+pinned on fixed random draws of every instance."""
 
 import dataclasses
 import hashlib
@@ -6,9 +7,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltpdr.engine import solve
-from ltpdr.kripke import forward, inverse_backward
+from ltpdr.kripke import forward, inverse_backward, opdual
 from ltpdr.mdp import max_reach
 from ltpdr.mrm import expected_reward
 from ltpdr.oracles import NoConvergence, vi_expected_reward, vi_max_reach
@@ -82,3 +84,17 @@ def record(instances):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_negative_searches_are_pinned(family):
     assert record(FAMILIES[family]()) == PINNED[family]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32))
+def test_every_frame_is_a_prefixed_point(seed):
+    # Deciding below F(frame) loses no counterexample only when frame is
+    # above mu F, which F(frame) <= frame guarantees.
+    rng = random.Random(seed)
+    K = random_kripke(rng, max_states=12)
+    for inst in (forward(K), inverse_backward(K), max_reach(random_mdp(rng)),
+                 expected_reward(random_mrm(rng))):
+        lat = inst.F.lattice
+        assert lat.leq(inst.F(inst.frame), inst.frame)
+    assert opdual(K).frame is None
