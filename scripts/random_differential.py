@@ -5,11 +5,14 @@ randomly generated models.
 Generates random transition systems, MDPs and Markov reward models, solves
 each with every applicable engine in debug mode, and compares verdicts
 with the oracle.  MDPs are probed 0.1 above and below their value,
-reward models at 0.9 and 1.1 times theirs.  Any mismatch, any MDP or reward
-model run that exhausts its step budget and any reward model run that
-raises is reported with a serialized reproducer and makes the exit code
-non-zero.  Each phase also reports the median and maximum step counts of
-its True answers and how many of them closed through Induction.
+reward models at 0.9 and 1.1 times theirs.  Every instance is also solved
+by the negative engine, which must answer False exactly on the unsafe ones
+and never True; on a safe one it may end Stuck or out of budget.  Any
+mismatch, any combined MDP or reward model run that exhausts its step
+budget and any reward model run that raises is reported with a serialized
+reproducer and makes the exit code non-zero.  Each phase also reports the
+median and maximum step counts of its True answers and how many of them
+closed through Induction.
 
 Usage: python scripts/random_differential.py [--seed N] [--kripke N] [--mdp N]
                                              [--mrm N] [--budget N]
@@ -48,6 +51,18 @@ def true_summary(answers) -> str:
             f"max {max(steps)}, {induction} through Induction")
 
 
+def negative_mismatch(inst, safe: bool, budget: int, label: str, model: str) -> int:
+    """Solve ``inst`` with the negative engine; print a reproducer and
+    return 1 when it answers True, False on a safe draw, or anything else
+    on an unsafe one, else return 0."""
+    ans = solve(inst, "negative", debug=True, budget=budget)
+    if ans.verdict is Verdict.TRUE or (ans.verdict is Verdict.FALSE) == safe:
+        print(f"MISMATCH {label} engine=negative got={ans.verdict} "
+              f"steps={ans.stats.steps} expected={safe}\n{model}")
+        return 1
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
@@ -75,7 +90,9 @@ def main(argv=None) -> int:
                 mismatches += 1
                 print(f"MISMATCH kripke #{i} engine={name} "
                       f"got={ans.verdict} expected={expected}\n{serialize_kripke(K)}")
-    print(f"kripke: {args.kripke} models x 2 engines, "
+            mismatches += negative_mismatch(build(K), expected, args.budget,
+                                            f"kripke #{i} {name}", serialize_kripke(K))
+    print(f"kripke: {args.kripke} models x 2 instances x 2 engines, "
           f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
 
     t0 = time.perf_counter()
@@ -91,6 +108,8 @@ def main(argv=None) -> int:
         for lam, expected in ((min(gt + 0.1, 1.0), True),
                               (gt - 0.1 if gt >= 0.1 else gt / 2, False)):
             Mx = dataclasses.replace(M, threshold=lam)
+            mismatches += negative_mismatch(max_reach(Mx), expected, args.budget,
+                                            f"mdp #{i} lambda={lam}", serialize_mdp(Mx))
             ans = solve(max_reach(Mx), debug=True, budget=args.budget)
             answers.append(ans)
             if ans.verdict is Verdict.BUDGET_EXHAUSTED:
@@ -103,7 +122,7 @@ def main(argv=None) -> int:
                 mismatches += 1
                 print(f"MISMATCH mdp #{i} lambda={lam} "
                       f"got={ans.verdict} expected={expected}\n{serialize_mdp(Mx)}")
-    print(f"mdp: {args.mdp} models x 2 thresholds, "
+    print(f"mdp: {args.mdp} models x 2 thresholds x 2 engines, "
           f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
 
     t0 = time.perf_counter()
@@ -119,6 +138,9 @@ def main(argv=None) -> int:
         for lam, expected in ((1.1 * gt, True), (0.9 * gt, False)):
             Mx = dataclasses.replace(M, threshold=lam)
             try:
+                mismatches += negative_mismatch(
+                    expected_reward(Mx), expected, args.budget,
+                    f"mrm #{i} lambda={lam}", serialize_mrm(Mx))
                 ans = solve(expected_reward(Mx), debug=True, budget=args.budget)
             except Exception:  # any raise is a finding; keep going
                 raised += 1
@@ -136,7 +158,7 @@ def main(argv=None) -> int:
                 mismatches += 1
                 print(f"MISMATCH mrm #{i} lambda={lam} "
                       f"got={ans.verdict} expected={expected}\n{serialize_mrm(Mx)}")
-    print(f"mrm: {args.mrm} models x 2 thresholds, "
+    print(f"mrm: {args.mrm} models x 2 thresholds x 2 engines, "
           f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
 
     print("mismatches:", mismatches)

@@ -52,8 +52,7 @@ from typing import Optional
 from . import kripke as kr
 from . import mdp as mdp_mod
 from . import mrm as mrm_mod
-from .engine import Instance, Verdict, solve
-from .lattice import check_kleene_witness, check_kt_witness, is_conclusive_kt
+from .engine import Instance, Verdict, certificate_holds, solve
 from .mdp import EpsValue
 from .oracles import DIVERGED, bfs_safe, vi_expected_reward, vi_max_reach
 
@@ -392,14 +391,8 @@ def run_cli(req: argparse.Namespace) -> int:
     answer = solve(inst, engine, budget=req.budget, trace=print if req.trace else None)
 
     validation = None
-    if req.validate_witness:
-        F, alpha = inst.F, inst.alpha
-        if answer.verdict is Verdict.TRUE:
-            j = is_conclusive_kt(answer.kt_witness, F.lattice)
-            validation = j is not None and check_kt_witness(
-                answer.kt_witness[j], F, alpha)
-        elif answer.verdict is Verdict.FALSE:
-            validation = check_kleene_witness(answer.kleene_witness, F, alpha)
+    if req.validate_witness and answer.verdict in (Verdict.TRUE, Verdict.FALSE):
+        validation = certificate_holds(answer, inst.F, inst.alpha)
 
     oracle = _oracle_report(run_oracle, model) if req.oracle else None
     mismatch = False

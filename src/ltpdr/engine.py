@@ -7,14 +7,15 @@ Three engines share the rule vocabulary:
   Candidate, Model, Decide, Conflict);
 * ``run_positive`` -- frames only (Valid, Unfold, Induction); can answer True
   or exhaust its budget, never False;
-* ``run_negative`` -- obligations only (Candidate, Model, Decide); can answer
-  False, get Stuck, or exhaust its budget, never True.  It makes the
-  combined engine's Candidate and Decide choices, with Decide bounded by a
-  fixed prefixed point of ``F`` instead of a frame.
+* ``run_negative`` -- the Kleene iterates ``F^i(bot)`` as frames, then
+  obligations (Candidate, Decide, Model) below them; can answer False, get
+  Stuck, or exhaust its budget, never True.  It makes the combined engine's
+  frames and choices on a false instance.
 
 An ``Instance`` bundles one question ``mu F <= alpha`` with the one set of
-choices both engines use and that prefixed point, and ``solve(instance,
-engine)`` runs one of the three engines on it.  Each instance module builds
+choices the engines use, and ``solve(instance, engine)`` runs one of the
+three engines on it.  ``certificate_holds`` re-checks the certificate of a
+True or False answer.  Each instance module builds
 its ``Instance`` values (``kripke.forward``, ``kripke.inverse_backward``,
 ``kripke.opdual``, ``mdp.max_reach``, ``mrm.expected_reward``).
 
@@ -325,23 +326,27 @@ def _stop(answer: PDRAnswer, stats: RunStats, started: float,
     return replace(answer, stats=stats)
 
 
-def _finalize(answer: PDRAnswer, stats: RunStats, F: Transformer, alpha,
-              started: float, frames: Optional[KTSequence],
-              debug: bool = False) -> PDRAnswer:
-    """Stop with a True or False answer after re-checking its certificate;
-    in debug mode also re-check the whole final frame chain (None for the
-    negative engine)."""
-    answer = _stop(answer, stats, started, 0 if frames is None else len(frames))
-    if debug and frames is not None and not is_kt_sequence(frames, F, alpha):
-        raise EngineInvariantError("frame chain invariant broken")
-    lat = F.lattice
+def certificate_holds(answer: PDRAnswer, F: Transformer, alpha) -> bool:
+    """Whether a True or False answer carries a valid certificate: a
+    conclusive frame chain whose stable frame ``x`` has ``F(x) <= x <=
+    alpha``, or a conclusive obligation chain."""
     if answer.verdict is Verdict.TRUE:
-        j = is_conclusive_kt(answer.kt_witness, lat)
-        if j is None or not check_kt_witness(answer.kt_witness[j], F, alpha):
-            raise EngineInvariantError("True answer without a valid positive certificate")
-    elif answer.verdict is Verdict.FALSE:
-        if not check_kleene_witness(answer.kleene_witness, F, alpha):
-            raise EngineInvariantError("False answer without a valid negative certificate")
+        j = is_conclusive_kt(answer.kt_witness, F.lattice)
+        return j is not None and check_kt_witness(answer.kt_witness[j], F, alpha)
+    return answer.verdict is Verdict.FALSE and check_kleene_witness(
+        answer.kleene_witness, F, alpha)
+
+
+def _finalize(answer: PDRAnswer, stats: RunStats, F: Transformer, alpha,
+              started: float, frames: KTSequence, debug: bool = False) -> PDRAnswer:
+    """Stop with a True or False answer after re-checking its certificate;
+    in debug mode also re-check the whole final frame chain."""
+    answer = _stop(answer, stats, started, len(frames))
+    if debug and not is_kt_sequence(frames, F, alpha):
+        raise EngineInvariantError("frame chain invariant broken")
+    if not certificate_holds(answer, F, alpha):
+        raise EngineInvariantError(
+            f"{answer.verdict.value} answer without a valid certificate")
     return answer
 
 
@@ -527,77 +532,58 @@ def run_positive(F: Transformer, alpha,
     return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, len(cfg.frames))
 
 
-def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, frame, *,
+def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
                  budget: int = 100000, debug: bool = False,
                  trace: Optional[Callable[[str], None]] = None) -> PDRAnswer:
-    """One-sided engine: Candidate, Model and Decide only; never answers True.
+    """One-sided engine on the Kleene iterates; never answers True.
 
-    The rules are those of ``run_combined`` with the frames replaced by two
-    fixed elements.  Candidate is ``choose_candidate(top, alpha, info)``, as
-    if the last frame were ``top``; Stuck is reported when ``top <= alpha``.
-    Decide on a head ``C`` is ``bot`` when ``C <= F(bot)``, and otherwise
-    ``choose_decide(frame, C, F(frame))`` when ``C <= F(frame)``.  ``frame``
-    must be a prefixed point, ``F(frame) <= frame``: it then lies above
-    ``mu F`` (Knaster-Tarski) and so above every element of a chain from
-    ``bot``, and bounding Decide by it loses no counterexample.  A Decide without a choice falls
-    back to a fresh Candidate, which restarts the chain.
+    The frames are ``F^i(bot)``, one more per step (rule ``iterate``), until
+    ``F^n(bot) !<= alpha``; two equal iterates first mean ``mu F <= alpha``,
+    and the run is Stuck.  Then Candidate picks ``C_n`` below ``F^n(bot)``,
+    Decide at ``i`` picks ``C_{i-1}`` by ``choose_decide(F^{i-1}(bot), C_i,
+    F^i(bot))``, whose guard ``C_i <= F^i(bot)`` always holds, and Model
+    closes the chain at index 1.  These are the frames and choices of
+    ``run_combined`` on a false instance; a rule with no choice is Stuck.
+    Debug mode re-checks, at one ``F`` call a step, the last iterate pair
+    and the head's admissibility and link, and the whole chain at the end.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     lat = F.lattice
-    bot_image, frame_image = F(lat.bot), F(frame)
-    below, info = lat.leq_info(lat.top, alpha)
-    elements: tuple = ()
+    cfg = initial_config(F)
     stats = RunStats()
     started = time.perf_counter()
 
-    def restart(step: int) -> bool:
-        nonlocal elements
-        x = None if below else heuristics.choose_candidate(lat.top, alpha, info)
-        if x is None:
-            return False
-        if lat.leq(x, alpha):
-            raise HeuristicViolation("negative candidate must not be below alpha")
-        elements = (x,)
-        stats.count("candidate")
-        if trace is not None:
-            trace(f"step={step} rule=candidate frames=0 obligations=1")
-        return True
-
-    def decide(head):
-        if lat.leq(head, bot_image):
-            return lat.bot
-        if lat.leq(head, frame_image):
-            return heuristics.choose_decide(frame, head, frame_image)
-        return None
-
     for step in range(1, budget + 1):
         stats.steps = step
-        if elements and lat.eq(elements[0], lat.bot):
+        ans = rule_model(cfg, F, alpha)
+        if ans is not None:
             stats.count("model")
-            if trace is not None:
-                trace(f"step={step} rule=model frames=0 obligations={len(elements)}")
-            witness = KleeneSequence(elements, 0)
-            ans = PDRAnswer(Verdict.FALSE, kleene_witness=witness)
-            return _finalize(ans, stats, F, alpha, started, None)
-        if not elements:
-            if not restart(step):
-                return _stop(PDRAnswer(Verdict.STUCK), stats, started, 0)
-            continue
-        x = decide(elements[0])
-        if x is not None:
-            if not lat.leq(elements[0], F(x)):
-                raise HeuristicViolation("negative decide must satisfy C_0 <= F(x)")
-            elements = (x,) + elements
-            stats.count("decide")
-            if trace is not None:
-                trace(f"step={step} rule=decide frames=0 obligations={len(elements)}")
-            if debug and not is_kleene_sequence(KleeneSequence(elements, 0), F, alpha):
-                raise EngineInvariantError("obligation chain invariant broken")
-        elif not restart(step):
-            return _stop(PDRAnswer(Verdict.STUCK), stats, started, 0)
+            _emit(trace, step, "model", cfg)
+            return _finalize(ans, stats, F, alpha, started, cfg.frames, debug)
+        xs, ob = cfg.frames.elements, cfg.obligations
+        if not ob.empty:
+            nxt, applied = rule_decide(cfg, F, alpha, heuristics, xs[ob.start_index]), "decide"
+        elif lat.leq(xs[-1], alpha):
+            x = F(xs[-1])
+            nxt = None if lat.eq(x, xs[-1]) else PDRConfig(
+                KTSequence(xs + (x,)), _empty_obligations(len(xs) + 1))
+            applied = "iterate"
+        else:
+            nxt, applied = rule_candidate(cfg, F, alpha, heuristics), "candidate"
+        if nxt is None:
+            return _stop(PDRAnswer(Verdict.STUCK), stats, started, len(xs))
+        cfg = nxt
+        stats.count(applied)
+        _emit(trace, step, applied, cfg)
+        if debug:
+            xs, ob, i = cfg.frames.elements, cfg.obligations, cfg.obligations.start_index
+            if not (lat.leq(xs[-2], xs[-1]) and i + len(ob) == len(xs) and (
+                    ob.empty or lat.leq(ob[0], xs[i])
+                    and (len(ob) == 1 or lat.leq(ob[1], F(ob[0]))))):
+                raise EngineInvariantError("negative engine invariant broken")
 
-    return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, 0)
+    return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, len(cfg.frames))
 
 
 # ---------------------------------------------------------------------------
@@ -638,17 +624,13 @@ class Instance:
     """One question ``mu F <= alpha`` with the choices the engines need.
 
     ``bundle`` holds the instance's one set of choices; the combined and
-    the negative engine both use its Candidate and Decide.  ``frame``, when
-    the instance has a negative engine, is the prefixed point
-    (``F(frame) <= frame``) that bounds the negative engine's Decide in
-    place of ``X_{i-1}``; it is built without an ``F`` call.  The positive
+    the negative engine both use its Candidate and Decide.  The positive
     engine needs only ``F``: it proposes ``join_induction_proposer(F)``.
     """
 
     F: Transformer
     alpha: Any
     bundle: HeuristicsBundle
-    frame: Any = None
 
 
 def solve(inst: Instance, engine: str = "combined", *, budget: int = 100000,
@@ -660,9 +642,9 @@ def solve(inst: Instance, engine: str = "combined", *, budget: int = 100000,
         return run_combined(inst.F, inst.alpha, inst.bundle, **kw)
     if engine == "positive":
         return run_positive(inst.F, inst.alpha, join_induction_proposer(inst.F), **kw)
-    if engine == "negative" and inst.frame is not None:
-        return run_negative(inst.F, inst.alpha, inst.bundle, inst.frame, **kw)
-    raise ValueError(f"no {engine!r} engine for this instance")
+    if engine == "negative":
+        return run_negative(inst.F, inst.alpha, inst.bundle, **kw)
+    raise ValueError(f"no {engine!r} engine")
 
 
 def dualize(F: Transformer, alpha) -> tuple[Transformer, Any]:

@@ -207,15 +207,14 @@ def inverse_backward_bundle(K: KripkeStructure) -> HeuristicsBundle:
 def forward(K: KripkeStructure) -> Instance:
     """Are the reachable states, ``mu (initial | post)``, all safe?"""
     F = forward_transformer(K)
-    return Instance(F, K.safe, forward_bundle(K), F.lattice.top)
+    return Instance(F, K.safe, forward_bundle(K))
 
 
 def inverse_backward(K: KripkeStructure) -> Instance:
     """Is no initial state among those that can reach an unsafe state,
     ``mu (unsafe | pre)``?"""
     F = inverse_backward_transformer(K)
-    return Instance(F, F.lattice.top & ~K.initial, inverse_backward_bundle(K),
-                    F.lattice.top)
+    return Instance(F, F.lattice.top & ~K.initial, inverse_backward_bundle(K))
 
 
 def opdual(K: KripkeStructure) -> Instance:
@@ -223,7 +222,7 @@ def opdual(K: KripkeStructure) -> Instance:
     below the greatest fixed point of ``x -> safe /\\ backward(x)``?
 
     The question is asked on the opposite lattice, with the canonical
-    (lattice-agnostic) heuristics and no negative engine.
+    (lattice-agnostic) heuristics.
     """
     Fb = backward_transformer(K)
     G = Transformer(Fb.lattice, lambda A: K.safe & Fb(A))

@@ -15,8 +15,7 @@ certify strict inequalities without materialising a concrete epsilon.
 ``pointwise_bundle``, are shared with the reward instance: Candidate is the
 threshold at the initial state, and Decide is a cheapest supporting
 valuation from the linear program ``decide_lp``, which each instance feeds
-with its own support rows and costs.  The negative engine makes the same
-choices with ``top`` as its frame.
+with its own support rows and costs.
 Conflict is the engine's canonical choice ``x := F(X_{i-1})``, which caps
 every state at its transformer value.  Capping only the states the current
 obligation violates gives lemmas each barely stronger than the last, and
@@ -398,7 +397,7 @@ def max_reach(M: MDPModel) -> Instance:
     """Is the maximum probability of leaving the safe set from the initial
     state at most the threshold?"""
     F = bellman(M)
-    return Instance(F, M.bound(), mdp_bundle(M, F), F.lattice.top)
+    return Instance(F, M.bound(), mdp_bundle(M, F))
 
 
 def pdr_ibmdp(M: MDPModel, **kw) -> PDRAnswer:

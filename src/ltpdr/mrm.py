@@ -15,10 +15,7 @@ is the ``Instance`` of this question.  Its choices are the MDP instance's
 costs, and the Induction proposer ``mdp.optimistic_induction``, so that a
 true bound is proved by a guessed prefixed point instead of by waiting for
 the Kleene iterates to converge.  The proposer caps its guess by
-``F(top)``, which is 0 off the safe set.  The negative engine makes the
-same choices against a frame that is ``top`` on the safe set and 0 off it,
-as ``F`` is; against ``top`` itself the cheapest support would put value on
-an unsafe state, where every element of a chain from ``bot`` is 0.
+``F(top)``, which is 0 off the safe set.
 """
 
 from __future__ import annotations
@@ -128,9 +125,7 @@ def expected_reward(M: MRMModel) -> Instance:
     """Is the expected reward accumulated from the initial state until the
     safe set is left at most the threshold?"""
     F = reward_bellman(M)
-    top, zero = F.lattice.top, plain(0.0)
-    frame = tuple(top[s] if s in M.safe else zero for s in range(M.state_count))
-    return Instance(F, M.bound(), mrm_heuristics(M, F), frame)
+    return Instance(F, M.bound(), mrm_heuristics(M, F))
 
 
 def pdr_mrm(M: MRMModel, **kw) -> PDRAnswer:

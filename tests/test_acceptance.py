@@ -254,12 +254,12 @@ def test_acceptance_5_one_sided_soundness(kripke_suite, mdp_suite):
             ok = ok and (pos is not Verdict.TRUE or lam >= value)
             ok = ok and (neg is not Verdict.FALSE or lam < value)
 
-    # Safe micro model: the one-sided falsifier spins, the combined engine
-    # proves safety.
+    # Safe micro model: the one-sided falsifier is stuck once the iterates
+    # repeat, the combined engine proves safety.
     with open(model_path("micro_latch.kr")) as fh:
         latch = parse_kripke(fh.read())
     ok = ok and solve(forward(latch), "negative", budget=500).verdict \
-        is Verdict.BUDGET_EXHAUSTED
+        is Verdict.STUCK
     ok = ok and pdr_fkr(latch, debug=True).verdict is Verdict.TRUE
 
     # Unsafe micro model: the one-sided prover spins, the combined engine

@@ -137,10 +137,28 @@ class TestRunner:
     def test_mrm_false_exit_ten(self):
         assert main(["mrm", model_path("die_by_coin_tight.mrm")]) == 10
 
-    def test_budget_exhausted_exit_two(self):
-        code = main(["kripke-forward", model_path("k1.kr"),
-                     "--engine", "negative", "--budget", "50"])
+    def test_budget_exhausted_exit_two(self, capsys):
+        code = main(["kripke-forward", model_path("k1_unsafe.kr"),
+                     "--engine", "positive", "--budget", "50"])
         assert code == 2
+        assert "RESULT: BudgetExhausted" in capsys.readouterr().out
+
+    def test_negative_engine_is_stuck_on_a_safe_cycle(self, capsys):
+        # The unsafe state of k1.kr has a self-loop but is unreachable: the
+        # iterates repeat at once, and a search from that state cannot end.
+        code = main(["kripke-forward", model_path("k1.kr"), "--engine", "negative",
+                     "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2 and report["verdict"] == "Stuck"
+        assert report["stats"]["steps"] <= 3
+
+    def test_negative_engine_refutes_the_grid(self, capsys):
+        # lambda 0.3 lies below the value 0.4096.
+        code = main(["mdp", model_path("grid3x3.mdp"), "--engine", "negative",
+                     "--validate-witness"])
+        out = capsys.readouterr().out
+        assert code == 10
+        assert "RESULT: False" in out and "witness-valid: True" in out
 
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_budget_below_one_is_a_usage_error(self, budget, capsys):

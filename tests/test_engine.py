@@ -230,13 +230,17 @@ class TestSolve:
         inst = forward(k1)
         assert solve(inst).verdict is Verdict.TRUE
         assert solve(inst, "positive").verdict is Verdict.TRUE
-        assert solve(inst, "negative", budget=50).verdict is Verdict.BUDGET_EXHAUSTED
+        assert solve(inst, "negative", budget=50).verdict is Verdict.STUCK
         assert solve(forward(dataclasses.replace(k1, safe=ALPHA_P)),
                      "negative").verdict is Verdict.FALSE
 
-    def test_unknown_or_missing_engine_rejected(self, k1):
-        with pytest.raises(ValueError):
-            solve(opdual(k1), "negative")  # the dual instance has none
+    def test_every_instance_has_every_engine(self, k1):
+        unsafe = dataclasses.replace(k1, safe=ALPHA_P)
+        for build in (forward, inverse_backward, opdual):
+            assert solve(build(k1), "negative").verdict is Verdict.STUCK
+            assert solve(build(unsafe), "negative", debug=True).verdict is Verdict.FALSE
+
+    def test_unknown_engine_rejected(self, k1):
         with pytest.raises(ValueError):
             solve(forward(k1), "fuzz")
 
@@ -278,27 +282,52 @@ class TestPositive:
 
 class TestNegative:
     def test_unsafe_finds_counterexample(self, k1):
+        # Iterate to F^2(bot) = {0,1}, Candidate {1}, Decide {0}, Model.
+        lines = []
         F = forward_transformer(k1)
-        ans = run_negative(F, ALPHA_P, forward_bundle(k1), F.lattice.top, debug=True)
+        ans = run_negative(F, ALPHA_P, forward_bundle(k1), debug=True, trace=lines.append)
         assert ans.verdict is Verdict.FALSE
         assert ans.kleene_witness.elements == (0, 0b001, 0b010)
+        assert [line.split()[1] for line in lines] == [
+            "rule=iterate", "rule=candidate", "rule=decide", "rule=model"]
 
     def test_alpha_top_is_stuck(self, k1):
         F = forward_transformer(k1)
-        ans = run_negative(F, 0b111, forward_bundle(k1), F.lattice.top, budget=50)
+        ans = run_negative(F, 0b111, forward_bundle(k1), budget=50)
         assert ans.verdict is Verdict.STUCK
 
-    def test_safe_exhausts_budget(self, k1):
+    def test_safe_is_stuck_once_the_iterates_repeat(self, k1):
         F = forward_transformer(k1)
-        ans = run_negative(F, ALPHA, forward_bundle(k1), F.lattice.top, budget=100)
+        ans = run_negative(F, ALPHA, forward_bundle(k1), budget=100)
+        assert ans.verdict is Verdict.STUCK
+        assert ans.stats.rule_counts == {"iterate": 1} and ans.stats.steps == 2
+
+    def test_safe_exhausts_budget(self):
+        # F(x)(0) = x(0) / 2 + 1/4 climbs towards the value 1/2 < 0.6 and
+        # repeats in floating point only after 54 iterates.
+        M = parse_mdp("states 3\nactions 1\ninit 0\nlambda 0.6\nsafe 0 1\ntrans\n"
+                      "0 0 -> 0:0.5 1:0.25 2:0.25\n1 0 -> 1:1\n2 0 -> 2:1\n")
+        ans = solve(max_reach(M), "negative", budget=20)
         assert ans.verdict is Verdict.BUDGET_EXHAUSTED
+        assert ans.stats.rule_counts == {"iterate": 20}
 
     def test_bad_candidate_rejected(self, k1):
         F = forward_transformer(k1)
         bad = HeuristicsBundle(choose_candidate=lambda last, alpha, info: 0,
                                choose_decide=lambda xp, c, fx: None)
         with pytest.raises(HeuristicViolation):
-            run_negative(F, ALPHA, bad, F.lattice.top, budget=10)
+            run_negative(F, ALPHA_P, bad, budget=10)
+
+    def test_bad_decide_rejected(self, k1):
+        F = forward_transformer(k1)
+        bad = dataclasses.replace(forward_bundle(k1), choose_decide=lambda xp, c, fx: 0b111)
+        with pytest.raises(HeuristicViolation):
+            run_negative(F, ALPHA_P, bad, budget=10)
+
+    def test_no_decide_choice_is_stuck(self, k1):
+        F = forward_transformer(k1)
+        none = dataclasses.replace(forward_bundle(k1), choose_decide=lambda xp, c, fx: None)
+        assert run_negative(F, ALPHA_P, none).verdict is Verdict.STUCK
 
 
 class TestDualization:

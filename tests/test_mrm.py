@@ -184,20 +184,17 @@ def test_decide_lp_stays_feasible(draw, factor):
 
 class TestNegativeEngine:
     def test_refutes_the_tight_reference_model(self):
-        # 1.3 is below the value 4/3.  Against a frame that is infinite off
-        # the safe set too, every Decide put value on the unsafe state and
-        # the search restarted until the budget ran out.
+        # 1.3 is below the value 4/3: two iterates pass 1.3 at the initial
+        # state, then Candidate, two Decides and Model.
         with open(model_path("die_by_coin_tight.mrm")) as fh:
             M = parse_mrm(fh.read())
         ans = solve(expected_reward(M), "negative", debug=True)
         assert ans.verdict is Verdict.FALSE
-        assert ans.stats.steps == 5
+        assert ans.stats.steps == 6
 
     def test_refutes_most_false_random_bounds(self):
         # 46 of 150 draws of random_mrm(Random(7)) have a finite non-zero
-        # value; at 0.9x the value, solving against the safe-set frame
-        # alone refuted 10 of them, and returning bot once F(bot) covers
-        # the obligation brings that to 27.
+        # value; at 0.9x the value each is refuted within 200 steps.
         rng = random.Random(7)
         false = refuted = 0
         for _ in range(150):
@@ -213,7 +210,20 @@ class TestNegativeEngine:
             ans = solve(expected_reward(M), "negative", budget=200, debug=True)
             assert ans.verdict is not Verdict.TRUE
             refuted += ans.verdict is Verdict.FALSE
-        assert false == 46 and refuted >= 27
+        assert false == 46 and refuted == 46
+
+    def test_refutes_draw_38(self):
+        # 3 states, safe {2}, value about 2, bound 1.8.  The Decide LP
+        # misses a strict row by one ulp here and falls back to the frame's
+        # own entries, which must still lead down to bot.
+        rng = random.Random(7)
+        for _ in range(39):
+            M = random_mrm(rng)
+        value = vi_expected_reward(M).value
+        assert M.state_count == 3 and M.safe == {2} and 1.99 < value < 2.01
+        M = dataclasses.replace(M, threshold=0.9 * value)
+        ans = solve(expected_reward(M), "negative", budget=200, debug=True)
+        assert ans.verdict is Verdict.FALSE
 
 
 class TestModelValidation:
