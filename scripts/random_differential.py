@@ -6,13 +6,16 @@ Generates random transition systems, MDPs and Markov reward models, solves
 each with every applicable engine in debug mode, and compares verdicts
 with the oracle.  MDPs are probed 0.1 above and below their value,
 reward models at 0.9 and 1.1 times theirs.  Every instance is also solved
-by the negative engine, which must answer False exactly on the unsafe ones
-and never True; on a safe one it may end Stuck or out of budget.  Any
-mismatch, any combined MDP or reward model run that exhausts its step
-budget and any reward model run that raises is reported with a serialized
-reproducer and makes the exit code non-zero.  Each phase also reports the
-median and maximum step counts of its True answers and how many of them
-closed through Induction.
+by the two one-sided engines.  The negative engine must answer False
+exactly on the unsafe ones and never True; on a safe one it may end Stuck
+or out of budget.  The positive engine must never answer False, nor True
+on an unsafe one, nor Stuck on a safe one.  It has no Optimistic Induction,
+so a safe reward model can take it many steps; its runs that exhaust the
+budget are listed, but they fail nothing.  Any mismatch, any combined MDP
+or reward model run that exhausts its step budget and any reward model run
+that raises is reported with a serialized reproducer and makes the exit
+code non-zero.  Each phase also reports the median and maximum step counts
+of its True answers and how many of them closed through Induction.
 
 Usage: python scripts/random_differential.py [--seed N] [--kripke N] [--mdp N]
                                              [--mrm N] [--budget N]
@@ -51,16 +54,27 @@ def true_summary(answers) -> str:
             f"max {max(steps)}, {induction} through Induction")
 
 
-def negative_mismatch(inst, safe: bool, budget: int, label: str, model: str) -> int:
-    """Solve ``inst`` with the negative engine; print a reproducer and
-    return 1 when it answers True, False on a safe draw, or anything else
-    on an unsafe one, else return 0."""
-    ans = solve(inst, "negative", debug=True, budget=budget)
-    if ans.verdict is Verdict.TRUE or (ans.verdict is Verdict.FALSE) == safe:
-        print(f"MISMATCH {label} engine=negative got={ans.verdict} "
-              f"steps={ans.stats.steps} expected={safe}\n{model}")
-        return 1
-    return 0
+def one_sided_mismatches(inst, safe: bool, budget: int, label: str, model: str,
+                         out_of_budget: list) -> int:
+    """Solve ``inst`` with the negative and the positive engine in debug
+    mode; print a reproducer for each verdict the engine must not give and
+    return how many there were.  A positive run that exhausts its budget is
+    appended to ``out_of_budget``."""
+    mismatches = 0
+    for engine in ("negative", "positive"):
+        ans = solve(inst, engine, debug=True, budget=budget)
+        v = ans.verdict
+        if engine == "negative":
+            wrong = v is Verdict.TRUE or (v is Verdict.FALSE) == safe
+        else:
+            wrong = v is Verdict.FALSE or v is (Verdict.STUCK if safe else Verdict.TRUE)
+            if v is Verdict.BUDGET_EXHAUSTED:
+                out_of_budget.append(label)
+        if wrong:
+            mismatches += 1
+            print(f"MISMATCH {label} engine={engine} got={v} "
+                  f"steps={ans.stats.steps} expected={safe}\n{model}")
+    return mismatches
 
 
 def main(argv=None) -> int:
@@ -76,6 +90,7 @@ def main(argv=None) -> int:
     mismatches = 0
     exhausted = 0
     raised = 0
+    positive_exhausted: list = []
 
     t0 = time.perf_counter()
     answers = []
@@ -90,9 +105,10 @@ def main(argv=None) -> int:
                 mismatches += 1
                 print(f"MISMATCH kripke #{i} engine={name} "
                       f"got={ans.verdict} expected={expected}\n{serialize_kripke(K)}")
-            mismatches += negative_mismatch(build(K), expected, args.budget,
-                                            f"kripke #{i} {name}", serialize_kripke(K))
-    print(f"kripke: {args.kripke} models x 2 instances x 2 engines, "
+            mismatches += one_sided_mismatches(build(K), expected, args.budget,
+                                               f"kripke #{i} {name}",
+                                               serialize_kripke(K), positive_exhausted)
+    print(f"kripke: {args.kripke} models x 2 instances x 3 engines, "
           f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
 
     t0 = time.perf_counter()
@@ -108,8 +124,9 @@ def main(argv=None) -> int:
         for lam, expected in ((min(gt + 0.1, 1.0), True),
                               (gt - 0.1 if gt >= 0.1 else gt / 2, False)):
             Mx = dataclasses.replace(M, threshold=lam)
-            mismatches += negative_mismatch(max_reach(Mx), expected, args.budget,
-                                            f"mdp #{i} lambda={lam}", serialize_mdp(Mx))
+            mismatches += one_sided_mismatches(max_reach(Mx), expected, args.budget,
+                                               f"mdp #{i} lambda={lam}", serialize_mdp(Mx),
+                                               positive_exhausted)
             ans = solve(max_reach(Mx), debug=True, budget=args.budget)
             answers.append(ans)
             if ans.verdict is Verdict.BUDGET_EXHAUSTED:
@@ -122,7 +139,7 @@ def main(argv=None) -> int:
                 mismatches += 1
                 print(f"MISMATCH mdp #{i} lambda={lam} "
                       f"got={ans.verdict} expected={expected}\n{serialize_mdp(Mx)}")
-    print(f"mdp: {args.mdp} models x 2 thresholds x 2 engines, "
+    print(f"mdp: {args.mdp} models x 2 thresholds x 3 engines, "
           f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
 
     t0 = time.perf_counter()
@@ -138,9 +155,9 @@ def main(argv=None) -> int:
         for lam, expected in ((1.1 * gt, True), (0.9 * gt, False)):
             Mx = dataclasses.replace(M, threshold=lam)
             try:
-                mismatches += negative_mismatch(
-                    expected_reward(Mx), expected, args.budget,
-                    f"mrm #{i} lambda={lam}", serialize_mrm(Mx))
+                mismatches += one_sided_mismatches(
+                    expected_reward(Mx), expected, args.budget, f"mrm #{i} lambda={lam}",
+                    serialize_mrm(Mx), positive_exhausted)
                 ans = solve(expected_reward(Mx), debug=True, budget=args.budget)
             except Exception:  # any raise is a finding; keep going
                 raised += 1
@@ -158,11 +175,13 @@ def main(argv=None) -> int:
                 mismatches += 1
                 print(f"MISMATCH mrm #{i} lambda={lam} "
                       f"got={ans.verdict} expected={expected}\n{serialize_mrm(Mx)}")
-    print(f"mrm: {args.mrm} models x 2 thresholds x 2 engines, "
+    print(f"mrm: {args.mrm} models x 2 thresholds x 3 engines, "
           f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
 
     print("mismatches:", mismatches)
     print("budget exhausted:", exhausted)
+    print(f"positive engine out of budget (not counted): {len(positive_exhausted)}"
+          + "".join(f"\n  {label}" for label in positive_exhausted))
     print("raised:", raised)
     return 1 if mismatches or exhausted or raised else 0
 

@@ -19,10 +19,8 @@ from .engine import (
     Verdict,
     canonical_heuristics,
     dualize,
-    involution_reduce,
     run_combined,
     run_negative,
-    run_positive,
     solve,
 )
 from .kripke import (
@@ -33,7 +31,6 @@ from .kripke import (
     inverse_backward_transformer,
 )
 from .lattice import (
-    InvolutionViolation,
     KTSequence,
     KleeneSequence,
     Lattice,
@@ -47,7 +44,6 @@ from .lattice import (
     is_conclusive_kt,
     is_kleene_sequence,
     is_kt_sequence,
-    kt_order_leq,
 )
 from .mdp import EpsValue, MDPModel, bellman, decide_lp
 from .mrm import MRMModel, reward_bellman
@@ -55,7 +51,6 @@ from .oracles import (
     NoConvergence,
     OracleResult,
     bfs_safe,
-    initial_chain,
     vi_expected_reward,
     vi_max_reach,
 )

@@ -147,6 +147,27 @@ def _state_set(rd: _Lines, n: int) -> frozenset:
     return frozenset(_state(tok, n, no) for tok in toks[1:])
 
 
+def _transitions(rd: _Lines, n: int, shape: str, m: int = 0):
+    """The transition lines ``s -> entry ...``, or ``s a -> entry ...`` for a
+    model with ``m`` actions, as ``(line number, key, entry tokens)`` with
+    ``key`` the state or ``(s, a)``; no key may appear twice."""
+    arrow, seen = (2 if m else 1), set()
+    while rd:
+        no, toks = rd.next()
+        if len(toks) < arrow + 2 or toks[arrow] != "->":
+            raise ParseError(no, f"transition lines are '{shape}'")
+        key = s = _state(toks[0], n, no)
+        if m:
+            key = (s, _int(toks[1], no, "action index"))
+            if not 0 <= key[1] < m:
+                raise ParseError(no, f"action index {key[1]} out of range (actions {m})")
+        if key in seen:
+            raise ParseError(no, f"duplicate distribution for state {s}"
+                             + (f" action {key[1]}" if m else ""))
+        seen.add(key)
+        yield no, key, toks[arrow + 1:]
+
+
 def parse_kripke(text: str) -> kr.KripkeStructure:
     rd = _Lines(text)
     n = rd.count("states", "state count", MAX_STATES, positive=True)
@@ -193,18 +214,9 @@ def parse_mdp(text: str) -> mdp_mod.MDPModel:
     rd.header("trans")
 
     table: list[list] = [[None] * m for _ in range(n)]
-    while rd:
-        no, toks = rd.next()
-        if len(toks) < 4 or toks[2] != "->":
-            raise ParseError(no, "transition lines are 's a -> t:p ...'")
-        s = _state(toks[0], n, no)
-        a = _int(toks[1], no, "action index")
-        if not 0 <= a < m:
-            raise ParseError(no, f"action index {a} out of range (actions {m})")
-        if table[s][a] is not None:
-            raise ParseError(no, f"duplicate distribution for state {s} action {a}")
+    for no, (s, a), entries in _transitions(rd, n, "s a -> t:p ...", m):
         dist = []
-        for tok in toks[3:]:
+        for tok in entries:
             if ":" not in tok:
                 raise ParseError(no, f"bad transition entry {tok!r}")
             t_tok, p_tok = tok.rsplit(":", 1)
@@ -228,15 +240,9 @@ def parse_mrm(text: str) -> mrm_mod.MRMModel:
     rd.header("trans")
 
     table: list = [None] * n
-    while rd:
-        no, toks = rd.next()
-        if len(toks) < 3 or toks[1] != "->":
-            raise ParseError(no, "transition lines are 's -> (c,t):p ...'")
-        s = _state(toks[0], n, no)
-        if table[s] is not None:
-            raise ParseError(no, f"duplicate distribution for state {s}")
+    for no, s, entries in _transitions(rd, n, "s -> (c,t):p ..."):
         dist = []
-        for tok in toks[2:]:
+        for tok in entries:
             if ":" not in tok or not tok.startswith("("):
                 raise ParseError(no, f"bad transition entry {tok!r}")
             pair_tok, p_tok = tok.rsplit(":", 1)

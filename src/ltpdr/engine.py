@@ -1,21 +1,23 @@
 """The generic PDR engines and their rewrite rules.
 
-Three engines share the rule vocabulary:
+Two engines share the rule vocabulary:
 
 * ``run_combined`` -- the full engine, interleaving frame strengthening with
   obligation-driven counterexample search (rules Valid, Unfold, Induction,
   Candidate, Model, Decide, Conflict);
-* ``run_positive`` -- frames only (Valid, Unfold, Induction); can answer True
-  or exhaust its budget, never False;
 * ``run_negative`` -- the Kleene iterates ``F^i(bot)`` as frames, then
   obligations (Candidate, Decide, Model) below them; can answer False, get
   Stuck, or exhaust its budget, never True.  It makes the combined engine's
   frames and choices on a false instance.
 
+The positive engine (Valid, Unfold, Induction; never False) is
+``run_combined`` with no Candidate, which alone starts an obligation.  It is
+Stuck once the last frame exceeds ``alpha`` and no Induction applies.
+
 An ``Instance`` bundles one question ``mu F <= alpha`` with the one set of
-choices the engines use, and ``solve(instance, engine)`` runs one of the
-three engines on it.  ``certificate_holds`` re-checks the certificate of a
-True or False answer.  Each instance module builds
+choices the engines use, and ``solve(instance, engine)`` runs the combined,
+positive or negative engine on it.  ``certificate_holds`` re-checks the
+certificate of a True or False answer.  Each instance module builds
 its ``Instance`` values (``kripke.forward``, ``kripke.inverse_backward``,
 ``kripke.opdual``, ``mdp.max_reach``, ``mrm.expected_reward``).
 
@@ -38,7 +40,6 @@ from enum import Enum
 from typing import Any, Callable, Optional
 
 from .lattice import (
-    InvolutionViolation,
     KTSequence,
     KleeneSequence,
     Lattice,
@@ -125,13 +126,9 @@ class HeuristicsBundle:
     choose_induction: Optional[Callable[[KTSequence], Optional[tuple[int, Any]]]] = None
 
 
-def _empty_obligations(n: int) -> KleeneSequence:
-    return KleeneSequence((), n)
-
-
 def initial_config(F: Transformer) -> PDRConfig:
     bot = F.lattice.bot
-    return PDRConfig(KTSequence((bot, F(bot))), _empty_obligations(2))
+    return PDRConfig(KTSequence((bot, F(bot))), KleeneSequence((), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +140,7 @@ def rule_valid(cfg: PDRConfig, F: Transformer, alpha, lo: int = 0,
                hi: Optional[int] = None) -> Optional[PDRAnswer]:
     """Valid on the frame pairs ``(j, j+1)`` with ``lo <= j < hi``; every
     pair by default."""
-    j = is_conclusive_kt(cfg.frames, F.lattice, lo, hi)
-    if j is None:
+    if is_conclusive_kt(cfg.frames, F.lattice, lo, hi) is None:
         return None
     return PDRAnswer(Verdict.TRUE, kt_witness=cfg.frames)
 
@@ -155,7 +151,7 @@ def rule_unfold(cfg: PDRConfig, F: Transformer, alpha) -> Optional[PDRConfig]:
     if not lat.leq(xs[-1], alpha):
         return None
     frames = KTSequence(xs + (lat.top,))
-    return PDRConfig(frames, _empty_obligations(len(frames)))
+    return PDRConfig(frames, KleeneSequence((), len(frames)))
 
 
 def rule_induction(cfg: PDRConfig, F: Transformer, alpha, k: int, x) -> Optional[PDRConfig]:
@@ -278,10 +274,9 @@ class _InvariantChecker:
     obligations are re-tested on every step.
     """
 
-    def __init__(self, F: Transformer, alpha, combined: bool):
+    def __init__(self, F: Transformer, alpha):
         self.F = F
         self.alpha = alpha
-        self.combined = combined
         self.chain = [F.lattice.bot, F(F.lattice.bot)]  # iterates of F from bottom
         self.frames: tuple = ()  # the last chain that passed
 
@@ -307,7 +302,7 @@ class _InvariantChecker:
             for off, c in enumerate(ob.elements):
                 if not lat.leq(c, xs[ob.start_index + off]):
                     raise EngineInvariantError("obligation not admissible (C_j !<= X_j)")
-        if self.combined and not lat.eq(xs[1], self.chain[1]):
+        if not lat.eq(xs[1], self.chain[1]):
             raise EngineInvariantError("frame prefix (bot, F bot) not preserved")
         for i in range(n):
             if changed[i] and not lat.leq(self.chain[i], xs[i]):
@@ -430,7 +425,7 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     cfg = initial_config(F)
     stats = RunStats()
     started = time.perf_counter()
-    checker = _InvariantChecker(F, alpha, combined=True) if debug else None
+    checker = _InvariantChecker(F, alpha) if debug else None
     if checker:
         checker.check(cfg)
     fresh = (0, len(cfg.frames) - 1)  # the pairs Valid has not yet failed on
@@ -488,50 +483,6 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, len(cfg.frames))
 
 
-def run_positive(F: Transformer, alpha,
-                 induction_proposer: Optional[Callable[[KTSequence], Optional[tuple[int, Any]]]],
-                 *, budget: int = 100000, debug: bool = False,
-                 trace: Optional[Callable[[str], None]] = None) -> PDRAnswer:
-    """One-sided engine: Valid, Unfold and Induction only; never answers False.
-
-    When no rule fires the step is still consumed, so an unprovable instance
-    exhausts its budget instead of concluding.  Valid is re-checked on the
-    same frame pairs as in ``run_combined``.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    cfg = initial_config(F)
-    stats = RunStats()
-    started = time.perf_counter()
-    checker = _InvariantChecker(F, alpha, combined=False) if debug else None
-    fresh = (0, len(cfg.frames) - 1)  # the pairs Valid has not yet failed on
-
-    for step in range(1, budget + 1):
-        stats.steps = step
-        if fresh is not None:
-            ans = rule_valid(cfg, F, alpha, *fresh)
-            if ans is not None:
-                stats.count("valid")
-                _emit(trace, step, "valid", cfg)
-                return _finalize(ans, stats, F, alpha, started, cfg.frames, debug)
-        before = cfg.frames
-        applied, k = "unfold", None
-        nxt = rule_unfold(cfg, F, alpha)
-        if nxt is None:
-            prop = induction_proposer(cfg.frames) if induction_proposer else None
-            nxt = rule_induction(cfg, F, alpha, prop[0], prop[1]) if prop else None
-            applied, k = ("induction", prop[0]) if nxt is not None else ("noop", None)
-        stats.count(applied)
-        if nxt is not None:
-            cfg = nxt
-            _emit(trace, step, applied, cfg)
-            if checker:
-                checker.check(cfg)
-        fresh = _fresh_pairs(applied, before, cfg, k)
-
-    return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, len(cfg.frames))
-
-
 def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
                  budget: int = 100000, debug: bool = False,
                  trace: Optional[Callable[[str], None]] = None) -> PDRAnswer:
@@ -567,7 +518,7 @@ def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
         elif lat.leq(xs[-1], alpha):
             x = F(xs[-1])
             nxt = None if lat.eq(x, xs[-1]) else PDRConfig(
-                KTSequence(xs + (x,)), _empty_obligations(len(xs) + 1))
+                KTSequence(xs + (x,)), KleeneSequence((), len(xs) + 1))
             applied = "iterate"
         else:
             nxt, applied = rule_candidate(cfg, F, alpha, heuristics), "candidate"
@@ -603,13 +554,16 @@ def canonical_heuristics(F: Transformer) -> HeuristicsBundle:
     return HeuristicsBundle(candidate, decide)
 
 
-def join_induction_proposer(F: Transformer):
+def join_induction_proposer(F: Transformer, alpha):
     """Propose x := X_{k-1} v F(X_{k-1}) at the first index where it
-    strengthens; needs a join on the instance lattice."""
+    strengthens, but only once ``X_{n-1} !<= alpha``, so that Unfold goes
+    first as long as it applies; needs a join on the instance lattice."""
     lat = F.lattice
 
     def propose(frames: KTSequence) -> Optional[tuple[int, Any]]:
         xs = frames.elements
+        if lat.leq(xs[-1], alpha):
+            return None
         for k in range(2, len(xs)):
             x = lat.join(xs[k - 1], F(xs[k - 1]))
             if not lat.leq(xs[k], x):
@@ -625,7 +579,8 @@ class Instance:
 
     ``bundle`` holds the instance's one set of choices; the combined and
     the negative engine both use its Candidate and Decide.  The positive
-    engine needs only ``F``: it proposes ``join_induction_proposer(F)``.
+    engine needs only ``F`` and ``alpha``: it has no Candidate or Decide and
+    proposes ``join_induction_proposer(F, alpha)``.
     """
 
     F: Transformer
@@ -636,15 +591,19 @@ class Instance:
 def solve(inst: Instance, engine: str = "combined", *, budget: int = 100000,
           debug: bool = False,
           trace: Optional[Callable[[str], None]] = None) -> PDRAnswer:
-    """Run ``engine`` (``combined``, ``positive`` or ``negative``) on ``inst``."""
+    """Run ``engine`` (``combined``, ``positive`` or ``negative``) on ``inst``.
+    The positive engine is ``run_combined`` with no Candidate or Decide."""
     kw = dict(budget=budget, debug=debug, trace=trace)
-    if engine == "combined":
-        return run_combined(inst.F, inst.alpha, inst.bundle, **kw)
-    if engine == "positive":
-        return run_positive(inst.F, inst.alpha, join_induction_proposer(inst.F), **kw)
     if engine == "negative":
         return run_negative(inst.F, inst.alpha, inst.bundle, **kw)
-    raise ValueError(f"no {engine!r} engine")
+    bundle = inst.bundle
+    if engine == "positive":
+        none = lambda *args: None
+        bundle = HeuristicsBundle(none, none, choose_induction=join_induction_proposer(
+            inst.F, inst.alpha))
+    elif engine != "combined":
+        raise ValueError(f"no {engine!r} engine")
+    return run_combined(inst.F, inst.alpha, bundle, **kw)
 
 
 def dualize(F: Transformer, alpha) -> tuple[Transformer, Any]:
@@ -656,19 +615,3 @@ def dualize(F: Transformer, alpha) -> tuple[Transformer, Any]:
     lat = F.lattice
     lat.join(lat.bot, lat.bot)  # probe; raises UnsupportedDual if absent
     return Transformer(OppositeLattice(lat), F.fn), alpha
-
-
-def involution_reduce(F_core: Transformer, iota, alpha, neg) -> tuple[Transformer, Any]:
-    """Turn the under-approximation problem ``iota <= nu x. alpha /\\ F_core(x)``
-    into an equivalent least-fixed-point bound via an order-reversing
-    self-inverse ``neg``, yielding ``(x -> neg(alpha /\\ F_core(neg x)), neg iota)``.
-    """
-    lat = F_core.lattice
-    for sample in (lat.bot, lat.top, iota, alpha):
-        if not lat.eq(neg(neg(sample)), sample):
-            raise InvolutionViolation("neg is not self-inverse on sampled elements")
-
-    def fn(x):
-        return neg(lat.meet(alpha, F_core(neg(x))))
-
-    return Transformer(lat, fn), neg(iota)

@@ -31,10 +31,6 @@ class UnsupportedDual(LatticeError):
     """The instance supplies no join, so it cannot be order-dualized."""
 
 
-class InvolutionViolation(LatticeError):
-    """A claimed involution failed ``neg(neg(x)) == x`` on a sampled x."""
-
-
 class Lattice:
     """Contract for a complete lattice restricted to a representable carrier.
 
@@ -173,14 +169,6 @@ def is_conclusive_kt(X: KTSequence, lattice: Lattice, lo: int = 0,
 def is_conclusive_kleene(C: KleeneSequence, lattice: Lattice) -> bool:
     """True iff the chain is nonempty, starts at index 0, and its head is bot."""
     return bool(C.elements) and C.start_index == 0 and lattice.eq(C.elements[0], lattice.bot)
-
-
-def kt_order_leq(X: KTSequence, Y: KTSequence, lattice: Lattice) -> bool:
-    """The refinement order on frame chains: Y is at least as long as X and
-    pointwise stronger (``X_j >= Y_j``) on shared indices."""
-    if len(X) > len(Y):
-        return False
-    return all(lattice.leq(Y[j], X[j]) for j in range(len(X)))
 
 
 def check_kt_witness(x, F: Transformer, alpha) -> bool:

@@ -108,13 +108,3 @@ def vi_expected_reward(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
             return OracleResult(verdict=(value <= M.threshold), value=value,
                                 iterations=it)
     raise NoConvergence(f"no convergence within {cap} iterations")
-
-
-def initial_chain(F, n: int):
-    """The first ``n`` iterates of ``F`` from bottom: (bot, F bot, ...)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = [F.lattice.bot]
-    for _ in range(n - 1):
-        out.append(F(out[-1]))
-    return out

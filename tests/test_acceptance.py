@@ -262,12 +262,12 @@ def test_acceptance_5_one_sided_soundness(kripke_suite, mdp_suite):
         is Verdict.STUCK
     ok = ok and pdr_fkr(latch, debug=True).verdict is Verdict.TRUE
 
-    # Unsafe micro model: the one-sided prover spins, the combined engine
-    # finds the counterexample.
+    # Unsafe micro model: the one-sided prover is stuck once the last frame
+    # exceeds the bound, the combined engine finds the counterexample.
     with open(model_path("micro_counter.kr")) as fh:
         counter = parse_kripke(fh.read())
     ok = ok and solve(forward(counter), "positive", budget=500).verdict \
-        is Verdict.BUDGET_EXHAUSTED
+        is Verdict.STUCK
     ok = ok and pdr_fkr(counter, debug=True).verdict is Verdict.FALSE
 
     report(5, "one-sided-soundness", ok)

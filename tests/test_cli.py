@@ -138,10 +138,24 @@ class TestRunner:
         assert main(["mrm", model_path("die_by_coin_tight.mrm")]) == 10
 
     def test_budget_exhausted_exit_two(self, capsys):
-        code = main(["kripke-forward", model_path("k1_unsafe.kr"),
-                     "--engine", "positive", "--budget", "50"])
+        # The positive engine proves die_by_coin.mrm, but not in 5 steps.
+        code = main(["mrm", model_path("die_by_coin.mrm"),
+                     "--engine", "positive", "--budget", "5"])
         assert code == 2
         assert "RESULT: BudgetExhausted" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind, name", [
+        ("kripke-forward", "k1_unsafe.kr"), ("kripke-forward", "micro_counter.kr"),
+        ("kripke-ibackward", "k1_unsafe.kr"), ("kripke-ibackward", "micro_counter.kr"),
+        ("mdp", "grid3x3.mdp"), ("mrm", "die_by_coin_tight.mrm")])
+    def test_positive_engine_is_stuck_on_a_false_model(self, kind, name, capsys):
+        # Once the last frame exceeds alpha and no Induction applies, no
+        # rule is left: the run stops at once instead of spinning to the
+        # default budget.
+        code = main([kind, model_path(name), "--engine", "positive", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2 and report["verdict"] == "Stuck"
+        assert report["stats"]["steps"] <= 10
 
     def test_negative_engine_is_stuck_on_a_safe_cycle(self, capsys):
         # The unsafe state of k1.kr has a self-loop but is unreachable: the

@@ -1,4 +1,4 @@
-"""The seven rewrite rules, the three engines, and the dualization helpers."""
+"""The seven rewrite rules, the engines, and the dualization helpers."""
 
 import dataclasses
 import math
@@ -19,7 +19,6 @@ from ltpdr.engine import (
     canonical_heuristics,
     dualize,
     initial_config,
-    involution_reduce,
     join_induction_proposer,
     rule_candidate,
     rule_conflict,
@@ -30,7 +29,6 @@ from ltpdr.engine import (
     rule_valid,
     run_combined,
     run_negative,
-    run_positive,
     solve,
 )
 from ltpdr.kripke import (
@@ -46,10 +44,10 @@ from ltpdr.kripke import (
 from ltpdr.lattice import (
     KTSequence,
     KleeneSequence,
+    LatticeError,
     OppositeLattice,
     Transformer,
     UnsupportedDual,
-    InvolutionViolation,
     check_kleene_witness,
 )
 from ltpdr.mdp import PointwiseLattice, eps_val, max_reach, plain
@@ -258,26 +256,41 @@ class TestSolve:
 
 
 class TestPositive:
+    """The combined engine with no Candidate or Decide and the join
+    proposer, which waits until the last frame exceeds ``alpha``."""
+
     def test_safe_with_join_proposer(self, k1):
-        F = forward_transformer(k1)
-        ans = run_positive(F, ALPHA, join_induction_proposer(F), debug=True)
+        ans = solve(forward(k1), "positive", debug=True)
         assert ans.verdict is Verdict.TRUE
 
-    def test_unsafe_exhausts_budget(self, k1):
-        F = forward_transformer(k1)
-        ans = run_positive(F, ALPHA_P, join_induction_proposer(F), budget=200)
-        assert ans.verdict is Verdict.BUDGET_EXHAUSTED
+    def test_unsafe_is_stuck(self, k1):
+        # Unfold, then Induction sets X_2 := F(X_1) = {0, 1}, which exceeds
+        # {0}; no lemma strengthens X_2 further, so no rule applies on step 3.
+        ans = solve(forward(dataclasses.replace(k1, safe=ALPHA_P)), "positive",
+                    budget=200, debug=True)
+        assert ans.verdict is Verdict.STUCK
+        assert ans.stats.steps == 3
+        assert ans.stats.rule_counts == {"unfold": 1, "induction": 1}
 
     def test_empty_initial_immediate(self, k1):
         K = dataclasses.replace(k1, initial=0)
-        F = forward_transformer(K)
-        ans = run_positive(F, ALPHA, None, budget=10)
+        ans = solve(forward(K), "positive", budget=10)
         assert ans.verdict is Verdict.TRUE
 
     def test_no_proposer_still_progresses_by_unfold(self, k1):
-        F = forward_transformer(k1)
-        ans = run_positive(F, 0b111, None, budget=50)  # alpha = top
+        # With alpha = top every frame is below alpha, so the proposer
+        # never offers a lemma.
+        ans = solve(forward(dataclasses.replace(k1, safe=0b111)), "positive", budget=50)
         assert ans.verdict is Verdict.TRUE
+        assert "induction" not in ans.stats.rule_counts
+
+    def test_join_proposer_waits_for_alpha(self, k1):
+        F = forward_transformer(k1)
+        frames = KTSequence((0, 0b001, 0b111))
+        assert join_induction_proposer(F, ALPHA_P)(frames) == (2, 0b011)
+        # While the last frame is below alpha, Unfold goes first.
+        assert join_induction_proposer(F, 0b111)(frames) is None
+        assert join_induction_proposer(F, ALPHA_P)(KTSequence((0, 0b001))) is None
 
 
 class TestNegative:
@@ -328,6 +341,26 @@ class TestNegative:
         F = forward_transformer(k1)
         none = dataclasses.replace(forward_bundle(k1), choose_decide=lambda xp, c, fx: None)
         assert run_negative(F, ALPHA_P, none).verdict is Verdict.STUCK
+
+
+class InvolutionViolation(LatticeError):
+    """A claimed involution failed ``neg(neg(x)) == x`` on a sampled x."""
+
+
+def involution_reduce(F_core: Transformer, iota, alpha, neg) -> tuple[Transformer, object]:
+    """Turn the under-approximation problem ``iota <= nu x. alpha /\\ F_core(x)``
+    into an equivalent least-fixed-point bound via an order-reversing
+    self-inverse ``neg``, yielding ``(x -> neg(alpha /\\ F_core(neg x)), neg iota)``.
+    """
+    lat = F_core.lattice
+    for sample in (lat.bot, lat.top, iota, alpha):
+        if not lat.eq(neg(neg(sample)), sample):
+            raise InvolutionViolation("neg is not self-inverse on sampled elements")
+
+    def fn(x):
+        return neg(lat.meet(alpha, F_core(neg(x))))
+
+    return Transformer(lat, fn), neg(iota)
 
 
 class TestDualization:
@@ -416,7 +449,7 @@ class TestDebugMode:
 
     @pytest.mark.parametrize("case", sorted(CORRUPTED))
     def test_checker_catches_a_corrupted_changed_frame(self, F, case):
-        checker = engine._InvariantChecker(F, ALPHA, combined=True)
+        checker = engine._InvariantChecker(F, ALPHA)
         checker.check(cfg([0, 0b001, 0b011, 0b011, 0b111]))
         with pytest.raises(EngineInvariantError):
             checker.check(cfg(*self.CORRUPTED[case]))
@@ -428,8 +461,7 @@ class TestDebugMode:
             calls.append(A)
             return F(A)
 
-        checker = engine._InvariantChecker(Transformer(F.lattice, counted), ALPHA,
-                                           combined=True)
+        checker = engine._InvariantChecker(Transformer(F.lattice, counted), ALPHA)
         xs = [0, 0b001, 0b011, 0b011, 0b111]
         checker.check(cfg(xs))
         calls.clear()
@@ -463,7 +495,7 @@ class TestValidScan:
     def _forward_with_induction(K):
         inst = forward(K)
         return dataclasses.replace(inst, bundle=dataclasses.replace(
-            inst.bundle, choose_induction=join_induction_proposer(inst.F)))
+            inst.bundle, choose_induction=join_induction_proposer(inst.F, inst.alpha)))
 
     @classmethod
     def _combined_solves(cls):
@@ -567,23 +599,8 @@ class TestValidScan:
             solves += [(max_reach, random_mdp(rng), positive),
                        (expected_reward, random_mrm(rng), positive)]
         rules = self._compare_with_full_scan(monkeypatch, solves)
-        for rule in ("unfold", "induction", "noop", "valid"):
+        for rule in ("unfold", "induction", "valid"):
             assert sum(r.get(rule, 0) for r in rules) > 0
-
-        # Noop steps keep the whole configuration, so Valid is also checked
-        # from inside the run: every step that gets past Valid reaches
-        # Unfold, where Valid must not hold on any pair.
-        rule_valid, rule_unfold = engine.rule_valid, engine.rule_unfold
-        held = []
-
-        def checked_unfold(cfg, F, alpha):
-            held.append(rule_valid(cfg, F, alpha) is not None)
-            return rule_unfold(cfg, F, alpha)
-
-        monkeypatch.setattr(engine, "rule_unfold", checked_unfold)
-        for build, model, kwargs in solves:
-            solve(build(model), **kwargs)
-        assert held and not any(held)
 
 
 class TestStrengthen:

@@ -14,7 +14,6 @@ from ltpdr.lattice import (
     is_conclusive_kt,
     is_kleene_sequence,
     is_kt_sequence,
-    kt_order_leq,
 )
 
 masks = st.integers(min_value=0, max_value=(1 << 8) - 1)
@@ -86,24 +85,6 @@ class TestConclusiveness:
         lat = SubsetLattice(3)
         assert not is_conclusive_kleene(KleeneSequence((0b001, 0b010), 1), lat)
         assert not is_conclusive_kleene(KleeneSequence((), 0), lat)
-
-
-class TestKTOrder:
-    def test_longer_stronger_chain_dominates(self):
-        lat = SubsetLattice(3)
-        X = KTSequence((0, 0b111))
-        Y = KTSequence((0, 0b011, 0b111))
-        assert kt_order_leq(X, Y, lat)
-
-    def test_reflexive(self):
-        lat = SubsetLattice(3)
-        X = KTSequence((0, 0b011))
-        assert kt_order_leq(X, X, lat)
-
-    def test_weaker_frame_rejected(self):
-        lat = SubsetLattice(3)
-        assert not kt_order_leq(KTSequence((0, 0b001)),
-                                KTSequence((0, 0b011)), lat)
 
 
 class TestWitnessChecks:

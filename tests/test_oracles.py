@@ -6,13 +6,11 @@ import inspect
 import pytest
 
 from ltpdr import oracles
-from ltpdr.kripke import KripkeStructure, forward_transformer
-from ltpdr.mdp import MDPModel, plain
+from ltpdr.mdp import MDPModel
 from ltpdr.mrm import MRMModel
 from ltpdr.oracles import (
     DIVERGED,
     bfs_safe,
-    initial_chain,
     vi_expected_reward,
     vi_max_reach,
 )
@@ -71,29 +69,6 @@ class TestExpectedReward:
         M = MRMModel(1, ((((1, 0), 1.0),),), 0, 1.0, frozenset({0}))
         res = vi_expected_reward(M)
         assert res.verdict == DIVERGED
-
-
-class TestInitialChain:
-    def test_kripke_iterates(self, k1):
-        F = forward_transformer(k1)
-        assert initial_chain(F, 4) == [0, 0b001, 0b011, 0b011]
-
-    def test_empty_initial(self, k1):
-        K = dataclasses.replace(k1, initial=0)
-        F = forward_transformer(K)
-        assert initial_chain(F, 3) == [0, 0, 0]
-
-    def test_mdp_iterates(self, m1):
-        from ltpdr.mdp import bellman
-        F = bellman(m1)
-        chain = initial_chain(F, 3)
-        assert chain[0] == (plain(0),) * 3
-        assert chain[1] == (plain(0), plain(0), plain(1))
-        assert chain[2] == (plain(0.5), plain(0), plain(1))
-
-    def test_requires_positive_length(self, k1):
-        with pytest.raises(ValueError):
-            initial_chain(forward_transformer(k1), 0)
 
 
 def test_oracles_have_no_engine_dependency():

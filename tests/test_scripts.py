@@ -21,7 +21,8 @@ def test_run_corpus_agrees_with_oracles(capsys):
 def test_random_differential_is_clean(capsys):
     # With the benchmark's budget of 500 steps, "budget exhausted: 0" also
     # says that every answer arrives within it, and "mismatches: 0" that the
-    # negative engine refutes every false draw within it.
+    # negative engine refutes every false draw within it and the positive
+    # engine is Stuck on exactly the false draws it does not run out on.
     code = load("random_differential").main(["--kripke", "30", "--mdp", "20",
                                              "--mrm", "30", "--budget", "500"])
     out = capsys.readouterr().out
