@@ -53,7 +53,6 @@ from . import kripke as kr
 from . import mdp as mdp_mod
 from . import mrm as mrm_mod
 from .engine import Instance, Verdict, certificate_holds, solve
-from .mdp import EpsValue
 from .oracles import DIVERGED, bfs_safe, vi_expected_reward, vi_max_reach
 
 
@@ -323,16 +322,8 @@ def serialize_mrm(M: mrm_mod.MRMModel) -> str:
 def _element_jsonable(x):
     if isinstance(x, int):
         return _mask_states(x)
-    if isinstance(x, tuple):
-        out = []
-        for v in x:
-            if isinstance(v, EpsValue):
-                base = "inf" if math.isinf(v.base) else v.base
-                out.append({"base": base, "eps": v.eps})
-            else:
-                out.append(v)
-        return out
-    return str(x)
+    return [{"base": "inf" if math.isinf(v.base) else v.base, "eps": v.eps}
+            for v in x]
 
 
 def _witness_jsonable(answer):
@@ -410,7 +401,7 @@ def run_cli(req: argparse.Namespace) -> int:
     stats = answer.stats
     stats_obj = {"steps": stats.steps, "rule_counts": stats.rule_counts,
                  "frame_count": stats.frame_count,
-                 "wall_time": stats.wall_time} if stats else None
+                 "wall_time": stats.wall_time}
 
     if req.json_output:
         print(json.dumps({"verdict": answer.verdict.value,
@@ -422,8 +413,7 @@ def run_cli(req: argparse.Namespace) -> int:
         witness = _witness_jsonable(answer)
         if witness is not None:
             print(f"witness: {json.dumps(witness)}")
-        if stats_obj is not None:
-            print(f"stats: {json.dumps(stats_obj)}")
+        print(f"stats: {json.dumps(stats_obj)}")
         if validation is not None:
             print(f"witness-valid: {validation}")
         if oracle is not None:

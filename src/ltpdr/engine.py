@@ -555,20 +555,22 @@ def canonical_heuristics(F: Transformer) -> HeuristicsBundle:
 
 
 def join_induction_proposer(F: Transformer, alpha):
-    """Propose x := X_{k-1} v F(X_{k-1}) at the first index where it
-    strengthens, but only once ``X_{n-1} !<= alpha``, so that Unfold goes
-    first as long as it applies; needs a join on the instance lattice."""
+    """Propose x := X_{n-2} v F(X_{n-2}) for the last frame, but only once
+    ``X_{n-1} !<= alpha``, so that Unfold goes first as long as it applies;
+    needs a join on the instance lattice.
+
+    In the positive engine the frames change only by Unfold, which appends
+    ``top``, and by this lemma at ``n-1``, which is above ``X_{n-2}`` and so
+    leaves ``X_0 .. X_{n-2}`` as they are.  Every lower frame then already
+    has ``X_k <= X_{k-1} v F(X_{k-1})``, and only the last can strengthen.
+    """
     lat = F.lattice
 
     def propose(frames: KTSequence) -> Optional[tuple[int, Any]]:
         xs = frames.elements
         if lat.leq(xs[-1], alpha):
             return None
-        for k in range(2, len(xs)):
-            x = lat.join(xs[k - 1], F(xs[k - 1]))
-            if not lat.leq(xs[k], x):
-                return (k, x)
-        return None
+        return (len(xs) - 1, lat.join(xs[-2], F(xs[-2])))
 
     return propose
 

@@ -85,7 +85,6 @@ class SubsetLattice(Lattice):
     """
 
     def __init__(self, state_count: int):
-        self.state_count = state_count
         self.bot = 0
         self.top = (1 << state_count) - 1
 

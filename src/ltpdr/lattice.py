@@ -38,7 +38,8 @@ class Lattice:
     ``meet``; ``join`` is optional and only needed for order-dualization and
     the join-based induction proposer.  ``leq_info`` returns the order test
     together with an instance-specific counterexample descriptor (e.g. the
-    set of violating states) that heuristics may use.
+    set of violating states) that heuristics may use; it may be None when
+    no heuristic of the instance reads it.
     """
 
     bot: Any

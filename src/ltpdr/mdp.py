@@ -74,18 +74,15 @@ def eps_val(v: float) -> EpsValue:
 class PointwiseLattice(Lattice):
     """Product of the EpsValue total order over the state space.
 
-    ``leq_info`` reports the tuple of violating state indices.
+    ``leq_info`` gives no descriptor: no pointwise heuristic reads one.
     """
 
     def __init__(self, state_count: int, top_value: float):
-        self.state_count = state_count
         self.bot = (plain(0.0),) * state_count
         self.top = (plain(top_value),) * state_count
 
     def leq_info(self, a, b):
-        if all(map(operator.le, a, b)):
-            return (True, ())
-        return (False, tuple(s for s in range(self.state_count) if not a[s] <= b[s]))
+        return (all(map(operator.le, a, b)), None)
 
     # min and max keep their first argument on ties.
     def meet(self, a, b):
@@ -274,7 +271,7 @@ def bellman(M: MDPModel) -> Transformer:
                 v = _expectation(dist, d)
                 if best is None or v > best:
                     best = v
-            out.append(best if best is not None else one)
+            out.append(best)
         return tuple(out)
 
     return Transformer(lat, fn)

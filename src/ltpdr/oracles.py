@@ -23,14 +23,12 @@ DIVERGED = "Diverged"
 class OracleResult:
     verdict: Union[bool, str]  # True / False / DIVERGED
     value: Optional[float] = None
-    iterations: int = 0
 
 
 def bfs_safe(K) -> OracleResult:
     """All states reachable from the initial set lie in the safe set."""
     seen = 0
     frontier = K.initial
-    steps = 0
     while frontier:
         seen |= frontier
         nxt = 0
@@ -40,8 +38,7 @@ def bfs_safe(K) -> OracleResult:
             nxt |= K.succ[bit.bit_length() - 1]
             m ^= bit
         frontier = nxt & ~seen
-        steps += 1
-    return OracleResult(verdict=(seen & ~K.safe == 0), iterations=steps)
+    return OracleResult(verdict=(seen & ~K.safe == 0))
 
 
 def vi_max_reach(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
@@ -69,8 +66,7 @@ def vi_max_reach(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
         d = nd
         if delta < tol:
             value = d[M.initial_state]
-            return OracleResult(verdict=(value <= M.threshold), value=value,
-                                iterations=it)
+            return OracleResult(verdict=(value <= M.threshold), value=value)
     raise NoConvergence(f"no convergence within {cap} iterations")
 
 
@@ -91,7 +87,7 @@ def vi_expected_reward(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
                 continue
             nd.append(sum(p * (c + d[t]) for (c, t), p in M.delta[s] if p > 0))
         if any(v > 1e12 for v in nd):
-            return OracleResult(verdict=DIVERGED, value=math.inf, iterations=it)
+            return OracleResult(verdict=DIVERGED, value=math.inf)
         delta = max(abs(a - b) for a, b in zip(d, nd))
         d = nd
         if it == checkpoint:
@@ -99,12 +95,10 @@ def vi_expected_reward(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
             # shrink over a doubling window signals (at least) linear growth.
             if (checkpoint_delta is not None and delta >= tol
                     and delta >= 0.5 * checkpoint_delta):
-                return OracleResult(verdict=DIVERGED, value=math.inf,
-                                    iterations=it)
+                return OracleResult(verdict=DIVERGED, value=math.inf)
             checkpoint_delta = delta
             checkpoint *= 2
         if delta < tol:
             value = d[M.initial_state]
-            return OracleResult(verdict=(value <= M.threshold), value=value,
-                                iterations=it)
+            return OracleResult(verdict=(value <= M.threshold), value=value)
     raise NoConvergence(f"no convergence within {cap} iterations")

@@ -284,6 +284,31 @@ class TestPositive:
         assert ans.verdict is Verdict.TRUE
         assert "induction" not in ans.stats.rule_counts
 
+    def test_proposer_images_only_the_last_frames(self):
+        # Draw #56 of random_differential.py --seed 1 at 1.1x its value: a
+        # safe reward model that takes the positive engine 2,175 steps.  The
+        # proposer images only X_{n-2} and Induction only X_{n-2} /\ x, so
+        # the F calls must not grow with the frame count.
+        rng = random.Random(1)
+        for _ in range(200):
+            random_kripke(rng)
+        for _ in range(50):
+            random_mdp(rng)
+        for _ in range(57):
+            M = random_mrm(rng)
+        M = dataclasses.replace(M, threshold=1.1 * vi_expected_reward(M).value)
+        inst = expected_reward(M)
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return inst.F.fn(x)
+
+        F = Transformer(inst.F.lattice, counted)
+        ans = solve(dataclasses.replace(inst, F=F), "positive")
+        assert ans.verdict is Verdict.TRUE
+        assert calls[0] <= 2 * ans.stats.steps
+
     def test_join_proposer_waits_for_alpha(self, k1):
         F = forward_transformer(k1)
         frames = KTSequence((0, 0b001, 0b111))

@@ -58,12 +58,6 @@ class TestEpsOrder:
         b = (eps_val(0.4), plain(0.3), plain(0.5))
         assert lat.meet(a, b) == (plain(0.4), eps_val(0.2), plain(0.5))
 
-    def test_leq_info_reports_violations(self, m1):
-        lat = m1.lattice()
-        ok, bad = lat.leq_info((eps_val(0.6), plain(0.0), plain(0.0)),
-                               m1.bound())
-        assert not ok and bad == (0,)
-
 
 class TestTupleOrderMatchesKeyOrder:
     """EpsValue compares as a tuple; the lattice operations must agree with
@@ -90,7 +84,7 @@ class TestTupleOrderMatchesKeyOrder:
                 assert (x <= y) == (key(x) <= key(y))
                 assert (x > y) == (key(x) > key(y))
             bad = tuple(s for s in range(4) if not key(a[s]) <= key(b[s]))
-            assert lat.leq_info(a, b) == (not bad, bad)
+            assert lat.leq(a, b) == (not bad)
             # Identity, not equality: on ties both keep their first argument.
             meet = lat.meet(a, b)
             join = lat.join(a, b)

@@ -23,8 +23,7 @@ def test_random_differential_is_clean(capsys):
     # says that every answer arrives within it, and "mismatches: 0" that the
     # negative engine refutes every false draw within it and the positive
     # engine is Stuck on exactly the false draws it does not run out on.
-    code = load("random_differential").main(["--kripke", "30", "--mdp", "20",
-                                             "--mrm", "30", "--budget", "500"])
+    code = load("random_differential").main(["--budget", "500"])
     out = capsys.readouterr().out
     assert code == 0, out
     assert "mismatches: 0" in out and "budget exhausted: 0" in out
