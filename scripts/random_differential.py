@@ -33,7 +33,8 @@ import traceback
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent.parent / "tests"))
 from util import random_kripke, random_mdp, random_mrm  # noqa: E402
 
-from ltpdr.cli import serialize_kripke, serialize_mdp, serialize_mrm  # noqa: E402
+from ltpdr.cli import (_positive_int, serialize_kripke, serialize_mdp,  # noqa: E402
+                       serialize_mrm)
 from ltpdr.engine import Verdict, solve  # noqa: E402
 from ltpdr.kripke import forward, inverse_backward  # noqa: E402
 from ltpdr.mdp import max_reach  # noqa: E402
@@ -83,7 +84,7 @@ def main(argv=None) -> int:
     ap.add_argument("--kripke", type=int, default=200)
     ap.add_argument("--mdp", type=int, default=50)
     ap.add_argument("--mrm", type=int, default=100)
-    ap.add_argument("--budget", type=int, default=100000,
+    ap.add_argument("--budget", type=_positive_int, default=100000,
                     help="step budget of every solve")
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)

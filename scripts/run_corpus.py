@@ -13,7 +13,7 @@ import pathlib
 import sys
 import time
 
-from ltpdr.cli import KINDS, instance
+from ltpdr.cli import KINDS, _positive_int, instance
 from ltpdr.engine import Verdict, solve
 
 # (file suffix, label, command-line kind, engine), in the order printed.
@@ -28,7 +28,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--models", default=str(
         pathlib.Path(__file__).resolve().parent.parent / "models"))
-    ap.add_argument("--budget", type=int, default=100000)
+    ap.add_argument("--budget", type=_positive_int, default=100000)
     args = ap.parse_args(argv)
 
     failures = 0

@@ -15,15 +15,12 @@ complement of the initial set; ``opdual`` asks the dual question on the
 opposite lattice.  ``pdr_fkr`` and ``pdr_ibkr`` run the combined engine on
 the first two.
 
-The forward and inverse-backward images are unions of per-state successor
-or predecessor masks.  ``_image`` computes such a union a byte of the
-argument at a time: each byte position of a state set owns a 256-slot
-table, indexed by the byte's value, that holds the union of the masks of
-the up to eight states the byte selects.  Slots are filled on first use,
-so a solve pays only for the byte values it actually meets, and an image
-costs one table lookup per non-zero byte instead of one step per state.
-Structures of at most eight states keep the per-state loop (see
-``_image``).
+All three transformers are built on one image function, ``_image``, the
+union of per-state successor or predecessor masks (the backward one as the
+complement of the existential pre-image of the complement).  The frames of
+a solve are the Kleene iterates, each the previous one plus a frontier, so
+``_image`` remembers its last argument and its image and, for a superset,
+images only the states that are new.
 """
 
 from __future__ import annotations
@@ -102,35 +99,23 @@ class SubsetLattice(Lattice):
 def _image(masks: tuple) -> Callable[[int], int]:
     """Return ``A -> union of masks[s] for s in A``.
 
-    ``A`` is read eight states at a time: byte ``p`` of ``A`` indexes a
-    256-slot table of the unions of ``masks[8p .. 8p+7]``.  A slot is filled
-    the first time its byte value is seen, so a solve pays only for the
-    bytes it actually meets.  A structure of at most eight states is imaged
-    one state at a time instead: its solves make a few dozen images, too
-    few for the table to pay for its own fills.
+    The returned function keeps its last argument ``B`` and image.  For
+    ``B <= A`` it adds the masks of ``A & ~B`` alone, as the union
+    distributes over ``A = B | (A & ~B)``; any other argument is imaged from
+    the empty set.  Either way the result depends on ``A`` only.
     """
-
-    def union(A: int) -> int:
-        out = 0
-        while A:
-            bit = A & -A
-            out |= masks[bit.bit_length() - 1]
-            A ^= bit
-        return out
-
-    if len(masks) <= 8:
-        return union
-    size = (len(masks) + 7) // 8
-    tables = [(8 * p, [None] * 256) for p in range(size)]
+    B = out = 0
 
     def image(A: int) -> int:
-        out = 0
-        for (shift, table), byte in zip(tables, A.to_bytes(size, "little")):
-            if byte:
-                part = table[byte]
-                if part is None:
-                    part = table[byte] = union(byte << shift)
-                out |= part
+        nonlocal B, out
+        if A & B != B:
+            B = out = 0
+        new = A & ~B
+        while new:
+            bit = new & -new
+            out |= masks[bit.bit_length() - 1]
+            new ^= bit
+        B = A
         return out
 
     return image
@@ -143,17 +128,11 @@ def forward_transformer(K: KripkeStructure) -> Transformer:
 
 
 def backward_transformer(K: KripkeStructure) -> Transformer:
+    """``A -> {s : succ[s] <= A}``: the states with no successor outside
+    ``A`` are those no state of ``top & ~A`` has as predecessor."""
     lat = SubsetLattice(K.state_count)
-    full = lat.top
-
-    def fn(A):
-        out = 0
-        for s in range(K.state_count):
-            if K.succ[s] & ~A == 0:
-                out |= 1 << s
-        return out & full
-
-    return Transformer(lat, fn)
+    top, pre_exists = lat.top, _image(K.pred)
+    return Transformer(lat, lambda A: top & ~pre_exists(top & ~A))
 
 
 def inverse_backward_transformer(K: KripkeStructure) -> Transformer:

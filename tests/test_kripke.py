@@ -83,9 +83,10 @@ def _union_per_bit(masks, A):
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 300])
 def test_image_matches_per_bit_union(n):
-    # n covers one partial byte, whole bytes, and a partial byte after
-    # whole ones; each mask is imaged twice, filling a table slot and then
-    # reading it back.
+    # The image remembers its last argument, so the order of the arguments
+    # matters: random ones mostly reset the memo, a growing chain (as the
+    # frames grow) extends it, a subset after a superset must reset it, and
+    # a repeated argument must return the remembered image unchanged.
     rng = random.Random(n)
     top = (1 << n) - 1
     for density in (0.0, 2 / n, 0.3):
@@ -95,10 +96,32 @@ def test_image_matches_per_bit_union(n):
         samples = [0, top] + [rng.getrandbits(n) for _ in range(40)] \
             + [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
                for _ in range(40)]
+        chain = [0]
+        for _ in range(12):
+            chain.append(chain[-1] | rng.getrandbits(n) & rng.getrandbits(n))
+        samples += chain + [top, chain[3], chain[3], chain[-1], chain[5]]
         for A in samples:
             expected = _union_per_bit(masks, A)
             assert image(A) == expected
             assert image(A) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_backward_matches_definition(seed):
+    # backward(A) = {s : succ[s] <= A}, on structures where the states of
+    # ``dead`` have no successor and so belong to every backward(A).
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    dead = rng.getrandbits(n)
+    edges = frozenset((a, b) for a in range(n) for b in range(n)
+                      if not dead >> a & 1 and rng.random() < 0.3)
+    K = KripkeStructure(n, edges, initial=1, safe=(1 << n) - 1)
+    bw = backward_transformer(K)
+    for A in [0, K.full_mask] + [rng.getrandbits(n) for _ in range(30)]:
+        expected = sum(1 << s for s in range(n) if K.succ[s] & ~A == 0)
+        assert bw(A) == expected
+        assert bw(A) & dead == dead
 
 
 def unsafe_chain(n: int) -> KripkeStructure:

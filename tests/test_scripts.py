@@ -3,6 +3,8 @@
 import importlib.util
 import pathlib
 
+import pytest
+
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -27,3 +29,14 @@ def test_random_differential_is_clean(capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "mismatches: 0" in out and "budget exhausted: 0" in out
+
+
+@pytest.mark.parametrize("name, budget", [("run_corpus", "0"),
+                                          ("random_differential", "-1")])
+def test_budget_must_be_positive(name, budget, capsys):
+    # Rejected by argparse (exit 2 with a usage line), not by a traceback
+    # from the first solve.
+    with pytest.raises(SystemExit) as exc:
+        load(name).main(["--budget", budget])
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
