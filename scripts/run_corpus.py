@@ -2,8 +2,9 @@
 """Run every model in the corpus through the solver and its oracle.
 
 Prints one line per (model, engine) pair with the verdict, the oracle
-verdict, step count, and wall time.  Exits nonzero if any solver verdict
-disagrees with its oracle.
+verdict, whether the two agree, the step count and the wall time.  Exits
+nonzero unless every run decides and agrees with its oracle: a run that
+ends Stuck or BudgetExhausted prints ``agree=-`` and counts as a failure.
 
 Usage: python scripts/run_corpus.py [--models DIR] [--budget N]
 """
@@ -46,13 +47,14 @@ def main(argv=None) -> int:
             agree = "-"
             if ans.verdict in (Verdict.TRUE, Verdict.FALSE):
                 agree = str((ans.verdict is Verdict.TRUE) == expected)
-                if agree == "False":
-                    failures += 1
+            if agree != "True":
+                failures += 1
             print(f"{path.name:24s} {name:8s} {ans.verdict.value:16s} "
                   f"oracle={expected!s:8s} agree={agree:5s} "
                   f"steps={ans.stats.steps:6d} t={dt:.3f}s")
     if failures:
-        print(f"{failures} disagreement(s)", file=sys.stderr)
+        print(f"{failures} run(s) undecided or disagreeing with the oracle",
+              file=sys.stderr)
     return 1 if failures else 0
 
 

@@ -53,7 +53,8 @@ from . import kripke as kr
 from . import mdp as mdp_mod
 from . import mrm as mrm_mod
 from .engine import Instance, Verdict, certificate_holds, solve
-from .oracles import DIVERGED, bfs_safe, vi_expected_reward, vi_max_reach
+from .oracles import (DIVERGED, NoConvergence, bfs_safe, vi_expected_reward,
+                      vi_max_reach)
 
 
 class ParseError(Exception):
@@ -105,6 +106,14 @@ class _Lines:
             raise ParseError(no, f"'{keyword}' takes exactly one {arg}")
         return no, toks
 
+    def section(self, keyword: str):
+        """The lines after the next line, which must be ``keyword`` alone."""
+        no, toks = self.header(keyword)
+        if len(toks) != 1:
+            raise ParseError(no, f"'{keyword}' takes no arguments")
+        while self:
+            yield self.next()
+
     def count(self, keyword: str, what: str, cap: int,
               positive: bool = False) -> int:
         """The argument of a ``keyword`` count line, at most ``cap``."""
@@ -147,12 +156,12 @@ def _state_set(rd: _Lines, n: int) -> frozenset:
 
 
 def _transitions(rd: _Lines, n: int, shape: str, m: int = 0):
-    """The transition lines ``s -> entry ...``, or ``s a -> entry ...`` for a
-    model with ``m`` actions, as ``(line number, key, entry tokens)`` with
-    ``key`` the state or ``(s, a)``; no key may appear twice."""
+    """The transition lines after ``trans``, ``s -> entry ...``, or ``s a ->
+    entry ...`` for a model with ``m`` actions, as ``(line number, key,
+    entry tokens)`` with ``key`` the state or ``(s, a)``; no key may appear
+    twice."""
     arrow, seen = (2 if m else 1), set()
-    while rd:
-        no, toks = rd.next()
+    for no, toks in rd.section("trans"):
         if len(toks) < arrow + 2 or toks[arrow] != "->":
             raise ParseError(no, f"transition lines are '{shape}'")
         key = s = _state(toks[0], n, no)
@@ -185,13 +194,8 @@ def parse_kripke(text: str) -> kr.KripkeStructure:
     if toks[0] == "unsafe":
         safe = ((1 << n) - 1) & ~safe
 
-    no, toks = rd.header("trans")
-    if len(toks) != 1:
-        raise ParseError(no, "'trans' takes no arguments")
-
     transitions = set()
-    while rd:
-        no, toks = rd.next()
+    for no, toks in rd.section("trans"):
         if len(toks) != 2:
             raise ParseError(no, "transition lines are 'src dst'")
         transitions.add((_state(toks[0], n, no), _state(toks[1], n, no)))
@@ -210,7 +214,6 @@ def parse_mdp(text: str) -> mdp_mod.MDPModel:
     if not 0.0 <= lam <= 1.0:
         raise ParseError(no, "threshold must lie in [0, 1]")
     safe = _state_set(rd, n)
-    rd.header("trans")
 
     table: list[list] = [[None] * m for _ in range(n)]
     for no, (s, a), entries in _transitions(rd, n, "s a -> t:p ...", m):
@@ -236,7 +239,6 @@ def parse_mrm(text: str) -> mrm_mod.MRMModel:
     if lam < 0:
         raise ParseError(no, "threshold must be nonnegative")
     safe = _state_set(rd, n)
-    rd.header("trans")
 
     table: list = [None] * n
     for no, s, entries in _transitions(rd, n, "s -> (c,t):p ..."):
@@ -348,7 +350,11 @@ KINDS = {
 
 
 def _oracle_report(oracle, model) -> dict:
-    res = oracle(model)
+    """The oracle's verdict; undecided (``safe`` None) if it does not converge."""
+    try:
+        res = oracle(model)
+    except NoConvergence as exc:
+        return {"name": oracle.__name__, "safe": None, "reason": str(exc)}
     if res.verdict == DIVERGED:  # an infinite expected reward
         return {"name": oracle.__name__, "safe": math.isinf(model.threshold),
                 "value": "inf"}
@@ -387,16 +393,14 @@ def run_cli(req: argparse.Namespace) -> int:
     inst, engine = instance(req.kind, req.engine, model)
     answer = solve(inst, engine, budget=req.budget, trace=print if req.trace else None)
 
-    validation = None
-    if req.validate_witness and answer.verdict in (Verdict.TRUE, Verdict.FALSE):
-        validation = certificate_holds(answer, inst.F, inst.alpha)
+    decided = answer.verdict in (Verdict.TRUE, Verdict.FALSE)
+    validation = (certificate_holds(answer, inst.F, inst.alpha)
+                  if req.validate_witness and decided else None)
 
     oracle = _oracle_report(run_oracle, model) if req.oracle else None
-    mismatch = False
-    if oracle is not None and answer.verdict in (Verdict.TRUE, Verdict.FALSE):
-        mismatch = (answer.verdict is Verdict.TRUE) != oracle["safe"]
-    if validation is False:
-        mismatch = True
+    mismatch = validation is False or (
+        decided and oracle is not None and oracle["safe"] is not None
+        and (answer.verdict is Verdict.TRUE) != oracle["safe"])
 
     stats = answer.stats
     stats_obj = {"steps": stats.steps, "rule_counts": stats.rule_counts,

@@ -21,6 +21,9 @@ certificate of a True or False answer.  Each instance module builds
 its ``Instance`` values (``kripke.forward``, ``kripke.inverse_backward``,
 ``kripke.opdual``, ``mdp.max_reach``, ``mrm.expected_reward``).
 
+A ``PDRConfig`` is two plain tuples, the frames and the obligations; only
+an answer wraps them, as the certificate ``KTSequence`` or ``KleeneSequence``.
+
 All rules are pure config-to-config steps; the runners add scheduling,
 budgeting, statistics, optional per-step invariant checking (``debug=True``)
 and an optional trace sink.  Heuristic outputs are always re-verified against
@@ -93,10 +96,11 @@ class PDRAnswer:
 
 @dataclass(frozen=True)
 class PDRConfig:
-    """Engine state: the frame chain plus the pending obligation chain."""
+    """Engine state ``(X; C)``: the frames and the pending obligations ``C_i
+    .. C_{n-1}`` as plain tuples, so ``i = len(frames) - len(obligations)``."""
 
-    frames: KTSequence
-    obligations: KleeneSequence
+    frames: tuple
+    obligations: tuple = ()
 
 
 def canonical_conflict(x_prev, head, fx):
@@ -113,22 +117,22 @@ class HeuristicsBundle:
     element is re-verified by the engine and a violation aborts the run.
     ``choose_decide``/``choose_conflict`` receive ``F(X_{i-1})`` precomputed.
     Conflict defaults to ``canonical_conflict``, which every instance uses.
-    ``choose_induction`` is offered the frames before the other rules on
-    every step and returns ``(k, x)``; ``rule_induction`` applies it when
-    ``X_k !<= x`` and ``F(X_{k-1} /\\ x) <= x``.  The MDP and reward
-    instances supply ``mdp.optimistic_induction``; the Kripke instance
-    supplies none.
+    ``choose_induction`` is offered the frames, a plain tuple, before the
+    other rules on every step and returns ``(k, x)``; ``rule_induction``
+    applies it when ``X_k !<= x`` and ``F(X_{k-1} /\\ x) <= x``.  The MDP
+    and reward instances supply ``mdp.optimistic_induction``; the Kripke
+    instance supplies none.
     """
 
     choose_candidate: Callable[[Any, Any, Any], Optional[Any]]
     choose_decide: Callable[[Any, Any, Any], Optional[Any]]
     choose_conflict: Callable[[Any, Any, Any], Optional[Any]] = canonical_conflict
-    choose_induction: Optional[Callable[[KTSequence], Optional[tuple[int, Any]]]] = None
+    choose_induction: Optional[Callable[[tuple], Optional[tuple[int, Any]]]] = None
 
 
 def initial_config(F: Transformer) -> PDRConfig:
     bot = F.lattice.bot
-    return PDRConfig(KTSequence((bot, F(bot))), KleeneSequence((), 2))
+    return PDRConfig((bot, F(bot)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,41 +143,40 @@ def initial_config(F: Transformer) -> PDRConfig:
 def rule_valid(cfg: PDRConfig, F: Transformer, alpha, lo: int = 0,
                hi: Optional[int] = None) -> Optional[PDRAnswer]:
     """Valid on the frame pairs ``(j, j+1)`` with ``lo <= j < hi``; every
-    pair by default."""
+    pair by default.  Only the answer wraps the frames as a certificate."""
     if is_conclusive_kt(cfg.frames, F.lattice, lo, hi) is None:
         return None
-    return PDRAnswer(Verdict.TRUE, kt_witness=cfg.frames)
+    return PDRAnswer(Verdict.TRUE, kt_witness=KTSequence(cfg.frames))
 
 
 def rule_unfold(cfg: PDRConfig, F: Transformer, alpha) -> Optional[PDRConfig]:
     lat = F.lattice
-    xs = cfg.frames.elements
+    xs = cfg.frames
     if not lat.leq(xs[-1], alpha):
         return None
-    frames = KTSequence(xs + (lat.top,))
-    return PDRConfig(frames, KleeneSequence((), len(frames)))
+    return PDRConfig(xs + (lat.top,))
 
 
 def rule_induction(cfg: PDRConfig, F: Transformer, alpha, k: int, x) -> Optional[PDRConfig]:
     """Induction, which the paper applies only with no obligations pending:
     strengthening a frame under a pending ``C_j`` could leave ``C_j !<= X_j``."""
     lat = F.lattice
-    xs = cfg.frames.elements
-    if not cfg.obligations.empty or not 2 <= k <= len(xs) - 1:
+    xs = cfg.frames
+    if cfg.obligations or not 2 <= k <= len(xs) - 1:
         return None
     if lat.leq(xs[k], x):
         return None
     if not lat.leq(F(lat.meet(xs[k - 1], x)), x):
         return None
-    return PDRConfig(_strengthen(lat, xs, k, x), cfg.obligations)
+    return PDRConfig(_strengthen(lat, xs, k, x))
 
 
 def rule_candidate(cfg: PDRConfig, F: Transformer, alpha,
                    heuristics: HeuristicsBundle) -> Optional[PDRConfig]:
     lat = F.lattice
-    if not cfg.obligations.empty:
+    if cfg.obligations:
         return None
-    last = cfg.frames.elements[-1]
+    last = cfg.frames[-1]
     ok, info = lat.leq_info(last, alpha)
     if ok:
         return None
@@ -182,15 +185,15 @@ def rule_candidate(cfg: PDRConfig, F: Transformer, alpha,
         return None
     if not lat.leq(x, last) or lat.leq(x, alpha):
         raise HeuristicViolation("candidate output must satisfy x <= X_{n-1} and x !<= alpha")
-    n = len(cfg.frames)
-    return PDRConfig(cfg.frames, KleeneSequence((x,), n - 1))
+    return PDRConfig(cfg.frames, (x,))
 
 
 def rule_model(cfg: PDRConfig, F: Transformer, alpha) -> Optional[PDRAnswer]:
+    """Model, once the head obligation is at index 1."""
     ob = cfg.obligations
-    if ob.empty or ob.start_index != 1:
+    if len(ob) != len(cfg.frames) - 1:
         return None
-    witness = KleeneSequence((F.lattice.bot,) + ob.elements, 0)
+    witness = KleeneSequence((F.lattice.bot,) + ob, 0)
     return PDRAnswer(Verdict.FALSE, kleene_witness=witness)
 
 
@@ -198,12 +201,12 @@ def rule_decide(cfg: PDRConfig, F: Transformer, alpha, heuristics: HeuristicsBun
                 fx=None) -> Optional[PDRConfig]:
     """Decide; ``fx`` is ``F(X_{i-1})`` when the caller has it already."""
     lat = F.lattice
-    ob = cfg.obligations
-    if ob.empty:
+    xs, ob = cfg.frames, cfg.obligations
+    if not ob:
         return None
-    i = ob.start_index
-    head = ob.elements[0]
-    x_prev = cfg.frames.elements[i - 1]
+    i = len(xs) - len(ob)
+    head = ob[0]
+    x_prev = xs[i - 1]
     if fx is None:
         fx = F(x_prev)
     if not lat.leq(head, fx):
@@ -213,7 +216,7 @@ def rule_decide(cfg: PDRConfig, F: Transformer, alpha, heuristics: HeuristicsBun
         return None
     if not lat.leq(x, x_prev) or not lat.leq(head, F(x)):
         raise HeuristicViolation("decide output must satisfy x <= X_{i-1} and C_i <= F(x)")
-    return PDRConfig(cfg.frames, KleeneSequence((x,) + ob.elements, i - 1))
+    return PDRConfig(xs, (x,) + ob)
 
 
 def rule_conflict(cfg: PDRConfig, F: Transformer, alpha, heuristics: HeuristicsBundle,
@@ -224,12 +227,12 @@ def rule_conflict(cfg: PDRConfig, F: Transformer, alpha, heuristics: HeuristicsB
     (``F(X_{i-1})`` by default) is re-checked against its contract.
     """
     lat = F.lattice
-    ob = cfg.obligations
-    if ob.empty:
+    xs, ob = cfg.frames, cfg.obligations
+    if not ob:
         return None
-    i = ob.start_index
-    head = ob.elements[0]
-    x_prev = cfg.frames.elements[i - 1]
+    i = len(xs) - len(ob)
+    head = ob[0]
+    x_prev = xs[i - 1]
     if fx is None:
         fx = F(x_prev)
     if lat.leq(head, fx):
@@ -240,11 +243,10 @@ def rule_conflict(cfg: PDRConfig, F: Transformer, alpha, heuristics: HeuristicsB
     if lat.leq(head, x) or not lat.leq(F(lat.meet(x_prev, x)), x):
         raise HeuristicViolation(
             "conflict output must satisfy C_i !<= x and F(X_{i-1} /\\ x) <= x")
-    return PDRConfig(_strengthen(lat, cfg.frames.elements, i, x),
-                     KleeneSequence(ob.elements[1:], i + 1))
+    return PDRConfig(_strengthen(lat, xs, i, x), ob[1:])
 
 
-def _strengthen(lat: Lattice, xs: tuple, k: int, x) -> KTSequence:
+def _strengthen(lat: Lattice, xs: tuple, k: int, x) -> tuple:
     """The frames with ``x`` met into ``X_2 .. X_k`` (Induction, Conflict).
 
     The chain ascends, so once ``X_j <= x`` every frame below ``X_j`` is
@@ -256,8 +258,7 @@ def _strengthen(lat: Lattice, xs: tuple, k: int, x) -> KTSequence:
     j = k
     while j >= 2 and not lat.leq(xs[j], x):
         j -= 1
-    return KTSequence(xs[:j + 1] + tuple([lat.meet(e, x) for e in xs[j + 1:k + 1]])
-                      + xs[k + 1:])
+    return xs[:j + 1] + tuple([lat.meet(e, x) for e in xs[j + 1:k + 1]]) + xs[k + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +283,7 @@ class _InvariantChecker:
 
     def check(self, cfg: PDRConfig) -> None:
         F, lat = self.F, self.F.lattice
-        xs, ob = cfg.frames.elements, cfg.obligations
+        xs, ob = cfg.frames, cfg.obligations
         n = len(xs)
         old = self.frames
         changed = [i >= len(old) or x is not old[i] for i, x in enumerate(xs)]
@@ -296,12 +297,9 @@ class _InvariantChecker:
                 raise EngineInvariantError("frame chain invariant broken")
         if not is_kleene_sequence(ob, F, self.alpha):
             raise EngineInvariantError("obligation chain invariant broken")
-        if not ob.empty:
-            if ob.start_index + len(ob) != n:
-                raise EngineInvariantError("obligation indexing out of sync with frames")
-            for off, c in enumerate(ob.elements):
-                if not lat.leq(c, xs[ob.start_index + off]):
-                    raise EngineInvariantError("obligation not admissible (C_j !<= X_j)")
+        for c, x in zip(ob, xs[n - len(ob):]):
+            if not lat.leq(c, x):
+                raise EngineInvariantError("obligation not admissible (C_j !<= X_j)")
         if not lat.eq(xs[1], self.chain[1]):
             raise EngineInvariantError("frame prefix (bot, F bot) not preserved")
         for i in range(n):
@@ -333,7 +331,7 @@ def certificate_holds(answer: PDRAnswer, F: Transformer, alpha) -> bool:
 
 
 def _finalize(answer: PDRAnswer, stats: RunStats, F: Transformer, alpha,
-              started: float, frames: KTSequence, debug: bool = False) -> PDRAnswer:
+              started: float, frames: tuple, debug: bool = False) -> PDRAnswer:
     """Stop with a True or False answer after re-checking its certificate;
     in debug mode also re-check the whole final frame chain."""
     answer = _stop(answer, stats, started, len(frames))
@@ -345,28 +343,26 @@ def _finalize(answer: PDRAnswer, stats: RunStats, F: Transformer, alpha,
     return answer
 
 
-def _fresh_pairs(rule: str, old: KTSequence, cfg: PDRConfig,
+def _fresh_pairs(rule: str, old: tuple, cfg: PDRConfig,
                  k: Optional[int]) -> Optional[tuple[int, int]]:
     """The range ``(lo, hi)`` of frame pairs ``(j, j+1)``, ``lo <= j < hi``,
     on which Valid can newly hold after ``rule`` turned the frames ``old``
     into those of ``cfg``; None when the rule kept the frames.
 
     Valid failed on ``old``.  Unfold adds just the last pair.  Induction at
-    ``k`` and Conflict at ``k`` (the obligation index, one below the new
-    start) meet a new element into ``X_2 .. X_k``; ``_strengthen`` keeps the
-    frames the meet leaves unchanged as the same objects, and since the
-    chain ascends these are a prefix ``X_0 .. X_{j0}``.  A pair of two
-    unchanged frames has already failed, and at ``j = k`` the pair would
-    need ``X_{k+1} <= X_k`` already, so only ``j0 <= j < k`` are fresh.
+    ``k`` and Conflict at ``k`` (the index of the obligation it popped) meet
+    a new element into ``X_2 .. X_k``; ``_strengthen`` keeps the frames the
+    meet leaves unchanged as the same objects, and since the chain ascends
+    these are a prefix ``X_0 .. X_{j0}``.  A pair of two unchanged frames
+    has already failed, and at ``j = k`` the pair would need ``X_{k+1} <=
+    X_k`` already, so only ``j0 <= j < k`` are fresh.
     """
     if rule == "unfold":
         n = len(cfg.frames)
         return (n - 2, n - 1)
-    if rule == "conflict":
-        k = cfg.obligations.start_index - 1
-    elif rule != "induction":
+    if rule not in ("induction", "conflict"):
         return None
-    xs, ys = old.elements, cfg.frames.elements
+    xs, ys = old, cfg.frames
     j0 = k
     while j0 > 1 and xs[j0] is not ys[j0]:
         j0 -= 1
@@ -447,7 +443,7 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
             return _finalize(ans, stats, F, alpha, started, cfg.frames, debug)
 
         applied = k = None
-        if cfg.obligations.empty:
+        if not cfg.obligations:
             propose = heuristics.choose_induction
             prop = propose(cfg.frames) if propose is not None else None
             if prop is not None:
@@ -463,7 +459,8 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
                     if nxt is not None:
                         cfg, applied = nxt, "candidate"
         else:
-            fx = _image_at(F, images, cfg.frames.elements, cfg.obligations.start_index - 1)
+            k = len(cfg.frames) - len(cfg.obligations)  # the head's index
+            fx = _image_at(F, images, cfg.frames, k - 1)
             nxt = rule_decide(cfg, F, alpha, heuristics, fx)
             if nxt is not None:
                 cfg, applied = nxt, "decide"
@@ -512,13 +509,13 @@ def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
             stats.count("model")
             _emit(trace, step, "model", cfg)
             return _finalize(ans, stats, F, alpha, started, cfg.frames, debug)
-        xs, ob = cfg.frames.elements, cfg.obligations
-        if not ob.empty:
-            nxt, applied = rule_decide(cfg, F, alpha, heuristics, xs[ob.start_index]), "decide"
+        xs, ob = cfg.frames, cfg.obligations
+        if ob:
+            fx = xs[len(xs) - len(ob)]  # X_i, which is F(X_{i-1})
+            nxt, applied = rule_decide(cfg, F, alpha, heuristics, fx), "decide"
         elif lat.leq(xs[-1], alpha):
             x = F(xs[-1])
-            nxt = None if lat.eq(x, xs[-1]) else PDRConfig(
-                KTSequence(xs + (x,)), KleeneSequence((), len(xs) + 1))
+            nxt = None if lat.eq(x, xs[-1]) else PDRConfig(xs + (x,))
             applied = "iterate"
         else:
             nxt, applied = rule_candidate(cfg, F, alpha, heuristics), "candidate"
@@ -528,9 +525,9 @@ def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
         stats.count(applied)
         _emit(trace, step, applied, cfg)
         if debug:
-            xs, ob, i = cfg.frames.elements, cfg.obligations, cfg.obligations.start_index
-            if not (lat.leq(xs[-2], xs[-1]) and i + len(ob) == len(xs) and (
-                    ob.empty or lat.leq(ob[0], xs[i])
+            xs, ob = cfg.frames, cfg.obligations
+            if not (lat.leq(xs[-2], xs[-1]) and (
+                    not ob or lat.leq(ob[0], xs[len(xs) - len(ob)])
                     and (len(ob) == 1 or lat.leq(ob[1], F(ob[0]))))):
                 raise EngineInvariantError("negative engine invariant broken")
 
@@ -566,8 +563,7 @@ def join_induction_proposer(F: Transformer, alpha):
     """
     lat = F.lattice
 
-    def propose(frames: KTSequence) -> Optional[tuple[int, Any]]:
-        xs = frames.elements
+    def propose(xs: tuple) -> Optional[tuple[int, Any]]:
         if lat.leq(xs[-1], alpha):
             return None
         return (len(xs) - 1, lat.join(xs[-2], F(xs[-2])))

@@ -2,8 +2,8 @@
 
 A problem instance is a complete lattice ``L`` together with a monotone
 transformer ``F: L -> L`` and a bound ``alpha``; the solver decides whether
-the least fixed point of ``F`` is below ``alpha``.  Two kinds of evidence are
-maintained:
+the least fixed point of ``F`` is below ``alpha``.  Its answer carries one
+of two certificates, built from the engine's plain tuples only for answers:
 
 * a :class:`KTSequence` -- an ascending chain of frames whose stabilisation
   yields a Knaster-Tarski style positive certificate (an ``x`` with
@@ -106,7 +106,7 @@ class KTSequence:
 
 @dataclass(frozen=True)
 class KleeneSequence:
-    """Obligation chain ``(C_i, ..., C_{n-1})``; empty when start_index == n."""
+    """Obligation chain ``(C_i, ..., C_{n-1})`` starting at ``start_index``."""
 
     elements: tuple
     start_index: int
@@ -117,50 +117,40 @@ class KleeneSequence:
     def __getitem__(self, i):
         return self.elements[i]
 
-    @property
-    def empty(self) -> bool:
-        return not self.elements
 
-
-def is_kt_sequence(X: KTSequence, F: Transformer, alpha) -> bool:
+def is_kt_sequence(xs, F: Transformer, alpha) -> bool:
     """Check the three frame-chain invariants: ascending, shifted prefixed
-    point (``X_0 = bot`` and ``F(X_i) <= X_{i+1}``), and ``X_{n-2} <= alpha``."""
+    point (``X_0 = bot`` and ``F(X_i) <= X_{i+1}``), and ``X_{n-2} <= alpha``.
+    ``xs`` is a plain tuple of frames or a :class:`KTSequence`."""
     lat = F.lattice
-    xs = X.elements
     n = len(xs)
-    if n < 2:
-        return False
-    if not lat.eq(xs[0], lat.bot):
+    if n < 2 or not lat.eq(xs[0], lat.bot):
         return False
     for i in range(n - 1):
-        if not lat.leq(xs[i], xs[i + 1]):
-            return False
-        if not lat.leq(F(xs[i]), xs[i + 1]):
+        if not (lat.leq(xs[i], xs[i + 1]) and lat.leq(F(xs[i]), xs[i + 1])):
             return False
     return lat.leq(xs[n - 2], alpha)
 
 
-def is_kleene_sequence(C: KleeneSequence, F: Transformer, alpha) -> bool:
+def is_kleene_sequence(cs, F: Transformer, alpha) -> bool:
     """Check the obligation-chain invariants: consecutive elements satisfy
     ``C_j <= F(C_{j-1})`` and the tail is not below ``alpha``.  The empty
-    chain passes vacuously."""
+    chain passes vacuously.  ``cs`` is a plain tuple of obligations or a
+    :class:`KleeneSequence`."""
     lat = F.lattice
-    cs = C.elements
-    if not cs:
-        return True
     for j in range(1, len(cs)):
         if not lat.leq(cs[j], F(cs[j - 1])):
             return False
-    return not lat.leq(cs[-1], alpha)
+    return len(cs) == 0 or not lat.leq(cs[-1], alpha)
 
 
-def is_conclusive_kt(X: KTSequence, lattice: Lattice, lo: int = 0,
+def is_conclusive_kt(xs, lattice: Lattice, lo: int = 0,
                      hi: Optional[int] = None) -> Optional[int]:
     """Smallest j with ``lo <= j < hi`` and ``X_{j+1} <= X_j``, or None.
 
-    The default range is every pair of the chain, ``0 <= j < n-1``.
+    The default range is every pair of the chain, ``0 <= j < n-1``; ``xs``
+    is a plain tuple of frames or a :class:`KTSequence`.
     """
-    xs = X.elements
     for j in range(lo, len(xs) - 1 if hi is None else hi):
         if lattice.leq(xs[j + 1], xs[j]):
             return j

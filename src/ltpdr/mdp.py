@@ -43,7 +43,7 @@ from .engine import (
     Transformer,
     run_combined,
 )
-from .lattice import KTSequence, Lattice
+from .lattice import Lattice
 from .simplex import Infeasible, simplex_min
 
 _CAP = 1e9  # replaces infinite frame entries as an LP bound
@@ -142,9 +142,8 @@ def optimistic_induction(F: Transformer, alpha, s0: int):
     seen = 0  # the length of the last chain offered
     last = None  # the last proposal
 
-    def propose(frames: KTSequence):
+    def propose(xs: tuple):
         nonlocal cap, seen, last
-        xs = frames.elements
         n = len(xs)
         if n < seen:  # chains only grow: this is a new solve
             seen, last = 0, None

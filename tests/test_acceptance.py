@@ -133,8 +133,7 @@ def random_join_proposer(F, rng):
     ``k``, or nothing; the engine applies it only when its guard holds."""
     lat = F.lattice
 
-    def propose(frames):
-        xs = frames.elements
+    def propose(xs):
         k = rng.randrange(2, len(xs) + 1)
         if k == len(xs):
             return None

@@ -20,6 +20,7 @@ from ltpdr.cli import (
     serialize_mdp,
     serialize_mrm,
 )
+from ltpdr.oracles import vi_max_reach
 
 
 class TestParseKripke:
@@ -96,6 +97,17 @@ class TestParseMrm:
     def test_missing_init_rejected(self):
         with pytest.raises(ParseError):
             parse_mrm("states 2\nlambda 1\nsafe 0\ntrans\n0 -> (0,0):1\n")
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_kripke, "states 2\ninit 0\nsafe 0\ntrans bogus\n0 1\n", 4),
+    (parse_mdp, TestParseMdp.SRC.replace("trans", "trans bogus tokens"), 6),
+    (parse_mrm, TestParseMrm.SRC.replace("trans", "trans x"), 5),
+], ids=["kr", "mdp", "mrm"])
+def test_trans_takes_no_arguments(parse, text, line):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == f"line {line}: 'trans' takes no arguments"
 
 
 class TestRoundTrip:
@@ -221,6 +233,29 @@ class TestRunner:
         main(["kripke-forward", model_path("k1.kr"), "--trace"])
         out = capsys.readouterr().out
         assert "step=1 rule=" in out and "obligations=" in out
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_oracle_without_convergence_is_undecided(self, flags, tmp_path,
+                                                     monkeypatch, capsys):
+        # Value iteration creeps towards this leak's value 1 by 1e-7 a step
+        # and does not converge within its cap; a cap of 1,000 iterations
+        # ends the same way in a fraction of the time.
+        path = tmp_path / "leak.mdp"
+        path.write_text("states 2\nactions 1\ninit 0\nlambda 0.5\nsafe 0\ntrans\n"
+                        "0 0 -> 0:0.9999999 1:0.0000001\n1 0 -> 1:1\n")
+        monkeypatch.setattr(vi_max_reach, "__defaults__", (1e-12, 1000))
+        code = main(["mdp", str(path), "--oracle", "--budget", "50"] + flags)
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        if flags:
+            report = json.loads(out)
+            assert report["verdict"] == "BudgetExhausted"
+            oracle = report["oracle"]
+        else:
+            assert "RESULT: BudgetExhausted" in out
+            oracle = json.loads(out.split("oracle: ", 1)[1])
+        assert oracle == {"name": "vi_max_reach", "safe": None,
+                          "reason": "no convergence within 1000 iterations"}
 
     def test_positive_engine_on_mdp(self):
         assert main(["mdp", model_path("m1.mdp"), "--engine", "positive",

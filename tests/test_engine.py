@@ -42,7 +42,6 @@ from ltpdr.kripke import (
     pdr_fkr,
 )
 from ltpdr.lattice import (
-    KTSequence,
     KleeneSequence,
     LatticeError,
     OppositeLattice,
@@ -60,11 +59,13 @@ ALPHA = 0b011
 ALPHA_P = 0b001
 
 
-def cfg(frames, obligations=(), start=None):
-    fr = KTSequence(tuple(frames))
-    if start is None:
-        start = len(fr)
-    return PDRConfig(fr, KleeneSequence(tuple(obligations), start))
+def cfg(frames, obligations=()):
+    return PDRConfig(tuple(frames), tuple(obligations))
+
+
+def index(c):
+    """The index ``i`` of the head obligation ``C_i``."""
+    return len(c.frames) - len(c.obligations)
 
 
 @pytest.fixture
@@ -93,19 +94,19 @@ class TestRules:
 
     def test_unfold_appends_top(self, F):
         out = rule_unfold(cfg([0, 0b001]), F, ALPHA)
-        assert out.frames.elements == (0, 0b001, 0b111)
-        assert out.obligations.empty
+        assert out.frames == (0, 0b001, 0b111)
+        assert out.obligations == ()
 
     def test_unfold_blocked_by_bound(self, F):
         assert rule_unfold(cfg([0, 0b001, 0b111]), F, ALPHA) is None
 
     def test_unfold_with_tight_alpha(self, F):
         out = rule_unfold(cfg([0, 0b001]), F, ALPHA_P)
-        assert out.frames.elements == (0, 0b001, 0b111)
+        assert out.frames == (0, 0b001, 0b111)
 
     def test_induction_strengthens(self, F):
         out = rule_induction(cfg([0, 0b001, 0b111]), F, ALPHA, 2, 0b011)
-        assert out.frames.elements == (0, 0b001, 0b011)
+        assert out.frames == (0, 0b001, 0b011)
 
     def test_induction_requires_strengthening(self, F):
         assert rule_induction(cfg([0, 0b001, 0b011]), F, ALPHA, 2, 0b011) is None
@@ -116,25 +117,24 @@ class TestRules:
     def test_induction_waits_for_pending_obligations(self, F):
         # The lemma passes its guard, but meeting it into X_2 would leave
         # the pending obligation {2} above the frame.
-        c = cfg([0, 0b001, 0b111], [0b100], start=2)
+        c = cfg([0, 0b001, 0b111], [0b100])
         assert rule_induction(c, F, ALPHA, 2, 0b011) is None
         assert rule_induction(cfg([0, 0b001, 0b111]), F, ALPHA, 2, 0b011) is not None
 
     def test_candidate_installs_singleton(self, F, H):
         out = rule_candidate(cfg([0, 0b001, 0b111]), F, ALPHA, H)
-        assert out.obligations.elements == (0b100,)
-        assert out.obligations.start_index == 2
+        assert out.obligations == (0b100,)
+        assert index(out) == 2
 
     def test_candidate_lowest_index_tiebreak(self, F, H):
         out = rule_candidate(cfg([0, 0b001, 0b111]), F, ALPHA_P, H)
-        assert out.obligations.elements == (0b010,)
+        assert out.obligations == (0b010,)
 
     def test_candidate_absent_when_bounded(self, F, H):
         assert rule_candidate(cfg([0, 0b001]), F, ALPHA, H) is None
 
     def test_model_prepends_bottom(self, F):
-        ans = rule_model(cfg([0, 0b001, 0b111], [0b001, 0b010], start=1),
-                         F, ALPHA_P)
+        ans = rule_model(cfg([0, 0b001, 0b111], [0b001, 0b010]), F, ALPHA_P)
         assert ans.verdict is Verdict.FALSE
         assert ans.kleene_witness.elements == (0, 0b001, 0b010)
         assert check_kleene_witness(ans.kleene_witness, F, ALPHA_P)
@@ -143,40 +143,79 @@ class TestRules:
         assert rule_model(cfg([0, 0b001]), F, ALPHA) is None
 
     def test_model_absent_above_index_one(self, F):
-        assert rule_model(cfg([0, 0b001, 0b111], [0b100], start=2),
-                          F, ALPHA) is None
+        assert rule_model(cfg([0, 0b001, 0b111], [0b100]), F, ALPHA) is None
+
+    def test_model_fires_one_frame_above_the_obligations(self, F):
+        # Model needs the head at index 1: len(obligations) == len(frames) - 1.
+        chain = (0, 0b001, 0b010, 0b010)
+        for xs in ([0, 0b001], [0, 0b001, 0b011], [0, 0b001, 0b011, 0b111]):
+            for m in range(len(xs) + 1):
+                ob = chain[len(chain) - m:]
+                ans = rule_model(cfg(xs, ob), F, ALPHA_P)
+                if m == len(xs) - 1:
+                    assert ans.kleene_witness.elements == (0,) + ob
+                else:
+                    assert ans is None
+
+    def test_decide_and_conflict_act_at_the_derived_index(self, F):
+        # The head is C_i with i = len(frames) - len(obligations), and both
+        # rules read X_{i-1}: on the same frames, each obligation count
+        # selects a different frame.
+        seen = []
+
+        def record(x_prev, head, fx):
+            seen.append(x_prev)
+            return x_prev
+
+        xs = [0, 0b001, 0b011, 0b111]
+        H = HeuristicsBundle(None, record)
+        out = rule_decide(cfg(xs, [0b010]), F, ALPHA_P, H)
+        assert seen == [0b011]  # X_2 at i = 3
+        assert out.obligations == (0b011, 0b010) and index(out) == 2
+        out = rule_decide(cfg(xs, [0b010, 0b010]), F, ALPHA_P, H)
+        assert seen == [0b011, 0b001]  # X_1 at i = 2
+        assert out.obligations == (0b001, 0b010, 0b010) and index(out) == 1
+        assert out.frames == tuple(xs)
+
+        H = HeuristicsBundle(None, None, choose_conflict=lambda x_prev, head, fx:
+                             seen.append(x_prev) or fx)
+        seen.clear()
+        out = rule_conflict(cfg(xs, [0b100]), F, ALPHA, H)
+        assert seen == [0b011]  # X_2 at i = 3, lemma F(X_2) = {0, 1}
+        assert out.frames == (0, 0b001, 0b011, 0b011) and out.obligations == ()
+        out = rule_conflict(cfg(xs, [0b100, 0b100]), F, ALPHA, H)
+        assert seen == [0b011, 0b001]  # X_1 at i = 2; X_2 is already below F(X_1)
+        assert out.frames == tuple(xs) and out.obligations == (0b100,)
+        assert index(out) == 3
 
     def test_decide_prepends_predecessor(self, F, H):
-        out = rule_decide(cfg([0, 0b001, 0b111], [0b010], start=2), F, ALPHA_P, H)
-        assert out.obligations.elements == (0b001, 0b010)
-        assert out.obligations.start_index == 1
+        out = rule_decide(cfg([0, 0b001, 0b111], [0b010]), F, ALPHA_P, H)
+        assert out.obligations == (0b001, 0b010)
+        assert index(out) == 1
 
     def test_decide_guard_fails_for_unreachable(self, F, H):
-        assert rule_decide(cfg([0, 0b001, 0b111], [0b100], start=2),
-                           F, ALPHA, H) is None
+        assert rule_decide(cfg([0, 0b001, 0b111], [0b100]), F, ALPHA, H) is None
 
     def test_decide_absent_without_obligations(self, F, H):
         assert rule_decide(cfg([0, 0b001]), F, ALPHA, H) is None
 
     def test_conflict_strengthens_and_pops(self, F, H):
-        out = rule_conflict(cfg([0, 0b001, 0b111], [0b100], start=2), F, ALPHA, H)
-        assert out.frames.elements == (0, 0b001, 0b011)
-        assert out.obligations.empty
+        out = rule_conflict(cfg([0, 0b001, 0b111], [0b100]), F, ALPHA, H)
+        assert out.frames == (0, 0b001, 0b011)
+        assert out.obligations == ()
 
     def test_conflict_deeper_frame(self, F, H):
-        out = rule_conflict(cfg([0, 0b001, 0b011, 0b111], [0b100], start=3),
-                            F, ALPHA, H)
-        assert out.frames.elements == (0, 0b001, 0b011, 0b011)
+        out = rule_conflict(cfg([0, 0b001, 0b011, 0b111], [0b100]), F, ALPHA, H)
+        assert out.frames == (0, 0b001, 0b011, 0b011)
         assert rule_valid(out, F, ALPHA).verdict is Verdict.TRUE
 
     def test_conflict_guard_disjoint_from_decide(self, F, H):
-        assert rule_conflict(cfg([0, 0b001, 0b111], [0b010], start=2),
-                             F, ALPHA_P, H) is None
+        assert rule_conflict(cfg([0, 0b001, 0b111], [0b010]), F, ALPHA_P, H) is None
 
     def test_guard_partition(self, F, H):
         # For any pending head exactly one of Decide/Conflict applies.
         for head in (0b010, 0b100):
-            c = cfg([0, 0b001, 0b111], [head], start=2)
+            c = cfg([0, 0b001, 0b111], [head])
             fired = [rule_decide(c, F, ALPHA, H), rule_conflict(c, F, ALPHA, H)]
             assert sum(x is not None for x in fired) == 1
 
@@ -311,11 +350,11 @@ class TestPositive:
 
     def test_join_proposer_waits_for_alpha(self, k1):
         F = forward_transformer(k1)
-        frames = KTSequence((0, 0b001, 0b111))
+        frames = (0, 0b001, 0b111)
         assert join_induction_proposer(F, ALPHA_P)(frames) == (2, 0b011)
         # While the last frame is below alpha, Unfold goes first.
         assert join_induction_proposer(F, 0b111)(frames) is None
-        assert join_induction_proposer(F, ALPHA_P)(KTSequence((0, 0b001))) is None
+        assert join_induction_proposer(F, ALPHA_P)((0, 0b001)) is None
 
 
 class TestNegative:
@@ -456,20 +495,20 @@ class TestDualization:
 class TestDebugMode:
     def test_initial_config_shape(self, F):
         c = initial_config(F)
-        assert c.frames.elements == (0, 0b001)
-        assert c.obligations.empty
+        assert c.frames == (0, 0b001)
+        assert c.obligations == ()
 
-    # (frames, obligations, start) of a corrupted config reached from the
+    # (frames, obligations) of a corrupted config reached from the
     # valid chain (0, 1, 3, 3, 7): each changes frames, which the checker
     # sees as new objects, except the last, which adds an obligation that is
     # not below its frame.
     CORRUPTED = {
-        "not ascending": ([0, 0b001, 0b111, 0b011, 0b111], [], None),
-        "not a prefixed point": ([0, 0b001, 0b001, 0b011, 0b111], [], None),
-        "bound": ([0, 0b001, 0b011, 0b111, 0b111], [], None),
-        "below F^i(bot)": ([0, 0, 0, 0b011, 0b111], [], None),
-        "prefix": ([0, 0b011, 0b011, 0b011, 0b111], [], None),
-        "obligation": ([0, 0b001, 0b011, 0b011, 0b111], [0b100, 0b100], 3),
+        "not ascending": ([0, 0b001, 0b111, 0b011, 0b111], []),
+        "not a prefixed point": ([0, 0b001, 0b001, 0b011, 0b111], []),
+        "bound": ([0, 0b001, 0b011, 0b111, 0b111], []),
+        "below F^i(bot)": ([0, 0, 0, 0b011, 0b111], []),
+        "prefix": ([0, 0b011, 0b011, 0b011, 0b111], []),
+        "obligation": ([0, 0b001, 0b011, 0b011, 0b111], [0b100, 0b100]),
     }
 
     @pytest.mark.parametrize("case", sorted(CORRUPTED))
@@ -502,7 +541,7 @@ class TestDebugMode:
         # the frame chain (not ascending at X_2) can fail.
         witness = KleeneSequence((0, 0b001, 0b010), 0)
         ans = engine.PDRAnswer(Verdict.FALSE, kleene_witness=witness)
-        broken = KTSequence((0, 0b001, 0b111, 0b011))
+        broken = (0, 0b001, 0b111, 0b011)
         stats = engine.RunStats()
         engine._finalize(ans, stats, F, ALPHA_P, 0.0, broken)
         with pytest.raises(EngineInvariantError):
@@ -674,7 +713,7 @@ class TestStrengthen:
                 x = lat.join(xs[rng.randrange(n)], draw(rng))
             k = rng.randint(2, n - 1)
             met.clear()
-            ys = engine._strengthen(lat, xs, k, x).elements
+            ys = engine._strengthen(lat, xs, k, x)
             assert not any(lat.leq(a, x) for a in met)
             assert len(ys) == n
             for j in range(n):

@@ -118,6 +118,41 @@ class TestWitnessChecks:
         assert check_kt_witness(X[j], F, ALPHA)
 
 
+class TestPlainTuples:
+    """The checkers read their argument only through ``len`` and ``[j]``:
+    the engine's plain tuples get the answer of the certificate objects."""
+
+    FRAMES = [(0, 0b001), (0, 0b001, 0b011), (0, 0b001, 0b001), (0, 0b011, 0b111),
+              (0b001, 0b011), (0, 0), (0, 0b001, 0b011, 0b011), (0, 0b001, 0b111)]
+    OBLIGATIONS = [(), (0b001, 0b010), (0b100, 0b010), (0b010,), (0b001,),
+                   (0, 0b001, 0b010)]
+
+    def test_frame_checkers(self, F):
+        lat = F.lattice
+        answers = set()
+        for xs in self.FRAMES:
+            cert = KTSequence(xs)
+            for alpha in (ALPHA, ALPHA_P):
+                answers.add(is_kt_sequence(xs, F, alpha))
+                assert is_kt_sequence(xs, F, alpha) == is_kt_sequence(cert, F, alpha)
+            for lo in range(len(xs)):
+                answers.add(is_conclusive_kt(xs, lat, lo))
+                assert is_conclusive_kt(xs, lat, lo) == is_conclusive_kt(cert, lat, lo)
+                assert (is_conclusive_kt(xs, lat, 0, lo)
+                        == is_conclusive_kt(cert, lat, 0, lo))
+        assert {True, False, None, 0, 2} <= answers
+
+    def test_obligation_checker(self, F):
+        answers = set()
+        for cs in self.OBLIGATIONS:
+            cert = KleeneSequence(cs, 3 - len(cs))
+            for alpha in (ALPHA, ALPHA_P):
+                answer = is_kleene_sequence(cs, F, alpha)
+                assert answer == is_kleene_sequence(cert, F, alpha)
+                answers.add(answer)
+        assert answers == {True, False}
+
+
 class TestLatticeLaws:
     @given(masks, masks, masks)
     def test_meet_is_greatest_lower_bound(self, a, b, c):

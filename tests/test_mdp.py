@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from ltpdr.cli import parse_mdp
 from ltpdr.engine import ContractFailure, PDRConfig, Verdict, rule_conflict
-from ltpdr.lattice import KTSequence, KleeneSequence
 from ltpdr.mdp import (
     EpsValue,
     MDPModel,
@@ -194,9 +193,7 @@ class TestConflict:
         # Conflict does not fire while Decide's guard C <= F(X_prev) holds.
         F = bellman(m1)
         C = (eps_val(0.4), plain(0.0), plain(0.0))  # 0.4+eps <= 0.5
-        cfg = PDRConfig(KTSequence((frame(0, 0, 0), frame(0, 0, 1),
-                                    frame(1, 1, 1))),
-                        KleeneSequence((C,), 2))
+        cfg = PDRConfig((frame(0, 0, 0), frame(0, 0, 1), frame(1, 1, 1)), (C,))
         assert rule_conflict(cfg, F, m1.bound(), mdp_bundle(m1, F)) is None
 
     def test_contract_holds_on_random_frames(self):

@@ -9,7 +9,6 @@ import pytest
 from conftest import model_path
 from ltpdr.cli import parse_mrm
 from ltpdr.engine import ContractFailure, PDRConfig, Verdict, rule_conflict, solve
-from ltpdr.lattice import KleeneSequence, KTSequence
 from ltpdr.mdp import eps_val, heuristic_candidate_mdp, plain
 from ltpdr.mrm import (
     MRMModel,
@@ -96,11 +95,11 @@ class TestHeuristics:
         # one included, where the obligation asks for nothing.
         M = dataclasses.replace(m2, threshold=1.3)
         F = reward_bellman(M)
-        cfg = PDRConfig(KTSequence((frame(0, 0), frame(1, 0), M.lattice().top)),
-                        KleeneSequence(((eps_val(1.3), plain(0.0)),), 2))
+        cfg = PDRConfig((frame(0, 0), frame(1, 0), M.lattice().top),
+                        ((eps_val(1.3), plain(0.0)),))
         out = rule_conflict(cfg, F, M.bound(), mrm_heuristics(M, F))
-        assert out.frames.elements == (frame(0, 0), frame(1, 0), frame(1.25, 0))
-        assert out.obligations.empty and out.obligations.start_index == 3
+        assert out.frames == (frame(0, 0), frame(1, 0), frame(1.25, 0))
+        assert out.obligations == ()
 
     def test_decide_contract_on_unfolded_frame(self, m2):
         F = reward_bellman(m2)

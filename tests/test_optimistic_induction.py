@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ltpdr.engine import Verdict, run_combined, solve
-from ltpdr.lattice import KTSequence
 from ltpdr.mdp import max_reach, optimistic_induction, plain
 from ltpdr.mrm import MRMModel, expected_reward, mrm_heuristics, reward_bellman
 from ltpdr.oracles import NoConvergence, vi_expected_reward, vi_max_reach
@@ -109,15 +108,15 @@ def test_fires_once_per_chain_length():
     chain = [F.lattice.bot]
     for _ in range(3):
         chain.append(F(chain[-1]))
-    assert propose(KTSequence((chain[0], chain[1], top))) is None  # too short
-    frames = KTSequence(tuple(chain) + (top,))
+    assert propose((chain[0], chain[1], top)) is None  # too short
+    frames = tuple(chain) + (top,)
     k, x = propose(frames)
     # The limit 2 is extrapolated from 1, 1.5, 1.75 and lifted nine tenths
     # of the way to the bound; the unsafe state stays at 0.
     assert k == 4 and x == (plain(2.45), plain(0.0))
     assert F.lattice.leq(F(x), x)
     assert propose(frames) is None  # the same chain again, as after Candidate
-    assert propose(KTSequence(tuple(chain) + (x, top))) is None  # own proposal
+    assert propose(tuple(chain) + (x, top)) is None  # own proposal
 
 
 def kleene_chain(F, length):
@@ -139,8 +138,8 @@ def test_alternating_iterates_are_extrapolated_over_every_second_frame():
     propose = optimistic_induction(F, M.bound(), M.initial_state)
     chain = kleene_chain(F, 5)
     for n in (4, 5):
-        assert propose(KTSequence(tuple(chain[:n - 1]) + (top,))) is None
-    k, x = propose(KTSequence(tuple(chain) + (top,)))
+        assert propose(tuple(chain[:n - 1]) + (top,)) is None
+    k, x = propose(tuple(chain) + (top,))
     # X_0, X_2, X_4 at s0 are 0, 1, 1.5: limit 2, lifted to 2.45.  s1 is
     # lifted from its own limit 1 (X_4(s1) is 0.75), and F(x) <= x as is.
     assert k == 5
@@ -171,7 +170,7 @@ def test_a_repair_round_completes_the_guess():
     # 1.965, below F(x)(s1) = x(s0); one round x := x v F(x) raises it.
     guess = (plain(3.12), plain(1.965), plain(0.0))
     assert not F.lattice.leq(F(guess), guess)
-    k, x = propose(KTSequence(tuple(kleene_chain(F, 3)) + (F.lattice.top,)))
+    k, x = propose(tuple(kleene_chain(F, 3)) + (F.lattice.top,))
     assert k == 3
     assert [v.base for v in x] == pytest.approx([3.12, 3.12, 0.0])
     assert F.lattice.leq(F(x), x)

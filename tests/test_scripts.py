@@ -17,7 +17,15 @@ def load(name):
 
 def test_run_corpus_agrees_with_oracles(capsys):
     assert load("run_corpus").main([]) == 0
-    assert "agree=False" not in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 19 and all(" agree=True " in line for line in lines)
+
+
+def test_run_corpus_fails_on_an_undecided_run(capsys):
+    # One step decides only a model whose first frames already collapse.
+    assert load("run_corpus").main(["--budget", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert " agree=- " in out and "undecided" in err
 
 
 def test_random_differential_is_clean(capsys):
