@@ -14,6 +14,13 @@ The positive engine (Valid, Unfold, Induction; never False) is
 ``run_combined`` with no Candidate, which alone starts an obligation.  It is
 Stuck once the last frame exceeds ``alpha`` and no Induction applies.
 
+The combined engine, and so the positive one, first proposes ``alpha``
+itself, as IC3/PDR first asks whether the property is inductive:
+``run_combined`` evaluates ``F(alpha)`` once, where Candidate would first
+start a search, and if ``F(alpha) <= alpha`` offers ``(n-1, alpha)`` ahead
+of the bundle's proposer.  That is one image per solve, and an inductive
+bound closes in five steps.
+
 An ``Instance`` bundles one question ``mu F <= alpha`` with the one set of
 choices the engines use, and ``solve(instance, engine)`` runs the combined,
 positive or negative engine on it.  ``certificate_holds`` re-checks the
@@ -118,10 +125,13 @@ class HeuristicsBundle:
     ``choose_decide``/``choose_conflict`` receive ``F(X_{i-1})`` precomputed.
     Conflict defaults to ``canonical_conflict``, which every instance uses.
     ``choose_induction`` is offered the frames, a plain tuple, before the
-    other rules on every step and returns ``(k, x)``; ``rule_induction``
-    applies it when ``X_k !<= x`` and ``F(X_{k-1} /\\ x) <= x``.  The MDP
-    and reward instances supply ``mdp.optimistic_induction``; the Kripke
-    instance supplies none.
+    other rules on every step with no obligation pending, and returns
+    ``(k, x)``; ``rule_induction`` applies it when ``X_k !<= x`` and
+    ``F(X_{k-1} /\\ x) <= x``.  The engine's own lemma goes first: once it
+    has found ``F(alpha) <= alpha``, at the cost of one image per solve, it
+    proposes ``(n-1, alpha)`` and asks the bundle only when that fails.
+    The MDP and reward instances supply ``mdp.optimistic_induction``; the
+    Kripke instance supplies none, and relies on the engine's.
     """
 
     choose_candidate: Callable[[Any, Any, Any], Optional[Any]]
@@ -401,6 +411,19 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     evaluation of ``F(X_{i-1})``.  The only freedom left is the Induction
     proposer and the element each rule picks.
 
+    The first Induction lemma offered is ``alpha`` itself, the largest
+    candidate for a prefixed point below ``alpha``.  At the first step with
+    no obligation pending, at least three frames and ``X_{n-1} !<= alpha``,
+    where Candidate would otherwise start a counterexample search, the
+    engine evaluates ``F(alpha)`` once and keeps whether ``F(alpha) <=
+    alpha``.  If so, that step and every later one with no obligation
+    pending offer ``(n-1, alpha)`` to ``rule_induction`` before the bundle's
+    proposer, which is asked when the guard rejects it.  An inductive
+    ``alpha`` thus closes in five steps (Unfold, Induction, Unfold,
+    Induction, Valid); otherwise the search is the one without the test,
+    plus one image.  A solve decided before that step never evaluates
+    ``F(alpha)``.
+
     Valid is a function of the frames alone and has failed on every earlier
     chain, so each step re-checks it only on the frame pairs the last rule
     could have made conclusive (``_fresh_pairs``): none after Decide or
@@ -426,6 +449,8 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
         checker.check(cfg)
     fresh = (0, len(cfg.frames) - 1)  # the pairs Valid has not yet failed on
     images: dict = {}  # j -> (X_j, F(X_j))
+    lat = F.lattice
+    inductive = None  # whether F(alpha) <= alpha; None until tested
 
     for step in range(1, budget + 1):
         stats.steps = step
@@ -444,13 +469,22 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
 
         applied = k = None
         if not cfg.obligations:
+            xs = cfg.frames
+            if inductive is None and len(xs) >= 3 and not lat.leq(xs[-1], alpha):
+                inductive = lat.leq(F(alpha), alpha)
+            nxt = None
+            if inductive:  # alpha first, then the bundle's lemma
+                k = len(xs) - 1
+                nxt = rule_induction(cfg, F, alpha, k, alpha)
             propose = heuristics.choose_induction
-            prop = propose(cfg.frames) if propose is not None else None
-            if prop is not None:
-                nxt = rule_induction(cfg, F, alpha, prop[0], prop[1])
-                if nxt is not None:
-                    cfg, applied, k = nxt, "induction", prop[0]
-            if applied is None:
+            if nxt is None and propose is not None:
+                prop = propose(xs)
+                if prop is not None:
+                    k = prop[0]
+                    nxt = rule_induction(cfg, F, alpha, k, prop[1])
+            if nxt is not None:
+                cfg, applied = nxt, "induction"
+            else:
                 nxt = rule_unfold(cfg, F, alpha)
                 if nxt is not None:
                     cfg, applied = nxt, "unfold"
@@ -560,6 +594,8 @@ def join_induction_proposer(F: Transformer, alpha):
     ``top``, and by this lemma at ``n-1``, which is above ``X_{n-2}`` and so
     leaves ``X_0 .. X_{n-2}`` as they are.  Every lower frame then already
     has ``X_k <= X_{k-1} v F(X_{k-1})``, and only the last can strengthen.
+    (An inductive ``alpha``, which the engine proposes first, closes the run
+    in five steps without this proposer.)
     """
     lat = F.lattice
 
@@ -578,7 +614,8 @@ class Instance:
     ``bundle`` holds the instance's one set of choices; the combined and
     the negative engine both use its Candidate and Decide.  The positive
     engine needs only ``F`` and ``alpha``: it has no Candidate or Decide and
-    proposes ``join_induction_proposer(F, alpha)``.
+    proposes ``join_induction_proposer(F, alpha)`` after the engine's own
+    ``alpha``.
     """
 
     F: Transformer

@@ -222,8 +222,23 @@ class TestRules:
 
 class TestCombined:
     def test_safe_trace_matches_reference(self, k1):
+        # alpha = {0, 1} is inductive, so alpha itself is the lemma at the
+        # first step with X_{n-1} !<= alpha, and again after the next Unfold.
         trace = []
         ans = pdr_fkr(k1, trace=trace.append, debug=True)
+        assert ans.verdict is Verdict.TRUE
+        assert [line.split()[1] for line in trace] == [
+            "rule=unfold", "rule=induction", "rule=unfold", "rule=induction",
+            "rule=valid"]
+
+    def test_safe_trace_with_a_bound_that_is_not_inductive(self, k1):
+        # k1 plus state 3 -> 2: state 3 is safe and unreachable, but its
+        # unsafe successor puts 2 into F(alpha), so alpha is not inductive
+        # and the search is the Kleene path: Candidate, then Conflict.
+        K = dataclasses.replace(k1, state_count=4,
+                                transitions=k1.transitions | {(3, 2)}, safe=0b1011)
+        trace = []
+        ans = pdr_fkr(K, trace=trace.append, debug=True)
         assert ans.verdict is Verdict.TRUE
         assert [line.split()[1] for line in trace] == [
             "rule=unfold", "rule=candidate", "rule=conflict",
@@ -250,16 +265,21 @@ class TestCombined:
         assert sum(ans.stats.rule_counts.values()) == ans.stats.steps
 
     def test_heuristic_violation_aborts(self, F):
+        # ALPHA_P = {0} is not inductive (F({0}) = {0, 1}), so Candidate runs.
         bad = HeuristicsBundle(
             choose_candidate=lambda last, alpha, info: 0,  # bottom <= alpha
             choose_decide=lambda xp, c, fx: None,
             choose_conflict=lambda xp, c, fx: None)
         with pytest.raises(HeuristicViolation):
-            run_combined(F, ALPHA, bad, budget=50)
+            run_combined(F, ALPHA_P, bad, budget=50)
 
     def test_canonical_heuristics_are_always_admissible(self, F):
+        # ALPHA is inductive and closes by Induction; ALPHA_P is not, and
+        # Candidate, Decide and Conflict run.
         ans = run_combined(F, ALPHA, canonical_heuristics(F), debug=True)
         assert ans.verdict is Verdict.TRUE
+        ans = run_combined(F, ALPHA_P, canonical_heuristics(F), debug=True)
+        assert ans.verdict is Verdict.FALSE
 
 
 class TestSolve:

@@ -12,7 +12,9 @@ from ltpdr.kripke import (
     SubsetLattice,
     _image,
     backward_transformer,
+    forward,
     forward_transformer,
+    inverse_backward,
     inverse_backward_transformer,
     opdual,
     pdr_fkr,
@@ -138,7 +140,8 @@ def test_unsafe_chain_search_is_pinned(solve, monkeypatch):
     # so the step count is linear in the depth: the canonical Conflict
     # x := F(X_{i-1}) caps the frame at everything reachable within i-1
     # steps, where the lemma that excluded only the obligation's state took
-    # 9,902 steps (4,851 Conflicts, 14,656 F calls and 9,702 meets).
+    # 9,902 steps (4,851 Conflicts, 14,656 F calls and 9,702 meets).  One
+    # of the 398 F calls is the engine's test of F(alpha) <= alpha.
     counts = {"F": 0, "meet": 0}
     call, meet = Transformer.__call__, SubsetLattice.meet
 
@@ -158,7 +161,65 @@ def test_unsafe_chain_search_is_pinned(solve, monkeypatch):
     assert ans.stats.rule_counts == {"unfold": 99, "candidate": 99, "decide": 99,
                                      "conflict": 98, "model": 1}
     assert ans.stats.frame_count == 101
-    assert counts == {"F": 397, "meet": 196}
+    assert counts == {"F": 398, "meet": 196}
+
+
+def safe_ring(n: int) -> KripkeStructure:
+    """A cycle through ``0 .. n-2``, initial {0}, plus the unsafe state
+    ``n-1``, which nothing enters and which leads to 0."""
+    edges = frozenset([(i, (i + 1) % (n - 1)) for i in range(n - 1)] + [(n - 1, 0)])
+    return KripkeStructure(n, edges, initial=1, safe=((1 << n) - 1) & ~(1 << (n - 1)))
+
+
+class TestInductiveBound:
+    """The engine proposes ``alpha`` itself as a lemma once it has seen
+    ``F(alpha) <= alpha``, tested with one ``F`` call where Candidate would
+    first start a counterexample search."""
+
+    @pytest.mark.parametrize("engine", ["combined", "positive"])
+    def test_forward_ring_closes_in_five_steps(self, engine):
+        # The safe set is inductive forward; the Kleene path took 2,998
+        # (combined) and 1,999 (positive) steps.
+        ans = solve(forward(safe_ring(1000)), engine, debug=True)
+        assert ans.verdict is Verdict.TRUE
+        assert ans.stats.rule_counts == {"unfold": 2, "induction": 2, "valid": 1}
+
+    @pytest.mark.parametrize("build, engine, counts", [
+        (inverse_backward, "combined", {"unfold": 1, "candidate": 1, "conflict": 1}),
+        (inverse_backward, "positive", {"unfold": 1, "induction": 1}),
+        (opdual, "combined", {"unfold": 1, "candidate": 1, "conflict": 1})])
+    def test_ring_bounds_that_are_not_inductive_keep_their_search(self, build, engine,
+                                                                  counts):
+        # Backward, state 0 is a predecessor of the bound's state 1; on the
+        # opposite lattice, 0 has a successor outside the initial set.  The
+        # one Induction of the positive engine is its join proposer's.
+        ans = solve(build(safe_ring(1000)), engine, debug=True)
+        assert ans.verdict is Verdict.TRUE
+        assert ans.stats.rule_counts == {**counts, "valid": 1}
+
+    @pytest.mark.parametrize("build", [forward, inverse_backward])
+    @pytest.mark.parametrize("n", [3, 10, 30])
+    def test_chain_pays_one_image_for_the_test(self, build, n, monkeypatch):
+        # The Kleene path on an unsafe chain of n states makes 4n - 3 F
+        # calls; F(alpha) is evaluated once more, and no rule changes.
+        calls = []
+        call = Transformer.__call__
+        monkeypatch.setattr(Transformer, "__call__",
+                            lambda self, x: calls.append(x) or call(self, x))
+        ans = solve(build(unsafe_chain(n)))
+        assert ans.verdict is Verdict.FALSE
+        assert ans.stats.rule_counts == {"unfold": n - 1, "candidate": n - 1,
+                                         "decide": n - 1, "conflict": n - 2,
+                                         "model": 1}
+        assert len(calls) == 4 * n - 2
+
+    def test_random_draws_agree_with_reachability(self):
+        rng = random.Random(21)
+        for _ in range(1000):
+            K = random_kripke(rng, max_states=12)
+            expected = Verdict.TRUE if bfs_safe(K).verdict else Verdict.FALSE
+            for build in (forward, inverse_backward, opdual):
+                assert solve(build(K), debug=True).verdict is expected
 
 
 @pytest.mark.parametrize("solve", [pdr_fkr, pdr_ibkr])
