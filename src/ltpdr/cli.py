@@ -374,7 +374,7 @@ def run_cli(req: argparse.Namespace) -> int:
     try:
         with open(req.model, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

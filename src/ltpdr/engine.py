@@ -37,9 +37,10 @@ and an optional trace sink.  Heuristic outputs are always re-verified against
 their contracts; instance code is never trusted.
 
 Every instance's Conflict lemma is the paper's canonical ``x := F(X_{i-1})``
-(``canonical_conflict``), which meets its contract by monotonicity.  A lemma
-blocking only the part of the frame the obligation violates makes the
-search take order ``n^2`` steps on a chain of depth ``n``.
+(``canonical_conflict``), which meets its contract by monotonicity, so
+``rule_conflict`` re-images only other lemmas.  A lemma blocking only the
+part of the frame the obligation violates makes the search take order
+``n^2`` steps on a chain of depth ``n``.
 """
 
 from __future__ import annotations
@@ -123,7 +124,8 @@ class HeuristicsBundle:
     Each function may return None ("no choice available"); any returned
     element is re-verified by the engine and a violation aborts the run.
     ``choose_decide``/``choose_conflict`` receive ``F(X_{i-1})`` precomputed.
-    Conflict defaults to ``canonical_conflict``, which every instance uses.
+    Conflict defaults to ``canonical_conflict``, which every instance uses
+    and whose lemma, the engine's own ``F(X_{i-1})``, is not re-imaged.
     ``choose_induction`` is offered the frames, a plain tuple, before the
     other rules on every step with no obligation pending, and returns
     ``(k, x)``; ``rule_induction`` applies it when ``X_k !<= x`` and
@@ -233,8 +235,10 @@ def rule_conflict(cfg: PDRConfig, F: Transformer, alpha, heuristics: HeuristicsB
                   fx=None) -> Optional[PDRConfig]:
     """Conflict; ``fx`` is ``F(X_{i-1})`` when the caller has it already.
 
-    The guard is ``C_i !<= F(X_{i-1})``, Decide's negated; the lemma
-    (``F(X_{i-1})`` by default) is re-checked against its contract.
+    The guard is ``C_i !<= F(X_{i-1})``, Decide's negated.  A lemma other
+    than the object ``fx`` is re-checked against its contract; for ``fx``
+    the contract is the guard and monotonicity, and debug mode's test of
+    ``F(X_j) <= X_{j+1}`` on every changed frame pair implies it.
     """
     lat = F.lattice
     xs, ob = cfg.frames, cfg.obligations
@@ -250,7 +254,7 @@ def rule_conflict(cfg: PDRConfig, F: Transformer, alpha, heuristics: HeuristicsB
     x = heuristics.choose_conflict(x_prev, head, fx)
     if x is None:
         return None
-    if lat.leq(head, x) or not lat.leq(F(lat.meet(x_prev, x)), x):
+    if x is not fx and (lat.leq(head, x) or not lat.leq(F(lat.meet(x_prev, x)), x)):
         raise HeuristicViolation(
             "conflict output must satisfy C_i !<= x and F(X_{i-1} /\\ x) <= x")
     return PDRConfig(_strengthen(lat, xs, i, x), ob[1:])

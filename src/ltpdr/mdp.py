@@ -6,6 +6,11 @@ so its least fixed point at a state is the maximum probability of ever
 leaving the safe region.  The solver decides whether that probability from
 the initial state is at most a threshold.
 
+It shares its Bellman kernel, ``pointwise_transformer``, with the reward
+instance.  The kernel reads the model's ``rows``, cached on first use:
+None off the safe set, else the actions, each of ``(reward, target, p)``
+entries with ``p > 0`` (an MDP's rewards are 0).
+
 Obligation values carry a symbolic infinitesimal: ``v + eps`` means
 "strictly greater than v".  The flag propagates through expectations (any
 contributing successor flagged flags the result), which lets the chain
@@ -14,12 +19,13 @@ certify strict inequalities without materialising a concrete epsilon.
 ``max_reach(M)`` is the ``Instance`` of this question.  Its choices,
 ``pointwise_bundle``, are shared with the reward instance: Candidate is the
 threshold at the initial state, and Decide is a cheapest supporting
-valuation from the linear program ``decide_lp``, which each instance feeds
-with its own support rows and costs.
+valuation from the linear program ``decide_lp`` on the model's rows, at
+each instance's own costs.
 Conflict is the engine's canonical choice ``x := F(X_{i-1})``, which caps
-every state at its transformer value.  Capping only the states the current
-obligation violates gives lemmas each barely stronger than the last, and
-Decide and Conflict then alternate until the budget runs out.
+every state at its transformer value and which the engine does not re-image.
+Capping only the states the current obligation violates gives lemmas each
+barely stronger than the last, and Decide and Conflict then alternate until
+the budget runs out.
 
 With that Conflict the frames of a true instance are the Kleene iterates
 ``F^i(bot)``, which reach a prefixed point only when two of them coincide
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .engine import (
@@ -242,68 +249,101 @@ class MDPModel:
             plain(self.threshold if s == self.initial_state else 1.0)
             for s in range(self.state_count))
 
+    @cached_property
+    def rows(self) -> tuple:
+        """The row view of ``pointwise_transformer``.  A ``p = 0`` entry
+        added ``+0.0`` to a finite value, so dropping it changes no bit."""
+        return tuple(None if s not in self.safe else tuple(
+            tuple((0.0, t, p) for t, p in dist if p > 0)
+            for dist in row if dist is not None)
+            for s, row in enumerate(self.delta))
 
-def _expectation(dist, d) -> EpsValue:
+
+def _expectation(action, d) -> EpsValue:
+    """``sum p * (c + d(t))`` over ``action``, flagged if a successor is."""
     base = 0.0
     flagged = False
-    for t, p in dist:
-        base += p * d[t].base
-        if p > 0 and d[t].eps:
+    for c, t, p in action:
+        base += p * (c + d[t].base)
+        if d[t].eps:
             flagged = True
     return EpsValue(base, flagged)
 
 
-def bellman(M: MDPModel) -> Transformer:
-    lat = M.lattice()
-    one = plain(1.0)
+def pointwise_transformer(lattice: PointwiseLattice, rows: tuple,
+                          off: float) -> Transformer:
+    """The Bellman operator on a row view: ``off`` where the row is None,
+    else the largest ``_expectation`` of the actions, the first on ties,
+    inlined so that an action costs no call and no ``EpsValue``.  Like
+    ``kripke._image`` it keeps its last argument and image, so Decide's
+    re-check of the element ``decide_lp`` has just imaged is free."""
+    off = plain(off)
+    last = image = None
 
     def fn(d):
+        nonlocal last, image
+        if d is last:
+            return image
         out = []
-        for s in range(M.state_count):
-            if s not in M.safe:
-                out.append(one)
+        for row in rows:
+            if row is None:
+                out.append(off)
                 continue
             best = None
-            for dist in M.delta[s]:
-                if dist is None:
-                    continue
-                v = _expectation(dist, d)
-                if best is None or v > best:
-                    best = v
-            out.append(best)
-        return tuple(out)
+            for action in row:
+                base, flagged = 0.0, False
+                for c, t, p in action:
+                    b, e = d[t]
+                    base += p * (c + b)
+                    if e:
+                        flagged = True
+                if best is None or base > best or (
+                        base == best and flagged and not best_flagged):
+                    best, best_flagged = base, flagged
+            out.append(EpsValue(best, best_flagged))
+        last, image = d, tuple(out)
+        return image
 
-    return Transformer(lat, fn)
-
-
-def heuristic_candidate_mdp(X_last, M):
-    """The first obligation of the MDP and reward instances, when the last
-    frame exceeds the threshold: the threshold plus eps at the initial
-    state, zero elsewhere."""
-    if not X_last[M.initial_state] > (M.threshold, False):
-        raise ContractFailure("candidate requires the last frame to exceed "
-                              "the threshold at the initial state")
-    return tuple(eps_val(M.threshold) if s == M.initial_state else plain(0.0)
-                 for s in range(M.state_count))
+    return Transformer(lattice, fn)
 
 
-def decide_lp(M, F: Transformer, X_prev, C_head, support, cost):
+def bellman(M: MDPModel) -> Transformer:
+    return pointwise_transformer(M.lattice(), M.rows, 1.0)
+
+
+def heuristic_candidate_mdp(M):
+    """The Candidate choice of the MDP and reward instances: when the last
+    frame exceeds the threshold at the initial state, the threshold plus eps
+    there and zero elsewhere, an element built once."""
+    x = tuple(eps_val(M.threshold) if s == M.initial_state else plain(0.0)
+              for s in range(M.state_count))
+
+    def candidate(last, alpha, info):
+        if not last[M.initial_state] > (M.threshold, False):
+            raise ContractFailure("candidate requires the last frame to exceed "
+                                  "the threshold at the initial state")
+        return x
+
+    return candidate
+
+
+def decide_lp(M, F: Transformer, X_prev, C_head, cost):
     """The Decide choice of the pointwise instances: a cheapest successor
     valuation supporting the obligation, from a linear program over the
     states it touches.
 
     ``M`` is an ``MDPModel`` or ``MRMModel``.  Each safe state ``s`` with
-    ``C_head(s) > 0`` gives one row ``sum_t p_t x_t >= rhs`` from
-    ``support(M, s, C_head(s), X_prev) = (((t, p_t), ...), rhs)``, which raises
-    ``ContractFailure`` when ``X_prev`` cannot support the value.  The
-    program minimizes ``sum cost(X_prev(t)) * x_t`` subject to these rows
-    and ``0 <= x_t <= min(X_prev(t), 1e9)``; the finite cap replaces
-    infinite frame entries.  Strictness is restored symbolically: outputs
-    strictly below their frame value carry the eps flag.  If rounding makes
-    the numeric solution miss a strict constraint, the frame values
-    themselves restricted to the touched states are returned (always
-    contract-valid).  None when the program is infeasible, which only a
-    head needing a value above the cap makes it.
+    ``C_head(s) > 0`` gives one row ``sum_t p_t x_t >= C_head(s) - r`` from
+    the first action of ``M.rows[s]`` whose expectation under ``X_prev``
+    dominates ``C_head(s)``, with ``r`` its expected one-step reward (0 in
+    an MDP); ``ContractFailure`` when there is none.  The program minimizes
+    ``sum cost(X_prev(t)) * x_t`` subject to these rows and ``0 <= x_t <=
+    min(X_prev(t), 1e9)``; the finite cap replaces infinite frame entries.
+    Strictness is restored symbolically: outputs strictly below their frame
+    value carry the eps flag.  If rounding makes the numeric solution miss a
+    strict constraint, the frame values themselves restricted to the touched
+    states are returned (always contract-valid).  None when the program is
+    infeasible, which only a head needing a value above the cap makes it.
     """
     supports = []
     var_states: list[int] = []
@@ -312,10 +352,15 @@ def decide_lp(M, F: Transformer, X_prev, C_head, support, cost):
         c = C_head[s]
         if s not in M.safe or c <= (0.0, False):
             continue
-        dist, rhs = support(M, s, c, X_prev)
-        supports.append((dist, rhs))
-        for t, p in dist:
-            if p > 0 and t not in var_index:
+        for dist in M.rows[s]:
+            if c <= _expectation(dist, X_prev):
+                break
+        else:
+            raise ContractFailure("decide invoked without its guard: no "
+                                  "action dominates the obligation value")
+        supports.append((dist, c.base - sum(p * r for r, _t, p in dist)))
+        for _r, t, _p in dist:
+            if t not in var_index:
                 var_index[t] = len(var_states)
                 var_states.append(t)
     n = len(var_states)
@@ -324,9 +369,8 @@ def decide_lp(M, F: Transformer, X_prev, C_head, support, cost):
     rows = []
     for dist, rhs in supports:
         coeffs = [0.0] * n
-        for t, p in dist:
-            if p > 0:
-                coeffs[var_index[t]] += p
+        for _r, t, p in dist:
+            coeffs[var_index[t]] += p
         rows.append((coeffs, rhs))
     caps = [min(X_prev[t].base, _CAP) for t in var_states]
     try:
@@ -352,41 +396,27 @@ def decide_lp(M, F: Transformer, X_prev, C_head, support, cost):
     return result
 
 
-def _dominating_action(M: MDPModel, s: int, c: EpsValue, X_prev):
-    """The MDP's ``support`` for ``decide_lp``: the first action whose
-    expectation under ``X_prev`` dominates the obligation value."""
-    for dist in M.delta[s]:
-        if dist is not None and c <= _expectation(dist, X_prev):
-            return dist, c.base
-    raise ContractFailure("decide invoked without its guard: no "
-                          "action dominates the obligation value")
-
-
 def _mdp_cost(v: EpsValue) -> float:
     return 2.0 - v.base
 
 
-def pointwise_bundle(M, F: Transformer, support, cost) -> HeuristicsBundle:
+def pointwise_bundle(M, F: Transformer, cost) -> HeuristicsBundle:
     """The choices of the MDP and reward instances: Candidate
-    ``heuristic_candidate_mdp``, Decide ``decide_lp`` with the instance's
-    ``support`` and ``cost``, Induction ``optimistic_induction``; Conflict
+    ``heuristic_candidate_mdp``, Decide ``decide_lp`` at the instance's
+    ``cost``, Induction ``optimistic_induction``; Conflict
     is the engine's canonical choice ``x := F(X_{i-1})``.  ``F`` must be the
     transformer the engine runs with: the proposer knows the chain's
     ``top`` by identity."""
-    def candidate(last, alpha, info):
-        return heuristic_candidate_mdp(last, M)
-
     def decide(x_prev, head, fx):
-        return decide_lp(M, F, x_prev, head, support, cost)
+        return decide_lp(M, F, x_prev, head, cost)
 
-    return HeuristicsBundle(candidate, decide, choose_induction=optimistic_induction(
-        F, M.bound(), M.initial_state))
+    return HeuristicsBundle(heuristic_candidate_mdp(M), decide, choose_induction=(
+        optimistic_induction(F, M.bound(), M.initial_state)))
 
 
 def mdp_bundle(M: MDPModel, F: Transformer) -> HeuristicsBundle:
-    """Decide supports each value by its first dominating action, at cost
-    ``2 - X_prev(t)``."""
-    return pointwise_bundle(M, F, _dominating_action, _mdp_cost)
+    """``pointwise_bundle`` at cost ``2 - X_prev(t)``."""
+    return pointwise_bundle(M, F, _mdp_cost)
 
 
 def max_reach(M: MDPModel) -> Instance:

@@ -8,30 +8,32 @@ expectation from the initial state is at most a threshold.
 
 Obligation values reuse the symbolic-eps strictness marker of the MDP
 instance; infinity is absorbing in the arithmetic (``p * inf = inf`` for
-``p > 0``, and zero-probability terms are skipped).  ``expected_reward(M)``
-is the ``Instance`` of this question.  Its choices are the MDP instance's
-``mdp.pointwise_bundle``: the same Candidate, the Decide program
-``mdp.decide_lp`` with the reward moved to the right-hand side and unit
-costs, and the Induction proposer ``mdp.optimistic_induction``, so that a
-true bound is proved by a guessed prefixed point instead of by waiting for
-the Kleene iterates to converge.  The proposer caps its guess by
-``F(top)``, which is 0 off the safe set.
+``p > 0``; ``0 * inf`` is NaN, so ``MRMModel.rows`` drops ``p = 0``).  The
+transformer is the MDP kernel ``mdp.pointwise_transformer`` on those rows.
+``expected_reward(M)`` is the ``Instance`` of this question.  Its choices
+are the MDP instance's ``mdp.pointwise_bundle``: the same Candidate, the
+Decide program ``mdp.decide_lp`` with the reward moved to the right-hand
+side and unit costs, and the Induction proposer
+``mdp.optimistic_induction``, so that a true bound is proved by a guessed
+prefixed point instead of by waiting for the Kleene iterates to converge.
+The proposer caps its guess by ``F(top)``, which is 0 off the safe set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .engine import (
-    ContractFailure,
     HeuristicsBundle,
     Instance,
     PDRAnswer,
     Transformer,
     run_combined,
 )
-from .mdp import EpsValue, PointwiseLattice, plain, pointwise_bundle
+from .mdp import (EpsValue, PointwiseLattice, plain, pointwise_bundle,
+                  pointwise_transformer)
 # ``mdp.decide_lp`` solves the reward Decide programs too, so
 # ``simplex_min`` is not called here; ``perfbench/spans.py`` wraps
 # ``mrm.simplex_min`` and needs the name.
@@ -77,39 +79,16 @@ class MRMModel:
             plain(self.threshold if s == self.initial_state else math.inf)
             for s in range(self.state_count))
 
-
-def _expectation(dist, d) -> EpsValue:
-    base = 0.0
-    flagged = False
-    for (c, t), p in dist:
-        if p <= 0:
-            continue
-        base += p * (c + d[t].base)
-        if d[t].eps:
-            flagged = True
-    return EpsValue(base, flagged)
+    @cached_property
+    def rows(self) -> tuple:
+        """The row view of ``mdp.pointwise_transformer``: one action."""
+        return tuple(None if s not in self.safe else (
+            tuple((c, t, p) for (c, t), p in dist if p > 0),)
+            for s, dist in enumerate(self.delta))
 
 
 def reward_bellman(M: MRMModel) -> Transformer:
-    lat = M.lattice()
-    zero = plain(0.0)
-
-    def fn(d):
-        return tuple(
-            _expectation(M.delta[s], d) if s in M.safe else zero
-            for s in range(M.state_count))
-
-    return Transformer(lat, fn)
-
-
-def _reward_support(M: MRMModel, s: int, c: EpsValue, X_prev):
-    """The reward model's ``support`` for ``mdp.decide_lp``: the state's
-    distribution, with the expected one-step reward ``r_s`` moved to the
-    right-hand side, ``v_s - r_s <= sum_t p(s,t) x_t``."""
-    if not c <= _expectation(M.delta[s], X_prev):
-        raise ContractFailure("decide invoked without its guard")
-    r_s = sum(p * c_ for (c_, _t), p in M.delta[s] if p > 0)
-    return [(t, p) for (_c, t), p in M.delta[s]], c.base - r_s
+    return pointwise_transformer(M.lattice(), M.rows, 0.0)
 
 
 def _unit_cost(v: EpsValue) -> float:
@@ -117,8 +96,8 @@ def _unit_cost(v: EpsValue) -> float:
 
 
 def mrm_heuristics(M: MRMModel, F: Transformer) -> HeuristicsBundle:
-    """``mdp.pointwise_bundle`` with the reward support and unit costs."""
-    return pointwise_bundle(M, F, _reward_support, _unit_cost)
+    """``mdp.pointwise_bundle`` with unit costs."""
+    return pointwise_bundle(M, F, _unit_cost)
 
 
 def expected_reward(M: MRMModel) -> Instance:

@@ -278,7 +278,7 @@ def rejected(kind, text, tmp_path) -> str:
     """Run the command line on the model ``text``; it must exit 1 with an
     ``error:`` message and no traceback, which is returned."""
     path = tmp_path / f"model.{kind}"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     src = os.path.dirname(os.path.dirname(os.path.abspath(ltpdr.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-m", "ltpdr.cli", kind, str(path)],
@@ -305,8 +305,10 @@ BIG = "9" * 400
      "exceeds the limit"),
     ("kripke-forward", f"states {BIG}\ninit 0\nsafe 0\ntrans\n",
      "exceeds the limit"),
+    # A Latin-1 comment is not UTF-8; reading it raised UnicodeDecodeError.
+    ("mdp", TestParseMdp.SRC.encode() + b"# caf\xe9\n", "can't decode byte 0xe9"),
 ], ids=["lambda-overflow", "reward-overflow", "mdp-states", "mdp-actions",
-        "kripke-states"])
+        "kripke-states", "not-utf8"])
 def test_hostile_model_exit_one(kind, text, message, tmp_path):
     assert message in rejected(kind, text, tmp_path)
 

@@ -282,6 +282,76 @@ class TestCombined:
         assert ans.verdict is Verdict.FALSE
 
 
+def _not_inductive(k1):
+    """k1 plus state 3 -> 2: safe and unreachable, but with an unsafe
+    successor, so ``alpha`` is not inductive and Conflict runs."""
+    K = dataclasses.replace(k1, state_count=4,
+                            transitions=k1.transitions | {(3, 2)}, safe=0b1011)
+    return forward(K)
+
+
+def _model_instance(name: str):
+    parse, build = ((parse_mdp, max_reach) if name.endswith(".mdp")
+                    else (parse_mrm, expected_reward))
+    with open(os.path.join(MODELS_DIR, name)) as fh:
+        return build(parse(fh.read()))
+
+
+def _count_images(monkeypatch) -> list:
+    """Record the argument of every ``F`` call from now on."""
+    calls = []
+    call = Transformer.__call__
+    monkeypatch.setattr(Transformer, "__call__",
+                        lambda self, x: calls.append(x) or call(self, x))
+    return calls
+
+
+class TestConflictLemma:
+    """``rule_conflict`` re-images no lemma that is the engine's own
+    ``F(X_{i-1})``, and every other lemma in full."""
+
+    @pytest.mark.parametrize("lemma", ["top", "bot"])
+    @pytest.mark.parametrize("model", ["kripke", "grid3x3.mdp"])
+    def test_a_lemma_breaking_its_contract_aborts(self, k1, model, lemma):
+        # top breaks C_i !<= x; bot breaks F(X_{i-1} /\ x) <= x, as F(bot)
+        # is the initial set, and 1 at the grid's unsafe states.
+        inst = _not_inductive(k1) if model == "kripke" else _model_instance(model)
+        x = getattr(inst.F.lattice, lemma)
+        bundle = dataclasses.replace(inst.bundle, choose_conflict=lambda xp, c, fx: x)
+        with pytest.raises(HeuristicViolation):
+            run_combined(inst.F, inst.alpha, bundle, budget=50)
+
+    @pytest.mark.parametrize("name", ["grid3x3.mdp", "die_by_coin.mrm"])
+    def test_a_copy_of_the_canonical_lemma_takes_the_full_check(self, name,
+                                                                monkeypatch):
+        calls = _count_images(monkeypatch)
+        ans = solve(_model_instance(name))
+        canonical = len(calls)
+        inst = _model_instance(name)
+        copying = dataclasses.replace(
+            inst.bundle, choose_conflict=lambda xp, c, fx: tuple(list(fx)))
+        calls.clear()
+        again = run_combined(inst.F, inst.alpha, copying)
+        assert ans.stats.rule_counts["conflict"] == 3
+        assert len(calls) == canonical + 3  # one re-image per Conflict
+        assert (again.verdict, again.kt_witness, again.kleene_witness) == (
+            ans.verdict, ans.kt_witness, ans.kleene_witness)
+        assert (again.stats.steps, again.stats.rule_counts, again.stats.frame_count) == (
+            ans.stats.steps, ans.stats.rule_counts, ans.stats.frame_count)
+
+    @pytest.mark.parametrize("name, images, repeats", [
+        ("grid3x3.mdp", 19, 3), ("die_by_coin.mrm", 9, 0)])
+    def test_images_per_solve_are_pinned(self, name, images, repeats, monkeypatch):
+        # Each solve has 3 Conflicts, and re-imaging their canonical lemmas
+        # would make 22 and 12 calls.  A repeat, the same object imaged
+        # twice in a row, is Decide's re-check of the element decide_lp has
+        # just imaged; the transformer returns its last image for it.
+        calls = _count_images(monkeypatch)
+        solve(_model_instance(name))
+        assert len(calls) == images
+        assert sum(x is y for x, y in zip(calls, calls[1:])) == repeats
+
+
 class TestSolve:
     def test_engines_on_one_instance(self, k1):
         inst = forward(k1)

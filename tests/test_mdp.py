@@ -21,8 +21,9 @@ from ltpdr.mdp import (
     pdr_ibmdp,
     plain,
 )
+from ltpdr.mrm import MRMModel, reward_bellman
 from ltpdr.oracles import vi_max_reach
-from util import random_mdp
+from util import random_mdp, random_mrm
 
 
 @pytest.fixture
@@ -120,19 +121,131 @@ class TestBellman:
         assert lat.leq(F(d1), F(d2))
 
 
+def bellman_by_definition(M: MDPModel, d) -> tuple:
+    """1 off the safe set; elsewhere the largest ``sum p * d(t)`` over the
+    available actions, flagged when a successor with ``p > 0`` is, the first
+    action on ties."""
+    out = []
+    for s in range(M.state_count):
+        if s not in M.safe:
+            out.append(plain(1.0))
+            continue
+        best = None
+        for dist in M.delta[s]:
+            if dist is None:
+                continue
+            base = 0.0
+            for t, p in dist:
+                base += p * d[t].base
+            v = EpsValue(base, any(p > 0 and d[t].eps for t, p in dist))
+            if best is None or v > best:
+                best = v
+        out.append(best)
+    return tuple(out)
+
+
+def reward_bellman_by_definition(M: MRMModel, d) -> tuple:
+    """0 off the safe set; elsewhere ``sum p * (c + d(t))`` over the entries
+    with ``p > 0`` (``0 * inf`` is NaN), flagged when one of their successors
+    is."""
+    out = []
+    for s in range(M.state_count):
+        if s not in M.safe:
+            out.append(plain(0.0))
+            continue
+        live = [(c, t, p) for (c, t), p in M.delta[s] if p > 0]
+        base = 0.0
+        for c, t, p in live:
+            base += p * (c + d[t].base)
+        out.append(EpsValue(base, any(d[t].eps for _c, t, _p in live)))
+    return tuple(out)
+
+
+def bits(x) -> list:
+    return [(v.base.hex(), v.eps) for v in x]
+
+
+def kernel_cases(rng: random.Random):
+    """A random MDP or reward model, with zero-probability entries spliced
+    into about half its distributions, its transformer, its definition and
+    random arguments: some all zero (every action ties), the reward ones
+    with infinite entries, each entry flagged at random."""
+    if rng.random() < 0.5:
+        M = random_mdp(rng, max_states=7, max_actions=3)
+        delta = tuple(tuple(None if dist is None else _splice_zero(
+            rng, dist, (rng.randrange(M.state_count), 0.0)) for dist in row)
+            for row in M.delta)
+        M = dataclasses.replace(M, delta=delta)
+        F, by_definition = bellman(M), bellman_by_definition
+        values = [0.0, 1.0, 0.5]
+    else:
+        M = random_mrm(rng, max_states=7)
+        delta = tuple(_splice_zero(
+            rng, dist, ((rng.randint(0, 3), rng.randrange(M.state_count)), 0.0))
+            for dist in M.delta)
+        M = dataclasses.replace(M, delta=delta)
+        F, by_definition = reward_bellman(M), reward_bellman_by_definition
+        values = [0.0, math.inf, 2.5]
+    n = M.state_count
+    args = [tuple(EpsValue(0.0, rng.random() < 0.5) for _ in range(n))]
+    for _ in range(6):
+        args.append(tuple(
+            EpsValue(rng.choice(values) if rng.random() < 0.4 else rng.random(),
+                     rng.random() < 0.3)
+            for _ in range(n)))
+    return M, F, by_definition, args
+
+
+def _splice_zero(rng, dist, entry) -> tuple:
+    if rng.random() < 0.5:
+        return dist
+    i = rng.randint(0, len(dist))
+    return dist[:i] + (entry,) + dist[i:]
+
+
+class TestPointwiseKernel:
+    """``pointwise_transformer``, the Bellman operator of both instances on
+    their row views, against the definitions on the models' ``delta``."""
+
+    def test_matches_the_definition_bit_for_bit(self):
+        rng = random.Random(17)
+        zero_entries = unsafe = 0
+        for _ in range(400):
+            M, F, by_definition, args = kernel_cases(rng)
+            dists = M.delta if isinstance(M, MRMModel) else [
+                dist for row in M.delta for dist in row if dist is not None]
+            zero_entries += sum(p == 0 for dist in dists for _e, p in dist)
+            unsafe += len(M.safe) < M.state_count
+            for d in args:
+                assert bits(F(d)) == bits(by_definition(M, d))
+        assert zero_entries > 100 and unsafe > 100
+
+    def test_last_image_is_reused_only_for_the_same_argument(self):
+        rng = random.Random(23)
+        for _ in range(100):
+            M, F, by_definition, args = kernel_cases(rng)
+            a, b = args[1], args[2]
+            image = F(a)
+            assert F(a) is image
+            copy = tuple(list(a))
+            assert copy is not a
+            for d in (copy, b, a, b, copy, a, a):
+                assert bits(F(d)) == bits(by_definition(M, d))
+
+
 class TestCandidate:
     def test_threshold_plus_eps_at_initial(self, m1):
         M = dataclasses.replace(m1, threshold=0.4)
-        out = heuristic_candidate_mdp(frame(0.5, 0, 1), M)
+        out = heuristic_candidate_mdp(M)(frame(0.5, 0, 1), M.bound(), None)
         assert out == (eps_val(0.4), plain(0.0), plain(0.0))
 
     def test_precondition_enforced(self, m1):
         M = dataclasses.replace(m1, threshold=0.0)
         with pytest.raises(ContractFailure):
-            heuristic_candidate_mdp(frame(0.0, 0, 0), M)
+            heuristic_candidate_mdp(M)(frame(0.0, 0, 0), M.bound(), None)
 
     def test_tight_threshold(self, m1):
-        out = heuristic_candidate_mdp(frame(0.61, 0, 1), m1)
+        out = heuristic_candidate_mdp(m1)(frame(0.61, 0, 1), m1.bound(), None)
         assert out == (eps_val(0.6), plain(0.0), plain(0.0))
 
 

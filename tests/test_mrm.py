@@ -77,12 +77,12 @@ class TestRewardBellman:
 class TestHeuristics:
     def test_candidate(self, m2):
         M = dataclasses.replace(m2, threshold=1.3)
-        out = heuristic_candidate_mdp(frame(4.0 / 3.0, 0), M)
+        out = heuristic_candidate_mdp(M)(frame(4.0 / 3.0, 0), M.bound(), None)
         assert out == (eps_val(1.3), plain(0.0))
 
     def test_candidate_precondition(self, m2):
         with pytest.raises(ContractFailure):
-            heuristic_candidate_mdp(frame(1.0, 0), m2)
+            heuristic_candidate_mdp(m2)(frame(1.0, 0), m2.bound(), None)
 
     def test_decide_guard_fails_on_zero_frame(self, m2):
         # 1.3+eps <= F(0)(s0) = 1 fails, so Decide must not be invoked here.
