@@ -45,7 +45,7 @@ from .lattice import (
     is_kleene_sequence,
     is_kt_sequence,
 )
-from .mdp import EpsValue, MDPModel, bellman, decide_lp
+from .mdp import MDPModel, bellman, decide_lp
 from .mrm import MRMModel, reward_bellman
 from .oracles import (
     NoConvergence,

@@ -324,8 +324,7 @@ def serialize_mrm(M: mrm_mod.MRMModel) -> str:
 def _element_jsonable(x):
     if isinstance(x, int):
         return _mask_states(x)
-    return [{"base": "inf" if math.isinf(v.base) else v.base, "eps": v.eps}
-            for v in x]
+    return ["inf" if math.isinf(v) else v for v in x]
 
 
 def _witness_jsonable(answer):

@@ -11,16 +11,16 @@ instance.  The kernel reads the model's ``rows``, cached on first use:
 None off the safe set, else the actions, each of ``(reward, target, p)``
 entries with ``p > 0`` (an MDP's rewards are 0).
 
-Obligation values carry a symbolic infinitesimal: ``v + eps`` means
-"strictly greater than v".  The flag propagates through expectations (any
-contributing successor flagged flags the result), which lets the chain
-certify strict inequalities without materialising a concrete epsilon.
+Elements are tuples of floats.  The one strict inequality of a
+refutation, ``C(s0) > threshold``, is the float ``nextafter(threshold,
+inf)`` at the initial state: no float lies strictly between the two, so
+``nextafter(threshold, inf) <= v`` holds exactly when ``threshold < v``.
 
 ``max_reach(M)`` is the ``Instance`` of this question.  Its choices,
 ``pointwise_bundle``, are shared with the reward instance: Candidate is the
-threshold at the initial state, and Decide is a cheapest supporting
-valuation from the linear program ``decide_lp`` on the model's rows, at
-each instance's own costs.
+least float above the threshold at the initial state, and Decide is a
+cheapest supporting valuation from the linear program ``decide_lp`` on the
+model's rows, at each instance's own costs.
 Conflict is the engine's canonical choice ``x := F(X_{i-1})``, which caps
 every state at its transformer value and which the engine does not re-image.
 Capping only the states the current obligation violates gives lemmas each
@@ -37,10 +37,11 @@ when ``F(x) <= x``.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .engine import (
     ContractFailure,
@@ -57,36 +58,16 @@ _CAP = 1e9  # replaces infinite frame entries as an LP bound
 _SNAP = 1e-9
 
 
-class EpsValue(NamedTuple):
-    """A real with an optional ``+eps`` strictness marker.
-
-    Order: ``a+eps <= b`` iff ``a < b``; ``a <= b+eps`` iff ``a <= b``;
-    same-flavour comparisons are plain ``<=``.  This is the lexicographic
-    order on ``(base, eps)``, which is the tuple order, so the comparison
-    operators implement it; it is total and meet is the minimum under it.
-    """
-
-    base: float
-    eps: bool = False
-
-
-def plain(v: float) -> EpsValue:
-    return EpsValue(float(v), False)
-
-
-def eps_val(v: float) -> EpsValue:
-    return EpsValue(float(v), True)
-
-
 class PointwiseLattice(Lattice):
-    """Product of the EpsValue total order over the state space.
+    """Tuples of floats over the state space, ordered pointwise, from 0.0
+    up to ``top_value`` (``inf`` for the reward instance).
 
     ``leq_info`` gives no descriptor: no pointwise heuristic reads one.
     """
 
     def __init__(self, state_count: int, top_value: float):
-        self.bot = (plain(0.0),) * state_count
-        self.top = (plain(top_value),) * state_count
+        self.bot = (0.0,) * state_count
+        self.top = (float(top_value),) * state_count
 
     def leq_info(self, a, b):
         return (all(map(operator.le, a, b)), None)
@@ -144,7 +125,7 @@ def optimistic_induction(F: Transformer, alpha, s0: int):
     """
     lat = F.lattice
     top = lat.top
-    lam = alpha[s0].base
+    lam = alpha[s0]
     cap = None  # F(top)
     seen = 0  # the length of the last chain offered
     last = None  # the last proposal
@@ -164,24 +145,23 @@ def optimistic_induction(F: Transformer, alpha, s0: int):
             if n < 2 + 2 * stride:
                 return None
             w, u = xs[-2 - stride], xs[-2 - 2 * stride]
-            limit = _aitken(u[s0].base, w[s0].base, v[s0].base)
+            limit = _aitken(u[s0], w[s0], v[s0])
             if limit is not None:
                 break
         else:
             return None
         target = limit + 0.9 * (lam - limit)
-        if not 0.0 < v[s0].base < target < lam:
+        if not 0.0 < v[s0] < target < lam:
             return None
         e = (target - limit) / (2.0 * limit)
         c, d = 1.0 + e, e * limit
         lifted = []
         for us, ws, vs in zip(u, w, v):
-            us, ws, vs = us.base, ws.base, vs.base
             ls = _aitken(us, ws, vs)
             guess = c * (vs if ls is None else ls) + d
             if vs - ws > guess - vs:
                 return None
-            lifted.append(plain(guess))
+            lifted.append(guess)
         if cap is None:
             cap = F(top)
         x = tuple(map(min, lifted, cap))
@@ -246,7 +226,7 @@ class MDPModel:
 
     def bound(self) -> tuple:
         return tuple(
-            plain(self.threshold if s == self.initial_state else 1.0)
+            float(self.threshold) if s == self.initial_state else 1.0
             for s in range(self.state_count))
 
     @cached_property
@@ -259,25 +239,21 @@ class MDPModel:
             for s, row in enumerate(self.delta))
 
 
-def _expectation(action, d) -> EpsValue:
-    """``sum p * (c + d(t))`` over ``action``, flagged if a successor is."""
-    base = 0.0
-    flagged = False
+def _expectation(action, d) -> float:
+    """``sum p * (c + d(t))`` over ``action``."""
+    v = 0.0
     for c, t, p in action:
-        base += p * (c + d[t].base)
-        if d[t].eps:
-            flagged = True
-    return EpsValue(base, flagged)
+        v += p * (c + d[t])
+    return v
 
 
 def pointwise_transformer(lattice: PointwiseLattice, rows: tuple,
                           off: float) -> Transformer:
     """The Bellman operator on a row view: ``off`` where the row is None,
     else the largest ``_expectation`` of the actions, the first on ties,
-    inlined so that an action costs no call and no ``EpsValue``.  Like
-    ``kripke._image`` it keeps its last argument and image, so Decide's
-    re-check of the element ``decide_lp`` has just imaged is free."""
-    off = plain(off)
+    inlined so that an action costs no call.  Like ``kripke._image`` it
+    keeps its last argument and image, so Decide's re-check of the element
+    ``decide_lp`` has just imaged is free."""
     last = image = None
 
     def fn(d):
@@ -291,16 +267,12 @@ def pointwise_transformer(lattice: PointwiseLattice, rows: tuple,
                 continue
             best = None
             for action in row:
-                base, flagged = 0.0, False
+                v = 0.0
                 for c, t, p in action:
-                    b, e = d[t]
-                    base += p * (c + b)
-                    if e:
-                        flagged = True
-                if best is None or base > best or (
-                        base == best and flagged and not best_flagged):
-                    best, best_flagged = base, flagged
-            out.append(EpsValue(best, best_flagged))
+                    v += p * (c + d[t])
+                if best is None or v > best:
+                    best = v
+            out.append(best)
         last, image = d, tuple(out)
         return image
 
@@ -313,13 +285,16 @@ def bellman(M: MDPModel) -> Transformer:
 
 def heuristic_candidate_mdp(M):
     """The Candidate choice of the MDP and reward instances: when the last
-    frame exceeds the threshold at the initial state, the threshold plus eps
-    there and zero elsewhere, an element built once."""
-    x = tuple(eps_val(M.threshold) if s == M.initial_state else plain(0.0)
+    frame exceeds the threshold at the initial state, the least float above
+    the threshold there and zero elsewhere, an element built once.  It asks
+    exactly ``C(s0) > threshold``; at an MDP threshold of 1.0 or a reward
+    threshold of ``inf`` no frame exceeds it, so it is never chosen."""
+    lam = M.threshold
+    x = tuple(math.nextafter(lam, math.inf) if s == M.initial_state else 0.0
               for s in range(M.state_count))
 
     def candidate(last, alpha, info):
-        if not last[M.initial_state] > (M.threshold, False):
+        if not last[M.initial_state] > lam:
             raise ContractFailure("candidate requires the last frame to exceed "
                                   "the threshold at the initial state")
         return x
@@ -339,18 +314,19 @@ def decide_lp(M, F: Transformer, X_prev, C_head, cost):
     an MDP); ``ContractFailure`` when there is none.  The program minimizes
     ``sum cost(X_prev(t)) * x_t`` subject to these rows and ``0 <= x_t <=
     min(X_prev(t), 1e9)``; the finite cap replaces infinite frame entries.
-    Strictness is restored symbolically: outputs strictly below their frame
-    value carry the eps flag.  If rounding makes the numeric solution miss a
-    strict constraint, the frame values themselves restricted to the touched
-    states are returned (always contract-valid).  None when the program is
-    infeasible, which only a head needing a value above the cap makes it.
+    The output is the program's solution, snapped to the cap within 1e-9;
+    a strict obligation is already a float above its bound, so the rows
+    ask for no more than it.  If rounding makes the solution miss a row by an ulp, the frame
+    values themselves restricted to the touched states are returned (always
+    contract-valid).  None when the program is infeasible, which only a head
+    needing a value above the cap makes it.
     """
     supports = []
     var_states: list[int] = []
     var_index: dict[int, int] = {}
     for s in range(M.state_count):
         c = C_head[s]
-        if s not in M.safe or c <= (0.0, False):
+        if s not in M.safe or c <= 0.0:
             continue
         for dist in M.rows[s]:
             if c <= _expectation(dist, X_prev):
@@ -358,46 +334,43 @@ def decide_lp(M, F: Transformer, X_prev, C_head, cost):
         else:
             raise ContractFailure("decide invoked without its guard: no "
                                   "action dominates the obligation value")
-        supports.append((dist, c.base - sum(p * r for r, _t, p in dist)))
+        supports.append((dist, c - sum(p * r for r, _t, p in dist)))
         for _r, t, _p in dist:
             if t not in var_index:
                 var_index[t] = len(var_states)
                 var_states.append(t)
     n = len(var_states)
     if n == 0:
-        return (plain(0.0),) * M.state_count
+        return (0.0,) * M.state_count
     rows = []
     for dist, rhs in supports:
         coeffs = [0.0] * n
         for _r, t, p in dist:
             coeffs[var_index[t]] += p
         rows.append((coeffs, rhs))
-    caps = [min(X_prev[t].base, _CAP) for t in var_states]
+    caps = [min(X_prev[t], _CAP) for t in var_states]
     try:
         xs = simplex_min([cost(X_prev[t]) for t in var_states], rows,
                          [(0.0, cap) for cap in caps])
     except Infeasible:  # the head needs a value above the cap
         return None
 
-    out = [plain(0.0)] * M.state_count
+    out = [0.0] * M.state_count
     for t, x, cap in zip(var_states, xs, caps):
         x = min(max(x, 0.0), cap)
-        if cap - x <= _SNAP and X_prev[t].base <= _CAP:
-            out[t] = plain(cap)
-        else:
-            out[t] = eps_val(x)
+        out[t] = cap if cap - x <= _SNAP and X_prev[t] <= _CAP else x
     result = tuple(out)
 
     lat = F.lattice
     if not (lat.leq(result, X_prev) and lat.leq(C_head, F(result))):
         result = tuple(
-            X_prev[s] if s in var_index else plain(0.0)
+            X_prev[s] if s in var_index else 0.0
             for s in range(M.state_count))
     return result
 
 
-def _mdp_cost(v: EpsValue) -> float:
-    return 2.0 - v.base
+def _mdp_cost(v: float) -> float:
+    return 2.0 - v
 
 
 def pointwise_bundle(M, F: Transformer, cost) -> HeuristicsBundle:

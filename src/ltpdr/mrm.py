@@ -6,8 +6,8 @@ other state to 0, so its least fixed point is the expected reward
 accumulated until the safe region is left.  The solver decides whether that
 expectation from the initial state is at most a threshold.
 
-Obligation values reuse the symbolic-eps strictness marker of the MDP
-instance; infinity is absorbing in the arithmetic (``p * inf = inf`` for
+Elements are tuples of floats, as in the MDP instance, with ``inf``
+allowed; infinity is absorbing in the arithmetic (``p * inf = inf`` for
 ``p > 0``; ``0 * inf`` is NaN, so ``MRMModel.rows`` drops ``p = 0``).  The
 transformer is the MDP kernel ``mdp.pointwise_transformer`` on those rows.
 ``expected_reward(M)`` is the ``Instance`` of this question.  Its choices
@@ -32,8 +32,7 @@ from .engine import (
     Transformer,
     run_combined,
 )
-from .mdp import (EpsValue, PointwiseLattice, plain, pointwise_bundle,
-                  pointwise_transformer)
+from .mdp import PointwiseLattice, pointwise_bundle, pointwise_transformer
 # ``mdp.decide_lp`` solves the reward Decide programs too, so
 # ``simplex_min`` is not called here; ``perfbench/spans.py`` wraps
 # ``mrm.simplex_min`` and needs the name.
@@ -76,7 +75,7 @@ class MRMModel:
 
     def bound(self) -> tuple:
         return tuple(
-            plain(self.threshold if s == self.initial_state else math.inf)
+            float(self.threshold) if s == self.initial_state else math.inf
             for s in range(self.state_count))
 
     @cached_property
@@ -91,7 +90,7 @@ def reward_bellman(M: MRMModel) -> Transformer:
     return pointwise_transformer(M.lattice(), M.rows, 0.0)
 
 
-def _unit_cost(v: EpsValue) -> float:
+def _unit_cost(v: float) -> float:
     return 1.0
 
 

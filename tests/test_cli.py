@@ -216,11 +216,20 @@ class TestRunner:
                 (["kripke-forward", model_path("k1.kr")], 0),
                 (["kripke-forward", model_path("k1_unsafe.kr")], 10),
                 (["mdp", model_path("m1.mdp"), "--oracle"], 0),
-                (["mrm", model_path("die_by_coin.mrm")], 0)]:
+                (["mrm", model_path("die_by_coin.mrm")], 0),
+                (["mrm", model_path("die_by_coin_tight.mrm")], 10)]:
             main(args + ["--json"])
             report = json.loads(capsys.readouterr().out)
             assert set(report) == {"verdict", "witness", "stats", "oracle"}
             assert report["stats"] is not None
+            if args[0] in ("mdp", "mrm"):
+                # A pointwise element is a list of numbers, "inf" for infinity.
+                witness = report["witness"]
+                elements = witness["frames" if witness["type"] == "kt"
+                                   else "obligations"]
+                entries = [v for e in elements for v in e]
+                assert entries and all(
+                    v == "inf" or type(v) is float for v in entries)
 
     @pytest.mark.parametrize("name, code", [("k1.kr", 0), ("k1_unsafe.kr", 10)])
     def test_opdual_witness_is_validated(self, name, code, capsys):

@@ -49,11 +49,11 @@ from ltpdr.lattice import (
     UnsupportedDual,
     check_kleene_witness,
 )
-from ltpdr.mdp import PointwiseLattice, eps_val, max_reach, plain
+from ltpdr.mdp import PointwiseLattice, max_reach
 from ltpdr.mrm import expected_reward
 from ltpdr.oracles import vi_expected_reward, vi_max_reach
 from ltpdr.simplex import Infeasible
-from util import random_kripke, random_mdp, random_mrm
+from util import above, random_kripke, random_mdp, random_mrm
 
 ALPHA = 0b011
 ALPHA_P = 0b001
@@ -763,8 +763,8 @@ class TestStrengthen:
 
     @staticmethod
     def _lattices():
-        pool01 = [plain(0.0), eps_val(0.0), plain(0.5), eps_val(0.5), plain(1.0)]
-        pool_inf = pool01[:4] + [plain(2.0), eps_val(2.0), plain(math.inf)]
+        pool01 = [0.0, above(0.0), 0.5, above(0.5), 1.0]
+        pool_inf = pool01[:4] + [2.0, above(2.0), math.inf]
         return [
             (SubsetLattice(10), lambda rng: rng.getrandbits(10)),
             (PointwiseLattice(4, 1.0),

@@ -1,5 +1,5 @@
-"""The probabilistic instance: symbolic-eps order, Bellman operator, and the
-Decide linear program."""
+"""The probabilistic instance: strictness as the next float up, the Bellman
+operator, Candidate, and the Decide linear program."""
 
 import dataclasses
 import math
@@ -8,22 +8,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ltpdr import mdp
 from ltpdr.cli import parse_mdp
 from ltpdr.engine import ContractFailure, PDRConfig, Verdict, rule_conflict
 from ltpdr.mdp import (
-    EpsValue,
     MDPModel,
     PointwiseLattice,
     bellman,
-    eps_val,
+    decide_lp,
     heuristic_candidate_mdp,
     mdp_bundle,
     pdr_ibmdp,
-    plain,
 )
 from ltpdr.mrm import MRMModel, reward_bellman
 from ltpdr.oracles import vi_max_reach
-from util import random_mdp, random_mrm
+from util import above, random_mdp, random_mrm
 
 
 @pytest.fixture
@@ -37,7 +36,7 @@ def m1() -> MDPModel:
 
 
 def frame(*vals):
-    return tuple(plain(v) for v in vals)
+    return tuple(float(v) for v in vals)
 
 
 def solve_decide_lp(X_prev, C, M, F=None):
@@ -45,52 +44,67 @@ def solve_decide_lp(X_prev, C, M, F=None):
     return mdp_bundle(M, F or bellman(M)).choose_decide(X_prev, C, None)
 
 
+# Values a strictness test must cover: zero, the least subnormal, a
+# subnormal, the least normal, one and the largest finite float.
+EDGE_FLOATS = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.6, 1.0,
+               1.7976931348623157e308]
+floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(min_value=0.0, allow_nan=False,
+                             allow_infinity=False))
+
+
 class TestEpsOrder:
+    """A strict obligation "more than v" is the float ``above(v)``: no float
+    lies strictly between the two."""
+
     def test_strictness_rules(self):
-        assert eps_val(0.4) <= plain(0.5)
-        assert not eps_val(0.4) <= plain(0.4)
-        assert plain(0.4) <= eps_val(0.4)
-        assert eps_val(0.4) <= eps_val(0.4)
+        assert above(0.4) <= 0.5
+        assert not above(0.4) <= 0.4
+        assert 0.4 <= above(0.4)
+        assert above(0.4) <= above(0.4)
 
     def test_total_order_meet(self, m1):
         lat = m1.lattice()
-        a = (plain(0.4), eps_val(0.2), plain(1.0))
-        b = (eps_val(0.4), plain(0.3), plain(0.5))
-        assert lat.meet(a, b) == (plain(0.4), eps_val(0.2), plain(0.5))
+        a = (0.4, above(0.2), 1.0)
+        b = (above(0.4), 0.3, 0.5)
+        assert lat.meet(a, b) == (0.4, above(0.2), 0.5)
+
+    @settings(max_examples=500, deadline=None)
+    @given(floats, st.data())
+    def test_next_float_up_is_exactly_strict(self, lam, data):
+        near = [lam, above(lam), math.nextafter(lam, 0.0), math.inf]
+        v = data.draw(st.one_of(st.sampled_from(near), floats))
+        assert (above(lam) <= v) == (lam < v)
+
+    def test_no_float_is_above_infinity(self):
+        # The one threshold where ``above`` is not strict; there no frame
+        # exceeds the threshold, so the Candidate is never chosen.
+        assert above(math.inf) == math.inf
 
 
 class TestTupleOrderMatchesKeyOrder:
-    """EpsValue compares as a tuple; the lattice operations must agree with
-    the definitions on the ``(base, eps)`` key, ties and infinities included."""
-
-    @staticmethod
-    def key(x):
-        return (x.base, x.eps)
+    """The lattice operations are the float order state by state, ties and
+    infinities included; on ties meet and join keep their first argument."""
 
     def test_random_elements(self):
         rng = random.Random(8)
-        bases = [0.0, 0.3, 1.0, math.inf]
+        values = [0.0, 0.3, 1.0, math.inf]
 
         def value():
-            base = rng.choice(bases) if rng.random() < 0.7 else rng.random()
-            return EpsValue(base, rng.random() < 0.5)
+            v = rng.choice(values) if rng.random() < 0.7 else rng.random()
+            return above(v) if rng.random() < 0.5 else v
 
-        key = self.key
         lat = PointwiseLattice(4, math.inf)
         for _ in range(2000):
             a = tuple(value() for _ in range(4))
             b = tuple(value() for _ in range(4))
-            for x, y in zip(a, b):
-                assert (x <= y) == (key(x) <= key(y))
-                assert (x > y) == (key(x) > key(y))
-            bad = tuple(s for s in range(4) if not key(a[s]) <= key(b[s]))
-            assert lat.leq(a, b) == (not bad)
+            assert lat.leq(a, b) == all(x <= y for x, y in zip(a, b))
             # Identity, not equality: on ties both keep their first argument.
             meet = lat.meet(a, b)
             join = lat.join(a, b)
             for s, (x, y) in enumerate(zip(a, b)):
-                assert meet[s] is (x if key(x) <= key(y) else y)
-                assert join[s] is (x if key(x) >= key(y) else y)
+                assert meet[s] is (x if x <= y else y)
+                assert join[s] is (x if x >= y else y)
 
 
 class TestBellman:
@@ -104,9 +118,11 @@ class TestBellman:
         assert bellman(m1)(frame(0.5, 0, 1)) == frame(0.5, 0, 1)
 
     def test_eps_propagates_through_support(self, m1):
+        # A successor above 0.8 reached with probability 1/2 gives a value
+        # above 0.4: halving is exact, so one ulp up stays one ulp up.
         F = bellman(m1)
-        out = F((plain(0.0), plain(0.0), eps_val(0.8)))
-        assert out[0] == EpsValue(0.4, True)
+        out = F((0.0, 0.0, above(0.8)))
+        assert out[0] == above(0.4) > 0.4
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
@@ -115,29 +131,26 @@ class TestBellman:
         M = random_mdp(rng)
         F = bellman(M)
         lat = M.lattice()
-        d1 = tuple(plain(rng.random()) for _ in range(M.state_count))
-        d2 = lat.join(d1, tuple(plain(rng.random())
-                                for _ in range(M.state_count)))
+        d1 = tuple(rng.random() for _ in range(M.state_count))
+        d2 = lat.join(d1, tuple(rng.random() for _ in range(M.state_count)))
         assert lat.leq(F(d1), F(d2))
 
 
 def bellman_by_definition(M: MDPModel, d) -> tuple:
     """1 off the safe set; elsewhere the largest ``sum p * d(t)`` over the
-    available actions, flagged when a successor with ``p > 0`` is, the first
-    action on ties."""
+    available actions."""
     out = []
     for s in range(M.state_count):
         if s not in M.safe:
-            out.append(plain(1.0))
+            out.append(1.0)
             continue
         best = None
         for dist in M.delta[s]:
             if dist is None:
                 continue
-            base = 0.0
+            v = 0.0
             for t, p in dist:
-                base += p * d[t].base
-            v = EpsValue(base, any(p > 0 and d[t].eps for t, p in dist))
+                v += p * d[t]
             if best is None or v > best:
                 best = v
         out.append(best)
@@ -146,30 +159,29 @@ def bellman_by_definition(M: MDPModel, d) -> tuple:
 
 def reward_bellman_by_definition(M: MRMModel, d) -> tuple:
     """0 off the safe set; elsewhere ``sum p * (c + d(t))`` over the entries
-    with ``p > 0`` (``0 * inf`` is NaN), flagged when one of their successors
-    is."""
+    with ``p > 0`` (``0 * inf`` is NaN)."""
     out = []
     for s in range(M.state_count):
         if s not in M.safe:
-            out.append(plain(0.0))
+            out.append(0.0)
             continue
-        live = [(c, t, p) for (c, t), p in M.delta[s] if p > 0]
-        base = 0.0
-        for c, t, p in live:
-            base += p * (c + d[t].base)
-        out.append(EpsValue(base, any(d[t].eps for _c, t, _p in live)))
+        v = 0.0
+        for (c, t), p in M.delta[s]:
+            if p > 0:
+                v += p * (c + d[t])
+        out.append(v)
     return tuple(out)
 
 
 def bits(x) -> list:
-    return [(v.base.hex(), v.eps) for v in x]
+    return [v.hex() for v in x]
 
 
 def kernel_cases(rng: random.Random):
     """A random MDP or reward model, with zero-probability entries spliced
     into about half its distributions, its transformer, its definition and
-    random arguments: some all zero (every action ties), the reward ones
-    with infinite entries, each entry flagged at random."""
+    random arguments: one all zero (every action ties), the reward ones
+    with infinite entries, some entries one float up."""
     if rng.random() < 0.5:
         M = random_mdp(rng, max_states=7, max_actions=3)
         delta = tuple(tuple(None if dist is None else _splice_zero(
@@ -187,12 +199,14 @@ def kernel_cases(rng: random.Random):
         F, by_definition = reward_bellman(M), reward_bellman_by_definition
         values = [0.0, math.inf, 2.5]
     n = M.state_count
-    args = [tuple(EpsValue(0.0, rng.random() < 0.5) for _ in range(n))]
+
+    def value():
+        v = rng.choice(values) if rng.random() < 0.4 else rng.random()
+        return above(v) if rng.random() < 0.3 else v
+
+    args = [(0.0,) * n]
     for _ in range(6):
-        args.append(tuple(
-            EpsValue(rng.choice(values) if rng.random() < 0.4 else rng.random(),
-                     rng.random() < 0.3)
-            for _ in range(n)))
+        args.append(tuple(value() for _ in range(n)))
     return M, F, by_definition, args
 
 
@@ -237,7 +251,7 @@ class TestCandidate:
     def test_threshold_plus_eps_at_initial(self, m1):
         M = dataclasses.replace(m1, threshold=0.4)
         out = heuristic_candidate_mdp(M)(frame(0.5, 0, 1), M.bound(), None)
-        assert out == (eps_val(0.4), plain(0.0), plain(0.0))
+        assert out == (above(0.4), 0.0, 0.0)
 
     def test_precondition_enforced(self, m1):
         M = dataclasses.replace(m1, threshold=0.0)
@@ -246,24 +260,44 @@ class TestCandidate:
 
     def test_tight_threshold(self, m1):
         out = heuristic_candidate_mdp(m1)(frame(0.61, 0, 1), m1.bound(), None)
-        assert out == (eps_val(0.6), plain(0.0), plain(0.0))
+        assert out == (above(0.6), 0.0, 0.0)
+
+    def test_never_fires_at_threshold_one(self, m1):
+        # No element of [0, 1]^S exceeds 1 at the initial state.
+        M = dataclasses.replace(m1, threshold=1.0, safe=frozenset({0}))
+        with pytest.raises(ContractFailure):
+            heuristic_candidate_mdp(M)(M.lattice().top, M.bound(), None)
+        ans = pdr_ibmdp(M, debug=True)
+        assert ans.verdict is Verdict.TRUE
+        assert "candidate" not in ans.stats.rule_counts
+
+    def test_refutes_a_tiny_value_at_threshold_zero(self):
+        # From s0 the unsafe s2 is reached with probability 1e-6: any
+        # positive value refutes threshold 0, and the first obligation asks
+        # for the least positive float at s0.
+        M = MDPModel(3, 1, ((((1, 1.0 - 1e-6), (2, 1e-6)),), (((1, 1.0),),),
+                            (((2, 1.0),),)), 0, 0.0, frozenset({0, 1}))
+        ans = pdr_ibmdp(M, debug=True)
+        assert ans.verdict is Verdict.FALSE
+        assert ans.stats.rule_counts["candidate"] == 1
+        assert ans.kleene_witness.elements[-1] == (5e-324, 0.0, 0.0)
 
 
 class TestDecideLP:
     def test_reference_program(self, m1):
         X_prev = frame(0, 0, 1)
-        C = (eps_val(0.4), plain(0.0), plain(0.0))
+        C = (above(0.4), 0.0, 0.0)
         out = solve_decide_lp(X_prev, C, m1)
-        assert out == (plain(0.0), plain(0.0), eps_val(0.8))
+        assert out == (0.0, 0.0, above(0.8))
 
     def test_zero_obligation_gives_zero(self, m1):
         out = solve_decide_lp(frame(1, 1, 1), frame(0, 0, 0), m1)
         assert out == frame(0, 0, 0)
 
     def test_tight_upper_bound_stays_plain(self, m1):
-        # Constraint forces x at its cap: the output carries no eps flag.
+        # A non-strict obligation: the program's own solution meets it.
         X_prev = frame(0, 1, 1)
-        C = (plain(0.5), plain(0.0), plain(0.0))
+        C = frame(0.5, 0, 0)
         out = solve_decide_lp(X_prev, C, m1)
         F = bellman(m1)
         lat = m1.lattice()
@@ -276,14 +310,17 @@ class TestDecideLP:
             M = random_mdp(rng)
             F = bellman(M)
             lat = M.lattice()
-            X_prev = tuple(plain(round(rng.random(), 3))
-                           for _ in range(M.state_count))
+            X_prev = tuple(round(rng.random(), 3) for _ in range(M.state_count))
             fx = F(X_prev)
-            C = tuple(
-                EpsValue(max(fx[s].base - rng.choice([0.0, 0.1]), 0.0),
-                         rng.random() < 0.5)
-                if rng.random() < 0.4 else plain(0.0)
-                for s in range(M.state_count))
+            C = []
+            for s in range(M.state_count):
+                v = 0.0
+                if rng.random() < 0.4:
+                    v = max(fx[s] - rng.choice([0.0, 0.1]), 0.0)
+                    if rng.random() < 0.5:
+                        v = above(v)
+                C.append(v)
+            C = tuple(C)
             if not lat.leq(C, fx):
                 continue
             out = solve_decide_lp(X_prev, C, M, F)
@@ -292,20 +329,45 @@ class TestDecideLP:
             checked += 1
         assert checked > 50
 
+    def test_rounding_miss_falls_back_to_the_frame(self, monkeypatch):
+        # The optimum meets the row 2/3 x1 + 1/3 x2 >= c in exact
+        # arithmetic, but its float sum lands one ulp under c; Decide then
+        # returns the frame's own entries on the states the row touches.
+        p1, p2 = 0.6666666666666666, 0.3333333333333333
+        M = MDPModel(3, 1, ((((1, p1), (2, p2)),), (((1, 1.0),),),
+                            (((2, 1.0),),)), 0, 0.5, frozenset({0, 1, 2}))
+        F = bellman(M)
+        lat = M.lattice()
+        optimum = [0.9628099173553719, 0.23523666415973477]
+        X_prev = (0.25, 0.97, 0.5)
+        C = (0.7202854996234929, 0.0, 0.0)
+        assert F((0.0, *optimum))[0] == 0.7202854996234928
+        calls = []
+
+        def fake_simplex_min(costs, rows, bounds):
+            calls.append(rows)
+            return optimum
+
+        monkeypatch.setattr(mdp, "simplex_min", fake_simplex_min)
+        out = decide_lp(M, F, X_prev, C, lambda v: 1.0)
+        assert calls == [[([p1, p2], C[0])]]
+        assert out == (0.0, 0.97, 0.5)
+        assert lat.leq(out, X_prev) and lat.leq(C, F(out))
+
 
 class TestConflict:
     """The bundle's Conflict is the canonical choice ``x := F(X_{i-1})``."""
 
     def test_returns_transformer_value(self, m1):
         X_prev = frame(0, 0, 1)
-        C = (eps_val(0.6), plain(0.0), plain(0.0))
+        C = (above(0.6), 0.0, 0.0)
         fx = bellman(m1)(X_prev)
         assert mdp_bundle(m1, bellman(m1)).choose_conflict(X_prev, C, fx) == frame(0.5, 0, 1)
 
     def test_precondition_enforced(self, m1):
         # Conflict does not fire while Decide's guard C <= F(X_prev) holds.
         F = bellman(m1)
-        C = (eps_val(0.4), plain(0.0), plain(0.0))  # 0.4+eps <= 0.5
+        C = (above(0.4), 0.0, 0.0)  # above(0.4) <= 0.5
         cfg = PDRConfig((frame(0, 0, 0), frame(0, 0, 1), frame(1, 1, 1)), (C,))
         assert rule_conflict(cfg, F, m1.bound(), mdp_bundle(m1, F)) is None
 
@@ -316,12 +378,11 @@ class TestConflict:
             M = random_mdp(rng)
             F = bellman(M)
             lat = M.lattice()
-            X_prev = tuple(plain(round(rng.random(), 3))
-                           for _ in range(M.state_count))
+            X_prev = tuple(round(rng.random(), 3) for _ in range(M.state_count))
             fx = F(X_prev)
-            C = tuple(EpsValue(min(fx[s].base + rng.choice([0.0, 0.1]), 1.0),
-                               rng.random() < 0.5)
+            C = tuple(min(fx[s] + rng.choice([0.0, 0.1]), 1.0)
                       for s in range(M.state_count))
+            C = tuple(above(v) if rng.random() < 0.5 else v for v in C)
             if lat.leq(C, fx):
                 continue
             x = mdp_bundle(M, F).choose_conflict(X_prev, C, fx)
@@ -396,7 +457,7 @@ PINNED_SEARCHES = {
 
 @pytest.mark.parametrize("seed, draw, threshold", sorted(PINNED_SEARCHES))
 def test_random_search_is_pinned(seed, draw, threshold):
-    # Every Decide solves an LP and every rule tests the eps order: an LP
+    # Every Decide solves an LP and every rule tests the float order: an LP
     # result or an order test that drifts by one ulp changes these counts.
     rng = random.Random(seed)
     for _ in range(draw):

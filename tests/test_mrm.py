@@ -9,7 +9,7 @@ import pytest
 from conftest import model_path
 from ltpdr.cli import parse_mrm
 from ltpdr.engine import ContractFailure, PDRConfig, Verdict, rule_conflict, solve
-from ltpdr.mdp import eps_val, heuristic_candidate_mdp, plain
+from ltpdr.mdp import heuristic_candidate_mdp
 from ltpdr.mrm import (
     MRMModel,
     expected_reward,
@@ -18,7 +18,7 @@ from ltpdr.mrm import (
     reward_bellman,
 )
 from ltpdr.oracles import NoConvergence, vi_expected_reward
-from util import random_mrm
+from util import above, random_mrm
 
 
 @pytest.fixture
@@ -32,7 +32,7 @@ def m2() -> MRMModel:
 
 
 def frame(*vals):
-    return tuple(plain(v) for v in vals)
+    return tuple(float(v) for v in vals)
 
 
 def solve_decide_lp_mrm(X_prev, C, M, F=None):
@@ -51,13 +51,13 @@ class TestRewardBellman:
         F = reward_bellman(m2)
         d = frame(4.0 / 3.0, 0)
         out = F(d)
-        assert out[0].base == pytest.approx(4.0 / 3.0, abs=1e-12)
-        assert out[1] == plain(0.0)
+        assert out[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert out[1] == 0.0
 
     def test_infinity_is_absorbing(self, m2):
         F = reward_bellman(m2)
-        out = F((plain(math.inf), plain(0.0)))
-        assert out[0] == plain(math.inf)
+        out = F((math.inf, 0.0))
+        assert out[0] == math.inf
 
     def test_monotone_with_injected_infinities(self):
         rng = random.Random(3)
@@ -66,10 +66,10 @@ class TestRewardBellman:
             F = reward_bellman(M)
             lat = M.lattice()
             d1 = tuple(
-                plain(math.inf) if rng.random() < 0.15 else plain(rng.random() * 5)
+                math.inf if rng.random() < 0.15 else rng.random() * 5
                 for _ in range(M.state_count))
             d2 = lat.join(d1, tuple(
-                plain(math.inf) if rng.random() < 0.15 else plain(rng.random() * 5)
+                math.inf if rng.random() < 0.15 else rng.random() * 5
                 for _ in range(M.state_count)))
             assert lat.leq(F(d1), F(d2))
 
@@ -78,25 +78,36 @@ class TestHeuristics:
     def test_candidate(self, m2):
         M = dataclasses.replace(m2, threshold=1.3)
         out = heuristic_candidate_mdp(M)(frame(4.0 / 3.0, 0), M.bound(), None)
-        assert out == (eps_val(1.3), plain(0.0))
+        assert out == (above(1.3), 0.0)
 
     def test_candidate_precondition(self, m2):
         with pytest.raises(ContractFailure):
             heuristic_candidate_mdp(m2)(frame(1.0, 0), m2.bound(), None)
 
-    def test_decide_guard_fails_on_zero_frame(self, m2):
-        # 1.3+eps <= F(0)(s0) = 1 fails, so Decide must not be invoked here.
+    def test_candidate_never_fires_at_threshold_inf(self):
+        # State 0 pays 1 forever, so its value is inf; no frame exceeds the
+        # threshold inf, not even top, and the bound holds.
+        M = MRMModel(state_count=1, delta=((((1, 0), 1.0),),),
+                     initial_state=0, threshold=math.inf, safe=frozenset({0}))
         with pytest.raises(ContractFailure):
-            solve_decide_lp_mrm(frame(0, 0), (eps_val(1.3), plain(0.0)), m2)
+            heuristic_candidate_mdp(M)(M.lattice().top, M.bound(), None)
+        ans = solve(expected_reward(M), debug=True)
+        assert ans.verdict is Verdict.TRUE
+        assert "candidate" not in ans.stats.rule_counts
+
+    def test_decide_guard_fails_on_zero_frame(self, m2):
+        # above(1.3) <= F(0)(s0) = 1 fails, so Decide must not be invoked here.
+        with pytest.raises(ContractFailure):
+            solve_decide_lp_mrm(frame(0, 0), (above(1.3), 0.0), m2)
 
     def test_conflict_caps_frames_at_image(self, m2):
-        # 1.3+eps <= F(X_1)(s0) = 1.25 fails, so Conflict fires with the
+        # above(1.3) <= F(X_1)(s0) = 1.25 fails, so Conflict fires with the
         # lemma F(X_1) = (1.25, 0): it caps X_2 at every state, the unsafe
         # one included, where the obligation asks for nothing.
         M = dataclasses.replace(m2, threshold=1.3)
         F = reward_bellman(M)
         cfg = PDRConfig((frame(0, 0), frame(1, 0), M.lattice().top),
-                        ((eps_val(1.3), plain(0.0)),))
+                        ((above(1.3), 0.0),))
         out = rule_conflict(cfg, F, M.bound(), mrm_heuristics(M, F))
         assert out.frames == (frame(0, 0), frame(1, 0), frame(1.25, 0))
         assert out.obligations == ()
@@ -104,8 +115,8 @@ class TestHeuristics:
     def test_decide_contract_on_unfolded_frame(self, m2):
         F = reward_bellman(m2)
         lat = m2.lattice()
-        X_prev = (plain(2.0), plain(0.0))
-        C = (eps_val(1.3), plain(0.0))
+        X_prev = (2.0, 0.0)
+        C = (above(1.3), 0.0)
         out = solve_decide_lp_mrm(X_prev, C, m2, F)
         assert lat.leq(out, X_prev) and lat.leq(C, F(out))
 
@@ -157,7 +168,7 @@ def nth_random_mrm(draw: int) -> MRMModel:
 
 @pytest.mark.parametrize("draw, threshold", sorted(PINNED_SEARCHES))
 def test_random_search_is_pinned(draw, threshold):
-    # Every Decide solves an LP and every rule tests the eps order: an LP
+    # Every Decide solves an LP and every rule tests the float order: an LP
     # result or an order test that drifts by one ulp changes these counts.
     M = dataclasses.replace(nth_random_mrm(draw), threshold=threshold)
     verdict, steps, rules, frames = PINNED_SEARCHES[draw, threshold]

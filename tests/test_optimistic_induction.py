@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ltpdr.engine import Verdict, run_combined, solve
-from ltpdr.mdp import max_reach, optimistic_induction, plain
+from ltpdr.mdp import max_reach, optimistic_induction
 from ltpdr.mrm import MRMModel, expected_reward, mrm_heuristics, reward_bellman
 from ltpdr.oracles import NoConvergence, vi_expected_reward, vi_max_reach
 from util import random_mdp, random_mrm
@@ -113,7 +113,7 @@ def test_fires_once_per_chain_length():
     k, x = propose(frames)
     # The limit 2 is extrapolated from 1, 1.5, 1.75 and lifted nine tenths
     # of the way to the bound; the unsafe state stays at 0.
-    assert k == 4 and x == (plain(2.45), plain(0.0))
+    assert k == 4 and x == (2.45, 0.0)
     assert F.lattice.leq(F(x), x)
     assert propose(frames) is None  # the same chain again, as after Candidate
     assert propose(tuple(chain) + (x, top)) is None  # own proposal
@@ -143,7 +143,7 @@ def test_alternating_iterates_are_extrapolated_over_every_second_frame():
     # X_0, X_2, X_4 at s0 are 0, 1, 1.5: limit 2, lifted to 2.45.  s1 is
     # lifted from its own limit 1 (X_4(s1) is 0.75), and F(x) <= x as is.
     assert k == 5
-    assert [v.base for v in x] == pytest.approx([2.45, 1.3375, 0.0])
+    assert list(x) == pytest.approx([2.45, 1.3375, 0.0])
     assert F.lattice.leq(F(x), x)
 
 
@@ -168,9 +168,9 @@ def test_a_repair_round_completes_the_guess():
     # X_0, X_1, X_2 at s0 are 0, 0.75, 1.125: limit 1.5, lifted to 3.12.
     # s1 (0, 0, 0.75) does not converge yet and is lifted from 0.75 to
     # 1.965, below F(x)(s1) = x(s0); one round x := x v F(x) raises it.
-    guess = (plain(3.12), plain(1.965), plain(0.0))
+    guess = (3.12, 1.965, 0.0)
     assert not F.lattice.leq(F(guess), guess)
     k, x = propose(tuple(kleene_chain(F, 3)) + (F.lattice.top,))
     assert k == 3
-    assert [v.base for v in x] == pytest.approx([3.12, 3.12, 0.0])
+    assert list(x) == pytest.approx([3.12, 3.12, 0.0])
     assert F.lattice.leq(F(x), x)

@@ -37,6 +37,8 @@ def test_random_differential_is_clean(capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "mismatches: 0" in out and "budget exhausted: 0" in out
+    digest = [line for line in out.splitlines() if line.startswith("search_sha256=")]
+    assert len(digest) == 1 and len(digest[0]) == len("search_sha256=") + 64
 
 
 @pytest.mark.parametrize("name, budget", [("run_corpus", "0"),

@@ -13,6 +13,11 @@ from ltpdr.mdp import MDPModel
 from ltpdr.mrm import MRMModel
 
 
+def above(v: float) -> float:
+    """The least float above ``v``: the obligation "strictly more than v"."""
+    return math.nextafter(v, math.inf)
+
+
 def random_kripke(rng: random.Random, max_states: int = 8) -> KripkeStructure:
     n = rng.randint(1, max_states)
     density = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5])
