@@ -16,9 +16,11 @@ or reward model run that exhausts its step budget and any reward model run
 that raises is reported with a serialized reproducer and makes the exit
 code non-zero.  Each phase also reports the median and maximum step counts
 of its True answers and how many of them closed through Induction.  The
-last line, ``search_sha256=``, digests every solve's phase, engine, verdict,
-steps, frame count and rule counts in order: two versions of the library
-searched alike on a seed exactly when their lines match.
+last two lines digest every solve in order.  ``answers_sha256=`` takes its
+phase, engine, verdict, witness and frame count: two versions of the library
+answered alike on a seed exactly when their lines match.
+``search_sha256=`` takes the phase, engine, verdict, steps, frame count and
+rule counts: the two versions also searched alike when these lines match.
 
 Usage: python scripts/random_differential.py [--seed N] [--kripke N] [--mdp N]
                                              [--mrm N] [--budget N]
@@ -59,24 +61,27 @@ def true_summary(answers) -> str:
             f"max {max(steps)}, {induction} through Induction")
 
 
-def note(search, phase: str, engine: str, ans) -> None:
-    """Add one solve to the search digest ``search``."""
+def note(digests, phase: str, engine: str, ans) -> None:
+    """Add one solve to ``digests``, the answers and the search digest."""
+    answers, search = digests
     stats = ans.stats
+    answers.update(repr((phase, engine, ans.verdict.value, ans.kt_witness,
+                         ans.kleene_witness, stats.frame_count)).encode())
     search.update(repr((phase, engine, ans.verdict.value, stats.steps,
                         stats.frame_count, sorted(stats.rule_counts.items())))
                   .encode())
 
 
 def one_sided_mismatches(inst, safe: bool, budget: int, label: str, model: str,
-                         out_of_budget: list, search) -> int:
+                         out_of_budget: list, digests) -> int:
     """Solve ``inst`` with the negative and the positive engine in debug
     mode; print a reproducer for each verdict the engine must not give and
     return how many there were.  A positive run that exhausts its budget is
-    appended to ``out_of_budget``; every run is noted in ``search``."""
+    appended to ``out_of_budget``; every run is noted in ``digests``."""
     mismatches = 0
     for engine in ("negative", "positive"):
         ans = solve(inst, engine, debug=True, budget=budget)
-        note(search, label.split()[0], engine, ans)
+        note(digests, label.split()[0], engine, ans)
         v = ans.verdict
         if engine == "negative":
             wrong = v is Verdict.TRUE or (v is Verdict.FALSE) == safe
@@ -105,7 +110,7 @@ def main(argv=None) -> int:
     exhausted = 0
     raised = 0
     positive_exhausted: list = []
-    search = hashlib.sha256()
+    digests = (hashlib.sha256(), hashlib.sha256())  # answers, search
 
     t0 = time.perf_counter()
     answers = []
@@ -114,7 +119,7 @@ def main(argv=None) -> int:
         expected = bfs_safe(K).verdict
         for name, build in (("fkr", forward), ("ibkr", inverse_backward)):
             ans = solve(build(K), debug=True, budget=args.budget)
-            note(search, "kripke", "combined", ans)
+            note(digests, "kripke", "combined", ans)
             answers.append(ans)
             got = ans.verdict is Verdict.TRUE
             if ans.verdict not in (Verdict.TRUE, Verdict.FALSE) or got != expected:
@@ -124,7 +129,7 @@ def main(argv=None) -> int:
             mismatches += one_sided_mismatches(build(K), expected, args.budget,
                                                f"kripke #{i} {name}",
                                                serialize_kripke(K), positive_exhausted,
-                                               search)
+                                               digests)
     print(f"kripke: {args.kripke} models x 2 instances x 3 engines, "
           f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
 
@@ -143,9 +148,9 @@ def main(argv=None) -> int:
             Mx = dataclasses.replace(M, threshold=lam)
             mismatches += one_sided_mismatches(max_reach(Mx), expected, args.budget,
                                                f"mdp #{i} lambda={lam}", serialize_mdp(Mx),
-                                               positive_exhausted, search)
+                                               positive_exhausted, digests)
             ans = solve(max_reach(Mx), debug=True, budget=args.budget)
-            note(search, "mdp", "combined", ans)
+            note(digests, "mdp", "combined", ans)
             answers.append(ans)
             if ans.verdict is Verdict.BUDGET_EXHAUSTED:
                 exhausted += 1
@@ -175,9 +180,9 @@ def main(argv=None) -> int:
             try:
                 mismatches += one_sided_mismatches(
                     expected_reward(Mx), expected, args.budget, f"mrm #{i} lambda={lam}",
-                    serialize_mrm(Mx), positive_exhausted, search)
+                    serialize_mrm(Mx), positive_exhausted, digests)
                 ans = solve(expected_reward(Mx), debug=True, budget=args.budget)
-                note(search, "mrm", "combined", ans)
+                note(digests, "mrm", "combined", ans)
             except Exception:  # any raise is a finding; keep going
                 raised += 1
                 print(f"RAISED mrm #{i} lambda={lam}\n"
@@ -202,7 +207,8 @@ def main(argv=None) -> int:
     print(f"positive engine out of budget (not counted): {len(positive_exhausted)}"
           + "".join(f"\n  {label}" for label in positive_exhausted))
     print("raised:", raised)
-    print(f"search_sha256={search.hexdigest()}")
+    print(f"answers_sha256={digests[0].hexdigest()}")
+    print(f"search_sha256={digests[1].hexdigest()}")
     return 1 if mismatches or exhausted or raised else 0
 
 

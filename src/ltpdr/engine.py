@@ -40,7 +40,8 @@ Every instance's Conflict lemma is the paper's canonical ``x := F(X_{i-1})``
 (``canonical_conflict``), which meets its contract by monotonicity, so
 ``rule_conflict`` re-images only other lemmas.  A lemma blocking only the
 part of the frame the obligation violates makes the search take order
-``n^2`` steps on a chain of depth ``n``.
+``n^2`` steps on a chain of depth ``n``.  Where a Candidate would meet
+that Conflict for sure, ``run_combined`` applies the lemma as Induction.
 """
 
 from __future__ import annotations
@@ -132,6 +133,8 @@ class HeuristicsBundle:
     ``F(X_{k-1} /\\ x) <= x``.  The engine's own lemma goes first: once it
     has found ``F(alpha) <= alpha``, at the cost of one image per solve, it
     proposes ``(n-1, alpha)`` and asks the bundle only when that fails.
+    When the bundle declines too and Unfold does not apply, the engine
+    applies ``(n-1, F(X_{n-2}))`` if it is below ``alpha``, before Candidate.
     The MDP and reward instances supply ``mdp.optimistic_induction``; the
     Kripke instance supplies none, and relies on the engine's.
     """
@@ -169,16 +172,23 @@ def rule_unfold(cfg: PDRConfig, F: Transformer, alpha) -> Optional[PDRConfig]:
     return PDRConfig(xs + (lat.top,))
 
 
-def rule_induction(cfg: PDRConfig, F: Transformer, alpha, k: int, x) -> Optional[PDRConfig]:
+def rule_induction(cfg: PDRConfig, F: Transformer, alpha, k: int, x,
+                   fx=None) -> Optional[PDRConfig]:
     """Induction, which the paper applies only with no obligations pending:
-    strengthening a frame under a pending ``C_j`` could leave ``C_j !<= X_j``."""
+    strengthening a frame under a pending ``C_j`` could leave ``C_j !<= X_j``.
+
+    ``fx`` is ``F(X_{k-1})`` when the caller has it already.  When the lemma
+    is that very object, ``F(X_{k-1} /\\ x) <= x`` holds by monotonicity and
+    is not re-imaged, as in ``rule_conflict``; debug mode's test of
+    ``F(X_j) <= X_{j+1}`` on every changed frame pair implies it.
+    """
     lat = F.lattice
     xs = cfg.frames
     if cfg.obligations or not 2 <= k <= len(xs) - 1:
         return None
     if lat.leq(xs[k], x):
         return None
-    if not lat.leq(F(lat.meet(xs[k - 1], x)), x):
+    if x is not fx and not lat.leq(F(lat.meet(xs[k - 1], x)), x):
         return None
     return PDRConfig(_strengthen(lat, xs, k, x))
 
@@ -409,11 +419,12 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     Each step applies Valid, then Model, then exactly one of the remaining
     rules, whose guards leave no choice.  With no obligations pending, the
     bundle's Induction proposer is asked first and its lemma applied when
-    it passes the guard; otherwise Unfold needs ``X_{n-1} <= alpha`` and
-    Candidate its negation.  With obligations pending, Decide needs
-    ``C_i <= F(X_{i-1})`` and Conflict its negation; the two share one
-    evaluation of ``F(X_{i-1})``.  The only freedom left is the Induction
-    proposer and the element each rule picks.
+    it passes the guard; otherwise Unfold needs ``X_{n-1} <= alpha``, the
+    canonical Induction below needs its negation and ``F(X_{n-2}) <=
+    alpha``, and Candidate takes what is left.  With obligations pending,
+    Decide needs ``C_i <= F(X_{i-1})`` and Conflict its negation; the two
+    share one evaluation of ``F(X_{i-1})``.  The only freedom left is the
+    Induction proposer and the element each rule picks.
 
     The first Induction lemma offered is ``alpha`` itself, the largest
     candidate for a prefixed point below ``alpha``.  At the first step with
@@ -428,6 +439,18 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     plus one image.  A solve decided before that step never evaluates
     ``F(alpha)``.
 
+    The Kleene side starts only where it can succeed.  A Candidate ``C``
+    has ``C !<= alpha``, so if ``F(X_{n-2}) <= alpha`` Decide must refute
+    it, and Conflict then meets ``F(X_{n-2})`` into ``X_2 .. X_{n-1}``.
+    With ``n >= 3`` frames the engine applies that lemma at once, as
+    Induction at ``k = n-1`` (IC3/PDR likewise asks first whether the last
+    frame reaches a bad state): one step and the same frames in place of
+    two, so verdicts, witnesses and frame counts stay those of the
+    Candidate-Conflict search, and an unsafe chain of ``n`` states takes
+    ``3n - 2`` steps.  Otherwise Candidate runs and Decide reuses the
+    image.  Induction's own guard ``k >= 2`` spares a depth-1 refutation
+    the image of ``X_0``.
+
     Valid is a function of the frames alone and has failed on every earlier
     chain, so each step re-checks it only on the frame pairs the last rule
     could have made conclusive (``_fresh_pairs``): none after Decide or
@@ -438,10 +461,11 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     (``_strengthen``).  The certificate check at the end scans the whole
     chain.
 
-    ``F(X_{i-1})`` for Decide and Conflict comes from a per-index cache of
-    ``(X_j, F(X_j))`` (``_image_at``); an entry is reused only while its
-    frame is the same object, so a Conflict or Induction that changes
-    ``X_j`` makes it stale and every unchanged frame keeps its image.
+    ``F(X_{i-1})`` for Decide and Conflict, and ``F(X_{n-2})`` for the
+    canonical Induction, come from a per-index cache of ``(X_j, F(X_j))``
+    (``_image_at``); an entry is reused only while its frame is the same
+    object, so a Conflict or Induction that changes ``X_j`` makes it stale
+    and every unchanged frame keeps its image.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -492,7 +516,14 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
                 nxt = rule_unfold(cfg, F, alpha)
                 if nxt is not None:
                     cfg, applied = nxt, "unfold"
-                else:
+                elif len(xs) >= 3:
+                    k = len(xs) - 1
+                    fx = _image_at(F, images, xs, k - 1)
+                    if lat.leq(fx, alpha):  # Decide would refute any Candidate
+                        nxt = rule_induction(cfg, F, alpha, k, fx, fx)
+                        if nxt is not None:
+                            cfg, applied = nxt, "induction"
+                if applied is None:
                     nxt = rule_candidate(cfg, F, alpha, heuristics)
                     if nxt is not None:
                         cfg, applied = nxt, "candidate"

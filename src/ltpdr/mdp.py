@@ -97,7 +97,7 @@ def optimistic_induction(F: Transformer, alpha, s0: int):
     point below ``alpha``, as in Optimistic Value Iteration (Hartmanns and
     Kretinsky, CAV 2020).
 
-    With the canonical Conflict alone, the frames of a true instance are the
+    With the canonical lemma alone, the frames of a true instance are the
     Kleene iterates ``F^i(bot)``, and Valid waits until two of them coincide
     in floating point.  Right after Unfold (the first call on a chain of a
     new length ``n >= 4`` that ends in ``top``) this proposer extrapolates
@@ -111,8 +111,9 @@ def optimistic_induction(F: Transformer, alpha, s0: int):
     flow back into the other states.  At most two repair rounds
     ``x := x v F(x)`` follow, each kept below ``alpha``, and ``(n-1, x)`` is
     proposed only if ``F(x) <= x <= alpha``.  On the next level the
-    canonical Conflict sets ``X_n = F(x) <= X_{n-1}`` and Valid closes, so
-    the proposer never lifts a chain whose ``X_{n-2}`` is its own proposal.
+    engine's canonical Induction (``F(x) <= alpha``) sets ``X_n = F(x) <=
+    X_{n-1}`` and Valid closes, so the proposer never lifts a chain whose
+    ``X_{n-2}`` is its own proposal.
 
     It gives up without an ``F`` call when the iterates at ``s0`` do not
     converge geometrically, when their limit is not below ``alpha(s0)``, or

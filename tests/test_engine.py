@@ -233,16 +233,18 @@ class TestCombined:
 
     def test_safe_trace_with_a_bound_that_is_not_inductive(self, k1):
         # k1 plus state 3 -> 2: state 3 is safe and unreachable, but its
-        # unsafe successor puts 2 into F(alpha), so alpha is not inductive
-        # and the search is the Kleene path: Candidate, then Conflict.
+        # unsafe successor puts 2 into F(alpha), so alpha is not inductive.
+        # F(X_{n-2}) <= alpha after each Unfold, so a Candidate would be
+        # refuted; the engine applies F(X_{n-2}) as Induction instead.
         K = dataclasses.replace(k1, state_count=4,
                                 transitions=k1.transitions | {(3, 2)}, safe=0b1011)
         trace = []
         ans = pdr_fkr(K, trace=trace.append, debug=True)
         assert ans.verdict is Verdict.TRUE
         assert [line.split()[1] for line in trace] == [
-            "rule=unfold", "rule=candidate", "rule=conflict",
-            "rule=unfold", "rule=candidate", "rule=conflict", "rule=valid"]
+            "rule=unfold", "rule=induction", "rule=unfold", "rule=induction",
+            "rule=valid"]
+        assert ans.kt_witness.elements == (0, 0b0001, 0b0011, 0b0011)
 
     def test_unsafe_witness(self, k1):
         K = dataclasses.replace(k1, safe=ALPHA_P)
@@ -282,12 +284,12 @@ class TestCombined:
         assert ans.verdict is Verdict.FALSE
 
 
-def _not_inductive(k1):
-    """k1 plus state 3 -> 2: safe and unreachable, but with an unsafe
-    successor, so ``alpha`` is not inductive and Conflict runs."""
-    K = dataclasses.replace(k1, state_count=4,
-                            transitions=k1.transitions | {(3, 2)}, safe=0b1011)
-    return forward(K)
+def _two_unsafe_states():
+    """Unsafe states 0 and 5, of which only 5 is reachable (2 -> 5).  After
+    the first Unfold ``F(X_1) !<= alpha``, and Candidate takes the lowest
+    state outside ``alpha``, the unreachable 0, so Conflict runs."""
+    return forward(parse_kripke(
+        "states 7\ninit 2 3 4\nsafe 1 2 3 4 6\ntrans\n1 4\n2 5\n"))
 
 
 def _model_instance(name: str):
@@ -295,6 +297,14 @@ def _model_instance(name: str):
                     else (parse_mrm, expected_reward))
     with open(os.path.join(MODELS_DIR, name)) as fh:
         return build(parse(fh.read()))
+
+
+def _whole_frame_candidate(inst):
+    """``inst`` with a Candidate that takes all of ``X_{n-1}``.  Decide
+    refutes it whenever ``X_{n-1} !<= F(X_{n-2})``, so Conflict runs where
+    ``F(X_{n-2}) !<= alpha`` and the bundle's own Candidate is decided."""
+    return dataclasses.replace(inst, bundle=dataclasses.replace(
+        inst.bundle, choose_candidate=lambda last, alpha, info: last))
 
 
 def _count_images(monkeypatch) -> list:
@@ -312,28 +322,29 @@ class TestConflictLemma:
 
     @pytest.mark.parametrize("lemma", ["top", "bot"])
     @pytest.mark.parametrize("model", ["kripke", "grid3x3.mdp"])
-    def test_a_lemma_breaking_its_contract_aborts(self, k1, model, lemma):
+    def test_a_lemma_breaking_its_contract_aborts(self, model, lemma):
         # top breaks C_i !<= x; bot breaks F(X_{i-1} /\ x) <= x, as F(bot)
         # is the initial set, and 1 at the grid's unsafe states.
-        inst = _not_inductive(k1) if model == "kripke" else _model_instance(model)
+        inst = (_two_unsafe_states() if model == "kripke"
+                else _whole_frame_candidate(_model_instance(model)))
         x = getattr(inst.F.lattice, lemma)
         bundle = dataclasses.replace(inst.bundle, choose_conflict=lambda xp, c, fx: x)
         with pytest.raises(HeuristicViolation):
             run_combined(inst.F, inst.alpha, bundle, budget=50)
 
-    @pytest.mark.parametrize("name", ["grid3x3.mdp", "die_by_coin.mrm"])
+    @pytest.mark.parametrize("name", ["grid3x3.mdp", "die_by_coin_tight.mrm"])
     def test_a_copy_of_the_canonical_lemma_takes_the_full_check(self, name,
                                                                 monkeypatch):
         calls = _count_images(monkeypatch)
-        ans = solve(_model_instance(name))
+        ans = solve(_whole_frame_candidate(_model_instance(name)))
         canonical = len(calls)
-        inst = _model_instance(name)
+        inst = _whole_frame_candidate(_model_instance(name))
         copying = dataclasses.replace(
             inst.bundle, choose_conflict=lambda xp, c, fx: tuple(list(fx)))
         calls.clear()
         again = run_combined(inst.F, inst.alpha, copying)
-        assert ans.stats.rule_counts["conflict"] == 3
-        assert len(calls) == canonical + 3  # one re-image per Conflict
+        assert ans.stats.rule_counts["conflict"] == 1
+        assert len(calls) == canonical + 1  # one re-image per Conflict
         assert (again.verdict, again.kt_witness, again.kleene_witness) == (
             ans.verdict, ans.kt_witness, ans.kleene_witness)
         assert (again.stats.steps, again.stats.rule_counts, again.stats.frame_count) == (
@@ -342,7 +353,8 @@ class TestConflictLemma:
     @pytest.mark.parametrize("name, images, repeats", [
         ("grid3x3.mdp", 19, 3), ("die_by_coin.mrm", 9, 0)])
     def test_images_per_solve_are_pinned(self, name, images, repeats, monkeypatch):
-        # Each solve has 3 Conflicts, and re-imaging their canonical lemmas
+        # Each solve applies the canonical lemma F(X_{n-2}) as Induction 3
+        # times, where Candidate would have been refuted, and re-imaging it
         # would make 22 and 12 calls.  A repeat, the same object imaged
         # twice in a row, is Decide's re-check of the element decide_lp has
         # just imaged; the transformer returns its last image for it.
@@ -350,6 +362,48 @@ class TestConflictLemma:
         solve(_model_instance(name))
         assert len(calls) == images
         assert sum(x is y for x, y in zip(calls, calls[1:])) == repeats
+
+
+class TestCanonicalInduction:
+    """With no obligation pending, ``X_{n-1} !<= alpha`` and ``F(X_{n-2}) <=
+    alpha``, Decide would refute every Candidate, and Conflict would meet
+    ``F(X_{n-2})`` into the frames; the engine applies that lemma as one
+    Induction instead."""
+
+    @pytest.mark.parametrize("build, draw, oracle, thresholds", [
+        (max_reach, random_mdp, vi_max_reach,
+         lambda v: (max(v - 0.1, v / 2), min(v + 0.1, 1.0))),
+        (expected_reward, random_mrm, vi_expected_reward, lambda v: (0.9 * v, 1.1 * v))])
+    def test_a_candidate_is_never_refuted(self, build, draw, oracle, thresholds):
+        rng = random.Random(19)
+        followers = set()
+        for _ in range(60):
+            M = draw(rng)
+            value = oracle(M).value
+            if not 1e-6 < value < math.inf:
+                continue
+            for lam in thresholds(value):
+                trace = []
+                solve(build(dataclasses.replace(M, threshold=lam)), trace=trace.append,
+                      budget=2000, debug=True)
+                rules = [line.split()[1] for line in trace]
+                followers.update(b for a, b in zip(rules, rules[1:]) if a == "rule=candidate")
+        assert followers == {"rule=decide", "rule=model"}
+
+    def test_the_canonical_lemma_is_not_re_imaged(self):
+        # Only a lemma that is the caller's F(X_{k-1}) object skips the
+        # guard's image: an equal copy of it is imaged in full.
+        F = _model_instance("m1.mdp").F
+        lat = F.lattice
+        c = cfg([lat.bot, F(lat.bot), lat.top])
+        fx = F(c.frames[1])
+        calls = []
+        counted = Transformer(lat, lambda x: calls.append(x) or F.fn(x))
+        strengthened = (lat.bot, c.frames[1], fx)
+        assert rule_induction(c, counted, None, 2, fx, fx).frames == strengthened
+        assert calls == []
+        assert rule_induction(c, counted, None, 2, tuple(list(fx)), fx).frames == strengthened
+        assert calls == [lat.meet(c.frames[1], fx)]
 
 
 class TestSolve:

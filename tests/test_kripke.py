@@ -136,14 +136,15 @@ def unsafe_chain(n: int) -> KripkeStructure:
 def test_unsafe_chain_search_is_pinned(solve, monkeypatch):
     # The exact search on a depth-99 counterexample: a change to the image
     # or to the engine's bookkeeping must not alter a single rule choice.
-    # Each Unfold is followed by one Candidate, one Decide and one Conflict,
-    # so the step count is linear in the depth: the canonical Conflict
-    # x := F(X_{i-1}) caps the frame at everything reachable within i-1
-    # steps, where the lemma that excluded only the obligation's state took
-    # 9,902 steps (4,851 Conflicts, 14,656 F calls and 9,702 meets).  One
-    # of the 300 F calls is the engine's test of F(alpha) <= alpha; the
-    # canonical lemma is not re-imaged, so a Conflict costs no F call and
-    # no meet for its contract.
+    # Each Unfold but the last is followed by one Induction with the
+    # canonical lemma x := F(X_{n-2}), which caps the frame at everything
+    # reachable within n-2 steps; only then does Candidate start the one
+    # search, which Decide walks down to Model.  The step count is linear
+    # in the depth, where the lemma that excluded only the obligation's
+    # state took 9,902 steps (4,851 Conflicts, 14,656 F calls and 9,702
+    # meets).  One of the 300 F calls is the engine's test of F(alpha) <=
+    # alpha; the canonical lemma is not re-imaged, so an Induction costs no
+    # F call and no meet for its contract.
     counts = {"F": 0, "meet": 0}
     call, meet = Transformer.__call__, SubsetLattice.meet
 
@@ -159,9 +160,9 @@ def test_unsafe_chain_search_is_pinned(solve, monkeypatch):
     monkeypatch.setattr(SubsetLattice, "meet", counted_meet)
     ans = solve(unsafe_chain(100))
     assert ans.verdict is Verdict.FALSE
-    assert ans.stats.steps == 396
-    assert ans.stats.rule_counts == {"unfold": 99, "candidate": 99, "decide": 99,
-                                     "conflict": 98, "model": 1}
+    assert ans.stats.steps == 298
+    assert ans.stats.rule_counts == {"unfold": 99, "induction": 98, "candidate": 1,
+                                     "decide": 99, "model": 1}
     assert ans.stats.frame_count == 101
     assert counts == {"F": 300, "meet": 98}
 
@@ -186,34 +187,36 @@ class TestInductiveBound:
         assert ans.verdict is Verdict.TRUE
         assert ans.stats.rule_counts == {"unfold": 2, "induction": 2, "valid": 1}
 
-    @pytest.mark.parametrize("build, engine, counts", [
-        (inverse_backward, "combined", {"unfold": 1, "candidate": 1, "conflict": 1}),
-        (inverse_backward, "positive", {"unfold": 1, "induction": 1}),
-        (opdual, "combined", {"unfold": 1, "candidate": 1, "conflict": 1})])
-    def test_ring_bounds_that_are_not_inductive_keep_their_search(self, build, engine,
-                                                                  counts):
+    @pytest.mark.parametrize("build, engine", [
+        (inverse_backward, "combined"), (inverse_backward, "positive"),
+        (opdual, "combined")])
+    def test_ring_bounds_that_are_not_inductive_keep_their_search(self, build, engine):
         # Backward, state 0 is a predecessor of the bound's state 1; on the
         # opposite lattice, 0 has a successor outside the initial set.  The
-        # one Induction of the positive engine is its join proposer's.
+        # one Induction of the positive engine is its join proposer's; that
+        # of the combined engine is the canonical lemma F(X_1), which is
+        # below alpha.
         ans = solve(build(safe_ring(1000)), engine, debug=True)
         assert ans.verdict is Verdict.TRUE
-        assert ans.stats.rule_counts == {**counts, "valid": 1}
+        assert ans.stats.rule_counts == {"unfold": 1, "induction": 1, "valid": 1}
 
     @pytest.mark.parametrize("build", [forward, inverse_backward])
     @pytest.mark.parametrize("n", [3, 10, 30])
     def test_chain_pays_one_image_for_the_test(self, build, n, monkeypatch):
-        # The Kleene path on an unsafe chain of n states makes 3n - 1 F
-        # calls, none for the n - 2 canonical Conflict lemmas; F(alpha) is
-        # evaluated once more, and no rule changes.
+        # The search on an unsafe chain of n states makes 3n - 1 F calls,
+        # none for the n - 2 canonical Induction lemmas; F(alpha) is
+        # evaluated once more, and no rule changes.  It takes 3n - 2 steps:
+        # Candidate runs once, when F(X_{n-2}) first leaves alpha.
         calls = []
         call = Transformer.__call__
         monkeypatch.setattr(Transformer, "__call__",
                             lambda self, x: calls.append(x) or call(self, x))
         ans = solve(build(unsafe_chain(n)))
         assert ans.verdict is Verdict.FALSE
-        assert ans.stats.rule_counts == {"unfold": n - 1, "candidate": n - 1,
-                                         "decide": n - 1, "conflict": n - 2,
+        assert ans.stats.rule_counts == {"unfold": n - 1, "induction": n - 2,
+                                         "candidate": 1, "decide": n - 1,
                                          "model": 1}
+        assert ans.stats.steps == 3 * n - 2
         assert len(calls) == 3 * n
 
     def test_random_draws_agree_with_reachability(self):
@@ -232,7 +235,7 @@ def test_deep_unsafe_chain_is_refuted_within_budget(solve):
     # 100,000-step budget.
     ans = solve(unsafe_chain(1000))
     assert ans.verdict is Verdict.FALSE
-    assert ans.stats.steps == 3996
+    assert ans.stats.steps == 2998
     # The path-shaped Decide keeps one state per obligation: the witness is
     # bot followed by the 1000 states of the path.
     path = ans.kleene_witness.elements[1:]

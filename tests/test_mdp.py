@@ -443,14 +443,14 @@ class TestPingPongRegression:
 # (seed, draw, threshold) -> (verdict, steps, rule counts, frames) of
 # pdr_ibmdp on the draw-th random_mdp of Random(seed), counted from 0.
 PINNED_SEARCHES = {
-    (2026, 78, 0.420588): (Verdict.FALSE, 44, {"unfold": 11, "candidate": 11,
-                                               "conflict": 10, "decide": 11,
+    (2026, 78, 0.420588): (Verdict.FALSE, 34, {"unfold": 11, "induction": 10,
+                                               "candidate": 1, "decide": 11,
                                                "model": 1}, 13),
-    (2026, 306, 0.394444): (Verdict.FALSE, 80, {"unfold": 20, "candidate": 20,
-                                                "conflict": 19, "decide": 20,
+    (2026, 306, 0.394444): (Verdict.FALSE, 61, {"unfold": 20, "induction": 19,
+                                                "candidate": 1, "decide": 20,
                                                 "model": 1}, 22),
-    (11, 79, 0.749462): (Verdict.FALSE, 32, {"unfold": 8, "candidate": 8,
-                                             "conflict": 7, "decide": 8,
+    (11, 79, 0.749462): (Verdict.FALSE, 25, {"unfold": 8, "induction": 7,
+                                             "candidate": 1, "decide": 8,
                                              "model": 1}, 10),
 }
 

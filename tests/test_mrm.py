@@ -141,19 +141,18 @@ class TestSolver:
 # (draw, threshold) -> (verdict, steps, rule counts, frames) of pdr_mrm on
 # the draw-th random_mrm of Random(2026), counted from 0.
 PINNED_SEARCHES = {
-    (4, 9.9): (Verdict.FALSE, 40, {"unfold": 10, "candidate": 10,
-                                   "conflict": 9, "decide": 10,
+    (4, 9.9): (Verdict.FALSE, 31, {"unfold": 10, "induction": 9,
+                                   "candidate": 1, "decide": 10,
                                    "model": 1}, 12),
-    (16, 1.0125): (Verdict.FALSE, 20, {"unfold": 5, "candidate": 5,
-                                       "conflict": 4, "decide": 5,
+    (16, 1.0125): (Verdict.FALSE, 16, {"unfold": 5, "induction": 4,
+                                       "candidate": 1, "decide": 5,
                                        "model": 1}, 7),
-    # Proved by one optimistic Induction (the Kleene iterates alone took
-    # 181 steps and 62 frames).
-    (20, 8.415): (Verdict.TRUE, 15, {"unfold": 5, "candidate": 4,
-                                     "conflict": 4, "induction": 1,
+    # Proved by four canonical Inductions and one optimistic one (the
+    # Kleene iterates alone took 181 steps and 62 frames).
+    (20, 8.415): (Verdict.TRUE, 11, {"unfold": 5, "induction": 5,
                                      "valid": 1}, 7),
-    (32, 5.432432): (Verdict.FALSE, 40, {"unfold": 10, "candidate": 10,
-                                         "conflict": 9, "decide": 10,
+    (32, 5.432432): (Verdict.FALSE, 31, {"unfold": 10, "induction": 9,
+                                         "candidate": 1, "decide": 10,
                                          "model": 1}, 12),
 }
 

@@ -37,8 +37,9 @@ def test_random_differential_is_clean(capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "mismatches: 0" in out and "budget exhausted: 0" in out
-    digest = [line for line in out.splitlines() if line.startswith("search_sha256=")]
-    assert len(digest) == 1 and len(digest[0]) == len("search_sha256=") + 64
+    for key in ("answers_sha256=", "search_sha256="):
+        digest = [line for line in out.splitlines() if line.startswith(key)]
+        assert len(digest) == 1 and len(digest[0]) == len(key) + 64
 
 
 @pytest.mark.parametrize("name, budget", [("run_corpus", "0"),
