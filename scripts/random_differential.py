@@ -15,7 +15,8 @@ budget are listed, but they fail nothing.  Any mismatch, any combined MDP
 or reward model run that exhausts its step budget and any reward model run
 that raises is reported with a serialized reproducer and makes the exit
 code non-zero.  Each phase also reports the median and maximum step counts
-of its True answers and how many of them closed through Induction.  The
+of its True answers and how many of them took an Induction step of any
+kind: a proposed lemma, the inductive bound or the canonical one.  The
 last two lines digest every solve in order.  ``answers_sha256=`` takes its
 phase, engine, verdict, witness and frame count: two versions of the library
 answered alike on a seed exactly when their lines match.
@@ -51,14 +52,16 @@ from ltpdr.oracles import (NoConvergence, bfs_safe, vi_expected_reward,  # noqa:
 
 def true_summary(answers) -> str:
     """The step counts of the True answers among ``answers``, and how many
-    of those closed through Induction."""
+    of those took at least one Induction step.  The rule counts do not say
+    which lemma it applied, and the engine's canonical ``F(X_{n-2})`` lemma
+    counts too, so this is no count of proofs a proposer closed."""
     trues = [a.stats for a in answers if a.verdict is Verdict.TRUE]
     if not trues:
         return "no True answers"
     steps = [stats.steps for stats in trues]
     induction = sum("induction" in stats.rule_counts for stats in trues)
     return (f"True answers: {len(trues)}, steps median {statistics.median(steps):g} "
-            f"max {max(steps)}, {induction} through Induction")
+            f"max {max(steps)}, {induction} with an Induction step")
 
 
 def note(digests, phase: str, engine: str, ans) -> None:

@@ -32,9 +32,11 @@ lines are ignored):
 
 The three parsers share one line reader, ``_Lines``, which also reads the
 header lines; state counts are capped at ``MAX_STATES`` and action counts
-at ``MAX_ACTIONS``.  ``KINDS`` maps each command-line kind to its parser,
-its ``Instance`` builder and its oracle; ``run_cli`` solves the instance
-with ``engine.solve``, and ``scripts/run_corpus.py`` reads the same table.
+at ``MAX_ACTIONS``.  ``.kr`` transitions are converted and range-checked
+in bulk, and read line by line only to name a bad line.  ``KINDS`` maps
+each command-line kind to its parser, its ``Instance`` builder and its
+oracle; ``run_cli`` solves the instance with ``engine.solve``, and
+``scripts/run_corpus.py`` reads the same table.
 
 Exit codes: 0 verdict True; 10 verdict False; 2 BudgetExhausted or Stuck;
 3 witness-validation or oracle mismatch; 1 parse or I/O error (a model the
@@ -47,6 +49,8 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
+from operator import itemgetter, methodcaller
 from typing import Optional
 
 from . import kripke as kr
@@ -78,21 +82,16 @@ class _Lines:
     read front to back as ``(line number, tokens)``."""
 
     def __init__(self, text: str):
-        self.rows = []
-        for no, raw in enumerate(text.splitlines(), start=1):
-            toks = raw.split("#", 1)[0].split()
-            if toks:
-                self.rows.append((no, toks))
+        lines = text.splitlines()
+        if "#" in text:
+            lines = map(itemgetter(0), map(methodcaller("partition", "#"), lines))
+        self.rows = list(filter(itemgetter(1), enumerate(map(str.split, lines), 1)))
         self.pos = 0
 
-    def __bool__(self) -> bool:
-        return self.pos < len(self.rows)
-
-    def next(self, keyword=None):
-        if not self:
+    def next(self, keyword: str):
+        if self.pos == len(self.rows):
             last = self.rows[-1][0] + 1 if self.rows else 1
-            raise ParseError(last, "unexpected end of file"
-                             if keyword is None else f"missing '{keyword}' line")
+            raise ParseError(last, f"missing '{keyword}' line")
         self.pos += 1
         return self.rows[self.pos - 1]
 
@@ -106,13 +105,13 @@ class _Lines:
             raise ParseError(no, f"'{keyword}' takes exactly one {arg}")
         return no, toks
 
-    def section(self, keyword: str):
+    def section(self, keyword: str) -> list:
         """The lines after the next line, which must be ``keyword`` alone."""
         no, toks = self.header(keyword)
         if len(toks) != 1:
             raise ParseError(no, f"'{keyword}' takes no arguments")
-        while self:
-            yield self.next()
+        rows, self.pos = self.rows[self.pos:], len(self.rows)
+        return rows
 
     def count(self, keyword: str, what: str, cap: int,
               positive: bool = False) -> int:
@@ -155,6 +154,27 @@ def _state_set(rd: _Lines, n: int) -> frozenset:
     return frozenset(_state(tok, n, no) for tok in toks[1:])
 
 
+def _src_dst_pairs(rows, n: int) -> frozenset:
+    """The ``.kr`` transition lines ``rows`` as ``(src, dst)`` pairs: one
+    ``map(int, ...)`` and ``min``/``max`` check all ends, and a pass line by
+    line runs only to raise the first bad line's error."""
+    lines = list(map(itemgetter(1), rows))
+    try:
+        ends = list(map(int, chain.from_iterable(lines)))
+        if (set(map(len, lines)) <= {2}
+                and (not ends or 0 <= min(ends) and max(ends) < n)):
+            ends = iter(ends)
+            return frozenset(zip(ends, ends))
+    except ValueError:
+        pass
+    transitions = set()
+    for no, toks in rows:
+        if len(toks) != 2:
+            raise ParseError(no, "transition lines are 'src dst'")
+        transitions.add((_state(toks[0], n, no), _state(toks[1], n, no)))
+    return frozenset(transitions)
+
+
 def _transitions(rd: _Lines, n: int, shape: str, m: int = 0):
     """The transition lines after ``trans``, ``s -> entry ...``, or ``s a ->
     entry ...`` for a model with ``m`` actions, as ``(line number, key,
@@ -194,13 +214,8 @@ def parse_kripke(text: str) -> kr.KripkeStructure:
     if toks[0] == "unsafe":
         safe = ((1 << n) - 1) & ~safe
 
-    transitions = set()
-    for no, toks in rd.section("trans"):
-        if len(toks) != 2:
-            raise ParseError(no, "transition lines are 'src dst'")
-        transitions.add((_state(toks[0], n, no), _state(toks[1], n, no)))
-
-    return kr.KripkeStructure(n, frozenset(transitions), init, safe)
+    return kr.KripkeStructure(n, _src_dst_pairs(rd.section("trans"), n),
+                              init, safe)
 
 
 def parse_mdp(text: str) -> mdp_mod.MDPModel:
@@ -236,7 +251,7 @@ def parse_mrm(text: str) -> mrm_mod.MRMModel:
     s0 = _state(toks[1], n, no)
     no, toks = rd.header("lambda", "value")
     lam = math.inf if toks[1] == "inf" else _number(toks[1], no, "threshold")
-    if lam < 0:
+    if not lam >= 0:  # NaN compares false both ways
         raise ParseError(no, "threshold must be nonnegative")
     safe = _state_set(rd, n)
 

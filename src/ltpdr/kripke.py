@@ -58,12 +58,11 @@ class KripkeStructure:
         full = (1 << n) - 1
         if self.initial & ~full or self.safe & ~full:
             raise ValueError("initial/safe sets exceed the state range")
-        for (a, b) in self.transitions:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"transition ({a},{b}) out of range")
         succ = [0] * n
         pred = [0] * n
         for (a, b) in self.transitions:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"transition ({a},{b}) out of range")
             succ[a] |= 1 << b
             pred[b] |= 1 << a
         object.__setattr__(self, "succ", tuple(succ))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -20,7 +21,9 @@ from ltpdr.cli import (
     serialize_mdp,
     serialize_mrm,
 )
+from ltpdr.kripke import KripkeStructure
 from ltpdr.oracles import vi_max_reach
+from util import random_kripke
 
 
 class TestParseKripke:
@@ -53,6 +56,27 @@ class TestParseKripke:
     def test_missing_section(self):
         with pytest.raises(ParseError):
             parse_kripke("states 2\ninit 0\ntrans\n")
+
+    @pytest.mark.parametrize("text, error", [
+        # Eight ends in range: only the arity check can reject them.
+        ("states 3\ninit 0\nsafe 0\ntrans\n0 1\n1 2\n2 2 1\n1\n",
+         "line 7: transition lines are 'src dst'"),
+        ("states 3\ninit 0\nsafe 0\ntrans\n0 1\n# note\n1 x\n2 7\n",
+         "line 7: bad state index 'x'"),
+        ("states 3\ninit 0\nsafe 0\ntrans\n0 1\n\n1 2\n2 3\n2\n",
+         "line 8: state index 3 out of range (states 3)"),
+        ("states 3\ninit 0\nsafe 0\ntrans\n0 1\n-1 2\n",
+         "line 6: state index -1 out of range (states 3)"),
+        ("states 3\ninit 0 2 y 9\nsafe 0\ntrans\n", "line 2: bad state index 'y'"),
+        ("states 3\ninit 0\nunsafe 1 2 3 z\ntrans\n",
+         "line 3: state index 3 out of range (states 3)"),
+    ], ids=["arity", "not-int", "out-of-range", "negative", "init", "unsafe"])
+    def test_first_bad_line_is_reported(self, text, error):
+        # The ids of a section are converted in bulk; the error must still
+        # name the first bad line, with the message of a line-by-line read.
+        with pytest.raises(ParseError) as exc:
+            parse_kripke(text)
+        assert str(exc.value) == error
 
 
 class TestParseMdp:
@@ -118,6 +142,46 @@ class TestRoundTrip:
         with open(model_path(name)) as fh:
             model = parse_kripke(fh.read())
         assert parse_kripke(serialize_kripke(model)) == model
+
+    @staticmethod
+    def shapes(rng):
+        """Random structures, then chains, rings and layered graphs."""
+        for _ in range(300):
+            yield random_kripke(rng, 12)
+        for n in (1, 2, 9, 70):
+            yield KripkeStructure(n, frozenset((i, min(i + 1, n - 1)) for i in range(n)),
+                                  1, (1 << n) - 1 >> 1)
+            yield KripkeStructure(n, frozenset((i, (i + 1) % n) for i in range(n)),
+                                  1, (1 << n) - 1)
+        for width, depth in ((3, 4), (8, 12)):
+            edges = frozenset((d * width + i, (d + 1) * width + rng.randrange(width))
+                              for d in range(depth - 1) for i in range(width))
+            yield KripkeStructure(width * depth, edges, (1 << width) - 1,
+                                  rng.getrandbits(width * depth))
+
+    def test_kripke_property(self):
+        # Comments, blank lines and an ``unsafe`` line in place of ``safe``
+        # must not change the model; succ/pred are not dataclass fields, so
+        # they are compared with masks built here.
+        rng = random.Random(0)
+        for K in self.shapes(rng):
+            lines = serialize_kripke(K).splitlines()
+            if rng.random() < 0.5:
+                unsafe = K.full_mask & ~K.safe
+                lines[2] = "unsafe " + " ".join(
+                    str(s) for s in range(K.state_count) if unsafe >> s & 1)
+            for _ in range(rng.randint(0, 4)):
+                i = rng.randint(0, len(lines))
+                lines.insert(i, rng.choice(["", "  # note", "\t"]))
+            if rng.random() < 0.5:
+                lines[-1] += "  # trailing comment"
+            P = parse_kripke("\n".join(lines))
+            assert P == K
+            n = K.state_count
+            assert P.succ == tuple(sum(1 << b for a, b in K.transitions if a == s)
+                                   for s in range(n))
+            assert P.pred == tuple(sum(1 << a for a, b in K.transitions if b == s)
+                                   for s in range(n))
 
     @pytest.mark.parametrize("name", ["m1.mdp", "grid3x3.mdp"])
     def test_mdp_corpus(self, name):
@@ -314,10 +378,13 @@ BIG = "9" * 400
      "exceeds the limit"),
     ("kripke-forward", f"states {BIG}\ninit 0\nsafe 0\ntrans\n",
      "exceeds the limit"),
+    # NaN passed ``lam < 0`` and was rejected without a line number.
+    ("mrm", "states 1\ninit 0\nlambda nan\nsafe 0\ntrans\n0 -> (1,0):1\n",
+     "error: line 3: threshold must be nonnegative"),
     # A Latin-1 comment is not UTF-8; reading it raised UnicodeDecodeError.
     ("mdp", TestParseMdp.SRC.encode() + b"# caf\xe9\n", "can't decode byte 0xe9"),
 ], ids=["lambda-overflow", "reward-overflow", "mdp-states", "mdp-actions",
-        "kripke-states", "not-utf8"])
+        "kripke-states", "lambda-nan", "not-utf8"])
 def test_hostile_model_exit_one(kind, text, message, tmp_path):
     assert message in rejected(kind, text, tmp_path)
 

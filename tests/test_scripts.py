@@ -2,8 +2,11 @@
 
 import importlib.util
 import pathlib
+from types import SimpleNamespace
 
 import pytest
+
+from ltpdr.engine import Verdict
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -40,6 +43,21 @@ def test_random_differential_is_clean(capsys):
     for key in ("answers_sha256=", "search_sha256="):
         digest = [line for line in out.splitlines() if line.startswith(key)]
         assert len(digest) == 1 and len(digest[0]) == len(key) + 64
+
+
+def test_true_summary_counts_answers_with_an_induction_step():
+    def answer(verdict, steps, **rule_counts):
+        return SimpleNamespace(verdict=verdict,
+                               stats=SimpleNamespace(steps=steps, rule_counts=rule_counts))
+
+    summary = load("random_differential").true_summary
+    answers = [answer(Verdict.TRUE, 4, unfold=2, valid=1, induction=1),
+               answer(Verdict.TRUE, 8, unfold=4, valid=1, induction=3),
+               answer(Verdict.TRUE, 3, unfold=2, valid=1),
+               answer(Verdict.FALSE, 5, unfold=2, induction=1, model=1)]
+    assert summary(answers) == ("True answers: 3, steps median 4 max 8, "
+                                "2 with an Induction step")
+    assert summary(answers[3:]) == "no True answers"
 
 
 @pytest.mark.parametrize("name, budget", [("run_corpus", "0"),
