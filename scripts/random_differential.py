@@ -12,14 +12,14 @@ or out of budget.  The positive engine must never answer False, nor True
 on an unsafe one, nor Stuck on a safe one.  It has no Optimistic Induction,
 so a safe reward model can take it many steps; its runs that exhaust the
 budget are listed, but they fail nothing.  Any mismatch, any combined MDP
-or reward model run that exhausts its step budget and any reward model run
-that raises is reported with a serialized reproducer and makes the exit
-code non-zero.  Each phase also reports the median and maximum step counts
-of its True answers and how many of them took an Induction step of any
-kind: a proposed lemma, the inductive bound or the canonical one.  The
-last two lines digest every solve in order.  ``answers_sha256=`` takes its
-phase, engine, verdict, witness and frame count: two versions of the library
-answered alike on a seed exactly when their lines match.
+or reward model run that exhausts its step budget and any MDP or reward
+model solve that raises is reported with a serialized reproducer and makes
+the exit code non-zero.  Each phase also reports the median and maximum
+step counts of its True answers and how many of them took an Induction
+step of any kind: a proposed lemma, the inductive bound or the canonical
+one.  The last two lines digest every solve in order.  ``answers_sha256=``
+takes its phase, engine, verdict, witness and frame count: two versions of
+the library answered alike on a seed exactly when their lines match.
 ``search_sha256=`` takes the phase, engine, verdict, steps, frame count and
 rule counts: the two versions also searched alike when these lines match.
 
@@ -136,74 +136,45 @@ def main(argv=None) -> int:
     print(f"kripke: {args.kripke} models x 2 instances x 3 engines, "
           f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
 
-    t0 = time.perf_counter()
-    answers = []
-    for i in range(args.mdp):
-        M = random_mdp(rng)
-        try:
-            gt = vi_max_reach(M).value
-        except NoConvergence:
-            continue
-        if gt <= 1e-6:
-            continue
-        for lam, expected in ((min(gt + 0.1, 1.0), True),
-                              (gt - 0.1 if gt >= 0.1 else gt / 2, False)):
-            Mx = dataclasses.replace(M, threshold=lam)
-            mismatches += one_sided_mismatches(max_reach(Mx), expected, args.budget,
-                                               f"mdp #{i} lambda={lam}", serialize_mdp(Mx),
-                                               positive_exhausted, digests)
-            ans = solve(max_reach(Mx), debug=True, budget=args.budget)
-            note(digests, "mdp", "combined", ans)
-            answers.append(ans)
-            if ans.verdict is Verdict.BUDGET_EXHAUSTED:
-                exhausted += 1
-                print(f"EXHAUSTED mdp #{i} lambda={lam} "
-                      f"steps={ans.stats.steps}\n{serialize_mdp(Mx)}")
-                continue
-            got = ans.verdict is Verdict.TRUE
-            if got != expected:
-                mismatches += 1
-                print(f"MISMATCH mdp #{i} lambda={lam} "
-                      f"got={ans.verdict} expected={expected}\n{serialize_mdp(Mx)}")
-    print(f"mdp: {args.mdp} models x 2 thresholds x 3 engines, "
-          f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
-
-    t0 = time.perf_counter()
-    answers = []
-    for i in range(args.mrm):
-        M = random_mrm(rng)
-        try:
-            gt = vi_expected_reward(M).value
-        except NoConvergence:
-            continue
-        if not 1e-6 < gt < math.inf:
-            continue
-        for lam, expected in ((1.1 * gt, True), (0.9 * gt, False)):
-            Mx = dataclasses.replace(M, threshold=lam)
+    # kind, draws, generator, oracle, instance, serialiser, and the
+    # thresholds (True side, False side) around a value
+    phases = (("mdp", args.mdp, random_mdp, vi_max_reach, max_reach, serialize_mdp,
+               lambda v: (min(v + 0.1, 1.0), v - 0.1 if v >= 0.1 else v / 2)),
+              ("mrm", args.mrm, random_mrm, vi_expected_reward, expected_reward,
+               serialize_mrm, lambda v: (1.1 * v, 0.9 * v)))
+    for kind, count, draw, oracle, build, serialize, sides in phases:
+        t0 = time.perf_counter()
+        answers = []
+        for i in range(count):
+            M = draw(rng)
             try:
-                mismatches += one_sided_mismatches(
-                    expected_reward(Mx), expected, args.budget, f"mrm #{i} lambda={lam}",
-                    serialize_mrm(Mx), positive_exhausted, digests)
-                ans = solve(expected_reward(Mx), debug=True, budget=args.budget)
-                note(digests, "mrm", "combined", ans)
-            except Exception:  # any raise is a finding; keep going
-                raised += 1
-                print(f"RAISED mrm #{i} lambda={lam}\n"
-                      f"{traceback.format_exc()}{serialize_mrm(Mx)}")
+                gt = oracle(M).value
+            except NoConvergence:
                 continue
-            answers.append(ans)
-            if ans.verdict is Verdict.BUDGET_EXHAUSTED:
-                exhausted += 1
-                print(f"EXHAUSTED mrm #{i} lambda={lam} "
-                      f"steps={ans.stats.steps}\n{serialize_mrm(Mx)}")
+            if not 1e-6 < gt < math.inf:
                 continue
-            got = ans.verdict is Verdict.TRUE
-            if got != expected:
-                mismatches += 1
-                print(f"MISMATCH mrm #{i} lambda={lam} "
-                      f"got={ans.verdict} expected={expected}\n{serialize_mrm(Mx)}")
-    print(f"mrm: {args.mrm} models x 2 thresholds x 3 engines, "
-          f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
+            for lam, expected in zip(sides(gt), (True, False)):
+                Mx = dataclasses.replace(M, threshold=lam)
+                label, model = f"{kind} #{i} lambda={lam}", serialize(Mx)
+                try:
+                    mismatches += one_sided_mismatches(build(Mx), expected, args.budget,
+                                                       label, model, positive_exhausted,
+                                                       digests)
+                    ans = solve(build(Mx), debug=True, budget=args.budget)
+                    note(digests, kind, "combined", ans)
+                except Exception:  # any raise is a finding; keep going
+                    raised += 1
+                    print(f"RAISED {label}\n{traceback.format_exc()}{model}")
+                    continue
+                answers.append(ans)
+                if ans.verdict is Verdict.BUDGET_EXHAUSTED:
+                    exhausted += 1
+                    print(f"EXHAUSTED {label} steps={ans.stats.steps}\n{model}")
+                elif (ans.verdict is Verdict.TRUE) != expected:
+                    mismatches += 1
+                    print(f"MISMATCH {label} got={ans.verdict} expected={expected}\n{model}")
+        print(f"{kind}: {count} models x 2 thresholds x 3 engines, "
+              f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
 
     print("mismatches:", mismatches)
     print("budget exhausted:", exhausted)

@@ -11,8 +11,11 @@ Two engines share the rule vocabulary:
   frames and choices on a false instance.
 
 The positive engine (Valid, Unfold, Induction; never False) is
-``run_combined`` with no Candidate, which alone starts an obligation.  It is
-Stuck once the last frame exceeds ``alpha`` and no Induction applies.
+``run_combined`` with no Candidate, which alone starts an obligation, and no
+Induction proposer.  Its frames are the Kleene iterates: Unfold appends
+``top`` and the engine's canonical Induction lowers it to ``F(X_{n-2})``
+while that is below ``alpha``.  It is Stuck once it is not, unless
+``alpha`` is inductive.
 
 The combined engine, and so the positive one, first proposes ``alpha``
 itself, as IC3/PDR first asks whether the property is inductive:
@@ -620,37 +623,14 @@ def canonical_heuristics(F: Transformer) -> HeuristicsBundle:
     return HeuristicsBundle(candidate, decide)
 
 
-def join_induction_proposer(F: Transformer, alpha):
-    """Propose x := X_{n-2} v F(X_{n-2}) for the last frame, but only once
-    ``X_{n-1} !<= alpha``, so that Unfold goes first as long as it applies;
-    needs a join on the instance lattice.
-
-    In the positive engine the frames change only by Unfold, which appends
-    ``top``, and by this lemma at ``n-1``, which is above ``X_{n-2}`` and so
-    leaves ``X_0 .. X_{n-2}`` as they are.  Every lower frame then already
-    has ``X_k <= X_{k-1} v F(X_{k-1})``, and only the last can strengthen.
-    (An inductive ``alpha``, which the engine proposes first, closes the run
-    in five steps without this proposer.)
-    """
-    lat = F.lattice
-
-    def propose(xs: tuple) -> Optional[tuple[int, Any]]:
-        if lat.leq(xs[-1], alpha):
-            return None
-        return (len(xs) - 1, lat.join(xs[-2], F(xs[-2])))
-
-    return propose
-
-
 @dataclass(frozen=True)
 class Instance:
     """One question ``mu F <= alpha`` with the choices the engines need.
 
     ``bundle`` holds the instance's one set of choices; the combined and
     the negative engine both use its Candidate and Decide.  The positive
-    engine needs only ``F`` and ``alpha``: it has no Candidate or Decide and
-    proposes ``join_induction_proposer(F, alpha)`` after the engine's own
-    ``alpha``.
+    engine needs only ``F`` and ``alpha``: it has no Candidate, Decide or
+    proposer, and applies only the engine's own Induction lemmas.
     """
 
     F: Transformer
@@ -662,15 +642,16 @@ def solve(inst: Instance, engine: str = "combined", *, budget: int = 100000,
           debug: bool = False,
           trace: Optional[Callable[[str], None]] = None) -> PDRAnswer:
     """Run ``engine`` (``combined``, ``positive`` or ``negative``) on ``inst``.
-    The positive engine is ``run_combined`` with no Candidate or Decide."""
+    The positive engine is ``run_combined`` with no Candidate, Decide or
+    Induction proposer, so only the engine's own lemmas apply: ``alpha``
+    when it is inductive, else the canonical ``F(X_{n-2})``."""
     kw = dict(budget=budget, debug=debug, trace=trace)
     if engine == "negative":
         return run_negative(inst.F, inst.alpha, inst.bundle, **kw)
     bundle = inst.bundle
     if engine == "positive":
         none = lambda *args: None
-        bundle = HeuristicsBundle(none, none, choose_induction=join_induction_proposer(
-            inst.F, inst.alpha))
+        bundle = HeuristicsBundle(none, none)
     elif engine != "combined":
         raise ValueError(f"no {engine!r} engine")
     return run_combined(inst.F, inst.alpha, bundle, **kw)

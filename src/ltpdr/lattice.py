@@ -35,8 +35,8 @@ class Lattice:
     """Contract for a complete lattice restricted to a representable carrier.
 
     Subclasses set ``bot`` and ``top`` and implement ``leq_info`` and
-    ``meet``; ``join`` is optional and only needed for order-dualization and
-    the join-based induction proposer.  ``leq_info`` returns the order test
+    ``meet``; ``join`` is optional and only needed for order-dualization
+    (``engine.dualize``).  ``leq_info`` returns the order test
     together with an instance-specific counterexample descriptor (e.g. the
     set of violating states) that heuristics may use; it may be None when
     no heuristic of the instance reads it.

@@ -6,10 +6,11 @@ so its least fixed point at a state is the maximum probability of ever
 leaving the safe region.  The solver decides whether that probability from
 the initial state is at most a threshold.
 
-It shares its Bellman kernel, ``pointwise_transformer``, with the reward
-instance.  The kernel reads the model's ``rows``, cached on first use:
-None off the safe set, else the actions, each of ``(reward, target, p)``
-entries with ``p > 0`` (an MDP's rewards are 0).
+``MDPModel`` and the reward instance's ``MRMModel`` are ``PointwiseModel``
+records, which share the Bellman kernel ``bellman``.  It reads the model's
+``rows``, cached on first use: None off the safe set, else the actions,
+each of ``(reward, target, p)`` entries with ``p > 0`` (an MDP's rewards
+are 0), and the model's value ``OFF`` off the safe set.
 
 Elements are tuples of floats.  The one strict inequality of a
 refutation, ``C(s0) > threshold``, is the float ``nextafter(threshold,
@@ -184,8 +185,22 @@ def optimistic_induction(F: Transformer, alpha, s0: int):
     return propose
 
 
+class PointwiseModel:
+    """The lattice and bound of the MDP and reward models.  Each sets two
+    class attributes, not dataclass fields: ``TOP``, the top value at every
+    state, and ``OFF``, ``bellman``'s value off the safe set."""
+
+    def lattice(self) -> PointwiseLattice:
+        return PointwiseLattice(self.state_count, self.TOP)
+
+    def bound(self) -> tuple:
+        return tuple(
+            float(self.threshold) if s == self.initial_state else self.TOP
+            for s in range(self.state_count))
+
+
 @dataclass(frozen=True)
-class MDPModel:
+class MDPModel(PointwiseModel):
     state_count: int
     action_count: int
     # delta[s][a] is None (unavailable) or a tuple of (target, probability).
@@ -193,6 +208,7 @@ class MDPModel:
     initial_state: int
     threshold: float
     safe: frozenset
+    TOP = OFF = 1.0  # a probability, which is 1 off the safe set
 
     def __post_init__(self):
         n = self.state_count
@@ -222,18 +238,10 @@ class MDPModel:
                     if not p >= 0:
                         raise ValueError("negative probability")
 
-    def lattice(self) -> PointwiseLattice:
-        return PointwiseLattice(self.state_count, 1.0)
-
-    def bound(self) -> tuple:
-        return tuple(
-            float(self.threshold) if s == self.initial_state else 1.0
-            for s in range(self.state_count))
-
     @cached_property
     def rows(self) -> tuple:
-        """The row view of ``pointwise_transformer``.  A ``p = 0`` entry
-        added ``+0.0`` to a finite value, so dropping it changes no bit."""
+        """The row view of ``bellman``.  A ``p = 0`` entry added ``+0.0`` to
+        a finite value, so dropping it changes no bit."""
         return tuple(None if s not in self.safe else tuple(
             tuple((0.0, t, p) for t, p in dist if p > 0)
             for dist in row if dist is not None)
@@ -248,13 +256,13 @@ def _expectation(action, d) -> float:
     return v
 
 
-def pointwise_transformer(lattice: PointwiseLattice, rows: tuple,
-                          off: float) -> Transformer:
-    """The Bellman operator on a row view: ``off`` where the row is None,
-    else the largest ``_expectation`` of the actions, the first on ties,
-    inlined so that an action costs no call.  Like ``kripke._image`` it
-    keeps its last argument and image, so Decide's re-check of the element
-    ``decide_lp`` has just imaged is free."""
+def bellman(M: PointwiseModel) -> Transformer:
+    """The Bellman operator of ``M``'s rows: ``M.OFF`` where the row is
+    None, else the largest ``_expectation`` of the actions, the first on
+    ties, inlined so that an action costs no call.  Like ``kripke._image``
+    it keeps its last argument and image, so Decide's re-check of the
+    element ``decide_lp`` has just imaged is free."""
+    rows, off = M.rows, M.OFF
     last = image = None
 
     def fn(d):
@@ -277,11 +285,7 @@ def pointwise_transformer(lattice: PointwiseLattice, rows: tuple,
         last, image = d, tuple(out)
         return image
 
-    return Transformer(lattice, fn)
-
-
-def bellman(M: MDPModel) -> Transformer:
-    return pointwise_transformer(M.lattice(), M.rows, 1.0)
+    return Transformer(M.lattice(), fn)
 
 
 def heuristic_candidate_mdp(M):

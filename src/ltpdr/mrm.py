@@ -9,7 +9,8 @@ expectation from the initial state is at most a threshold.
 Elements are tuples of floats, as in the MDP instance, with ``inf``
 allowed; infinity is absorbing in the arithmetic (``p * inf = inf`` for
 ``p > 0``; ``0 * inf`` is NaN, so ``MRMModel.rows`` drops ``p = 0``).  The
-transformer is the MDP kernel ``mdp.pointwise_transformer`` on those rows.
+model is an ``mdp.PointwiseModel`` with ``TOP = inf`` and ``OFF = 0``, and
+its transformer ``reward_bellman`` is the MDP kernel ``mdp.bellman``.
 ``expected_reward(M)`` is the ``Instance`` of this question.  Its choices
 are the MDP instance's ``mdp.pointwise_bundle``: the same Candidate, the
 Decide program ``mdp.decide_lp`` with the reward moved to the right-hand
@@ -22,6 +23,7 @@ The proposer caps its guess by ``F(top)``, which is 0 off the safe set.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +34,7 @@ from .engine import (
     Transformer,
     run_combined,
 )
-from .mdp import PointwiseLattice, pointwise_bundle, pointwise_transformer
+from .mdp import PointwiseModel, bellman, pointwise_bundle
 # ``mdp.decide_lp`` solves the reward Decide programs too, so
 # ``simplex_min`` is not called here; ``perfbench/spans.py`` wraps
 # ``mrm.simplex_min`` and needs the name.
@@ -40,13 +42,14 @@ from .simplex import simplex_min  # noqa: F401
 
 
 @dataclass(frozen=True)
-class MRMModel:
+class MRMModel(PointwiseModel):
     state_count: int
     # delta[s] is a tuple of ((reward, target), probability) entries.
     delta: tuple
     initial_state: int
     threshold: float  # may be math.inf
     safe: frozenset
+    TOP, OFF = math.inf, 0.0  # no reward accrues off the safe set
 
     def __post_init__(self):
         n = self.state_count
@@ -65,29 +68,20 @@ class MRMModel:
             for (c, t), p in dist:
                 if not 0 <= t < n:
                     raise ValueError("transition target out of range")
-                if c < 0 or c != int(c):
-                    raise ValueError("rewards must be nonnegative integers")
+                if not 0 <= c <= sys.float_info.max or c != int(c):  # NaN fails
+                    raise ValueError("rewards must be finite nonnegative integers")
                 if not p >= 0:
                     raise ValueError("negative probability")
 
-    def lattice(self) -> PointwiseLattice:
-        return PointwiseLattice(self.state_count, math.inf)
-
-    def bound(self) -> tuple:
-        return tuple(
-            float(self.threshold) if s == self.initial_state else math.inf
-            for s in range(self.state_count))
-
     @cached_property
     def rows(self) -> tuple:
-        """The row view of ``mdp.pointwise_transformer``: one action."""
+        """The row view of ``mdp.bellman``: one action."""
         return tuple(None if s not in self.safe else (
             tuple((c, t, p) for (c, t), p in dist if p > 0),)
             for s, dist in enumerate(self.delta))
 
 
-def reward_bellman(M: MRMModel) -> Transformer:
-    return pointwise_transformer(M.lattice(), M.rows, 0.0)
+reward_bellman = bellman
 
 
 def _unit_cost(v: float) -> float:

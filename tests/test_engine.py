@@ -19,7 +19,6 @@ from ltpdr.engine import (
     canonical_heuristics,
     dualize,
     initial_config,
-    join_induction_proposer,
     rule_candidate,
     rule_conflict,
     rule_decide,
@@ -439,21 +438,22 @@ class TestSolve:
 
 
 class TestPositive:
-    """The combined engine with no Candidate or Decide and the join
-    proposer, which waits until the last frame exceeds ``alpha``."""
+    """The combined engine with no Candidate, Decide or Induction proposer:
+    only the engine's own lemmas, ``alpha`` and ``F(X_{n-2})``, apply."""
 
     def test_safe_with_join_proposer(self, k1):
         ans = solve(forward(k1), "positive", debug=True)
         assert ans.verdict is Verdict.TRUE
 
     def test_unsafe_is_stuck(self, k1):
-        # Unfold, then Induction sets X_2 := F(X_1) = {0, 1}, which exceeds
-        # {0}; no lemma strengthens X_2 further, so no rule applies on step 3.
+        # Unfold, then X_2 = top exceeds {0}.  Neither alpha nor the
+        # canonical lemma F(X_1) = {0, 1} is below {0}, so no rule applies
+        # on step 2.
         ans = solve(forward(dataclasses.replace(k1, safe=ALPHA_P)), "positive",
                     budget=200, debug=True)
         assert ans.verdict is Verdict.STUCK
-        assert ans.stats.steps == 3
-        assert ans.stats.rule_counts == {"unfold": 1, "induction": 1}
+        assert ans.stats.steps == 2
+        assert ans.stats.rule_counts == {"unfold": 1}
 
     def test_empty_initial_immediate(self, k1):
         K = dataclasses.replace(k1, initial=0)
@@ -461,8 +461,8 @@ class TestPositive:
         assert ans.verdict is Verdict.TRUE
 
     def test_no_proposer_still_progresses_by_unfold(self, k1):
-        # With alpha = top every frame is below alpha, so the proposer
-        # never offers a lemma.
+        # With alpha = top every frame is below alpha, so Unfold always
+        # applies and no Induction lemma is tried.
         ans = solve(forward(dataclasses.replace(k1, safe=0b111)), "positive", budget=50)
         assert ans.verdict is Verdict.TRUE
         assert "induction" not in ans.stats.rule_counts
@@ -470,8 +470,8 @@ class TestPositive:
     def test_proposer_images_only_the_last_frames(self):
         # Draw #56 of random_differential.py --seed 1 at 1.1x its value: a
         # safe reward model that takes the positive engine 2,175 steps.  The
-        # proposer images only X_{n-2} and Induction only X_{n-2} /\ x, so
-        # the F calls must not grow with the frame count.
+        # canonical lemma images only X_{n-2}, and Induction does not re-image
+        # it, so the F calls must not grow with the frame count.
         rng = random.Random(1)
         for _ in range(200):
             random_kripke(rng)
@@ -491,14 +491,6 @@ class TestPositive:
         ans = solve(dataclasses.replace(inst, F=F), "positive")
         assert ans.verdict is Verdict.TRUE
         assert calls[0] <= 2 * ans.stats.steps
-
-    def test_join_proposer_waits_for_alpha(self, k1):
-        F = forward_transformer(k1)
-        frames = (0, 0b001, 0b111)
-        assert join_induction_proposer(F, ALPHA_P)(frames) == (2, 0b011)
-        # While the last frame is below alpha, Unfold goes first.
-        assert join_induction_proposer(F, 0b111)(frames) is None
-        assert join_induction_proposer(F, ALPHA_P)((0, 0b001)) is None
 
 
 class TestNegative:
@@ -701,9 +693,19 @@ class TestValidScan:
 
     @staticmethod
     def _forward_with_induction(K):
+        """``forward(K)`` with a proposer of ``X_{n-2} v F(X_{n-2})`` for the
+        last frame once it exceeds alpha, so that proposer-driven Induction
+        is scanned too."""
         inst = forward(K)
+        F, alpha, lat = inst.F, inst.alpha, inst.F.lattice
+
+        def propose(xs):
+            if lat.leq(xs[-1], alpha):
+                return None
+            return (len(xs) - 1, lat.join(xs[-2], F(xs[-2])))
+
         return dataclasses.replace(inst, bundle=dataclasses.replace(
-            inst.bundle, choose_induction=join_induction_proposer(inst.F, inst.alpha)))
+            inst.bundle, choose_induction=propose))
 
     @classmethod
     def _combined_solves(cls):

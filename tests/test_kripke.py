@@ -193,9 +193,8 @@ class TestInductiveBound:
     def test_ring_bounds_that_are_not_inductive_keep_their_search(self, build, engine):
         # Backward, state 0 is a predecessor of the bound's state 1; on the
         # opposite lattice, 0 has a successor outside the initial set.  The
-        # one Induction of the positive engine is its join proposer's; that
-        # of the combined engine is the canonical lemma F(X_1), which is
-        # below alpha.
+        # one Induction of either engine is the canonical lemma F(X_1),
+        # which is below alpha.
         ans = solve(build(safe_ring(1000)), engine, debug=True)
         assert ans.verdict is Verdict.TRUE
         assert ans.stats.rule_counts == {"unfold": 1, "induction": 1, "valid": 1}

@@ -218,8 +218,8 @@ def _splice_zero(rng, dist, entry) -> tuple:
 
 
 class TestPointwiseKernel:
-    """``pointwise_transformer``, the Bellman operator of both instances on
-    their row views, against the definitions on the models' ``delta``."""
+    """``bellman``, the Bellman operator of both instances on their row
+    views, against the definitions on the models' ``delta``."""
 
     def test_matches_the_definition_bit_for_bit(self):
         rng = random.Random(17)

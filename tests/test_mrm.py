@@ -248,6 +248,14 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             MRMModel(1, ((((0.5, 0), 1.0),),), 0, 1.0, frozenset({0}))
 
+    @pytest.mark.parametrize("reward", [math.inf, math.nan, 10 ** 400],
+                             ids=["inf", "nan", "10**400"])
+    def test_rejects_reward_no_float_holds(self, reward):
+        # As in the .mrm parser: the kernel's c + d[t] needs a finite
+        # float, and int() of inf or NaN raises no ValueError of its own.
+        with pytest.raises(ValueError, match="finite nonnegative integers"):
+            MRMModel(1, ((((reward, 0), 1.0),),), 0, 1.0, frozenset({0}))
+
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError):
             MRMModel(1, ((((0, 0), 1.0),),), 0, -1.0, frozenset({0}))

@@ -76,3 +76,7 @@ def test_oracles_have_no_engine_dependency():
     for forbidden in ("engine", "kripke", "mdp", "mrm", "simplex", "cli"):
         assert f"from .{forbidden}" not in source
         assert f"import {forbidden}" not in source
+    # The models also carry the solver's views of themselves: its row view,
+    # lattice, bound and class data.  The oracles read only the fields.
+    for forbidden in (".rows", ".TOP", ".OFF", ".bound(", ".lattice("):
+        assert forbidden not in source
