@@ -31,8 +31,9 @@ certificate of a True or False answer.  Each instance module builds
 its ``Instance`` values (``kripke.forward``, ``kripke.inverse_backward``,
 ``kripke.opdual``, ``mdp.max_reach``, ``mrm.expected_reward``).
 
-A ``PDRConfig`` is two plain tuples, the frames and the obligations; only
-an answer wraps them, as the certificate ``KTSequence`` or ``KleeneSequence``.
+A ``PDRConfig`` is a named tuple of two plain tuples, the frames and the
+obligations; only an answer wraps them, as the certificate ``KTSequence``
+or ``KleeneSequence``.
 
 All rules are pure config-to-config steps; the runners add scheduling,
 budgeting, statistics, optional per-step invariant checking (``debug=True``)
@@ -52,7 +53,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .lattice import (
     KTSequence,
@@ -94,9 +95,6 @@ class RunStats:
     frame_count: int = 0
     wall_time: float = 0.0
 
-    def count(self, rule: str) -> None:
-        self.rule_counts[rule] = self.rule_counts.get(rule, 0) + 1
-
 
 @dataclass(frozen=True)
 class PDRAnswer:
@@ -106,8 +104,7 @@ class PDRAnswer:
     stats: Optional[RunStats] = None
 
 
-@dataclass(frozen=True)
-class PDRConfig:
+class PDRConfig(NamedTuple):
     """Engine state ``(X; C)``: the frames and the pending obligations ``C_i
     .. C_{n-1}`` as plain tuples, so ``i = len(frames) - len(obligations)``."""
 
@@ -409,9 +406,8 @@ def _image_at(F: Transformer, cache: dict, xs: tuple, j: int):
 
 
 def _emit(trace, step: int, rule: str, cfg: PDRConfig) -> None:
-    if trace is not None:
-        trace(f"step={step} rule={rule} frames={len(cfg.frames)} "
-              f"obligations={len(cfg.obligations)}")
+    trace(f"step={step} rule={rule} frames={len(cfg.frames)} "
+          f"obligations={len(cfg.obligations)}")
 
 
 def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
@@ -419,12 +415,16 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
                  trace: Optional[Callable[[str], None]] = None) -> PDRAnswer:
     """Run the full engine from the initial config (bot <= F(bot); ()).
 
-    Each step applies Valid, then Model, then exactly one of the remaining
-    rules, whose guards leave no choice.  With no obligations pending, the
+    Each step applies Valid, then Model (tried only once the head
+    obligation is at index 1), then exactly one of the remaining rules,
+    whose guards leave no choice.  With no obligations pending, the
     bundle's Induction proposer is asked first and its lemma applied when
     it passes the guard; otherwise Unfold needs ``X_{n-1} <= alpha``, the
     canonical Induction below needs its negation and ``F(X_{n-2}) <=
-    alpha``, and Candidate takes what is left.  With obligations pending,
+    alpha``, and Candidate takes what is left.  The engine tests
+    ``X_{n-1} <= alpha`` once per such step to choose the rules to call:
+    the ``alpha`` lemma, the canonical Induction and Candidate when it
+    fails, Unfold when it holds; each rule still re-checks its own guard.  With obligations pending,
     Decide needs ``C_i <= F(X_{i-1})`` and Conflict its negation; the two
     share one evaluation of ``F(X_{i-1})``.  The only freedom left is the
     Induction proposer and the element each rule picks.
@@ -474,82 +474,79 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
         raise ValueError("budget must be >= 1")
     cfg = initial_config(F)
     stats = RunStats()
+    counts = stats.rule_counts  # in first-application order, as --json prints it
     started = time.perf_counter()
     checker = _InvariantChecker(F, alpha) if debug else None
     if checker:
         checker.check(cfg)
     fresh = (0, len(cfg.frames) - 1)  # the pairs Valid has not yet failed on
     images: dict = {}  # j -> (X_j, F(X_j))
-    lat = F.lattice
+    leq = F.lattice.leq
+    propose = heuristics.choose_induction
     inductive = None  # whether F(alpha) <= alpha; None until tested
 
     for step in range(1, budget + 1):
-        stats.steps = step
         if fresh is not None:
             ans = rule_valid(cfg, F, alpha, *fresh)
             if ans is not None:
-                stats.count("valid")
-                _emit(trace, step, "valid", cfg)
-                return _finalize(ans, stats, F, alpha, started, cfg.frames, debug)
-        before = cfg.frames
-        ans = rule_model(cfg, F, alpha)
-        if ans is not None:
-            stats.count("model")
-            _emit(trace, step, "model", cfg)
-            return _finalize(ans, stats, F, alpha, started, cfg.frames, debug)
+                break
+        xs, ob = cfg.frames, cfg.obligations
+        if len(ob) == len(xs) - 1:
+            ans = rule_model(cfg, F, alpha)
+            break
 
-        applied = k = None
-        if not cfg.obligations:
-            xs = cfg.frames
-            if inductive is None and len(xs) >= 3 and not lat.leq(xs[-1], alpha):
-                inductive = lat.leq(F(alpha), alpha)
-            nxt = None
-            if inductive:  # alpha first, then the bundle's lemma
-                k = len(xs) - 1
-                nxt = rule_induction(cfg, F, alpha, k, alpha)
-            propose = heuristics.choose_induction
+        nxt = k = None
+        if not ob:
+            below = leq(xs[-1], alpha)
+            applied = "induction"  # unless Unfold or Candidate applies
+            if not below:  # else Induction's guard X_{n-1} !<= alpha rejects alpha
+                if inductive is None and len(xs) >= 3:
+                    inductive = leq(F(alpha), alpha)
+                if inductive:  # alpha first, then the bundle's lemma
+                    k = len(xs) - 1
+                    nxt = rule_induction(cfg, F, alpha, k, alpha)
             if nxt is None and propose is not None:
                 prop = propose(xs)
                 if prop is not None:
                     k = prop[0]
                     nxt = rule_induction(cfg, F, alpha, k, prop[1])
-            if nxt is not None:
-                cfg, applied = nxt, "induction"
-            else:
-                nxt = rule_unfold(cfg, F, alpha)
-                if nxt is not None:
-                    cfg, applied = nxt, "unfold"
-                elif len(xs) >= 3:
+            if nxt is None and below:
+                nxt, applied = rule_unfold(cfg, F, alpha), "unfold"
+            elif nxt is None:
+                if len(xs) >= 3:
                     k = len(xs) - 1
                     fx = _image_at(F, images, xs, k - 1)
-                    if lat.leq(fx, alpha):  # Decide would refute any Candidate
+                    if leq(fx, alpha):  # Decide would refute any Candidate
                         nxt = rule_induction(cfg, F, alpha, k, fx, fx)
-                        if nxt is not None:
-                            cfg, applied = nxt, "induction"
-                if applied is None:
-                    nxt = rule_candidate(cfg, F, alpha, heuristics)
-                    if nxt is not None:
-                        cfg, applied = nxt, "candidate"
+                if nxt is None:
+                    nxt, applied = rule_candidate(cfg, F, alpha, heuristics), "candidate"
         else:
-            k = len(cfg.frames) - len(cfg.obligations)  # the head's index
-            fx = _image_at(F, images, cfg.frames, k - 1)
-            nxt = rule_decide(cfg, F, alpha, heuristics, fx)
-            if nxt is not None:
-                cfg, applied = nxt, "decide"
-            else:
-                nxt = rule_conflict(cfg, F, alpha, heuristics, fx)
-                if nxt is not None:
-                    cfg, applied = nxt, "conflict"
+            k = len(xs) - len(ob)  # the head's index
+            fx = _image_at(F, images, xs, k - 1)
+            nxt, applied = rule_decide(cfg, F, alpha, heuristics, fx), "decide"
+            if nxt is None:
+                nxt, applied = rule_conflict(cfg, F, alpha, heuristics, fx), "conflict"
 
-        if applied is None:
-            return _stop(PDRAnswer(Verdict.STUCK), stats, started, len(cfg.frames))
-        stats.count(applied)
-        _emit(trace, step, applied, cfg)
+        if nxt is None:
+            stats.steps = step
+            return _stop(PDRAnswer(Verdict.STUCK), stats, started, len(xs))
+        cfg = nxt
+        counts[applied] = counts.get(applied, 0) + 1
+        if trace is not None:
+            _emit(trace, step, applied, cfg)
         if checker:
             checker.check(cfg)
-        fresh = _fresh_pairs(applied, before, cfg, k)
+        fresh = _fresh_pairs(applied, xs, cfg, k)
+    else:
+        stats.steps = budget
+        return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, len(cfg.frames))
 
-    return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, len(cfg.frames))
+    applied = "valid" if ans.verdict is Verdict.TRUE else "model"
+    counts[applied] = 1
+    stats.steps = step
+    if trace is not None:
+        _emit(trace, step, applied, cfg)
+    return _finalize(ans, stats, F, alpha, started, cfg.frames, debug)
 
 
 def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
@@ -572,14 +569,16 @@ def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     lat = F.lattice
     cfg = initial_config(F)
     stats = RunStats()
+    counts = stats.rule_counts
     started = time.perf_counter()
 
     for step in range(1, budget + 1):
-        stats.steps = step
         ans = rule_model(cfg, F, alpha)
         if ans is not None:
-            stats.count("model")
-            _emit(trace, step, "model", cfg)
+            counts["model"] = 1
+            stats.steps = step
+            if trace is not None:
+                _emit(trace, step, "model", cfg)
             return _finalize(ans, stats, F, alpha, started, cfg.frames, debug)
         xs, ob = cfg.frames, cfg.obligations
         if ob:
@@ -592,10 +591,12 @@ def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
         else:
             nxt, applied = rule_candidate(cfg, F, alpha, heuristics), "candidate"
         if nxt is None:
+            stats.steps = step
             return _stop(PDRAnswer(Verdict.STUCK), stats, started, len(xs))
         cfg = nxt
-        stats.count(applied)
-        _emit(trace, step, applied, cfg)
+        counts[applied] = counts.get(applied, 0) + 1
+        if trace is not None:
+            _emit(trace, step, applied, cfg)
         if debug:
             xs, ob = cfg.frames, cfg.obligations
             if not (lat.leq(xs[-2], xs[-1]) and (
@@ -603,6 +604,7 @@ def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
                     and (len(ob) == 1 or lat.leq(ob[1], F(ob[0]))))):
                 raise EngineInvariantError("negative engine invariant broken")
 
+    stats.steps = budget
     return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, len(cfg.frames))
 
 

@@ -88,6 +88,9 @@ class SubsetLattice(Lattice):
         diff = a & ~b
         return (diff == 0, diff)
 
+    def leq(self, a, b):
+        return not a & ~b
+
     def meet(self, a, b):
         return a & b
 

@@ -39,7 +39,8 @@ class Lattice:
     (``engine.dualize``).  ``leq_info`` returns the order test
     together with an instance-specific counterexample descriptor (e.g. the
     set of violating states) that heuristics may use; it may be None when
-    no heuristic of the instance reads it.
+    no heuristic of the instance reads it.  A subclass may override ``leq``
+    with a direct test, which must agree with ``leq_info``.
     """
 
     bot: Any

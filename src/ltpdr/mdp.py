@@ -70,8 +70,11 @@ class PointwiseLattice(Lattice):
         self.bot = (0.0,) * state_count
         self.top = (float(top_value),) * state_count
 
+    def leq(self, a, b):
+        return all(map(operator.le, a, b))
+
     def leq_info(self, a, b):
-        return (all(map(operator.le, a, b)), None)
+        return (self.leq(a, b), None)
 
     # min and max keep their first argument on ties.
     def meet(self, a, b):

@@ -420,6 +420,33 @@ class TestSolve:
             assert solve(build(k1), "negative").verdict is Verdict.STUCK
             assert solve(build(unsafe), "negative", debug=True).verdict is Verdict.FALSE
 
+    @pytest.mark.parametrize("name", sorted(os.listdir(MODELS_DIR)))
+    def test_a_trace_sink_changes_nothing(self, name):
+        """A traced run has the untraced run's verdict, steps, frame count
+        and rule counts, in the order of first application that ``--json``
+        prints, and traces one line per applied rule."""
+        parsers = {".kr": (parse_kripke, (forward, inverse_backward, opdual)),
+                   ".mdp": (parse_mdp, (max_reach,)),
+                   ".mrm": (parse_mrm, (expected_reward,))}
+        parse, builds = parsers[os.path.splitext(name)[1]]
+        with open(os.path.join(MODELS_DIR, name)) as fh:
+            model = parse(fh.read())
+        for build in builds:
+            for engine_name in ("combined", "positive", "negative"):
+                runs, lines = [], []
+                for trace in (None, lines.append):
+                    ans = solve(build(model), engine_name, budget=2000, trace=trace)
+                    runs.append((ans.verdict, ans.stats.steps, ans.stats.frame_count,
+                                 list(ans.stats.rule_counts.items())))
+                assert runs[0] == runs[1], (build.__name__, engine_name)
+                verdict, steps, _, counts = runs[0]
+                assert len(lines) == steps - (verdict is Verdict.STUCK)
+                traced = {}
+                for line in lines:
+                    rule = line.split()[1].removeprefix("rule=")
+                    traced[rule] = traced.get(rule, 0) + 1
+                assert list(traced.items()) == counts
+
     def test_unknown_engine_rejected(self, k1):
         with pytest.raises(ValueError):
             solve(forward(k1), "fuzz")

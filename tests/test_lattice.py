@@ -1,5 +1,7 @@
 """Lattice contract, sequence validity checks, and witness validators."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,8 +17,25 @@ from ltpdr.lattice import (
     is_kleene_sequence,
     is_kt_sequence,
 )
+from ltpdr.mdp import PointwiseLattice
 
 masks = st.integers(min_value=0, max_value=(1 << 8) - 1)
+
+
+def _entries(top):
+    """Pointwise entries from 0.0 to ``top``, with the bounds, a shared
+    middle value and ``top`` drawn often so that ties are common."""
+    return st.one_of(st.sampled_from([0.0, 0.5, top]),
+                     st.floats(min_value=0.0, max_value=top))
+
+
+# Each lattice with a strategy for its elements.
+_LATTICES = {
+    "subset": (SubsetLattice(8), masks),
+    "pointwise-1": (PointwiseLattice(3, 1.0), st.tuples(*[_entries(1.0)] * 3)),
+    "pointwise-inf": (PointwiseLattice(3, math.inf),
+                      st.tuples(*[_entries(math.inf)] * 3)),
+}
 
 
 @pytest.fixture
@@ -183,3 +202,21 @@ class TestLatticeLaws:
         assert op.leq(a, b) == lat.leq(b, a)
         assert op.meet(a, b) == lat.join(a, b)
         assert op.bot == lat.top and op.top == lat.bot
+
+
+class TestDirectLeq:
+    """A lattice's direct ``leq`` must agree with ``leq_info``, and ``eq``
+    with ``leq_info`` both ways."""
+
+    @pytest.mark.parametrize("opposite", [False, True], ids=["base", "opposite"])
+    @pytest.mark.parametrize("name", sorted(_LATTICES))
+    @given(data=st.data())
+    def test_leq_agrees_with_leq_info(self, name, opposite, data):
+        lat, elements = _LATTICES[name]
+        if opposite:
+            lat = OppositeLattice(lat)
+        a = data.draw(elements)
+        b = data.draw(st.one_of(elements, st.just(a)))  # often equal to a
+        for x, y in ((a, b), (b, a), (a, a), (lat.bot, a), (a, lat.top)):
+            assert lat.leq(x, y) == lat.leq_info(x, y)[0]
+        assert lat.eq(a, b) == (lat.leq_info(a, b)[0] and lat.leq_info(b, a)[0])
