@@ -1,14 +1,17 @@
 """Independent brute-force references used to validate every solver verdict.
 
-Nothing here calls the engines or any heuristic code: expectations are
-recomputed directly from the model fields, so agreement with the solver is
-meaningful evidence.
+Nothing here calls the engines or any heuristic code.  Each value iteration
+builds its own row view of the safe states from the model fields (``delta``
+and ``safe``), never the solver's, and recomputes the expectations from it,
+so agreement with the solver is meaningful evidence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, ge, gt, itemgetter, mul, sub
 from typing import Optional, Union
 
 
@@ -41,28 +44,43 @@ def bfs_safe(K) -> OracleResult:
     return OracleResult(verdict=(seen & ~K.safe == 0))
 
 
+def _gather(targets) -> itemgetter:
+    """``d -> (d[t] for t in targets)`` in one C call.  ``itemgetter(t)``
+    returns the bare item, so a one-target getter reads ``d[t]`` twice; the
+    ``map`` over it stops at the one probability."""
+    if not targets:
+        return itemgetter(slice(0, 0))
+    if len(targets) == 1:
+        return itemgetter(targets[0], targets[0])
+    return itemgetter(*targets)
+
+
 def vi_max_reach(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
     """Maximum probability of reaching an unsafe state, by value iteration
     of the max-over-actions expectation operator from the all-zero vector."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = M.state_count
+    n, safe = M.state_count, M.safe
+    # Each safe state's available actions: a target getter and the
+    # probabilities, in the order of ``delta``.
+    rows = [(s, [(_gather([t for t, _ in dist]), [p for _, p in dist])
+                 for dist in M.delta[s] if dist is not None])
+            for s in range(n) if s in safe]
+    fresh = [0.0 if s in safe else 1.0 for s in range(n)]
     d = [0.0] * n
-    for it in range(1, cap + 1):
-        nd = []
-        for s in range(n):
-            if s not in M.safe:
-                nd.append(1.0)
-                continue
+    for _ in range(cap):
+        nd = fresh[:]
+        for s, actions in rows:
             best = 0.0
-            for dist in M.delta[s]:
-                if dist is None:
-                    continue
-                best = max(best, sum(p * d[t] for t, p in dist))
-            nd.append(best)
-        delta = max(abs(a - b) for a, b in zip(d, nd))
-        assert all(a >= b - 1e-15 for a, b in zip(nd, d)), \
-            "iteration from zero must be nondecreasing"
+            for get, ps in actions:
+                v = sum(map(mul, ps, get(d)))  # sum of p * d[t]
+                if v > best:  # max(best, v): the first maximal action
+                    best = v
+            nd[s] = best
+        delta = max(map(abs, map(sub, d, nd)))
+        # Raised, not asserted, so that ``python -O`` keeps the check.
+        if not all(map(ge, nd, map(sub, d, repeat(1e-15)))):
+            raise AssertionError("iteration from zero must be nondecreasing")
         d = nd
         if delta < tol:
             value = d[M.initial_state]
@@ -72,23 +90,37 @@ def vi_max_reach(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
 
 def vi_expected_reward(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
     """Expected accumulated reward until leaving the safe region, by value
-    iteration from zero; flags divergence when iterates blow past 1e12."""
+    iteration from zero.
+
+    It answers ``DIVERGED`` (value ``inf``) when the iterate of any state,
+    not only the initial one, passes 1e12, and when the increment fails to
+    halve over a doubling window, checked at iterations 2048, 4096, ...
+    against the one at 1024, 2048, ....  Both rules are heuristics: a slow
+    leak, or an unreachable state of infinite value, reads ``DIVERGED``
+    although the initial state's value is finite.  CHANGES.md records such
+    models, and ROADMAP.md ("A sound oracle") plans an exact graph test in
+    their place."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = M.state_count
+    n, safe = M.state_count, M.safe
+    # Each safe state's entries with p > 0: a target getter, the rewards and
+    # the probabilities, in the order of ``delta``.
+    rows = []
+    for s in range(n):
+        if s in safe:
+            paid = [(c, t, p) for (c, t), p in M.delta[s] if p > 0]
+            rows.append((s, _gather([t for _, t, _ in paid]),
+                         [c for c, _, _ in paid], [p for _, _, p in paid]))
     d = [0.0] * n
     checkpoint = 1024
     checkpoint_delta = None
     for it in range(1, cap + 1):
-        nd = []
-        for s in range(n):
-            if s not in M.safe:
-                nd.append(0.0)
-                continue
-            nd.append(sum(p * (c + d[t]) for (c, t), p in M.delta[s] if p > 0))
-        if any(v > 1e12 for v in nd):
+        nd = [0.0] * n
+        for s, get, cs, ps in rows:
+            nd[s] = sum(map(mul, ps, map(add, cs, get(d))))  # p * (c + d[t])
+        if any(map(gt, nd, repeat(1e12))):
             return OracleResult(verdict=DIVERGED, value=math.inf)
-        delta = max(abs(a - b) for a, b in zip(d, nd))
+        delta = max(map(abs, map(sub, d, nd)))
         d = nd
         if it == checkpoint:
             # The iteration is monotone, so a step size that refuses to

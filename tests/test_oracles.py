@@ -1,19 +1,37 @@
 """Brute-force reference implementations."""
 
 import dataclasses
+import hashlib
 import inspect
+import os
+import random
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import pytest
 
-from ltpdr import oracles
+from conftest import MODELS_DIR
+from ltpdr import cli, oracles
 from ltpdr.mdp import MDPModel
 from ltpdr.mrm import MRMModel
 from ltpdr.oracles import (
     DIVERGED,
+    NoConvergence,
     bfs_safe,
     vi_expected_reward,
     vi_max_reach,
 )
+from util import random_mdp, random_mrm
+
+# A leak that value iteration approaches by 1e-7 a step.
+LEAK = MDPModel(2, 1, ((((0, 0.9999999), (1, 0.0000001)),), (((1, 1.0),),)),
+                0, 0.5, frozenset({0}))
+# Skips MDPModel's checks: state 0's second entry has probability -1, so the
+# iterate of state 0 rises to 1 and falls back to 0.
+NOT_MONOTONE = SimpleNamespace(
+    state_count=3, delta=((((2, 1.0), (1, -1.0)),), (((2, 1.0),),), ((),)),
+    initial_state=0, threshold=0.5, safe=frozenset({0, 1}))
 
 
 @pytest.fixture
@@ -53,6 +71,32 @@ class TestMaxReach:
         with pytest.raises(ValueError):
             vi_max_reach(m1, tol=0.0)
 
+    def test_no_convergence_within_cap(self):
+        with pytest.raises(NoConvergence,
+                           match="no convergence within 1000 iterations"):
+            vi_max_reach(LEAK, cap=1000)
+
+    def test_decreasing_iterate_is_rejected(self):
+        with pytest.raises(AssertionError,
+                           match="iteration from zero must be nondecreasing"):
+            vi_max_reach(NOT_MONOTONE)
+
+    def test_decreasing_iterate_is_rejected_under_optimize(self):
+        # The check must not be an assert statement, which -O strips.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(oracles.__file__)))
+        code = (f"import sys; sys.path.insert(0, {src!r}); "
+                "from types import SimpleNamespace; "
+                "from ltpdr.oracles import vi_max_reach; "
+                f"M = SimpleNamespace(**{vars(NOT_MONOTONE)!r}); "
+                "print(sys.flags.optimize)\n"
+                "try:\n    print(vi_max_reach(M))\n"
+                "except AssertionError as e:\n    print('rejected:', e)")
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             timeout=60)
+        assert out.stdout.splitlines() == [
+            "1", "rejected: iteration from zero must be nondecreasing"]
+
 
 class TestExpectedReward:
     def test_geometric_series(self):
@@ -69,6 +113,66 @@ class TestExpectedReward:
         M = MRMModel(1, ((((1, 0), 1.0),),), 0, 1.0, frozenset({0}))
         res = vi_expected_reward(M)
         assert res.verdict == DIVERGED
+
+    def test_iterate_past_1e12_is_diverged(self):
+        # The iterate is 1e9 * k after k sweeps and passes 1e12 at sweep
+        # 1,001, before the doubling-window rule can first fire at 2,048.
+        M = MRMModel(1, ((((10**9, 0), 1.0),),), 0, 1.0, frozenset({0}))
+        with pytest.raises(NoConvergence):
+            vi_expected_reward(M, cap=1000)
+        res = vi_expected_reward(M, cap=1001)
+        assert res.verdict == DIVERGED and res.value == float("inf")
+
+    def test_rejects_nonpositive_tolerance(self):
+        M = MRMModel(1, ((((1, 0), 1.0),),), 0, 1.0, frozenset())
+        for tol in (0.0, -1e-12):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                vi_expected_reward(M, tol=tol)
+
+    def test_no_convergence_within_cap(self):
+        M = MRMModel(2, ((((1, 0), 0.25), ((1, 1), 0.75)), (((0, 1), 1.0),)),
+                     0, 1.5, frozenset({0}))
+        with pytest.raises(NoConvergence,
+                           match="no convergence within 5 iterations"):
+            vi_expected_reward(M, cap=5)
+
+
+def _oracle_outcome(oracle, M) -> str:
+    try:
+        res = oracle(M)
+    except NoConvergence:
+        return "NoConvergence"
+    return f"{res.verdict!r} {res.value!r}"
+
+
+def test_oracle_values_are_pinned():
+    # Every verdict and value, to the last bit, on 600 random MDPs, 600
+    # random reward models (60 of them Diverged) and the models/ corpus.  The
+    # digest is that of the plain loops, which summed a generator such as
+    # ``sum(p * d[t] for t, p in dist)`` per action; a change to the
+    # summation, the operand order or the choice among equal actions moves it.
+    rng = random.Random(0)
+    lines = [_oracle_outcome(vi_max_reach, random_mdp(rng)) for _ in range(600)]
+    rng = random.Random(0)
+    lines += [_oracle_outcome(vi_expected_reward, random_mrm(rng))
+              for _ in range(600)]
+    # Named, not globbed, so that a new corpus model does not move the pin.
+    for name in ("die_by_coin.mrm", "die_by_coin_tight.mrm", "grid3x3.mdp",
+                 "m1.mdp"):
+        with open(os.path.join(MODELS_DIR, name)) as f:
+            text = f.read()
+        if name.endswith(".mdp"):
+            lines.append(_oracle_outcome(vi_max_reach, cli.parse_mdp(text)))
+        else:
+            lines.append(_oracle_outcome(vi_expected_reward, cli.parse_mrm(text)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    # Python 3.12's sum compensates its rounding errors, so the last bits,
+    # and the pin, depend on which sum runs.
+    compensated = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    assert digest == {
+        False: "27883103e47205a0d400c9a3c84940b1ac4d9f06344e0d551110a604a7101c24",
+        True: "db8826138ba2051a238f739c1946d542e907356f082f5f3ae367ee64ee8a4c74",
+    }[compensated]
 
 
 def test_oracles_have_no_engine_dependency():
