@@ -51,7 +51,7 @@ that Conflict for sure, ``run_combined`` applies the lemma as Induction.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -340,7 +340,7 @@ def _stop(answer: PDRAnswer, stats: RunStats, started: float,
           frames_len: int) -> PDRAnswer:
     stats.wall_time = time.perf_counter() - started
     stats.frame_count = frames_len
-    return replace(answer, stats=stats)
+    return PDRAnswer(answer.verdict, answer.kt_witness, answer.kleene_witness, stats)
 
 
 def certificate_holds(answer: PDRAnswer, F: Transformer, alpha) -> bool:

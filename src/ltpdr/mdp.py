@@ -19,9 +19,11 @@ inf)`` at the initial state: no float lies strictly between the two, so
 
 ``max_reach(M)`` is the ``Instance`` of this question.  Its choices,
 ``pointwise_bundle``, are shared with the reward instance: Candidate is the
-least float above the threshold at the initial state, and Decide is a
-cheapest supporting valuation from the linear program ``decide_lp`` on the
-model's rows, at each instance's own costs.
+least float above the threshold at the initial state, and Decide is
+``decide_lp`` on the model's rows.  A tight obligation, one whose
+dominating actions meet it exactly at the frame, takes the frame itself on
+the states it touches; only a slack one runs the linear program for a
+cheapest supporting valuation, at each instance's own costs.
 Conflict is the engine's canonical choice ``x := F(X_{i-1})``, which caps
 every state at its transformer value and which the engine does not re-image.
 Capping only the states the current obligation violates gives lemmas each
@@ -310,52 +312,75 @@ def heuristic_candidate_mdp(M):
     return candidate
 
 
+def _restriction(X_prev, states) -> tuple:
+    """``X_prev`` on ``states`` and 0 elsewhere."""
+    out = [0.0] * len(X_prev)
+    for t in states:
+        out[t] = X_prev[t]
+    return tuple(out)
+
+
 def decide_lp(M, F: Transformer, X_prev, C_head, cost):
     """The Decide choice of the pointwise instances: a cheapest successor
-    valuation supporting the obligation, from a linear program over the
-    states it touches.
+    valuation supporting the obligation over the states it touches.
 
     ``M`` is an ``MDPModel`` or ``MRMModel``.  Each safe state ``s`` with
     ``C_head(s) > 0`` gives one row ``sum_t p_t x_t >= C_head(s) - r`` from
     the first action of ``M.rows[s]`` whose expectation under ``X_prev``
     dominates ``C_head(s)``, with ``r`` its expected one-step reward (0 in
-    an MDP); ``ContractFailure`` when there is none.  The program minimizes
-    ``sum cost(X_prev(t)) * x_t`` subject to these rows and ``0 <= x_t <=
-    min(X_prev(t), 1e9)``; the finite cap replaces infinite frame entries.
-    The output is the program's solution, snapped to the cap within 1e-9;
-    a strict obligation is already a float above its bound, so the rows
-    ask for no more than it.  If rounding makes the solution miss a row by an ulp, the frame
-    values themselves restricted to the touched states are returned (always
-    contract-valid).  None when the program is infeasible, which only a head
-    needing a value above the cap makes it.
+    an MDP); ``ContractFailure`` when there is none.  The targets of these
+    actions are the support, and the restriction is ``X_prev`` on the
+    support and 0 elsewhere.
+
+    When every such expectation equals ``C_head(s)`` (a tight obligation)
+    and every support entry is at most the cap 1e9, the restriction is the
+    program's only feasible point, and it is returned without the program:
+    its image sums the same entries in the same order as the dominance
+    test, so it meets the obligation exactly.  On a false instance the
+    frames are the Kleene iterates, so a frame restricted to some states,
+    or a program solution at its caps, is a tight obligation for the next
+    Decide.
+
+    Otherwise (a slack obligation, or a support entry above the cap) the
+    program minimizes ``sum cost(X_prev(t)) * x_t`` subject to the rows and
+    ``0 <= x_t <= min(X_prev(t), 1e9)``; the finite cap replaces infinite
+    frame entries.  The output is the program's solution, snapped to the
+    cap within 1e-9; a strict obligation is already a float above its
+    bound, so the rows ask for no more than it.  If rounding makes the
+    solution miss a row by an ulp, the restriction is returned (always
+    contract-valid).  None when the program is infeasible, which only a
+    head needing a value above the cap makes it.
     """
     supports = []
     var_states: list[int] = []
     var_index: dict[int, int] = {}
+    tight = True
     for s in range(M.state_count):
         c = C_head[s]
         if s not in M.safe or c <= 0.0:
             continue
         for dist in M.rows[s]:
-            if c <= _expectation(dist, X_prev):
+            e = _expectation(dist, X_prev)
+            if c <= e:
                 break
         else:
             raise ContractFailure("decide invoked without its guard: no "
                                   "action dominates the obligation value")
-        supports.append((dist, c - sum(p * r for r, _t, p in dist)))
+        tight = tight and c == e
+        supports.append((dist, c))
         for _r, t, _p in dist:
             if t not in var_index:
                 var_index[t] = len(var_states)
                 var_states.append(t)
+    if tight and all(X_prev[t] <= _CAP for t in var_states):
+        return _restriction(X_prev, var_states)
     n = len(var_states)
-    if n == 0:
-        return (0.0,) * M.state_count
     rows = []
-    for dist, rhs in supports:
+    for dist, c in supports:
         coeffs = [0.0] * n
         for _r, t, p in dist:
             coeffs[var_index[t]] += p
-        rows.append((coeffs, rhs))
+        rows.append((coeffs, c - sum(p * r for r, _t, p in dist)))
     caps = [min(X_prev[t], _CAP) for t in var_states]
     try:
         xs = simplex_min([cost(X_prev[t]) for t in var_states], rows,
@@ -371,9 +396,7 @@ def decide_lp(M, F: Transformer, X_prev, C_head, cost):
 
     lat = F.lattice
     if not (lat.leq(result, X_prev) and lat.leq(C_head, F(result))):
-        result = tuple(
-            X_prev[s] if s in var_index else 0.0
-            for s in range(M.state_count))
+        result = _restriction(X_prev, var_states)
     return result
 
 

@@ -13,10 +13,12 @@ model is an ``mdp.PointwiseModel`` with ``TOP = inf`` and ``OFF = 0``, and
 its transformer ``reward_bellman`` is the MDP kernel ``mdp.bellman``.
 ``expected_reward(M)`` is the ``Instance`` of this question.  Its choices
 are the MDP instance's ``mdp.pointwise_bundle``: the same Candidate, the
-Decide program ``mdp.decide_lp`` with the reward moved to the right-hand
-side and unit costs, and the Induction proposer
-``mdp.optimistic_induction``, so that a true bound is proved by a guessed
-prefixed point instead of by waiting for the Kleene iterates to converge.
+Decide ``mdp.decide_lp``, which takes the frame on the states a tight
+obligation touches and runs its program, with the reward moved to the
+right-hand side and unit costs, only for a slack one, and the Induction
+proposer ``mdp.optimistic_induction``, so that a true bound is proved by a
+guessed prefixed point instead of by waiting for the Kleene iterates to
+converge.
 The proposer caps its guess by ``F(top)``, which is 0 off the safe set.
 """
 

@@ -22,7 +22,8 @@ from ltpdr.mdp import (
 )
 from ltpdr.mrm import MRMModel, reward_bellman
 from ltpdr.oracles import vi_max_reach
-from util import above, random_mdp, random_mrm
+from ltpdr.simplex import simplex_min
+from util import above, lp_vertex_min, random_mdp, random_mrm
 
 
 @pytest.fixture
@@ -283,6 +284,33 @@ class TestCandidate:
         assert ans.kleene_witness.elements[-1] == (5e-324, 0.0, 0.0)
 
 
+def _no_program(*args):
+    raise AssertionError("a tight obligation reached the simplex")
+
+
+def _tight_program(M, X_prev, C):
+    """The Decide program of ``C``, built apart from ``decide_lp``: one row
+    ``sum p_t x_t >= C(s) - r`` per supported state from its first
+    dominating action, and the box ``0 <= x_t <= min(X_prev(t), 1e9)``.
+    Also the support, and whether every row's action meets ``C(s)``
+    exactly at ``X_prev``."""
+    support, supports, tight = [], [], True
+    for s in sorted(M.safe):
+        if C[s] > 0.0:
+            action = next(a for a in M.rows[s]
+                          if C[s] <= sum(p * (r + X_prev[t]) for r, t, p in a))
+            tight = tight and C[s] == sum(p * (r + X_prev[t]) for r, t, p in action)
+            supports.append((s, action))
+            support += [t for _r, t, _p in action if t not in support]
+    rows = []
+    for s, action in supports:
+        coeffs = [0.0] * len(support)
+        for _r, t, p in action:
+            coeffs[support.index(t)] += p
+        rows.append((coeffs, C[s] - sum(p * r for r, _t, p in action)))
+    return support, rows, [(0.0, min(X_prev[t], 1e9)) for t in support], tight
+
+
 class TestDecideLP:
     def test_reference_program(self, m1):
         X_prev = frame(0, 0, 1)
@@ -353,6 +381,87 @@ class TestDecideLP:
         assert calls == [[([p1, p2], C[0])]]
         assert out == (0.0, 0.97, 0.5)
         assert lat.leq(out, X_prev) and lat.leq(C, F(out))
+
+    def test_a_tight_mdp_obligation_takes_the_frame(self, m1, monkeypatch):
+        X_prev = frame(0.3, 0.4, 1)
+        C = (bellman(m1)(X_prev)[0], 0.0, 0.0)
+        assert C[0] == 0.5 * 0.4 + 0.5 * 1.0
+        monkeypatch.setattr(mdp, "simplex_min", _no_program)
+        assert solve_decide_lp(X_prev, C, m1) == frame(0, 0.4, 1)
+
+    def test_a_tight_reward_obligation_takes_the_frame(self, monkeypatch):
+        # s0 earns 2 to s1 or 1 to s2, s1 earns 1 to itself or 0 to s2, and
+        # s2 is unsafe.  Only s0 is asked for: 0.5*(2+3) + 0.5*(1+0) = 3.
+        M = MRMModel(3, ((((2, 1), 0.5), ((1, 2), 0.5)),
+                         (((1, 1), 0.5), ((0, 2), 0.5)), (((0, 2), 1.0),)),
+                     0, 2.5, frozenset({0, 1}))
+        F = reward_bellman(M)
+        X_prev = frame(5, 3, 0)
+        C = (3.0, 0.0, 0.0)
+        assert F(X_prev)[0] == 3.0
+        monkeypatch.setattr(mdp, "simplex_min", _no_program)
+        assert decide_lp(M, F, X_prev, C, lambda v: 1.0) == frame(0, 3, 0)
+
+    @pytest.mark.parametrize("draw, build", [(random_mdp, bellman),
+                                             (random_mrm, reward_bellman)],
+                             ids=["mdp", "mrm"])
+    def test_kleene_frames_have_one_feasible_point(self, draw, build, monkeypatch):
+        # An obligation F(X_{i-1}) restricted to some safe states, on a
+        # Kleene frame X_{i-1} = F^i(bot): the least sum over the program
+        # is the sum of the caps, so the restriction is its only point.
+        rng = random.Random(24)
+        checked = 0
+        for _ in range(150):
+            M = draw(rng)
+            F = build(M)
+            X_prev = M.lattice().bot
+            for _ in range(rng.randint(1, 4)):
+                X_prev = F(X_prev)
+            fx = F(X_prev)
+            C = tuple(fx[s] if s in M.safe and rng.random() < 0.6 else 0.0
+                      for s in range(M.state_count))
+            support, rows, box, tight = _tight_program(M, X_prev, C)
+            if not rows:
+                continue
+            assert tight
+            monkeypatch.setattr(mdp, "simplex_min", _no_program)
+            restriction = tuple(X_prev[s] if s in support else 0.0
+                                for s in range(M.state_count))
+            assert decide_lp(M, F, X_prev, C, lambda v: 1.0) == restriction
+            caps = [hi for _lo, hi in box]
+            assert lp_vertex_min([1.0] * len(support), rows, box) == pytest.approx(
+                sum(caps), abs=1e-9)
+            checked += 1
+        assert checked > 50
+
+    def test_a_tight_entry_above_the_cap_still_runs_the_program(self, monkeypatch):
+        # Lifting a support entry past the 1e9 cap keeps the obligation
+        # tight, but the box no longer holds the frame: the program is
+        # infeasible and Decide returns None, as for a slack obligation.
+        rng = random.Random(24)
+        checked = 0
+        for i in range(80):
+            M = random_mrm(rng)
+            F = reward_bellman(M)
+            X_prev = F(F(M.lattice().bot))
+            C = tuple(F(X_prev)[s] if s in M.safe else 0.0
+                      for s in range(M.state_count))
+            support, rows, _box, _tight = _tight_program(M, X_prev, C)
+            if not rows:
+                continue
+            lifted = list(X_prev)
+            lifted[rng.choice(support)] = 2e9 if i % 2 else math.inf
+            X_prev = tuple(lifted)
+            C = tuple(F(X_prev)[s] if C[s] > 0.0 else 0.0
+                      for s in range(M.state_count))
+            assert _tight_program(M, X_prev, C)[3]
+            programs = []
+            monkeypatch.setattr(mdp, "simplex_min",
+                                lambda *a: programs.append(a) or simplex_min(*a))
+            assert decide_lp(M, F, X_prev, C, lambda v: 1.0) is None
+            assert len(programs) == 1
+            checked += 1
+        assert checked > 20
 
 
 class TestConflict:
