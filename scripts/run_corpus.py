@@ -2,9 +2,12 @@
 """Run every model in the corpus through the solver and its oracle.
 
 Prints one line per (model, engine) pair with the verdict, the oracle
-verdict, whether the two agree, the step count and the wall time.  Exits
-nonzero unless every run decides and agrees with its oracle: a run that
-ends Stuck or BudgetExhausted prints ``agree=-`` and counts as a failure.
+verdict, whether the two agree, the step count and the wall time.  The
+oracle verdict is the command line's ``--oracle`` report: an infinite
+expected reward refutes every finite threshold, and an oracle that does not
+converge is undecided (None).  Exits nonzero unless every run decides and
+agrees with its oracle: a run that ends Stuck or BudgetExhausted, or whose
+oracle is undecided, prints ``agree=-`` and counts as a failure.
 
 Usage: python scripts/run_corpus.py [--models DIR] [--budget N]
 """
@@ -14,7 +17,7 @@ import pathlib
 import sys
 import time
 
-from ltpdr.cli import KINDS, _positive_int, instance
+from ltpdr.cli import KINDS, _oracle_report, _positive_int, instance
 from ltpdr.engine import Verdict, solve
 
 # (file suffix, label, command-line kind, engine), in the order printed.
@@ -39,13 +42,13 @@ def main(argv=None) -> int:
             continue
         parse, _build, oracle = KINDS[runs[0][2]]
         model = parse(path.read_text())
-        expected = oracle(model).verdict
+        expected = _oracle_report(oracle, model)["safe"]
         for _suffix, name, kind, engine in runs:
             t0 = time.perf_counter()
             ans = solve(*instance(kind, engine, model), budget=args.budget)
             dt = time.perf_counter() - t0
             agree = "-"
-            if ans.verdict in (Verdict.TRUE, Verdict.FALSE):
+            if ans.verdict in (Verdict.TRUE, Verdict.FALSE) and expected is not None:
                 agree = str((ans.verdict is Verdict.TRUE) == expected)
             if agree != "True":
                 failures += 1

@@ -71,8 +71,8 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Parsing.
 
-# Far above any model the solvers finish on, and low enough that a hostile
-# count cannot make ``parse_mdp`` allocate a huge states x actions table.
+# Far above any model the solvers finish on.  The parsers allocate one slot
+# per counted state up front, and the rest only as transition lines come.
 MAX_STATES = 100_000
 MAX_ACTIONS = 100
 
@@ -123,6 +123,11 @@ class _Lines:
         if n > cap:
             raise ParseError(no, f"{what} {n} exceeds the limit {cap}")
         return n
+
+    def covered(self, table: list, what: str) -> None:
+        """Reject, at the last line, the first state left None in ``table``."""
+        if None in table:
+            raise ParseError(self.rows[-1][0], f"state {table.index(None)} has {what}")
 
 
 def _int(tok: str, no: int, what: str) -> int:
@@ -230,7 +235,7 @@ def parse_mdp(text: str) -> mdp_mod.MDPModel:
         raise ParseError(no, "threshold must lie in [0, 1]")
     safe = _state_set(rd, n)
 
-    table: list[list] = [[None] * m for _ in range(n)]
+    table: list = [None] * n  # a state's action row, made on its first line
     for no, (s, a), entries in _transitions(rd, n, "s a -> t:p ...", m):
         dist = []
         for tok in entries:
@@ -238,7 +243,10 @@ def parse_mdp(text: str) -> mdp_mod.MDPModel:
                 raise ParseError(no, f"bad transition entry {tok!r}")
             t_tok, p_tok = tok.rsplit(":", 1)
             dist.append((_state(t_tok, n, no), _number(p_tok, no, "probability")))
+        if table[s] is None:
+            table[s] = [None] * m
         table[s][a] = tuple(dist)
+    rd.covered(table, "no available action")
 
     return mdp_mod.MDPModel(n, m, tuple(tuple(row) for row in table),
                             s0, lam, safe)
@@ -273,10 +281,7 @@ def parse_mrm(text: str) -> mrm_mod.MRMModel:
             dist.append(((c, _state(t_tok, n, no)),
                          _number(p_tok, no, "probability")))
         table[s] = tuple(dist)
-    for s in range(n):
-        if table[s] is None:
-            last = rd.rows[-1][0] if rd.rows else 1
-            raise ParseError(last, f"state {s} has no distribution")
+    rd.covered(table, "no distribution")
 
     return mrm_mod.MRMModel(n, tuple(table), s0, lam, safe)
 

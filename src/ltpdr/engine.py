@@ -7,8 +7,8 @@ Two engines share the rule vocabulary:
   Candidate, Model, Decide, Conflict);
 * ``run_negative`` -- the Kleene iterates ``F^i(bot)`` as frames, then
   obligations (Candidate, Decide, Model) below them; can answer False, get
-  Stuck, or exhaust its budget, never True.  It makes the combined engine's
-  frames and choices on a false instance.
+  Stuck, or exhaust its budget, never True.  On a false instance it ends
+  with the combined engine's frames and counterexample.
 
 The positive engine (Valid, Unfold, Induction; never False) is
 ``run_combined`` with no Candidate, which alone starts an obligation, and no
@@ -559,8 +559,9 @@ def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     and the run is Stuck.  Then Candidate picks ``C_n`` below ``F^n(bot)``,
     Decide at ``i`` picks ``C_{i-1}`` by ``choose_decide(F^{i-1}(bot), C_i,
     F^i(bot))``, whose guard ``C_i <= F^i(bot)`` always holds, and Model
-    closes the chain at index 1.  These are the frames and choices of
-    ``run_combined`` on a false instance; a rule with no choice is Stuck.
+    closes the chain at index 1.  It ends with ``run_combined``'s frames and
+    counterexample on a false instance, where a refuted Kripke Candidate can
+    add choices; a rule with no choice is Stuck.
     Debug mode re-checks, at one ``F`` call a step, the last iterate pair
     and the head's admissibility and link, and the whole chain at the end.
     """

@@ -142,7 +142,7 @@ def optimistic_induction(F: Transformer, alpha, s0: int):
         n = len(xs)
         if n < seen:  # chains only grow: this is a new solve
             seen, last = 0, None
-        if xs[-1] is not top or n <= seen:
+        if xs[-1] != top or n <= seen:
             return None
         seen = n
         if xs[-2] == last:
@@ -264,16 +264,12 @@ def _expectation(action, d) -> float:
 def bellman(M: PointwiseModel) -> Transformer:
     """The Bellman operator of ``M``'s rows: ``M.OFF`` where the row is
     None, else the largest ``_expectation`` of the actions, the first on
-    ties, inlined so that an action costs no call.  Like ``kripke._image``
-    it keeps its last argument and image, so Decide's re-check of the
-    element ``decide_lp`` has just imaged is free."""
+    ties, inlined so that an action costs no call.  It keeps no state
+    between calls; the engine reuses the image of a frame it has already
+    imaged."""
     rows, off = M.rows, M.OFF
-    last = image = None
 
     def fn(d):
-        nonlocal last, image
-        if d is last:
-            return image
         out = []
         for row in rows:
             if row is None:
@@ -287,8 +283,7 @@ def bellman(M: PointwiseModel) -> Transformer:
                 if best is None or v > best:
                     best = v
             out.append(best)
-        last, image = d, tuple(out)
-        return image
+        return tuple(out)
 
     return Transformer(M.lattice(), fn)
 
@@ -408,9 +403,7 @@ def pointwise_bundle(M, F: Transformer, cost) -> HeuristicsBundle:
     """The choices of the MDP and reward instances: Candidate
     ``heuristic_candidate_mdp``, Decide ``decide_lp`` at the instance's
     ``cost``, Induction ``optimistic_induction``; Conflict
-    is the engine's canonical choice ``x := F(X_{i-1})``.  ``F`` must be the
-    transformer the engine runs with: the proposer knows the chain's
-    ``top`` by identity."""
+    is the engine's canonical choice ``x := F(X_{i-1})``."""
     def decide(x_prev, head, fx):
         return decide_lp(M, F, x_prev, head, cost)
 

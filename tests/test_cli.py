@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -99,6 +100,22 @@ class TestParseMdp:
     def test_threshold_outside_unit_interval(self):
         with pytest.raises(ParseError):
             parse_mdp(self.SRC.replace("lambda 0.6", "lambda 1.5"))
+
+    def test_hostile_header_allocates_no_table(self):
+        # A header alone must not make the parser allocate a states x
+        # actions table, and the state left without a line is named at the
+        # last line.
+        text = ("states 100000\nactions 100\ninit 0\nlambda 0.5\nsafe 0\n"
+                "trans\n0 0 -> 0:1\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as exc:
+                parse_mdp(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "line 7: state 1 has no available action"
+        assert peak < 5_000_000
 
 
 class TestParseMrm:
@@ -330,6 +347,17 @@ class TestRunner:
         assert oracle == {"name": "vi_max_reach", "safe": None,
                           "reason": "no convergence within 1000 iterations"}
 
+    @pytest.mark.parametrize("lam, code", [("5", 10), ("inf", 0)])
+    def test_oracle_on_an_infinite_reward(self, lam, code, tmp_path, capsys):
+        # State 0 pays 1 and returns forever: the oracle diverges, which
+        # refutes every finite threshold and agrees with lambda inf.
+        path = tmp_path / "loop.mrm"
+        path.write_text(f"states 2\ninit 0\nlambda {lam}\nsafe 0\ntrans\n"
+                        "0 -> (1,0):1\n1 -> (0,1):1\n")
+        assert main(["mrm", str(path), "--oracle", "--json"]) == code
+        assert json.loads(capsys.readouterr().out)["oracle"] == {
+            "name": "vi_expected_reward", "safe": lam == "inf", "value": "inf"}
+
     def test_positive_engine_on_mdp(self):
         assert main(["mdp", model_path("m1.mdp"), "--engine", "positive",
                      "--budget", "500"]) == 0
@@ -371,7 +399,7 @@ BIG = "9" * 400
     # Parsed as an int, the reward overflowed on the first F call.
     ("mrm", f"states 2\ninit 0\nlambda 1\nsafe 0\ntrans\n0 -> ({BIG},1):1\n"
             "1 -> (0,1):1\n", "too large"),
-    # Rejected before parse_mdp allocates its states x actions table.
+    # Rejected before parse_mdp allocates a slot per state.
     ("mdp", f"states {BIG}\nactions 1\ninit 0\nlambda 0.5\nsafe 0\ntrans\n",
      "exceeds the limit"),
     ("mdp", f"states 1\nactions {BIG}\ninit 0\nlambda 0.5\nsafe 0\ntrans\n",

@@ -356,10 +356,10 @@ class TestConflictLemma:
         # times, where Candidate would have been refuted, and re-imaging it
         # would make 21 and 12 calls.  A repeat, the same object imaged
         # twice in a row, is Decide's re-check of the element decide_lp has
-        # just imaged; the transformer returns its last image for it.  The
-        # grid's first three Decides are slack and run the program, which
-        # images its solution; the last is tight, so decide_lp returns the
-        # frame restricted to its support without imaging it, and the
+        # just imaged; the transformer keeps no memo, so it images it again.
+        # The grid's first three Decides are slack and run the program,
+        # which images its solution; the last is tight, so decide_lp returns
+        # the frame restricted to its support without imaging it, and the
         # engine's re-check is that element's only image.
         calls = _count_images(monkeypatch)
         solve(_model_instance(name))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ltpdr.engine import Verdict, run_combined, solve
-from ltpdr.mdp import max_reach, optimistic_induction
+from ltpdr.mdp import bellman, max_reach, mdp_bundle, optimistic_induction
 from ltpdr.mrm import MRMModel, expected_reward, mrm_heuristics, reward_bellman
 from ltpdr.oracles import NoConvergence, vi_expected_reward, vi_max_reach
 from util import random_mdp, random_mrm
@@ -168,6 +168,36 @@ def test_a_reused_bundle_proposes_on_the_next_solve():
     # alone close the run only at 2.0, after 54 Inductions and 56 frames.
     assert second.stats.rule_counts["induction"] == 3
     assert second.stats.frame_count == 5
+
+
+def test_a_bundle_on_an_equal_transformer_proposes():
+    # The proposer finds the chain's top by value, so a bundle built on a
+    # second transformer of the same model closes the run of the test above
+    # as the engine's own does, not after 54 canonical Inductions.
+    M = MRMModel(2, ((((1, 0), 0.5), ((1, 1), 0.5)), (((0, 1), 1.0),)), 0, 2.5,
+                 frozenset({0}))
+    ans = run_combined(reward_bellman(M), M.bound(),
+                       mrm_heuristics(M, reward_bellman(M)))
+    assert ans.verdict is Verdict.TRUE
+    assert (ans.stats.steps, ans.stats.frame_count) == (7, 5)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_second_transformer_makes_the_same_search(kind):
+    bundle = {"mdp": mdp_bundle, "mrm": mrm_heuristics}[kind]
+    build, sides = KINDS[kind][2], KINDS[kind][3:]
+    proved = 0
+    for i, M, value in valued_draws(kind, 60):
+        for side in sides:
+            model = dataclasses.replace(M, threshold=side(value))
+            inst = build(model)
+            own = run_combined(inst.F, inst.alpha, inst.bundle, budget=2000)
+            other = run_combined(inst.F, inst.alpha,
+                                 bundle(model, bellman(model)), budget=2000)
+            assert (other.verdict, other.stats.steps, other.stats.rule_counts) == (
+                own.verdict, own.stats.steps, own.stats.rule_counts), i
+            proved += own.verdict is Verdict.TRUE
+    assert proved
 
 
 def test_a_repair_round_completes_the_guess():

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from ltpdr.engine import Verdict
+from ltpdr.oracles import vi_expected_reward
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -46,6 +47,29 @@ def test_random_differential_is_clean(capsys):
     assert digests == [
         "answers_sha256=e7924acd930d76df2fdd598abb5b132f77f942f41df48d9bfed2b6622d97f2b3",
         "search_sha256=872b32986efb06a5e771193466c9939f2bf83ce3546e03a041192999f7b6ad42"]
+
+
+# The expected reward is infinite: state 0 pays 1 and returns forever.
+LOOP_MRM = ("states 2\ninit 0\nlambda 5\nsafe 0\ntrans\n"
+            "0 -> (1,0):1\n1 -> (0,1):1\n")
+
+
+def test_run_corpus_refutes_an_infinite_reward(tmp_path, capsys):
+    # The oracle reads Diverged; the verdict it stands for is False.
+    (tmp_path / "loop.mrm").write_text(LOOP_MRM)
+    assert load("run_corpus").main(["--models", str(tmp_path)]) == 0
+    line, = capsys.readouterr().out.splitlines()
+    assert "oracle=False " in line and " agree=True " in line
+
+
+def test_run_corpus_fails_on_an_undecided_oracle(tmp_path, monkeypatch, capsys):
+    # Capped at one sweep, value iteration does not converge; the run is
+    # decided but cannot be judged, and no traceback ends the script.
+    (tmp_path / "loop.mrm").write_text(LOOP_MRM.replace("lambda 5", "lambda inf"))
+    monkeypatch.setattr(vi_expected_reward, "__defaults__", (1e-12, 1))
+    assert load("run_corpus").main(["--models", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert "oracle=None " in out and " agree=- " in out and "undecided" in err
 
 
 def test_true_summary_counts_answers_with_an_induction_step():
