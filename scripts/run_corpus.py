@@ -7,7 +7,9 @@ oracle verdict is the command line's ``--oracle`` report: an infinite
 expected reward refutes every finite threshold, and an oracle that does not
 converge is undecided (None).  Exits nonzero unless every run decides and
 agrees with its oracle: a run that ends Stuck or BudgetExhausted, or whose
-oracle is undecided, prints ``agree=-`` and counts as a failure.
+oracle is undecided, prints ``agree=-`` and counts as a failure.  A file the
+parser rejects prints ``<file> error: <message>`` in place of its runs and
+counts as one failure, as the command line exits 1 on it.
 
 Usage: python scripts/run_corpus.py [--models DIR] [--budget N]
 """
@@ -17,7 +19,7 @@ import pathlib
 import sys
 import time
 
-from ltpdr.cli import KINDS, _oracle_report, _positive_int, instance
+from ltpdr.cli import KINDS, ParseError, _oracle_report, _positive_int, instance
 from ltpdr.engine import Verdict, solve
 
 # (file suffix, label, command-line kind, engine), in the order printed.
@@ -41,7 +43,12 @@ def main(argv=None) -> int:
         if not runs:
             continue
         parse, _build, oracle = KINDS[runs[0][2]]
-        model = parse(path.read_text())
+        try:
+            model = parse(path.read_text())
+        except (ParseError, ValueError) as exc:
+            failures += 1
+            print(f"{path.name} error: {exc}")
+            continue
         expected = _oracle_report(oracle, model)["safe"]
         for _suffix, name, kind, engine in runs:
             t0 = time.perf_counter()
@@ -56,8 +63,8 @@ def main(argv=None) -> int:
                   f"oracle={expected!s:8s} agree={agree:5s} "
                   f"steps={ans.stats.steps:6d} t={dt:.3f}s")
     if failures:
-        print(f"{failures} run(s) undecided or disagreeing with the oracle",
-              file=sys.stderr)
+        print(f"{failures} file(s) unparsed or run(s) undecided or "
+              "disagreeing with the oracle", file=sys.stderr)
     return 1 if failures else 0
 
 

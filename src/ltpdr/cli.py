@@ -33,10 +33,13 @@ lines are ignored):
 The three parsers share one line reader, ``_Lines``, which also reads the
 header lines; state counts are capped at ``MAX_STATES`` and action counts
 at ``MAX_ACTIONS``.  ``.kr`` transitions are converted and range-checked
-in bulk, and read line by line only to name a bad line.  ``KINDS`` maps
-each command-line kind to its parser, its ``Instance`` builder and its
-oracle; ``run_cli`` solves the instance with ``engine.solve``, and
-``scripts/run_corpus.py`` reads the same table.
+in bulk, ``.mdp`` and ``.mrm`` ones decoded inline line by line, and the
+ranges of their targets, rewards and probabilities are left to the model
+constructors, which check models built in code too.  Only when that fails
+are the lines read again with every check, to name the first bad line.
+``KINDS`` maps each command-line kind to its parser, its ``Instance``
+builder and its oracle; ``run_cli`` solves the instance with
+``engine.solve``, and ``scripts/run_corpus.py`` reads the same table.
 
 Exit codes: 0 verdict True; 10 verdict False; 2 BudgetExhausted or Stuck;
 3 witness-validation or oracle mismatch; 1 parse or I/O error (a model the
@@ -45,8 +48,6 @@ parsers reject never ends in a traceback).
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
 from itertools import chain
@@ -159,14 +160,14 @@ def _state_set(rd: _Lines, n: int) -> frozenset:
     return frozenset(_state(tok, n, no) for tok in toks[1:])
 
 
-def _src_dst_pairs(rows, n: int) -> frozenset:
+def _src_dst_pairs(rows, n: int, checked: bool = False) -> frozenset:
     """The ``.kr`` transition lines ``rows`` as ``(src, dst)`` pairs: one
     ``map(int, ...)`` and ``min``/``max`` check all ends, and a pass line by
-    line runs only to raise the first bad line's error."""
+    line (alone when ``checked``) runs only to name the first bad line."""
     lines = list(map(itemgetter(1), rows))
     try:
         ends = list(map(int, chain.from_iterable(lines)))
-        if (set(map(len, lines)) <= {2}
+        if (not checked and set(map(len, lines)) <= {2}
                 and (not ends or 0 <= min(ends) and max(ends) < n)):
             ends = iter(ends)
             return frozenset(zip(ends, ends))
@@ -180,25 +181,99 @@ def _src_dst_pairs(rows, n: int) -> frozenset:
     return frozenset(transitions)
 
 
-def _transitions(rd: _Lines, n: int, shape: str, m: int = 0):
-    """The transition lines after ``trans``, ``s -> entry ...``, or ``s a ->
-    entry ...`` for a model with ``m`` actions, as ``(line number, key,
-    entry tokens)`` with ``key`` the state or ``(s, a)``; no key may appear
-    twice."""
-    arrow, seen = (2 if m else 1), set()
-    for no, toks in rd.section("trans"):
-        if len(toks) < arrow + 2 or toks[arrow] != "->":
-            raise ParseError(no, f"transition lines are '{shape}'")
-        key = s = _state(toks[0], n, no)
-        if m:
-            key = (s, _int(toks[1], no, "action index"))
-            if not 0 <= key[1] < m:
-                raise ParseError(no, f"action index {key[1]} out of range (actions {m})")
-        if key in seen:
-            raise ParseError(no, f"duplicate distribution for state {s}"
-                             + (f" action {key[1]}" if m else ""))
-        seen.add(key)
-        yield no, key, toks[arrow + 1:]
+def _decoded(rd: _Lines, read, build, *args):
+    """``build(read(rd, rows, *args))`` of the ``trans`` section ``rows``,
+    decoded inline, every range but the key's left to the constructor.  If
+    either raises, ``read(..., checked=True)`` checks every token: it raises
+    the first bad line's error, reads fractions, or ``build`` raises again."""
+    rows = rd.section("trans")
+    try:
+        return build(read(rd, rows, *args))
+    except (ParseError, ValueError, IndexError):
+        pass
+    return build(read(rd, rows, *args, checked=True))
+
+
+def _key(toks: list, n: int, no: int, shape: str, m: int, table: list):
+    """The checked ``(s, a)``, ``a`` None without actions, of a new line."""
+    arrow = 2 if m else 1
+    if len(toks) < arrow + 2 or toks[arrow] != "->":
+        raise ParseError(no, f"transition lines are '{shape}'")
+    s, a = _state(toks[0], n, no), None
+    if m:
+        a = _int(toks[1], no, "action index")
+        if not 0 <= a < m:
+            raise ParseError(no, f"action index {a} out of range (actions {m})")
+    if table[s] is not None and (not m or table[s][a] is not None):
+        raise ParseError(no, f"duplicate distribution for state {s}"
+                         + (f" action {a}" if m else ""))
+    return s, a
+
+
+def _mdp_entry(tok: str, n: int, no: int) -> tuple:
+    if ":" not in tok:
+        raise ParseError(no, f"bad transition entry {tok!r}")
+    t_tok, _, p_tok = tok.rpartition(":")
+    return _state(t_tok, n, no), _number(p_tok, no, "probability")
+
+
+def _mrm_entry(tok: str, n: int, no: int) -> tuple:
+    pair_tok, _, p_tok = tok.rpartition(":")
+    if not (pair_tok.startswith("(") and pair_tok.endswith(")") and "," in pair_tok):
+        raise ParseError(no, f"bad transition entry {tok!r}")
+    c_tok, t_tok = pair_tok[1:-1].split(",", 1)
+    c = _int(c_tok, no, "reward")
+    if c < 0:
+        raise ParseError(no, "rewards must be nonnegative integers")
+    if c > sys.float_info.max:
+        raise ParseError(no, f"reward {c_tok} is too large")
+    return (c, _state(t_tok, n, no)), _number(p_tok, no, "probability")
+
+
+def _mdp_delta(rd, rows, n: int, m: int, checked: bool = False) -> tuple:
+    """``.mdp`` lines ``s a -> t:p ...`` as ``MDPModel.delta``; see ``_decoded``."""
+    table: list = [None] * n  # a state's action row, made on its first line
+    for no, toks in rows:
+        if checked:
+            s, a = _key(toks, n, no, "s a -> t:p ...", m, table)
+            dist = [_mdp_entry(tok, n, no) for tok in toks[3:]]
+        else:
+            s, a = int(toks[0]), int(toks[1])
+            if (toks[2] != "->" or not (0 <= s < n and 0 <= a < m)
+                    or table[s] is not None and table[s][a] is not None):
+                raise ValueError(f"line {no}")
+            dist = []
+            for tok in toks[3:]:
+                t, _, p = tok.rpartition(":")
+                dist.append((int(t), float(p)))
+        if table[s] is None:
+            table[s] = [None] * m
+        table[s][a] = tuple(dist)
+    rd.covered(table, "no available action")
+    return tuple(map(tuple, table))
+
+
+def _mrm_delta(rd, rows, n: int, checked: bool = False) -> tuple:
+    """``.mrm`` lines ``s -> (c,t):p ...`` as ``MRMModel.delta``; see ``_decoded``."""
+    table: list = [None] * n
+    for no, toks in rows:
+        if checked:
+            s = _key(toks, n, no, "s -> (c,t):p ...", 0, table)[0]
+            dist = [_mrm_entry(tok, n, no) for tok in toks[2:]]
+        else:
+            s = int(toks[0])
+            if toks[1] != "->" or not 0 <= s < n or table[s] is not None:
+                raise ValueError(f"line {no}")
+            dist = []
+            for tok in toks[2:]:
+                pair, _, p = tok.rpartition(":")
+                if pair[0] != "(" or pair[-1] != ")":
+                    raise ValueError(f"line {no}")
+                c, _, t = pair[1:-1].partition(",")
+                dist.append(((int(c), int(t)), float(p)))
+        table[s] = tuple(dist)
+    rd.covered(table, "no distribution")
+    return tuple(table)
 
 
 def parse_kripke(text: str) -> kr.KripkeStructure:
@@ -234,22 +309,8 @@ def parse_mdp(text: str) -> mdp_mod.MDPModel:
     if not 0.0 <= lam <= 1.0:
         raise ParseError(no, "threshold must lie in [0, 1]")
     safe = _state_set(rd, n)
-
-    table: list = [None] * n  # a state's action row, made on its first line
-    for no, (s, a), entries in _transitions(rd, n, "s a -> t:p ...", m):
-        dist = []
-        for tok in entries:
-            if ":" not in tok:
-                raise ParseError(no, f"bad transition entry {tok!r}")
-            t_tok, p_tok = tok.rsplit(":", 1)
-            dist.append((_state(t_tok, n, no), _number(p_tok, no, "probability")))
-        if table[s] is None:
-            table[s] = [None] * m
-        table[s][a] = tuple(dist)
-    rd.covered(table, "no available action")
-
-    return mdp_mod.MDPModel(n, m, tuple(tuple(row) for row in table),
-                            s0, lam, safe)
+    return _decoded(rd, _mdp_delta, lambda delta: mdp_mod.MDPModel(
+        n, m, delta, s0, lam, safe), n, m)
 
 
 def parse_mrm(text: str) -> mrm_mod.MRMModel:
@@ -262,43 +323,16 @@ def parse_mrm(text: str) -> mrm_mod.MRMModel:
     if not lam >= 0:  # NaN compares false both ways
         raise ParseError(no, "threshold must be nonnegative")
     safe = _state_set(rd, n)
-
-    table: list = [None] * n
-    for no, s, entries in _transitions(rd, n, "s -> (c,t):p ..."):
-        dist = []
-        for tok in entries:
-            if ":" not in tok or not tok.startswith("("):
-                raise ParseError(no, f"bad transition entry {tok!r}")
-            pair_tok, p_tok = tok.rsplit(":", 1)
-            if not pair_tok.endswith(")") or "," not in pair_tok:
-                raise ParseError(no, f"bad transition entry {tok!r}")
-            c_tok, t_tok = pair_tok[1:-1].split(",", 1)
-            c = _int(c_tok, no, "reward")
-            if c < 0:
-                raise ParseError(no, "rewards must be nonnegative integers")
-            if c > sys.float_info.max:
-                raise ParseError(no, f"reward {c_tok} is too large")
-            dist.append(((c, _state(t_tok, n, no)),
-                         _number(p_tok, no, "probability")))
-        table[s] = tuple(dist)
-    rd.covered(table, "no distribution")
-
-    return mrm_mod.MRMModel(n, tuple(table), s0, lam, safe)
+    return _decoded(rd, _mrm_delta, lambda delta: mrm_mod.MRMModel(
+        n, delta, s0, lam, safe), n)
 
 
 # ---------------------------------------------------------------------------
 # Serialization (round-trips through the parsers above).
 
 
-def _mask_states(mask: int):
-    out = []
-    s = 0
-    while mask:
-        if mask & 1:
-            out.append(s)
-        mask >>= 1
-        s += 1
-    return out
+def _mask_states(mask: int) -> list:
+    return [s for s in range(mask.bit_length()) if mask >> s & 1]
 
 
 def serialize_kripke(K: kr.KripkeStructure) -> str:
@@ -390,6 +424,7 @@ def instance(kind: str, engine: str, model) -> tuple[Instance, str]:
 
 def run_cli(req: argparse.Namespace) -> int:
     """Run the request ``main`` parsed and report; returns the exit code."""
+    import json  # here and below, so that importing the parsers costs less
     try:
         with open(req.model, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -455,6 +490,7 @@ def run_cli(req: argparse.Namespace) -> int:
 
 def _positive_int(tok: str) -> int:
     """The type of ``--budget``: an integer of at least 1."""
+    import argparse
     try:
         if int(tok) >= 1:
             return int(tok)
@@ -464,6 +500,7 @@ def _positive_int(tok: str) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse
     ap = argparse.ArgumentParser(
         prog="ltpdr",
         description="Property-directed reachability over complete lattices: "

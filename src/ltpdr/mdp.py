@@ -59,6 +59,7 @@ from .simplex import Infeasible, simplex_min
 
 _CAP = 1e9  # replaces infinite frame entries as an LP bound
 _SNAP = 1e-9
+_PROBABILITY = operator.itemgetter(1)  # of a model's distribution entry
 
 
 class PointwiseLattice(Lattice):
@@ -228,12 +229,12 @@ class MDPModel(PointwiseModel):
         for s, row in enumerate(self.delta):
             if len(row) != self.action_count:
                 raise ValueError("delta must cover every action")
-            if all(dist is None for dist in row):
+            if row.count(None) == len(row):
                 raise ValueError(f"state {s} has no available action")
             for a, dist in enumerate(row):
                 if dist is None:
                     continue
-                total = sum(p for _, p in dist)
+                total = sum(map(_PROBABILITY, dist))
                 if not abs(total - 1.0) <= 1e-9:  # NaN fails too
                     raise ValueError(
                         f"distribution at state {s} action {a} sums to {total}")
@@ -247,10 +248,10 @@ class MDPModel(PointwiseModel):
     def rows(self) -> tuple:
         """The row view of ``bellman``.  A ``p = 0`` entry added ``+0.0`` to
         a finite value, so dropping it changes no bit."""
-        return tuple(None if s not in self.safe else tuple(
-            tuple((0.0, t, p) for t, p in dist if p > 0)
-            for dist in row if dist is not None)
-            for s, row in enumerate(self.delta))
+        return tuple([None if s not in self.safe else tuple([
+            tuple([(0.0, t, p) for t, p in dist if p > 0])
+            for dist in row if dist is not None])
+            for s, row in enumerate(self.delta)])
 
 
 def _expectation(action, d) -> float:

@@ -36,7 +36,7 @@ from .engine import (
     Transformer,
     run_combined,
 )
-from .mdp import PointwiseModel, bellman, pointwise_bundle
+from .mdp import _PROBABILITY, PointwiseModel, bellman, pointwise_bundle
 # ``mdp.decide_lp`` solves the reward Decide programs too, so
 # ``simplex_min`` is not called here; ``perfbench/spans.py`` wraps
 # ``mrm.simplex_min`` and needs the name.
@@ -64,7 +64,7 @@ class MRMModel(PointwiseModel):
         if len(self.delta) != n:
             raise ValueError("delta must cover every state")
         for s, dist in enumerate(self.delta):
-            total = sum(p for _, p in dist)
+            total = sum(map(_PROBABILITY, dist))
             if not abs(total - 1.0) <= 1e-9:  # NaN fails too
                 raise ValueError(f"distribution at state {s} sums to {total}")
             for (c, t), p in dist:
@@ -78,9 +78,9 @@ class MRMModel(PointwiseModel):
     @cached_property
     def rows(self) -> tuple:
         """The row view of ``mdp.bellman``: one action."""
-        return tuple(None if s not in self.safe else (
-            tuple((c, t, p) for (c, t), p in dist if p > 0),)
-            for s, dist in enumerate(self.delta))
+        return tuple([None if s not in self.safe else (
+            tuple([(c, t, p) for (c, t), p in dist if p > 0]),)
+            for s, dist in enumerate(self.delta)])
 
 
 reward_bellman = bellman

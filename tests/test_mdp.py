@@ -293,13 +293,15 @@ def _tight_program(M, X_prev, C):
     ``sum p_t x_t >= C(s) - r`` per supported state from its first
     dominating action, and the box ``0 <= x_t <= min(X_prev(t), 1e9)``.
     Also the support, and whether every row's action meets ``C(s)``
-    exactly at ``X_prev``."""
+    exactly at ``X_prev``.  Expectations are summed by ``mdp._expectation``,
+    left to right as the kernel sums them, so that a tight action reads as
+    tight whatever the float ``sum`` of the Python version does."""
     support, supports, tight = [], [], True
     for s in sorted(M.safe):
         if C[s] > 0.0:
             action = next(a for a in M.rows[s]
-                          if C[s] <= sum(p * (r + X_prev[t]) for r, t, p in a))
-            tight = tight and C[s] == sum(p * (r + X_prev[t]) for r, t, p in action)
+                          if C[s] <= mdp._expectation(a, X_prev))
+            tight = tight and C[s] == mdp._expectation(action, X_prev)
             supports.append((s, action))
             support += [t for _r, t, _p in action if t not in support]
     rows = []

@@ -1,0 +1,129 @@
+"""The parsers' inline decode against their checked line-by-line read.
+
+``.mdp`` and ``.mrm`` transition lines are decoded inline and ``.kr`` ones in
+bulk, and only a failure reads them again token by token to name the bad
+line.  Each example takes a file in ``models/`` or the serialized form of
+one (which holds no fractions), may write one of its lines twice, mutates
+it as the fuzz test does, and parses it twice: as the parsers run, and with
+the transition reader forced onto its checked read.  Both must give an
+equal model, or raise the same exception type with the same message.
+"""
+
+import functools
+import os
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import MODELS_DIR
+from ltpdr import cli
+from test_parser_fuzz import MODELS, TOKENS, mutate
+
+# The fuzz test's tokens, plus entries that the inline decode accepts in
+# form but the model rejects or the checked read must name.
+ENTRY_TOKENS = TOKENS + ["(-1,0):1", "(0,-1):1", "(0,5):1", "1:-0.5", "-1:1",
+                         "5:1", "0:1/2", "0:1:1", "(0,1,2):1", "(0,1)", "x(0,1):1",
+                         "(0,1)x:1", "10,11:1", "[0,1]:1", "1_0", "0:nan",
+                         "(0,0):inf"]
+
+mutation = st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                     st.integers(0, 10**6), st.sampled_from(ENTRY_TOKENS))
+
+
+def with_copied_line(text: str, where) -> str:
+    """``text`` with line ``where`` (mod the line count) written twice, as a
+    duplicate transition line, or as is for None."""
+    lines = text.splitlines()
+    if where is not None:
+        lines.insert(where % len(lines), lines[where % len(lines)])
+    return "\n".join(lines) + "\n"
+
+
+PARSERS = {".kr": (cli.parse_kripke, "_src_dst_pairs"),
+           ".mdp": (cli.parse_mdp, "_mdp_delta"),
+           ".mrm": (cli.parse_mrm, "_mrm_delta")}
+SERIALIZE = {".mdp": cli.serialize_mdp, ".mrm": cli.serialize_mrm}
+
+
+def _texts():
+    """(extension, text) of every corpus file and serialized model."""
+    for name in MODELS:
+        ext = os.path.splitext(name)[1]
+        with open(os.path.join(MODELS_DIR, name)) as fh:
+            text = fh.read()
+        yield ext, text
+        if ext in SERIALIZE:
+            yield ext, SERIALIZE[ext](PARSERS[ext][0](text))
+
+
+TEXTS = list(_texts())
+
+
+def outcome(parse, text):
+    """The model ``parse`` reads from ``text``, or its exception's type and
+    message."""
+    try:
+        return parse(text)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+def both_reads(ext: str, text: str) -> tuple:
+    """The outcome of parsing ``text`` as the parsers run, and with the
+    transition reader forced onto its checked read."""
+    parse, reader = PARSERS[ext]
+    checked = functools.partial(getattr(cli, reader), checked=True)
+    with mock.patch.object(cli, reader, checked):
+        expected = outcome(parse, text)
+    return outcome(parse, text), expected
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(TEXTS), st.none() | st.integers(0, 10**6),
+       st.lists(mutation, min_size=0, max_size=3))
+def test_inline_decode_matches_the_checked_read(source, copied, mutations):
+    ext, text = source
+    text = mutate(with_copied_line(text, copied), mutations)
+    fast, checked = both_reads(ext, text)
+    assert fast == checked, text
+
+
+MRM_HEAD = "states 2\ninit 0\nlambda 1\nsafe 0\ntrans\n"
+MDP_HEAD = "states 2\nactions 2\ninit 0\nlambda 1\nsafe 0\ntrans\n"
+
+
+@pytest.mark.parametrize("ext, text, error", [
+    # An entry whose outer characters are not parentheses.
+    (".mrm", MRM_HEAD + "0 -> (1,1):1\n1 -> 00,11:1\n",
+     "line 7: bad transition entry '00,11:1'"),
+    # A duplicate key in a model that is otherwise whole.
+    (".mdp", MDP_HEAD + "0 0 -> 0:1\n1 0 -> 1:1\n0 0 -> 1:1\n",
+     "line 9: duplicate distribution for state 0 action 0"),
+    (".mrm", MRM_HEAD + "0 -> (1,1):1\n1 -> (0,1):1\n0 -> (1,1):1\n",
+     "line 8: duplicate distribution for state 0"),
+    # A range only the model checks, before a token the decode cannot read.
+    (".mdp", MDP_HEAD + "0 0 -> 5:1\n1 0 -> x:1\n",
+     "line 7: state index 5 out of range (states 2)"),
+    (".mrm", MRM_HEAD + "0 -> (-1,1):1\n1 -> (0,1):1/0\n",
+     "line 6: rewards must be nonnegative integers"),
+], ids=["parentheses", "mdp-duplicate", "mrm-duplicate", "target-first",
+        "reward-first"])
+def test_both_reads_name_the_first_bad_line(ext, text, error):
+    assert both_reads(ext, text) == ((cli.ParseError, error),) * 2
+
+
+def test_texts_without_fractions_decode_inline_alone(monkeypatch):
+    # So the examples above compare two different reads.
+    def unchecked(read):
+        def only(*args, checked=False):
+            assert not checked, "the inline decode fell back"
+            return read(*args)
+        return only
+
+    for reader in ("_mdp_delta", "_mrm_delta"):
+        monkeypatch.setattr(cli, reader, unchecked(getattr(cli, reader)))
+    texts = [(ext, text) for ext, text in TEXTS if ext in SERIALIZE and "/" not in text]
+    assert len(texts) == 6  # both .mdp files, and all four serialized
+    for ext, text in texts:
+        PARSERS[ext][0](text)

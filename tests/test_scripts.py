@@ -72,6 +72,20 @@ def test_run_corpus_fails_on_an_undecided_oracle(tmp_path, monkeypatch, capsys):
     assert "oracle=None " in out and " agree=- " in out and "undecided" in err
 
 
+def test_run_corpus_counts_a_rejected_file_and_goes_on(tmp_path, capsys):
+    # State 1 has no transition line; the parser names the last line, the
+    # script counts the file as a failure, and the good model still runs.
+    (tmp_path / "bad.mdp").write_text("states 2\nactions 1\ninit 0\nlambda 0.5\n"
+                                      "safe 0\ntrans\n0 0 -> 0:1\n")
+    (tmp_path / "good.mrm").write_text(LOOP_MRM)
+    assert load("run_corpus").main(["--models", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    bad, good = out.splitlines()
+    assert bad == "bad.mdp error: line 7: state 1 has no available action"
+    assert good.startswith("good.mrm ") and " agree=True " in good
+    assert "1 file(s) unparsed" in err
+
+
 def test_true_summary_counts_answers_with_an_induction_step():
     def answer(verdict, steps, **rule_counts):
         return SimpleNamespace(verdict=verdict,
