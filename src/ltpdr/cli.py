@@ -32,11 +32,11 @@ lines are ignored):
 
 The three parsers share one line reader, ``_Lines``, which also reads the
 header lines; state counts are capped at ``MAX_STATES`` and action counts
-at ``MAX_ACTIONS``.  ``.kr`` transitions are converted and range-checked
-in bulk, ``.mdp`` and ``.mrm`` ones decoded inline line by line, and the
-ranges of their targets, rewards and probabilities are left to the model
-constructors, which check models built in code too.  Only when that fails
-are the lines read again with every check, to name the first bad line.
+at ``MAX_ACTIONS``.  ``.kr`` transitions are converted in bulk, ``.mdp``
+and ``.mrm`` ones decoded inline line by line, and the ranges of their
+states, rewards and probabilities are left to the model constructors,
+which check models built in code too.  Only when that fails are the lines
+read again with every check, to name the first bad line.
 ``KINDS`` maps each command-line kind to its parser, its ``Instance``
 builder and its oracle; ``run_cli`` solves the instance with
 ``engine.solve``, and ``scripts/run_corpus.py`` reads the same table.
@@ -160,19 +160,14 @@ def _state_set(rd: _Lines, n: int) -> frozenset:
     return frozenset(_state(tok, n, no) for tok in toks[1:])
 
 
-def _src_dst_pairs(rows, n: int, checked: bool = False) -> frozenset:
-    """The ``.kr`` transition lines ``rows`` as ``(src, dst)`` pairs: one
-    ``map(int, ...)`` and ``min``/``max`` check all ends, and a pass line by
-    line (alone when ``checked``) runs only to name the first bad line."""
-    lines = list(map(itemgetter(1), rows))
-    try:
-        ends = list(map(int, chain.from_iterable(lines)))
-        if (not checked and set(map(len, lines)) <= {2}
-                and (not ends or 0 <= min(ends) and max(ends) < n)):
-            ends = iter(ends)
-            return frozenset(zip(ends, ends))
-    except ValueError:
-        pass
+def _src_dst_pairs(rd, rows, n: int, checked: bool = False) -> frozenset:
+    """``.kr`` lines ``src dst`` as ``(src, dst)`` pairs; see ``_decoded``."""
+    if not checked:
+        lines = list(map(itemgetter(1), rows))
+        if not set(map(len, lines)) <= {2}:
+            raise ValueError("a line without two ends")
+        ends = iter(map(int, chain.from_iterable(lines)))
+        return frozenset(zip(ends, ends))
     transitions = set()
     for no, toks in rows:
         if len(toks) != 2:
@@ -294,8 +289,8 @@ def parse_kripke(text: str) -> kr.KripkeStructure:
     if toks[0] == "unsafe":
         safe = ((1 << n) - 1) & ~safe
 
-    return kr.KripkeStructure(n, _src_dst_pairs(rd.section("trans"), n),
-                              init, safe)
+    return _decoded(rd, _src_dst_pairs, lambda pairs: kr.KripkeStructure(
+        n, pairs, init, safe), n)
 
 
 def parse_mdp(text: str) -> mdp_mod.MDPModel:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional
 
 from .engine import (
@@ -234,7 +234,7 @@ class MDPModel(PointwiseModel):
             for a, dist in enumerate(row):
                 if dist is None:
                     continue
-                total = sum(map(_PROBABILITY, dist))
+                total = reduce(operator.add, map(_PROBABILITY, dist), 0.0)
                 if not abs(total - 1.0) <= 1e-9:  # NaN fails too
                     raise ValueError(
                         f"distribution at state {s} action {a} sums to {total}")
@@ -376,7 +376,7 @@ def decide_lp(M, F: Transformer, X_prev, C_head, cost):
         coeffs = [0.0] * n
         for _r, t, p in dist:
             coeffs[var_index[t]] += p
-        rows.append((coeffs, c - sum(p * r for r, _t, p in dist)))
+        rows.append((coeffs, c - reduce(operator.add, [p * r for r, _, p in dist], 0.0)))
     caps = [min(X_prev[t], _CAP) for t in var_states]
     try:
         xs = simplex_min([cost(X_prev[t]) for t in var_states], rows,

@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 
 from .engine import (
     HeuristicsBundle,
@@ -64,7 +65,7 @@ class MRMModel(PointwiseModel):
         if len(self.delta) != n:
             raise ValueError("delta must cover every state")
         for s, dist in enumerate(self.delta):
-            total = sum(map(_PROBABILITY, dist))
+            total = reduce(add, map(_PROBABILITY, dist), 0.0)
             if not abs(total - 1.0) <= 1e-9:  # NaN fails too
                 raise ValueError(f"distribution at state {s} sums to {total}")
             for (c, t), p in dist:

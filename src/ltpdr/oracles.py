@@ -3,13 +3,15 @@
 Nothing here calls the engines or any heuristic code.  Each value iteration
 builds its own row view of the safe states from the model fields (``delta``
 and ``safe``), never the solver's, and recomputes the expectations from it,
-so agreement with the solver is meaningful evidence.
+so agreement with the solver is meaningful evidence.  Expectations add left
+to right (``reduce``): ``sum`` compensates its rounding from Python 3.12 on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
 from operator import add, ge, gt, itemgetter, mul, sub
 from typing import Optional, Union
@@ -73,7 +75,7 @@ def vi_max_reach(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
         for s, actions in rows:
             best = 0.0
             for get, ps in actions:
-                v = sum(map(mul, ps, get(d)))  # sum of p * d[t]
+                v = reduce(add, map(mul, ps, get(d)), 0.0)  # sum of p * d[t]
                 if v > best:  # max(best, v): the first maximal action
                     best = v
             nd[s] = best
@@ -117,7 +119,7 @@ def vi_expected_reward(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
     for it in range(1, cap + 1):
         nd = [0.0] * n
         for s, get, cs, ps in rows:
-            nd[s] = sum(map(mul, ps, map(add, cs, get(d))))  # p * (c + d[t])
+            nd[s] = reduce(add, map(mul, ps, map(add, cs, get(d))), 0.0)  # p * (c + d[t])
         if any(map(gt, nd, repeat(1e12))):
             return OracleResult(verdict=DIVERGED, value=math.inf)
         delta = max(map(abs, map(sub, d, nd)))

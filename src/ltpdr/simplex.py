@@ -34,8 +34,9 @@ cost more than the arithmetic.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import chain
-from operator import mul
+from operator import add, mul
 
 TOL = 1e-9
 
@@ -85,7 +86,8 @@ def simplex_min(costs, constraints, bounds):
     for j in rays:
         d[j] = 0.0
     x0 = [l + u_j if up else l for l, u_j, up in zip(lo, u, upper)]
-    beta = [sum(map(mul, row, x0)) - b_i for row, b_i in zip(A, b)]  # basic values
+    # The basic values.
+    beta = [reduce(add, map(mul, row, x0), 0.0) - b_i for row, b_i in zip(A, b)]
     T = []
     for i, row in enumerate(A):
         T.append([-a for a in row] + [0.0] * m)

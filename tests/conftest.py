@@ -1,10 +1,19 @@
+import builtins
 import os
 
 import pytest
 
 from ltpdr.kripke import KripkeStructure
+from util import compensated_sum
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "models")
+
+# The command-line kinds and engines that run on each model-file suffix:
+# the golden rows and the parser fuzz test both run every pair.
+RUNS = {".kr": (("kripke-forward", "kripke-ibackward"),
+                ("combined", "positive", "negative", "opdual")),
+        ".mdp": (("mdp",), ("combined", "positive", "negative")),
+        ".mrm": (("mrm",), ("combined", "positive", "negative"))}
 
 
 def model_path(name: str) -> str:
@@ -16,3 +25,9 @@ def k1() -> KripkeStructure:
     """Three states, transitions 0->1, 1->1, 2->2, initial {0}, safe {0,1}."""
     return KripkeStructure(3, frozenset({(0, 1), (1, 1), (2, 2)}),
                            initial=0b001, safe=0b011)
+
+
+@pytest.fixture
+def compensated_builtin_sum(monkeypatch):
+    """``builtins.sum`` as Python 3.12 and later compute it, for the test."""
+    monkeypatch.setattr(builtins, "sum", compensated_sum)

@@ -14,21 +14,17 @@ import pathlib
 
 import pytest
 
+from conftest import RUNS
 from ltpdr.cli import main
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_cli.json"
 
-KINDS = {".kr": (("kripke-forward", "kripke-ibackward"),
-                 ("combined", "positive", "negative", "opdual")),
-         ".mdp": (("mdp",), ("combined", "positive", "negative")),
-         ".mrm": (("mrm",), ("combined", "positive", "negative"))}
-
 
 def runs():
     for path in sorted(MODELS.iterdir()):
-        if path.suffix in KINDS:
-            kinds, engines = KINDS[path.suffix]
+        if path.suffix in RUNS:
+            kinds, engines = RUNS[path.suffix]
             for kind in kinds:
                 for engine in engines:
                     yield f"{kind} {path.name} {engine}"

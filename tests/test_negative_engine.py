@@ -85,6 +85,14 @@ def test_negative_searches_are_pinned(family):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.usefixtures("compensated_builtin_sum")
+def test_negative_searches_are_pinned_under_a_compensated_sum(family):
+    # The thresholds derive from oracle values, which must not move with
+    # the interpreter's ``sum``.
+    test_negative_searches_are_pinned(family)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_refutation_is_the_combined_engines(family):
     # On a false instance the combined engine's frames are the iterates too,
     # and both engines make the bundle's choices below them.

@@ -7,6 +7,8 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
+from operator import add
 from types import SimpleNamespace
 
 import pytest
@@ -22,7 +24,7 @@ from ltpdr.oracles import (
     vi_expected_reward,
     vi_max_reach,
 )
-from util import random_mdp, random_mrm
+from util import compensated_sum, random_mdp, random_mrm
 
 # A leak that value iteration approaches by 1e-7 a step.
 LEAK = MDPModel(2, 1, ((((0, 0.9999999), (1, 0.0000001)),), (((1, 1.0),),)),
@@ -166,13 +168,30 @@ def test_oracle_values_are_pinned():
         else:
             lines.append(_oracle_outcome(vi_expected_reward, cli.parse_mrm(text)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    # Python 3.12's sum compensates its rounding errors, so the last bits,
-    # and the pin, depend on which sum runs.
+    assert digest == "27883103e47205a0d400c9a3c84940b1ac4d9f06344e0d551110a604a7101c24"
+
+
+@pytest.mark.usefixtures("compensated_builtin_sum")
+def test_oracle_values_are_pinned_under_a_compensated_sum():
+    # Python 3.12's sum compensates its rounding; the oracles add left to
+    # right, so the pin holds on every interpreter.
+    test_oracle_values_are_pinned()
+
+
+def test_sum_emulations_match_this_interpreter():
+    # The runs under ``compensated_sum`` stand for Python 3.12 and later, and
+    # the models' and oracles' ``reduce`` for the ``sum`` of 3.10 and 3.11,
+    # only if each matches that ``sum`` to the bit.
+    assert compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
     compensated = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
-    assert digest == {
-        False: "27883103e47205a0d400c9a3c84940b1ac4d9f06344e0d551110a604a7101c24",
-        True: "db8826138ba2051a238f739c1946d542e907356f082f5f3ae367ee64ee8a4c74",
-    }[compensated]
+    rng = random.Random(0)
+    for _ in range(3000):
+        scale = 10.0 ** rng.randint(-20, 20)
+        xs = [rng.choice((rng.random(), 1.0 / rng.randint(1, 9),
+                          rng.uniform(-1.0, 1.0) * scale))
+              for _ in range(rng.randint(1, 12))]
+        expected = compensated_sum(xs) if compensated else reduce(add, xs, 0.0)
+        assert repr(sum(xs)) == repr(expected), xs
 
 
 def test_oracles_have_no_engine_dependency():

@@ -121,9 +121,9 @@ def test_texts_without_fractions_decode_inline_alone(monkeypatch):
             return read(*args)
         return only
 
-    for reader in ("_mdp_delta", "_mrm_delta"):
+    for _parse, reader in PARSERS.values():
         monkeypatch.setattr(cli, reader, unchecked(getattr(cli, reader)))
-    texts = [(ext, text) for ext, text in TEXTS if ext in SERIALIZE and "/" not in text]
-    assert len(texts) == 6  # both .mdp files, and all four serialized
+    texts = [(ext, text) for ext, text in TEXTS if "/" not in text]
+    assert len(texts) == 11  # the five .kr files, both .mdp, all four serialized
     for ext, text in texts:
         PARSERS[ext][0](text)

@@ -8,19 +8,16 @@ witness and agree with the oracle; no run may end in a traceback.
 
 import contextlib
 import io
+import itertools
 import os
 import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import MODELS_DIR
+from conftest import MODELS_DIR, RUNS
 from ltpdr.cli import main
 
 MODELS = sorted(os.listdir(MODELS_DIR))
-RUNS = {".kr": [(kind, engine) for kind in ("kripke-forward", "kripke-ibackward")
-                for engine in ("combined", "positive", "negative", "opdual")],
-        ".mdp": [("mdp", engine) for engine in ("combined", "positive", "negative")],
-        ".mrm": [("mrm", engine) for engine in ("combined", "positive", "negative")]}
 
 # Tokens of the formats themselves plus hostile ones: out-of-range and
 # malformed numbers, overflowing and non-finite values, stray punctuation.
@@ -60,7 +57,7 @@ def test_mutated_models_exit_cleanly(name, mutations):
         path = os.path.join(tmp, "model" + ext)
         with open(path, "w") as fh:
             fh.write(text)
-        for kind, engine in RUNS[ext]:
+        for kind, engine in itertools.product(*RUNS[ext]):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([kind, path, "--engine", engine, "--budget", "300",

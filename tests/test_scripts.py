@@ -49,6 +49,12 @@ def test_random_differential_is_clean(capsys):
         "search_sha256=872b32986efb06a5e771193466c9939f2bf83ce3546e03a041192999f7b6ad42"]
 
 
+@pytest.mark.usefixtures("compensated_builtin_sum")
+def test_random_differential_is_clean_under_a_compensated_sum(capsys):
+    # The same digests under the ``sum`` of Python 3.12 and later.
+    test_random_differential_is_clean(capsys)
+
+
 # The expected reward is infinite: state 0 pays 1 and returns forever.
 LOOP_MRM = ("states 2\ninit 0\nlambda 5\nsafe 0\ntrans\n"
             "0 -> (1,0):1\n1 -> (0,1):1\n")

@@ -18,6 +18,30 @@ def above(v: float) -> float:
     return math.nextafter(v, math.inf)
 
 
+def compensated_sum(iterable, /, start=0):
+    """``sum`` as CPython 3.12 and later compute it: a float total adds each
+    float term with Neumaier's compensation (python/cpython gh-100425), where
+    3.10 and 3.11 add left to right.  Patched into ``builtins``, it shows
+    whether an answer depends on which of the two sums the interpreter has.
+    Only float and int terms are emulated; an int term is added plainly."""
+    total, c = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            if abs(total) >= abs(x):
+                c += (total - t) + x
+            else:
+                c += (x - t) + total
+            total = t
+        else:
+            total = total + x
+    # As CPython does: the compensation keeps a -0.0 total's sign and never
+    # turns an infinite total into NaN.
+    if c and math.isfinite(c):
+        total += c
+    return total
+
+
 def random_kripke(rng: random.Random, max_states: int = 8) -> KripkeStructure:
     n = rng.randint(1, max_states)
     density = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5])
