@@ -314,7 +314,7 @@ def parse_mrm(text: str) -> mrm_mod.MRMModel:
     no, toks = rd.header("init", "state")
     s0 = _state(toks[1], n, no)
     no, toks = rd.header("lambda", "value")
-    lam = math.inf if toks[1] == "inf" else _number(toks[1], no, "threshold")
+    lam = _number(toks[1], no, "threshold")
     if not lam >= 0:  # NaN compares false both ways
         raise ParseError(no, "threshold must be nonnegative")
     safe = _state_set(rd, n)
@@ -355,9 +355,8 @@ def serialize_mdp(M: mdp_mod.MDPModel) -> str:
 
 
 def serialize_mrm(M: mrm_mod.MRMModel) -> str:
-    lam = "inf" if math.isinf(M.threshold) else repr(M.threshold)
     lines = [f"states {M.state_count}", f"init {M.initial_state}",
-             f"lambda {lam}",
+             f"lambda {M.threshold!r}",
              "safe " + " ".join(str(s) for s in sorted(M.safe)),
              "trans"]
     for s in range(M.state_count):
@@ -457,10 +456,11 @@ def run_cli(req: argparse.Namespace) -> int:
                  "wall_time": stats.wall_time}
 
     if req.json_output:
-        print(json.dumps({"verdict": answer.verdict.value,
-                          "witness": _witness_jsonable(answer),
-                          "stats": stats_obj,
-                          "oracle": oracle}))
+        report = {"verdict": answer.verdict.value, "witness": _witness_jsonable(answer),
+                  "stats": stats_obj, "oracle": oracle}
+        if req.validate_witness:
+            report["witness_valid"] = validation
+        print(json.dumps(report))
     else:
         print(f"RESULT: {answer.verdict.value}")
         witness = _witness_jsonable(answer)

@@ -50,6 +50,7 @@ that Conflict for sure, ``run_combined`` applies the lemma as Induction.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -128,9 +129,12 @@ class HeuristicsBundle:
     Conflict defaults to ``canonical_conflict``, which every instance uses
     and whose lemma, the engine's own ``F(X_{i-1})``, is not re-imaged.
     ``choose_induction`` is offered the frames, a plain tuple, before the
-    other rules on every step with no obligation pending, and returns
+    other rules on the step right after each Unfold, and returns
     ``(k, x)``; ``rule_induction`` applies it when ``X_k !<= x`` and
-    ``F(X_{k-1} /\\ x) <= x``.  The engine's own lemma goes first: once it
+    ``F(X_{k-1} /\\ x) <= x``.  Once one of its lemmas has applied, the
+    engine asks no more in that solve: the pointwise proposer's lemma is a
+    prefixed point ``x`` below ``alpha``, so Unfold, the canonical lemma
+    ``F(x)`` and Valid follow.  The engine's own lemma goes first: once it
     has found ``F(alpha) <= alpha``, at the cost of one image per solve, it
     proposes ``(n-1, alpha)`` and asks the bundle only when that fails.
     When the bundle declines too and Unfold does not apply, the engine
@@ -310,7 +314,7 @@ class _InvariantChecker:
         xs, ob = cfg.frames, cfg.obligations
         n = len(xs)
         old = self.frames
-        changed = [i >= len(old) or x is not old[i] for i, x in enumerate(xs)]
+        changed = [*map(operator.is_not, xs, old), *[True] * (n - len(old))]
         while len(self.chain) < n:
             self.chain.append(F(self.chain[-1]))
         if n < 2 or not lat.eq(xs[0], lat.bot) or not lat.leq(xs[n - 2], self.alpha):
@@ -418,13 +422,15 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     Each step applies Valid, then Model (tried only once the head
     obligation is at index 1), then exactly one of the remaining rules,
     whose guards leave no choice.  With no obligations pending, the
-    bundle's Induction proposer is asked first and its lemma applied when
-    it passes the guard; otherwise Unfold needs ``X_{n-1} <= alpha``, the
-    canonical Induction below needs its negation and ``F(X_{n-2}) <=
-    alpha``, and Candidate takes what is left.  The engine tests
-    ``X_{n-1} <= alpha`` once per such step to choose the rules to call:
-    the ``alpha`` lemma, the canonical Induction and Candidate when it
-    fails, Unfold when it holds; each rule still re-checks its own guard.  With obligations pending,
+    bundle's Induction proposer is asked first, on the step right after an
+    Unfold until one of its lemmas has applied (``HeuristicsBundle``), and
+    its lemma applied when it passes the guard; otherwise Unfold needs
+    ``X_{n-1} <= alpha``, the canonical Induction below needs its negation
+    and ``F(X_{n-2}) <= alpha``, and Candidate takes what is left.  The
+    engine tests ``X_{n-1} <= alpha`` once per such step to choose the rules
+    to call: the ``alpha`` lemma, the canonical Induction and Candidate when
+    it fails, Unfold when it holds; each rule still re-checks its own guard.
+    With obligations pending,
     Decide needs ``C_i <= F(X_{i-1})`` and Conflict its negation; the two
     share one evaluation of ``F(X_{i-1})``.  The only freedom left is the
     Induction proposer and the element each rule picks.
@@ -482,7 +488,8 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     fresh = (0, len(cfg.frames) - 1)  # the pairs Valid has not yet failed on
     images: dict = {}  # j -> (X_j, F(X_j))
     leq = F.lattice.leq
-    propose = heuristics.choose_induction
+    propose = heuristics.choose_induction  # None once its lemma has applied
+    offer = None  # the proposer, on the step right after an Unfold
     inductive = None  # whether F(alpha) <= alpha; None until tested
 
     for step in range(1, budget + 1):
@@ -505,13 +512,17 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
                 if inductive:  # alpha first, then the bundle's lemma
                     k = len(xs) - 1
                     nxt = rule_induction(cfg, F, alpha, k, alpha)
-            if nxt is None and propose is not None:
-                prop = propose(xs)
+            if nxt is None and offer is not None:
+                prop = offer(xs)
                 if prop is not None:
                     k = prop[0]
                     nxt = rule_induction(cfg, F, alpha, k, prop[1])
+                    if nxt is not None:
+                        propose = None
+            offer = None
             if nxt is None and below:
                 nxt, applied = rule_unfold(cfg, F, alpha), "unfold"
+                offer = propose
             elif nxt is None:
                 if len(xs) >= 3:
                     k = len(xs) - 1
@@ -561,9 +572,9 @@ def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     F^i(bot))``, whose guard ``C_i <= F^i(bot)`` always holds, and Model
     closes the chain at index 1.  It ends with ``run_combined``'s frames and
     counterexample on a false instance, where a refuted Kripke Candidate can
-    add choices; a rule with no choice is Stuck.
-    Debug mode re-checks, at one ``F`` call a step, the last iterate pair
-    and the head's admissibility and link, and the whole chain at the end.
+    add choices; a rule with no choice is Stuck.  Debug mode runs the
+    combined engine's ``_InvariantChecker`` after every step, and re-checks
+    the whole chain at the end.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -572,6 +583,9 @@ def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     stats = RunStats()
     counts = stats.rule_counts
     started = time.perf_counter()
+    checker = _InvariantChecker(F, alpha) if debug else None
+    if checker:
+        checker.check(cfg)
 
     for step in range(1, budget + 1):
         ans = rule_model(cfg, F, alpha)
@@ -598,12 +612,8 @@ def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
         counts[applied] = counts.get(applied, 0) + 1
         if trace is not None:
             _emit(trace, step, applied, cfg)
-        if debug:
-            xs, ob = cfg.frames, cfg.obligations
-            if not (lat.leq(xs[-2], xs[-1]) and (
-                    not ob or lat.leq(ob[0], xs[len(xs) - len(ob)])
-                    and (len(ob) == 1 or lat.leq(ob[1], F(ob[0]))))):
-                raise EngineInvariantError("negative engine invariant broken")
+        if checker:
+            checker.check(cfg)
 
     stats.steps = budget
     return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, len(cfg.frames))

@@ -106,8 +106,8 @@ def optimistic_induction(F: Transformer, alpha, s0: int):
 
     With the canonical lemma alone, the frames of a true instance are the
     Kleene iterates ``F^i(bot)``, and Valid waits until two of them coincide
-    in floating point.  Right after Unfold (the first call on a chain of a
-    new length ``n >= 4`` that ends in ``top``) this proposer extrapolates
+    in floating point.  Right after Unfold, when the engine asks, the chain
+    ends in ``top``; on one of ``n >= 4`` frames this proposer extrapolates
     ``X_{n-4}, X_{n-3}, X_{n-2}`` state by state to their Aitken limit ``L``
     (``X_{n-2}`` where a state's increments do not shrink), over every second
     frame when the iterates at ``s0`` alternate, and lifts it to
@@ -119,35 +119,25 @@ def optimistic_induction(F: Transformer, alpha, s0: int):
     ``x := x v F(x)`` follow, each kept below ``alpha``, and ``(n-1, x)`` is
     proposed only if ``F(x) <= x <= alpha``.  On the next level the
     engine's canonical Induction (``F(x) <= alpha``) sets ``X_n = F(x) <=
-    X_{n-1}`` and Valid closes, so the proposer never lifts a chain whose
-    ``X_{n-2}`` is its own proposal.
+    X_{n-1}`` and Valid closes; once the lemma has applied, the engine asks
+    no more.
 
     It gives up without an ``F`` call when the iterates at ``s0`` do not
     converge geometrically, when their limit is not below ``alpha(s0)``, or
     when the last increment exceeds the lift ``x - X_{n-2}`` at some state.
     A false instance has no prefixed point below ``alpha``, so there it
-    never proposes and the search is the same as without it.  ``F(top)`` is
-    computed on first use.  The proposer keeps the chain length it last saw
-    and its last proposal, and forgets both when a shorter chain, that of a
-    new solve, is offered.
+    never proposes and the search is the same as without it.  The proposal
+    is a function of the chain: the proposer keeps only ``F(top)``,
+    computed on first use.
     """
     lat = F.lattice
     top = lat.top
     lam = alpha[s0]
     cap = None  # F(top)
-    seen = 0  # the length of the last chain offered
-    last = None  # the last proposal
 
     def propose(xs: tuple):
-        nonlocal cap, seen, last
+        nonlocal cap
         n = len(xs)
-        if n < seen:  # chains only grow: this is a new solve
-            seen, last = 0, None
-        if xs[-1] != top or n <= seen:
-            return None
-        seen = n
-        if xs[-2] == last:
-            return None
         v = xs[-2]
         for stride in (1, 2):
             if n < 2 + 2 * stride:
@@ -185,7 +175,6 @@ def optimistic_induction(F: Transformer, alpha, s0: int):
                 return None
         if not lat.leq(x, alpha):
             return None
-        last = x
         return (n - 1, x)
 
     return propose

@@ -312,6 +312,24 @@ class TestRunner:
                 assert entries and all(
                     v == "inf" or type(v) is float for v in entries)
 
+    @pytest.mark.parametrize("args, code, valid", [
+        (["mdp", model_path("m1.mdp")], 0, True),
+        (["kripke-forward", model_path("k1_unsafe.kr")], 10, True),
+        (["mrm", model_path("die_by_coin.mrm"), "--engine", "positive",
+          "--budget", "5"], 2, None)])
+    def test_json_reports_the_witness_check(self, args, code, valid, capsys):
+        # Only with --validate-witness: the schema without it is unchanged.
+        assert main(args + ["--json", "--validate-witness"]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"verdict", "witness", "stats", "oracle",
+                               "witness_valid"}
+        assert report["witness_valid"] is valid
+
+    def test_json_reports_a_failed_witness_check(self, monkeypatch, capsys):
+        monkeypatch.setattr(ltpdr.cli, "certificate_holds", lambda *args: False)
+        assert main(["mdp", model_path("m1.mdp"), "--json", "--validate-witness"]) == 3
+        assert json.loads(capsys.readouterr().out)["witness_valid"] is False
+
     @pytest.mark.parametrize("name, code", [("k1.kr", 0), ("k1_unsafe.kr", 10)])
     def test_opdual_witness_is_validated(self, name, code, capsys):
         # The certificate lives on the opposite lattice and is checked there.

@@ -409,6 +409,70 @@ class TestCanonicalInduction:
         assert calls == [lat.meet(c.frames[1], fx)]
 
 
+class TestInductionSchedule:
+    """The bundle's proposer is asked only on the step right after an
+    Unfold, and never again once one of its lemmas has been applied."""
+
+    @staticmethod
+    def _events(inst, propose):
+        """Solve ``inst`` with ``propose`` as its proposer; the events in
+        order: ``("ask", proposal)`` per call, ``("rule", name)`` per step."""
+        events = []
+
+        def ask(xs):
+            out = propose(xs)
+            events.append(("ask", out))
+            return out
+
+        bundle = dataclasses.replace(inst.bundle, choose_induction=ask)
+        solve(dataclasses.replace(inst, bundle=bundle), budget=2000, debug=True,
+              trace=lambda line: events.append(("rule", line.split()[1][5:])))
+        return events
+
+    @staticmethod
+    def _check(events) -> bool:
+        """Assert the schedule on ``events``; whether a proposal applied."""
+        none = [(None, None)]
+        applied = False
+        for prev, (kind, what), (_, then) in zip(none + events, events, events[1:] + none):
+            if kind == "ask":
+                assert prev == ("rule", "unfold") and not applied
+                applied = what is not None and then == "induction"
+        return applied
+
+    def test_a_lemma_that_applies_is_its_last(self, k1):
+        # The reachable set {0, 1} is a prefixed point below alpha; alpha
+        # itself is not inductive, so the proposer is asked after the first
+        # Unfold, and its lemma applies.
+        K = dataclasses.replace(k1, state_count=4,
+                                transitions=k1.transitions | {(3, 2)}, safe=0b1011)
+        events = self._events(forward(K), lambda xs: (len(xs) - 1, 0b0011))
+        assert events == [("rule", "unfold"), ("ask", (2, 0b0011)),
+                          ("rule", "induction"), ("rule", "unfold"),
+                          ("rule", "induction"), ("rule", "valid")]
+        assert self._check(events)
+
+    @pytest.mark.parametrize("build, draw, oracle, thresholds", [
+        (max_reach, random_mdp, vi_max_reach,
+         lambda v: (max(v - 0.1, v / 2), min(v + 0.1, 1.0))),
+        (expected_reward, random_mrm, vi_expected_reward, lambda v: (0.9 * v, 1.1 * v))])
+    def test_the_pointwise_proposer_is_asked_after_unfold(self, build, draw,
+                                                          oracle, thresholds):
+        rng = random.Random(23)
+        asked = applied = 0
+        for _ in range(40):
+            M = draw(rng)
+            value = oracle(M).value
+            if not 1e-6 < value < math.inf:
+                continue
+            for lam in thresholds(value):
+                inst = build(dataclasses.replace(M, threshold=lam))
+                events = self._events(inst, inst.bundle.choose_induction)
+                applied += self._check(events)
+                asked += sum(kind == "ask" for kind, _ in events)
+        assert applied and asked > applied
+
+
 class TestSolve:
     def test_engines_on_one_instance(self, k1):
         inst = forward(k1)
@@ -567,6 +631,23 @@ class TestNegative:
         bad = dataclasses.replace(forward_bundle(k1), choose_decide=lambda xp, c, fx: 0b111)
         with pytest.raises(HeuristicViolation):
             run_negative(F, ALPHA_P, bad, budget=10)
+
+    def test_debug_checks_every_configuration(self, k1, monkeypatch):
+        # The shared per-step checker, as in the combined engine: on the
+        # initial configuration and after every step that changes it.
+        checked = []
+        check = engine._InvariantChecker.check
+        monkeypatch.setattr(engine._InvariantChecker, "check",
+                            lambda self, c: checked.append(c) or check(self, c))
+        F = forward_transformer(k1)
+        lines = []
+        ans = run_negative(F, ALPHA_P, forward_bundle(k1), debug=True,
+                           trace=lines.append)
+        assert ans.verdict is Verdict.FALSE
+        assert checked == [initial_config(F), cfg([0, 0b001, 0b011]),
+                           cfg([0, 0b001, 0b011], [0b010]),
+                           cfg([0, 0b001, 0b011], [0b001, 0b010])]
+        assert len(checked) == len(lines)  # the last, Model, changes nothing
 
     def test_no_decide_choice_is_stuck(self, k1):
         F = forward_transformer(k1)

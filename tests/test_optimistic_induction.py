@@ -107,7 +107,9 @@ def test_proposals_are_prefixed_points_below_alpha(kind, seed, factor):
 
 def test_fires_once_per_chain_length():
     # One safe state that pays 1 and stays with probability 1/2: the value
-    # is 2 and the Kleene iterates are 0, 1, 1.5, 1.75, ...
+    # is 2 and the Kleene iterates are 0, 1, 1.5, 1.75, ...  The engine asks
+    # once per chain length, right after Unfold (tests/test_engine.py,
+    # TestInductionSchedule); here the proposal itself is checked.
     M = MRMModel(2, ((((1, 0), 0.5), ((1, 1), 0.5)), (((0, 1), 1.0),)), 0, 2.5,
                  frozenset({0}))
     F = reward_bellman(M)
@@ -123,8 +125,6 @@ def test_fires_once_per_chain_length():
     # of the way to the bound; the unsafe state stays at 0.
     assert k == 4 and x == (2.45, 0.0)
     assert F.lattice.leq(F(x), x)
-    assert propose(frames) is None  # the same chain again, as after Candidate
-    assert propose(tuple(chain) + (x, top)) is None  # own proposal
 
 
 def kleene_chain(F, length):
@@ -133,6 +133,25 @@ def kleene_chain(F, length):
     while len(chain) < length:
         chain.append(F(chain[-1]))
     return chain
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_the_same_chain_gets_the_same_answer(kind):
+    # The proposer keeps no state but F(top): asked twice, on a fresh bundle
+    # or on one that has already solved, it answers a chain the same way.
+    build, upper = KINDS[kind][2:4]
+    answered = 0
+    for i, M, value in valued_draws(kind, 20):
+        model = dataclasses.replace(M, threshold=upper(value))
+        inst, fresh = build(model), build(model).bundle.choose_induction
+        chain = tuple(kleene_chain(inst.F, 6)) + (inst.F.lattice.top,)
+        first = fresh(chain)
+        assert fresh(chain) == first, i
+        solve(inst)
+        reused = inst.bundle.choose_induction
+        assert reused(chain) == reused(chain) == first, i
+        answered += first is not None
+    assert answered
 
 
 def test_alternating_iterates_are_extrapolated_over_every_second_frame():
