@@ -30,13 +30,13 @@ lines are ignored):
     trans
     s -> (c,t):p ...  # c = nonnegative integer reward
 
-The three parsers share one line reader, ``_Lines``, which also reads the
-header lines; state counts are capped at ``MAX_STATES`` and action counts
-at ``MAX_ACTIONS``.  ``.kr`` transitions are converted in bulk, ``.mdp``
-and ``.mrm`` ones decoded inline line by line, and the ranges of their
-states, rewards and probabilities are left to the model constructors,
-which check models built in code too.  Only when that fails are the lines
-read again with every check, to name the first bad line.
+Each parser decodes the whole file, comments, blank lines and CRLF line
+ends included, in one bulk pass that checks only keywords, line shapes,
+transition keys and, before allocating, ``MAX_STATES`` and ``MAX_ACTIONS``;
+every other range is left to the model constructor.  Only when the decode
+or the constructor raises is the file read again token by token with every
+check (``_Lines``): to name the first bad line, or to read fractions and
+``unsafe`` lines.
 ``KINDS`` maps each command-line kind to its parser, its ``Instance``
 builder and its oracle; ``run_cli`` solves the instance with
 ``engine.solve``, and ``scripts/run_corpus.py`` reads the same table.
@@ -50,8 +50,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import chain
-from operator import itemgetter, methodcaller
+from operator import itemgetter
 from typing import Optional
 
 from . import kripke as kr
@@ -78,15 +77,30 @@ MAX_STATES = 100_000
 MAX_ACTIONS = 100
 
 
+def _stripped(text: str):
+    """The lines of ``text``, with comments stripped."""
+    if "#" in text:
+        return [line.partition("#")[0] for line in text.splitlines()]
+    return text.splitlines()
+
+
+def _bulk_rows(text: str, keys: list) -> tuple:
+    """The state count, at most ``MAX_STATES``, and the token lists of the
+    header lines ``keys[1:]`` and of the transition lines."""
+    rows = list(filter(None, map(str.split, _stripped(text))))
+    k = len(keys)
+    if (list(map(itemgetter(0), rows[:k])) != keys or rows[k] != ["trans"]
+            or len(rows[0]) != 2 or int(rows[0][1]) > MAX_STATES):
+        raise ValueError("not the header of this format")
+    return int(rows[0][1]), rows[1:k], rows[k + 1:]
+
+
 class _Lines:
-    """The lines of a model file that hold tokens, with comments stripped,
-    read front to back as ``(line number, tokens)``."""
+    """The lines of a model file that hold tokens, read front to back as
+    ``(line number, tokens)``."""
 
     def __init__(self, text: str):
-        lines = text.splitlines()
-        if "#" in text:
-            lines = map(itemgetter(0), map(methodcaller("partition", "#"), lines))
-        self.rows = list(filter(itemgetter(1), enumerate(map(str.split, lines), 1)))
+        self.rows = list(filter(itemgetter(1), enumerate(map(str.split, _stripped(text)), 1)))
         self.pos = 0
 
     def next(self, keyword: str):
@@ -111,8 +125,7 @@ class _Lines:
         no, toks = self.header(keyword)
         if len(toks) != 1:
             raise ParseError(no, f"'{keyword}' takes no arguments")
-        rows, self.pos = self.rows[self.pos:], len(self.rows)
-        return rows
+        return self.rows[self.pos:]
 
     def count(self, keyword: str, what: str, cap: int,
               positive: bool = False) -> int:
@@ -155,38 +168,36 @@ def _number(tok: str, no: int, what: str) -> float:
         raise ParseError(no, f"bad {what} {tok!r}") from None
 
 
-def _state_set(rd: _Lines, n: int) -> frozenset:
-    no, toks = rd.header("safe")
-    return frozenset(_state(tok, n, no) for tok in toks[1:])
+def _mask(toks, n: int, no: int) -> int:
+    """The bitmask of the states ``toks``, each checked to lie below ``n``."""
+    mask = 0
+    for tok in toks:
+        mask |= 1 << _state(tok, n, no)
+    return mask
 
 
-def _src_dst_pairs(rd, rows, n: int, checked: bool = False) -> frozenset:
-    """``.kr`` lines ``src dst`` as ``(src, dst)`` pairs; see ``_decoded``."""
-    if not checked:
-        lines = list(map(itemgetter(1), rows))
-        if not set(map(len, lines)) <= {2}:
-            raise ValueError("a line without two ends")
-        ends = iter(map(int, chain.from_iterable(lines)))
-        return frozenset(zip(ends, ends))
+def _kripke_bulk(text: str) -> kr.KripkeStructure:
+    n, ((_, *init), (_, *safe)), pairs = _bulk_rows(text, ["states", "init", "safe"])
+    return kr.KripkeStructure(n, frozenset([(int(a), int(b)) for a, b in pairs]),
+                              _mask(init, MAX_STATES, 0), _mask(safe, MAX_STATES, 0))
+
+
+def _kripke_checked(text: str) -> kr.KripkeStructure:
+    rd = _Lines(text)
+    n = rd.count("states", "state count", MAX_STATES, positive=True)
+    no, toks = rd.header("init")
+    init = _mask(toks[1:], n, no)
+    no, toks = rd.next("safe")
+    if toks[0] not in ("safe", "unsafe"):
+        raise ParseError(no, "expected 'safe' line")
+    flip = (1 << n) - 1 if toks[0] == "unsafe" else 0  # an unsafe list's complement
+    safe = _mask(toks[1:], n, no) ^ flip
     transitions = set()
-    for no, toks in rows:
+    for no, toks in rd.section("trans"):
         if len(toks) != 2:
             raise ParseError(no, "transition lines are 'src dst'")
         transitions.add((_state(toks[0], n, no), _state(toks[1], n, no)))
-    return frozenset(transitions)
-
-
-def _decoded(rd: _Lines, read, build, *args):
-    """``build(read(rd, rows, *args))`` of the ``trans`` section ``rows``,
-    decoded inline, every range but the key's left to the constructor.  If
-    either raises, ``read(..., checked=True)`` checks every token: it raises
-    the first bad line's error, reads fractions, or ``build`` raises again."""
-    rows = rd.section("trans")
-    try:
-        return build(read(rd, rows, *args))
-    except (ParseError, ValueError, IndexError):
-        pass
-    return build(read(rd, rows, *args, checked=True))
+    return kr.KripkeStructure(n, frozenset(transitions), init, safe)
 
 
 def _key(toks: list, n: int, no: int, shape: str, m: int, table: list):
@@ -225,101 +236,107 @@ def _mrm_entry(tok: str, n: int, no: int) -> tuple:
     return (c, _state(t_tok, n, no)), _number(p_tok, no, "probability")
 
 
-def _mdp_delta(rd, rows, n: int, m: int, checked: bool = False) -> tuple:
-    """``.mdp`` lines ``s a -> t:p ...`` as ``MDPModel.delta``; see ``_decoded``."""
+def _checked_head(rd: _Lines, n: int, top: float, bound: str) -> tuple:
+    """The checked ``(init, lambda, safe)`` lines, the threshold in ``[0, top]``."""
+    no, toks = rd.header("init", "state")
+    s0 = _state(toks[1], n, no)
+    no, toks = rd.header("lambda", "value")
+    lam = _number(toks[1], no, "threshold")
+    if not 0.0 <= lam <= top:  # NaN fails too
+        raise ParseError(no, f"threshold must {bound}")
+    no, toks = rd.header("safe")
+    return s0, lam, frozenset(_state(tok, n, no) for tok in toks[1:])
+
+
+def _mdp_bulk(text: str) -> mdp_mod.MDPModel:
+    n, ((_, m), (_, s0), (_, lam), (_, *safe)), rows = _bulk_rows(
+        text, ["states", "actions", "init", "lambda", "safe"])
+    if (m := int(m)) > MAX_ACTIONS:
+        raise ValueError(m)
     table: list = [None] * n  # a state's action row, made on its first line
-    for no, toks in rows:
-        if checked:
-            s, a = _key(toks, n, no, "s a -> t:p ...", m, table)
-            dist = [_mdp_entry(tok, n, no) for tok in toks[3:]]
-        else:
-            s, a = int(toks[0]), int(toks[1])
-            if (toks[2] != "->" or not (0 <= s < n and 0 <= a < m)
-                    or table[s] is not None and table[s][a] is not None):
-                raise ValueError(f"line {no}")
-            dist = []
-            for tok in toks[3:]:
-                t, _, p = tok.rpartition(":")
-                dist.append((int(t), float(p)))
-        if table[s] is None:
-            table[s] = [None] * m
-        table[s][a] = tuple(dist)
-    rd.covered(table, "no available action")
-    return tuple(map(tuple, table))
+    for toks in rows:
+        s, a = int(toks[0]), int(toks[1])
+        row = table[s] = table[s] or [None] * m  # IndexError for s >= n
+        if toks[2] != "->" or s < 0 or a < 0 or row[a] is not None:  # or a >= m
+            raise ValueError("a bad or duplicate key")
+        dist = []
+        for tok in toks[3:]:
+            t, _, p = tok.rpartition(":")
+            dist.append((int(t), float(p)))
+        row[a] = tuple(dist)
+    if None in table:
+        raise ValueError("a state without a line")
+    return mdp_mod.MDPModel(n, m, tuple(map(tuple, table)), int(s0), float(lam),
+                            frozenset(map(int, safe)))
 
 
-def _mrm_delta(rd, rows, n: int, checked: bool = False) -> tuple:
-    """``.mrm`` lines ``s -> (c,t):p ...`` as ``MRMModel.delta``; see ``_decoded``."""
-    table: list = [None] * n
-    for no, toks in rows:
-        if checked:
-            s = _key(toks, n, no, "s -> (c,t):p ...", 0, table)[0]
-            dist = [_mrm_entry(tok, n, no) for tok in toks[2:]]
-        else:
-            s = int(toks[0])
-            if toks[1] != "->" or not 0 <= s < n or table[s] is not None:
-                raise ValueError(f"line {no}")
-            dist = []
-            for tok in toks[2:]:
-                pair, _, p = tok.rpartition(":")
-                if pair[0] != "(" or pair[-1] != ")":
-                    raise ValueError(f"line {no}")
-                c, _, t = pair[1:-1].partition(",")
-                dist.append(((int(c), int(t)), float(p)))
-        table[s] = tuple(dist)
-    rd.covered(table, "no distribution")
-    return tuple(table)
-
-
-def parse_kripke(text: str) -> kr.KripkeStructure:
-    rd = _Lines(text)
-    n = rd.count("states", "state count", MAX_STATES, positive=True)
-
-    no, toks = rd.header("init")
-    init = 0
-    for tok in toks[1:]:
-        init |= 1 << _state(tok, n, no)
-
-    no, toks = rd.next("safe")
-    if toks[0] not in ("safe", "unsafe"):
-        raise ParseError(no, "expected 'safe' line")
-    safe = 0
-    for tok in toks[1:]:
-        safe |= 1 << _state(tok, n, no)
-    if toks[0] == "unsafe":
-        safe = ((1 << n) - 1) & ~safe
-
-    return _decoded(rd, _src_dst_pairs, lambda pairs: kr.KripkeStructure(
-        n, pairs, init, safe), n)
-
-
-def parse_mdp(text: str) -> mdp_mod.MDPModel:
+def _mdp_checked(text: str) -> mdp_mod.MDPModel:
     rd = _Lines(text)
     n = rd.count("states", "state count", MAX_STATES)
     m = rd.count("actions", "action count", MAX_ACTIONS, positive=True)
-    no, toks = rd.header("init", "state")
-    s0 = _state(toks[1], n, no)
-    no, toks = rd.header("lambda", "value")
-    lam = _number(toks[1], no, "threshold")
-    if not 0.0 <= lam <= 1.0:
-        raise ParseError(no, "threshold must lie in [0, 1]")
-    safe = _state_set(rd, n)
-    return _decoded(rd, _mdp_delta, lambda delta: mdp_mod.MDPModel(
-        n, m, delta, s0, lam, safe), n, m)
+    s0, lam, safe = _checked_head(rd, n, 1.0, "lie in [0, 1]")
+    table: list = [None] * n
+    for no, toks in rd.section("trans"):
+        s, a = _key(toks, n, no, "s a -> t:p ...", m, table)
+        row = table[s] = table[s] or [None] * m
+        row[a] = tuple([_mdp_entry(tok, n, no) for tok in toks[3:]])
+    rd.covered(table, "no available action")
+    return mdp_mod.MDPModel(n, m, tuple(map(tuple, table)), s0, lam, safe)
+
+
+def _mrm_bulk(text: str) -> mrm_mod.MRMModel:
+    n, ((_, s0), (_, lam), (_, *safe)), rows = _bulk_rows(
+        text, ["states", "init", "lambda", "safe"])
+    table: list = [None] * n
+    for toks in rows:
+        s = int(toks[0])
+        if toks[1] != "->" or not 0 <= s < n or table[s] is not None:
+            raise ValueError("a bad key")
+        dist = []
+        for tok in toks[2:]:
+            pair, _, p = tok.rpartition(":")
+            if pair[0] != "(" or pair[-1] != ")":
+                raise ValueError("a bad entry")
+            c, _, t = pair[1:-1].partition(",")
+            dist.append(((int(c), int(t)), float(p)))
+        table[s] = tuple(dist)
+    if None in table:
+        raise ValueError("a state without a line")
+    return mrm_mod.MRMModel(n, tuple(table), int(s0), float(lam),
+                            frozenset(map(int, safe)))
+
+
+def _mrm_checked(text: str) -> mrm_mod.MRMModel:
+    rd = _Lines(text)
+    n = rd.count("states", "state count", MAX_STATES)
+    s0, lam, safe = _checked_head(rd, n, math.inf, "be nonnegative")
+    table: list = [None] * n
+    for no, toks in rd.section("trans"):
+        s = _key(toks, n, no, "s -> (c,t):p ...", 0, table)[0]
+        table[s] = tuple([_mrm_entry(tok, n, no) for tok in toks[2:]])
+    rd.covered(table, "no distribution")
+    return mrm_mod.MRMModel(n, tuple(table), s0, lam, safe)
+
+
+def parse_kripke(text: str) -> kr.KripkeStructure:
+    try:
+        return _kripke_bulk(text)
+    except (ParseError, ValueError, IndexError):
+        return _kripke_checked(text)
+
+
+def parse_mdp(text: str) -> mdp_mod.MDPModel:
+    try:
+        return _mdp_bulk(text)
+    except (ParseError, ValueError, IndexError):
+        return _mdp_checked(text)
 
 
 def parse_mrm(text: str) -> mrm_mod.MRMModel:
-    rd = _Lines(text)
-    n = rd.count("states", "state count", MAX_STATES)
-    no, toks = rd.header("init", "state")
-    s0 = _state(toks[1], n, no)
-    no, toks = rd.header("lambda", "value")
-    lam = _number(toks[1], no, "threshold")
-    if not lam >= 0:  # NaN compares false both ways
-        raise ParseError(no, "threshold must be nonnegative")
-    safe = _state_set(rd, n)
-    return _decoded(rd, _mrm_delta, lambda delta: mrm_mod.MRMModel(
-        n, delta, s0, lam, safe), n)
+    try:
+        return _mrm_bulk(text)
+    except (ParseError, ValueError, IndexError):
+        return _mrm_checked(text)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ from .lattice import (
     check_kleene_witness,
     check_kt_witness,
     is_conclusive_kt,
-    is_kleene_sequence,
     is_kt_sequence,
 )
 
@@ -296,24 +295,24 @@ def _strengthen(lat: Lattice, xs: tuple, k: int, x) -> tuple:
 class _InvariantChecker:
     """The configuration invariants of debug mode, checked after every step.
 
-    Frames are immutable and ``_strengthen`` keeps unchanged ones as the same
-    objects, so only the frame pairs and ``F^i(bot) <= X_i`` entries that
-    touch a frame not identical to the one at its index in the last checked
-    chain are re-tested.  ``X_{n-2} <= alpha``, the prefix and the
-    obligations are re-tested on every step.
+    Frames and obligations are immutable and the rules keep unchanged ones
+    as the same objects, so a test is repeated only where it touches one not
+    identical to the last checked one at its frame index (for obligations,
+    in a chain of the same length).  ``X_{n-2} <= alpha`` and the prefix
+    are re-tested on every step.
     """
 
     def __init__(self, F: Transformer, alpha):
         self.F = F
         self.alpha = alpha
         self.chain = [F.lattice.bot, F(F.lattice.bot)]  # iterates of F from bottom
-        self.frames: tuple = ()  # the last chain that passed
+        self.last = PDRConfig((), ())  # the last configuration that passed
 
     def check(self, cfg: PDRConfig) -> None:
         F, lat = self.F, self.F.lattice
         xs, ob = cfg.frames, cfg.obligations
-        n = len(xs)
-        old = self.frames
+        n, k = len(xs), len(xs) - len(ob)
+        old, old_ob = self.last
         changed = [*map(operator.is_not, xs, old), *[True] * (n - len(old))]
         while len(self.chain) < n:
             self.chain.append(F(self.chain[-1]))
@@ -323,17 +322,22 @@ class _InvariantChecker:
             if (changed[i] or changed[i + 1]) and not (
                     lat.leq(xs[i], xs[i + 1]) and lat.leq(F(xs[i]), xs[i + 1])):
                 raise EngineInvariantError("frame chain invariant broken")
-        if not is_kleene_sequence(ob, F, self.alpha):
-            raise EngineInvariantError("obligation chain invariant broken")
-        for c, x in zip(ob, xs[n - len(ob):]):
-            if not lat.leq(c, x):
-                raise EngineInvariantError("obligation not admissible (C_j !<= X_j)")
+        if ob:
+            pad = len(ob) - len(old_ob) if len(old) == n else len(ob)
+            fresh = [j < pad or c is not old_ob[j - pad] for j, c in enumerate(ob)]
+            for j, c in enumerate(ob):
+                if j and (fresh[j - 1] or fresh[j]) and not lat.leq(c, F(ob[j - 1])):
+                    raise EngineInvariantError("obligation chain invariant broken")
+                if (fresh[j] or changed[k + j]) and not lat.leq(c, xs[k + j]):
+                    raise EngineInvariantError("obligation not admissible (C_j !<= X_j)")
+            if fresh[-1] and lat.leq(ob[-1], self.alpha):
+                raise EngineInvariantError("obligation chain invariant broken")
         if not lat.eq(xs[1], self.chain[1]):
             raise EngineInvariantError("frame prefix (bot, F bot) not preserved")
         for i in range(n):
             if changed[i] and not lat.leq(self.chain[i], xs[i]):
                 raise EngineInvariantError("frames no longer over-approximate F^i(bot)")
-        self.frames = xs
+        self.last = cfg
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,11 @@ def _gather(targets) -> itemgetter:
 
 def vi_max_reach(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
     """Maximum probability of reaching an unsafe state, by value iteration
-    of the max-over-actions expectation operator from the all-zero vector."""
+    of the max-over-actions expectation operator from the all-zero vector.
+
+    Its stop, ``delta < tol``, bounds the last increment, not the distance to
+    the value: on the fair gambler's ruin at ``N = 80`` from state 40 it
+    stops 6.5e-10 (650 ``tol``) below it.  See ROADMAP.md item 10."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     n, safe = M.state_count, M.safe
@@ -100,8 +104,8 @@ def vi_expected_reward(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
     against the one at 1024, 2048, ....  Both rules are heuristics: a slow
     leak, or an unreachable state of infinite value, reads ``DIVERGED``
     although the initial state's value is finite.  CHANGES.md records such
-    models, and ROADMAP.md ("A sound oracle") plans an exact graph test in
-    their place."""
+    models, and ROADMAP.md item 10 plans an exact graph test in their
+    place.  As in ``vi_max_reach``, ``delta < tol`` bounds only the last step."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     n, safe = M.state_count, M.safe

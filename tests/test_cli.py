@@ -12,6 +12,7 @@ import pytest
 
 import ltpdr
 from conftest import model_path
+from ltpdr import cli
 from ltpdr.cli import (
     ParseError,
     main,
@@ -25,6 +26,21 @@ from ltpdr.cli import (
 from ltpdr.kripke import KripkeStructure
 from ltpdr.oracles import vi_max_reach
 from util import random_kripke
+
+
+def hostile_read(parse, text: str) -> str:
+    """The message of the ParseError ``parse`` raises on ``text``, a large
+    header with a short body, after checking that both the bulk decode and
+    the checked read stay below 5 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    return str(exc.value)
 
 
 class TestParseKripke:
@@ -57,6 +73,11 @@ class TestParseKripke:
     def test_missing_section(self):
         with pytest.raises(ParseError):
             parse_kripke("states 2\ninit 0\ntrans\n")
+
+    def test_hostile_header_allocates_no_table(self):
+        text = "states 100000\ninit 0\nsafe 0\ntrans\n0 1\n1 100000\n"
+        assert hostile_read(parse_kripke, text) == (
+            "line 6: state index 100000 out of range (states 100000)")
 
     @pytest.mark.parametrize("text, error", [
         # Eight ends in range: only the arity check can reject them.
@@ -107,15 +128,7 @@ class TestParseMdp:
         # last line.
         text = ("states 100000\nactions 100\ninit 0\nlambda 0.5\nsafe 0\n"
                 "trans\n0 0 -> 0:1\n")
-        tracemalloc.start()
-        try:
-            with pytest.raises(ParseError) as exc:
-                parse_mdp(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert str(exc.value) == "line 7: state 1 has no available action"
-        assert peak < 5_000_000
+        assert hostile_read(parse_mdp, text) == "line 7: state 1 has no available action"
 
 
 class TestParseMrm:
@@ -138,6 +151,27 @@ class TestParseMrm:
     def test_missing_init_rejected(self):
         with pytest.raises(ParseError):
             parse_mrm("states 2\nlambda 1\nsafe 0\ntrans\n0 -> (0,0):1\n")
+
+    def test_hostile_header_allocates_no_table(self):
+        text = "states 100000\ninit 0\nlambda 0.5\nsafe 0\ntrans\n0 -> (0,0):1\n"
+        assert hostile_read(parse_mrm, text) == "line 6: state 1 has no distribution"
+
+
+@pytest.mark.parametrize("name, parse, bulk", [
+    ("k1.kr", parse_kripke, cli._kripke_bulk), ("m1.mdp", parse_mdp, cli._mdp_bulk),
+    ("die_by_coin.mrm", parse_mrm, None)])  # fractions: the checked read
+def test_crlf_and_commented_copies_parse_alike(name, parse, bulk):
+    # Line ends and comments are read in the same pass as the tokens: a
+    # copy with CRLF line ends, or with a comment after every line and a
+    # comment line between any two, is the same model, and the bulk decode
+    # reads it when it reads the plain text.
+    with open(model_path(name)) as fh:
+        text = fh.read()
+    commented = "".join(f"{line}  # note {i}\n# {line}\n"
+                        for i, line in enumerate(text.splitlines()))
+    for copy in (text.replace("\n", "\r\n"), commented):
+        assert parse(copy) == parse(text)
+        assert bulk is None or bulk(copy) == parse(text)
 
 
 @pytest.mark.parametrize("parse, text, line", [

@@ -31,6 +31,7 @@ from ltpdr.engine import (
     solve,
 )
 from ltpdr.kripke import (
+    KripkeStructure,
     SubsetLattice,
     backward_transformer,
     forward,
@@ -782,6 +783,23 @@ class TestDebugMode:
         # A new last frame touches one pair: one F call, on X_3.
         checker.check(cfg(xs[:4] + [0b011]))
         assert calls == [0b011]
+
+    @pytest.mark.parametrize("which", ["negative", "combined"])
+    def test_checker_images_each_new_obligation_once(self, which):
+        # Re-testing the whole obligation chain on every step made the debug
+        # F calls grow with the square of the counterexample's length.
+        n = 200
+        K = KripkeStructure(n, frozenset((i, min(i + 1, n - 1)) for i in range(n)),
+                            1, (1 << n - 1) - 1)
+
+        def f_calls(debug):
+            inst, calls = forward(K), []
+            F = Transformer(inst.F.lattice, lambda x: calls.append(x) or inst.F(x))
+            ans = solve(dataclasses.replace(inst, F=F), which, debug=debug)
+            assert ans.verdict is Verdict.FALSE
+            return len(calls)
+
+        assert f_calls(True) < 3 * f_calls(False)
 
     def test_final_check_rescans_the_whole_chain(self, F):
         # The per-step checker trusts unchanged frames; the final check in

@@ -1,17 +1,15 @@
-"""The parsers' inline decode against their checked line-by-line read.
+"""The parsers' bulk decode against their checked line-by-line read.
 
-``.mdp`` and ``.mrm`` transition lines are decoded inline and ``.kr`` ones in
-bulk, and only a failure reads them again token by token to name the bad
-line.  Each example takes a file in ``models/`` or the serialized form of
-one (which holds no fractions), may write one of its lines twice, mutates
-it as the fuzz test does, and parses it twice: as the parsers run, and with
-the transition reader forced onto its checked read.  Both must give an
-equal model, or raise the same exception type with the same message.
+Each parser decodes the whole file in one bulk pass, and only a failure
+reads it again token by token to name the bad line.  Each example takes a
+file in ``models/`` or the serialized form of one (which holds no
+fractions), may write one of its lines twice, mutates it as the fuzz test
+does, and parses it twice: as the parsers run, and with the whole-file
+checked read alone.  Both must give an equal model, or raise the same
+exception type with the same message.
 """
 
-import functools
 import os
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +23,11 @@ from test_parser_fuzz import MODELS, TOKENS, mutate
 ENTRY_TOKENS = TOKENS + ["(-1,0):1", "(0,-1):1", "(0,5):1", "1:-0.5", "-1:1",
                          "5:1", "0:1/2", "0:1:1", "(0,1,2):1", "(0,1)", "x(0,1):1",
                          "(0,1)x:1", "10,11:1", "[0,1]:1", "1_0", "0:nan",
-                         "(0,0):inf"]
+                         "(0,0):inf",
+                         # Line shapes: a tab, line breaks of
+                         # ``str.splitlines`` (CR, VT, U+2028), a blank line
+                         # and a comment line inside the header.
+                         "\t", "\r", "\x0b", "\u2028", "\n\n", "\n# note\n"]
 
 mutation = st.tuples(st.sampled_from(["replace", "insert", "delete"]),
                      st.integers(0, 10**6), st.sampled_from(ENTRY_TOKENS))
@@ -40,9 +42,10 @@ def with_copied_line(text: str, where) -> str:
     return "\n".join(lines) + "\n"
 
 
-PARSERS = {".kr": (cli.parse_kripke, "_src_dst_pairs"),
-           ".mdp": (cli.parse_mdp, "_mdp_delta"),
-           ".mrm": (cli.parse_mrm, "_mrm_delta")}
+# extension -> (parser, bulk decode, checked read)
+PARSERS = {".kr": (cli.parse_kripke, cli._kripke_bulk, cli._kripke_checked),
+           ".mdp": (cli.parse_mdp, cli._mdp_bulk, cli._mdp_checked),
+           ".mrm": (cli.parse_mrm, cli._mrm_bulk, cli._mrm_checked)}
 SERIALIZE = {".mdp": cli.serialize_mdp, ".mrm": cli.serialize_mrm}
 
 
@@ -71,12 +74,9 @@ def outcome(parse, text):
 
 def both_reads(ext: str, text: str) -> tuple:
     """The outcome of parsing ``text`` as the parsers run, and with the
-    transition reader forced onto its checked read."""
-    parse, reader = PARSERS[ext]
-    checked = functools.partial(getattr(cli, reader), checked=True)
-    with mock.patch.object(cli, reader, checked):
-        expected = outcome(parse, text)
-    return outcome(parse, text), expected
+    whole-file checked read alone."""
+    parse, _bulk, checked = PARSERS[ext]
+    return outcome(parse, text), outcome(checked, text)
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
@@ -113,17 +113,11 @@ def test_both_reads_name_the_first_bad_line(ext, text, error):
     assert both_reads(ext, text) == ((cli.ParseError, error),) * 2
 
 
-def test_texts_without_fractions_decode_inline_alone(monkeypatch):
-    # So the examples above compare two different reads.
-    def unchecked(read):
-        def only(*args, checked=False):
-            assert not checked, "the inline decode fell back"
-            return read(*args)
-        return only
-
-    for _parse, reader in PARSERS.values():
-        monkeypatch.setattr(cli, reader, unchecked(getattr(cli, reader)))
+def test_texts_without_fractions_decode_inline_alone():
+    # So the examples above compare two different reads: the bulk decode
+    # accepts every text it can, comments and all, with no fallback.
     texts = [(ext, text) for ext, text in TEXTS if "/" not in text]
     assert len(texts) == 11  # the five .kr files, both .mdp, all four serialized
     for ext, text in texts:
-        PARSERS[ext][0](text)
+        _parse, bulk, checked = PARSERS[ext]
+        assert bulk(text) == checked(text)
