@@ -8,8 +8,10 @@ expected reward refutes every finite threshold, and an oracle that does not
 converge is undecided (None).  Exits nonzero unless every run decides and
 agrees with its oracle: a run that ends Stuck or BudgetExhausted, or whose
 oracle is undecided, prints ``agree=-`` and counts as a failure.  A file the
-parser rejects prints ``<file> error: <message>`` in place of its runs and
-counts as one failure, as the command line exits 1 on it.
+parser rejects or that cannot be read prints ``<file> error: <message>`` in
+place of its runs and counts as one failure, as the command line exits 1 on
+it.  A ``--models`` directory that cannot be listed prints an error and
+exits 1.
 
 Usage: python scripts/run_corpus.py [--models DIR] [--budget N]
 """
@@ -37,15 +39,20 @@ def main(argv=None) -> int:
     ap.add_argument("--budget", type=_positive_int, default=100000)
     args = ap.parse_args(argv)
 
+    try:
+        paths = sorted(pathlib.Path(args.models).iterdir())
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     failures = 0
-    for path in sorted(pathlib.Path(args.models).iterdir()):
+    for path in paths:
         runs = [run for run in RUNS if run[0] == path.suffix]
         if not runs:
             continue
         parse, _build, oracle = KINDS[runs[0][2]]
         try:
             model = parse(path.read_text())
-        except (ParseError, ValueError) as exc:
+        except (OSError, ParseError, ValueError) as exc:
             failures += 1
             print(f"{path.name} error: {exc}")
             continue

@@ -54,6 +54,6 @@ from .oracles import (
     vi_expected_reward,
     vi_max_reach,
 )
-from .simplex import Infeasible, Unbounded, simplex_min
+from .simplex import Infeasible, simplex_min
 
 __version__ = "0.1.0"

@@ -177,9 +177,16 @@ def _mask(toks, n: int, no: int) -> int:
 
 
 def _kripke_bulk(text: str) -> kr.KripkeStructure:
-    n, ((_, *init), (_, *safe)), pairs = _bulk_rows(text, ["states", "init", "safe"])
-    return kr.KripkeStructure(n, frozenset([(int(a), int(b)) for a, b in pairs]),
-                              _mask(init, MAX_STATES, 0), _mask(safe, MAX_STATES, 0))
+    n, headers, pairs = _bulk_rows(text, ["states", "init", "safe"])
+    masks = []
+    for _, *ids in headers:  # the init and safe lines
+        mask = 0
+        for s in map(int, ids):
+            if not 0 <= s < n:  # before the shift allocates a 1 << s
+                raise ValueError("state index out of range")
+            mask |= 1 << s
+        masks.append(mask)
+    return kr.KripkeStructure(n, frozenset([(int(a), int(b)) for a, b in pairs]), *masks)
 
 
 def _kripke_checked(text: str) -> kr.KripkeStructure:

@@ -327,14 +327,15 @@ def decide_lp(M, F: Transformer, X_prev, C_head, cost):
     Decide.
 
     Otherwise (a slack obligation, or a support entry above the cap) the
-    program minimizes ``sum cost(X_prev(t)) * x_t`` subject to the rows and
-    ``0 <= x_t <= min(X_prev(t), 1e9)``; the finite cap replaces infinite
-    frame entries.  The output is the program's solution, snapped to the
-    cap within 1e-9; a strict obligation is already a float above its
-    bound, so the rows ask for no more than it.  If rounding makes the
-    solution miss a row by an ulp, the restriction is returned (always
-    contract-valid).  None when the program is infeasible, which only a
-    head needing a value above the cap makes it.
+    program minimizes ``sum cost(X_prev(t)) * x_t``, every cost ``>= 0``,
+    subject to the rows and the box ``0 <= x_t <= cap_t``, where ``cap_t =
+    min(X_prev(t), 1e9)``: ``simplex_min`` takes the caps, and the finite
+    cap replaces infinite frame entries.  The output is the program's
+    solution, snapped to the cap within 1e-9; a strict obligation is
+    already a float above its bound, so the rows ask for no more than it.
+    If rounding makes the solution miss a row by an ulp, the restriction is
+    returned (always contract-valid).  None when the program is infeasible,
+    which only a head needing a value above the cap makes it.
     """
     supports = []
     var_states: list[int] = []
@@ -368,8 +369,7 @@ def decide_lp(M, F: Transformer, X_prev, C_head, cost):
         rows.append((coeffs, c - reduce(operator.add, [p * r for r, _, p in dist], 0.0)))
     caps = [min(X_prev[t], _CAP) for t in var_states]
     try:
-        xs = simplex_min([cost(X_prev[t]) for t in var_states], rows,
-                         [(0.0, cap) for cap in caps])
+        xs = simplex_min([cost(X_prev[t]) for t in var_states], rows, caps)
     except Infeasible:  # the head needs a value above the cap
         return None
 

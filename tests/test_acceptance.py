@@ -290,13 +290,13 @@ def test_acceptance_7_lp_correctness():
     for _ in range(100):
         n = rng.randint(2, 4)
         costs = [round(2.0 - rng.random(), 3) for _ in range(n)]
-        bounds = [(0.0, round(rng.random(), 3)) for _ in range(n)]
+        caps = [round(rng.random(), 3) for _ in range(n)]
         constraints = [([round(rng.random(), 3) for _ in range(n)],
                         round(rng.random() * 0.8, 3))
                        for _ in range(rng.randint(1, 4))]
-        expected = lp_vertex_min(costs, constraints, bounds)
+        expected = lp_vertex_min(costs, constraints, [(0.0, c) for c in caps])
         try:
-            xs = simplex_min(costs, constraints, bounds)
+            xs = simplex_min(costs, constraints, caps)
         except Infeasible:
             ok = ok and expected is None
             continue

@@ -79,6 +79,16 @@ class TestParseKripke:
         assert hostile_read(parse_kripke, text) == (
             "line 6: state index 100000 out of range (states 100000)")
 
+    @pytest.mark.parametrize("text, line", [
+        ("states 3\ninit 0 40000000\nsafe 0\ntrans\n0 1\n", 2),
+        ("states 3\ninit 0\nsafe 1 40000000\ntrans\n0 1\n", 3),
+    ], ids=["init", "safe"])
+    def test_hostile_state_id_allocates_no_mask(self, text, line):
+        # 1 << 40000000 is a 5 MB integer: the bulk decode checks each id
+        # against the state count before it shifts.
+        assert hostile_read(parse_kripke, text) == (
+            f"line {line}: state index 40000000 out of range (states 3)")
+
     @pytest.mark.parametrize("text, error", [
         # Eight ends in range: only the arity check can reject them.
         ("states 3\ninit 0\nsafe 0\ntrans\n0 1\n1 2\n2 2 1\n1\n",

@@ -374,7 +374,7 @@ class TestDecideLP:
         assert F((0.0, *optimum))[0] == 0.7202854996234928
         calls = []
 
-        def fake_simplex_min(costs, rows, bounds):
+        def fake_simplex_min(costs, rows, caps):
             calls.append(rows)
             return optimum
 

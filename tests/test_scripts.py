@@ -92,6 +92,25 @@ def test_run_corpus_counts_a_rejected_file_and_goes_on(tmp_path, capsys):
     assert "1 file(s) unparsed" in err
 
 
+def test_run_corpus_counts_an_unreadable_file_and_goes_on(tmp_path, capsys):
+    # A directory named like a model cannot be read: one failure, with the
+    # message the command line prints for it, and no traceback.
+    (tmp_path / "bad.kr").mkdir()
+    (tmp_path / "good.mrm").write_text(LOOP_MRM)
+    assert load("run_corpus").main(["--models", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    bad, good = out.splitlines()
+    assert bad.startswith("bad.kr error: [Errno 21] Is a directory: ")
+    assert good.startswith("good.mrm ") and " agree=True " in good
+    assert "1 file(s) unparsed" in err
+
+
+def test_run_corpus_rejects_a_missing_directory(tmp_path, capsys):
+    assert load("run_corpus").main(["--models", str(tmp_path / "none")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: [Errno 2] No such file or directory: ")
+
+
 def test_true_summary_counts_answers_with_an_induction_step():
     def answer(verdict, steps, **rule_counts):
         return SimpleNamespace(verdict=verdict,
