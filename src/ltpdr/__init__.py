@@ -14,7 +14,6 @@ from .engine import (
     HeuristicsBundle,
     Instance,
     PDRAnswer,
-    PDRConfig,
     RunStats,
     Verdict,
     canonical_heuristics,

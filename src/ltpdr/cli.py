@@ -35,8 +35,8 @@ ends included, in one bulk pass that checks only keywords, line shapes,
 transition keys and, before allocating, ``MAX_STATES`` and ``MAX_ACTIONS``;
 every other range is left to the model constructor.  Only when the decode
 or the constructor raises is the file read again token by token with every
-check (``_Lines``): to name the first bad line, or to read fractions and
-``unsafe`` lines.
+check (``_Lines``): to name the first bad line, or to read ``unsafe`` lines.
+Both reads take a ``num/den`` number as ``int(num) / int(den)``.
 ``KINDS`` maps each command-line kind to its parser, its ``Instance``
 builder and its oracle; ``run_cli`` solves the instance with
 ``engine.solve``, and ``scripts/run_corpus.py`` reads the same table.
@@ -158,12 +158,18 @@ def _state(tok: str, n: int, no: int) -> int:
     return s
 
 
+def _ratio(tok: str) -> float:
+    """A decimal or ``num/den`` token as a float, ``int(num) / int(den)``;
+    ``ZeroDivisionError`` or ``OverflowError`` for a quotient it cannot be."""
+    if "/" in tok:
+        num, den = tok.split("/", 1)
+        return int(num) / int(den)
+    return float(tok)
+
+
 def _number(tok: str, no: int, what: str) -> float:
     try:
-        if "/" in tok:
-            num, den = tok.split("/", 1)
-            return int(num) / int(den)
-        return float(tok)
+        return _ratio(tok)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise ParseError(no, f"bad {what} {tok!r}") from None
 
@@ -260,6 +266,7 @@ def _mdp_bulk(text: str) -> mdp_mod.MDPModel:
         text, ["states", "actions", "init", "lambda", "safe"])
     if (m := int(m)) > MAX_ACTIONS:
         raise ValueError(m)
+    num = _ratio if "/" in text else float  # float alone where no fraction can be
     table: list = [None] * n  # a state's action row, made on its first line
     for toks in rows:
         s, a = int(toks[0]), int(toks[1])
@@ -269,11 +276,11 @@ def _mdp_bulk(text: str) -> mdp_mod.MDPModel:
         dist = []
         for tok in toks[3:]:
             t, _, p = tok.rpartition(":")
-            dist.append((int(t), float(p)))
+            dist.append((int(t), num(p)))
         row[a] = tuple(dist)
     if None in table:
         raise ValueError("a state without a line")
-    return mdp_mod.MDPModel(n, m, tuple(map(tuple, table)), int(s0), float(lam),
+    return mdp_mod.MDPModel(n, m, tuple(map(tuple, table)), int(s0), num(lam),
                             frozenset(map(int, safe)))
 
 
@@ -294,6 +301,7 @@ def _mdp_checked(text: str) -> mdp_mod.MDPModel:
 def _mrm_bulk(text: str) -> mrm_mod.MRMModel:
     n, ((_, s0), (_, lam), (_, *safe)), rows = _bulk_rows(
         text, ["states", "init", "lambda", "safe"])
+    num = _ratio if "/" in text else float  # float alone where no fraction can be
     table: list = [None] * n
     for toks in rows:
         s = int(toks[0])
@@ -305,11 +313,11 @@ def _mrm_bulk(text: str) -> mrm_mod.MRMModel:
             if pair[0] != "(" or pair[-1] != ")":
                 raise ValueError("a bad entry")
             c, _, t = pair[1:-1].partition(",")
-            dist.append(((int(c), int(t)), float(p)))
+            dist.append(((int(c), int(t)), num(p)))
         table[s] = tuple(dist)
     if None in table:
         raise ValueError("a state without a line")
-    return mrm_mod.MRMModel(n, tuple(table), int(s0), float(lam),
+    return mrm_mod.MRMModel(n, tuple(table), int(s0), num(lam),
                             frozenset(map(int, safe)))
 
 
@@ -335,14 +343,14 @@ def parse_kripke(text: str) -> kr.KripkeStructure:
 def parse_mdp(text: str) -> mdp_mod.MDPModel:
     try:
         return _mdp_bulk(text)
-    except (ParseError, ValueError, IndexError):
+    except (ParseError, ValueError, IndexError, ZeroDivisionError, OverflowError):
         return _mdp_checked(text)
 
 
 def parse_mrm(text: str) -> mrm_mod.MRMModel:
     try:
         return _mrm_bulk(text)
-    except (ParseError, ValueError, IndexError):
+    except (ParseError, ValueError, IndexError, ZeroDivisionError, OverflowError):
         return _mrm_checked(text)
 
 

@@ -31,14 +31,18 @@ certificate of a True or False answer.  Each instance module builds
 its ``Instance`` values (``kripke.forward``, ``kripke.inverse_backward``,
 ``kripke.opdual``, ``mdp.max_reach``, ``mrm.expected_reward``).
 
-A ``PDRConfig`` is a named tuple of two plain tuples, the frames and the
-obligations; only an answer wraps them, as the certificate ``KTSequence``
-or ``KleeneSequence``.
-
-All rules are pure config-to-config steps; the runners add scheduling,
-budgeting, statistics, optional per-step invariant checking (``debug=True``)
-and an optional trace sink.  Heuristic outputs are always re-verified against
-their contracts; instance code is never trusted.
+The run owns its configuration ``(X; C)``: two lists, the frames ``X_0 ..
+X_{n-1}`` and the pending obligations ``C_{n-1} .. C_i``, head last, so
+``i = len(frames) - len(obligations)``.  Each rule checks its guard and
+re-checks what a heuristic chose, then edits the lists in place and returns
+what it touched: Unfold appends ``top``, Candidate and Decide push an
+obligation, Conflict pops one, and Induction and Conflict meet a lemma into
+the frames.  The runners re-check Valid, refresh their ``F`` cache and run
+debug mode's per-step checker (``debug=True``) on that edit alone, and add
+scheduling, budgeting, statistics and an optional trace sink.  Only an
+answer copies the lists, into the certificate ``KTSequence`` or
+``KleeneSequence``.  Heuristic outputs are always re-verified against their
+contracts; instance code is never trusted.
 
 Every instance's Conflict lemma is the paper's canonical ``x := F(X_{i-1})``
 (``canonical_conflict``), which meets its contract by monotonicity, so
@@ -50,11 +54,10 @@ that Conflict for sure, ``run_combined`` applies the lemma as Induction.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Optional
 
 from .lattice import (
     KTSequence,
@@ -104,14 +107,6 @@ class PDRAnswer:
     stats: Optional[RunStats] = None
 
 
-class PDRConfig(NamedTuple):
-    """Engine state ``(X; C)``: the frames and the pending obligations ``C_i
-    .. C_{n-1}`` as plain tuples, so ``i = len(frames) - len(obligations)``."""
-
-    frames: tuple
-    obligations: tuple = ()
-
-
 def canonical_conflict(x_prev, head, fx):
     """Conflict's canonical choice ``x := F(X_{i-1})``, which the engine
     passes in precomputed as ``fx``."""
@@ -126,8 +121,9 @@ class HeuristicsBundle:
     element is re-verified by the engine and a violation aborts the run.
     ``choose_decide``/``choose_conflict`` receive ``F(X_{i-1})`` precomputed.
     Conflict defaults to ``canonical_conflict``, which every instance uses
-    and whose lemma, the engine's own ``F(X_{i-1})``, is not re-imaged.
-    ``choose_induction`` is offered the frames, a plain tuple, before the
+    and whose lemma, the very ``F(X_{i-1})`` object the engine passed in, is
+    not re-imaged.
+    ``choose_induction`` is offered a tuple snapshot of the frames, before the
     other rules on the step right after each Unfold, and returns
     ``(k, x)``; ``rule_induction`` applies it when ``X_k !<= x`` and
     ``F(X_{k-1} /\\ x) <= x``.  Once one of its lemmas has applied, the
@@ -148,35 +144,43 @@ class HeuristicsBundle:
     choose_induction: Optional[Callable[[tuple], Optional[tuple[int, Any]]]] = None
 
 
-def initial_config(F: Transformer) -> PDRConfig:
+def initial_config(F: Transformer) -> tuple[list, list]:
+    """The frames and obligations ``(bot <= F(bot); ())`` of a new run."""
     bot = F.lattice.bot
-    return PDRConfig((bot, F(bot)))
+    return [bot, F(bot)], []
 
 
 # ---------------------------------------------------------------------------
-# Rules (pure).  Each returns the successor config / answer, or None when its
-# guard does not hold.
+# Rules.  Each takes the run's frames ``xs`` and obligations ``ob`` (head
+# last), and returns None, changing nothing, when its guard does not hold.
+# Valid and Model return the answer.  The others edit the lists in place and
+# return the edit: Unfold, Induction and Conflict the index ``j >= 1`` of the
+# highest frame they kept, having replaced ``X_{j+1} .. X_k`` (``k`` the new
+# last frame, or the index they were applied at); Candidate and Decide
+# ``PUSHED``, as they change no frame.
+
+PUSHED = 0
 
 
-def rule_valid(cfg: PDRConfig, F: Transformer, alpha, lo: int = 0,
+def rule_valid(xs: list, ob: list, F: Transformer, alpha, lo: int = 0,
                hi: Optional[int] = None) -> Optional[PDRAnswer]:
     """Valid on the frame pairs ``(j, j+1)`` with ``lo <= j < hi``; every
-    pair by default.  Only the answer wraps the frames as a certificate."""
-    if is_conclusive_kt(cfg.frames, F.lattice, lo, hi) is None:
+    pair by default.  Only the answer copies the frames, as a certificate."""
+    if is_conclusive_kt(xs, F.lattice, lo, hi) is None:
         return None
-    return PDRAnswer(Verdict.TRUE, kt_witness=KTSequence(cfg.frames))
+    return PDRAnswer(Verdict.TRUE, kt_witness=KTSequence(tuple(xs)))
 
 
-def rule_unfold(cfg: PDRConfig, F: Transformer, alpha) -> Optional[PDRConfig]:
+def rule_unfold(xs: list, ob: list, F: Transformer, alpha) -> Optional[int]:
     lat = F.lattice
-    xs = cfg.frames
-    if not lat.leq(xs[-1], alpha):
+    if ob or not lat.leq(xs[-1], alpha):
         return None
-    return PDRConfig(xs + (lat.top,))
+    xs.append(lat.top)
+    return len(xs) - 2
 
 
-def rule_induction(cfg: PDRConfig, F: Transformer, alpha, k: int, x,
-                   fx=None) -> Optional[PDRConfig]:
+def rule_induction(xs: list, ob: list, F: Transformer, alpha, k: int, x,
+                   fx=None) -> Optional[int]:
     """Induction, which the paper applies only with no obligations pending:
     strengthening a frame under a pending ``C_j`` could leave ``C_j !<= X_j``.
 
@@ -186,22 +190,21 @@ def rule_induction(cfg: PDRConfig, F: Transformer, alpha, k: int, x,
     ``F(X_j) <= X_{j+1}`` on every changed frame pair implies it.
     """
     lat = F.lattice
-    xs = cfg.frames
-    if cfg.obligations or not 2 <= k <= len(xs) - 1:
+    if ob or not 2 <= k <= len(xs) - 1:
         return None
     if lat.leq(xs[k], x):
         return None
     if x is not fx and not lat.leq(F(lat.meet(xs[k - 1], x)), x):
         return None
-    return PDRConfig(_strengthen(lat, xs, k, x))
+    return _strengthen(lat, xs, k, x)
 
 
-def rule_candidate(cfg: PDRConfig, F: Transformer, alpha,
-                   heuristics: HeuristicsBundle) -> Optional[PDRConfig]:
+def rule_candidate(xs: list, ob: list, F: Transformer, alpha,
+                   heuristics: HeuristicsBundle) -> Optional[int]:
     lat = F.lattice
-    if cfg.obligations:
+    if ob:
         return None
-    last = cfg.frames[-1]
+    last = xs[-1]
     ok, info = lat.leq_info(last, alpha)
     if ok:
         return None
@@ -210,28 +213,26 @@ def rule_candidate(cfg: PDRConfig, F: Transformer, alpha,
         return None
     if not lat.leq(x, last) or lat.leq(x, alpha):
         raise HeuristicViolation("candidate output must satisfy x <= X_{n-1} and x !<= alpha")
-    return PDRConfig(cfg.frames, (x,))
+    ob.append(x)
+    return PUSHED
 
 
-def rule_model(cfg: PDRConfig, F: Transformer, alpha) -> Optional[PDRAnswer]:
+def rule_model(xs: list, ob: list, F: Transformer, alpha) -> Optional[PDRAnswer]:
     """Model, once the head obligation is at index 1."""
-    ob = cfg.obligations
-    if len(ob) != len(cfg.frames) - 1:
+    if len(ob) != len(xs) - 1:
         return None
-    witness = KleeneSequence((F.lattice.bot,) + ob, 0)
+    witness = KleeneSequence((F.lattice.bot, *reversed(ob)), 0)
     return PDRAnswer(Verdict.FALSE, kleene_witness=witness)
 
 
-def rule_decide(cfg: PDRConfig, F: Transformer, alpha, heuristics: HeuristicsBundle,
-                fx=None) -> Optional[PDRConfig]:
+def rule_decide(xs: list, ob: list, F: Transformer, alpha,
+                heuristics: HeuristicsBundle, fx=None) -> Optional[int]:
     """Decide; ``fx`` is ``F(X_{i-1})`` when the caller has it already."""
     lat = F.lattice
-    xs, ob = cfg.frames, cfg.obligations
     if not ob:
         return None
-    i = len(xs) - len(ob)
-    head = ob[0]
-    x_prev = xs[i - 1]
+    head = ob[-1]
+    x_prev = xs[len(xs) - len(ob) - 1]
     if fx is None:
         fx = F(x_prev)
     if not lat.leq(head, fx):
@@ -241,11 +242,12 @@ def rule_decide(cfg: PDRConfig, F: Transformer, alpha, heuristics: HeuristicsBun
         return None
     if not lat.leq(x, x_prev) or not lat.leq(head, F(x)):
         raise HeuristicViolation("decide output must satisfy x <= X_{i-1} and C_i <= F(x)")
-    return PDRConfig(xs, (x,) + ob)
+    ob.append(x)
+    return PUSHED
 
 
-def rule_conflict(cfg: PDRConfig, F: Transformer, alpha, heuristics: HeuristicsBundle,
-                  fx=None) -> Optional[PDRConfig]:
+def rule_conflict(xs: list, ob: list, F: Transformer, alpha,
+                  heuristics: HeuristicsBundle, fx=None) -> Optional[int]:
     """Conflict; ``fx`` is ``F(X_{i-1})`` when the caller has it already.
 
     The guard is ``C_i !<= F(X_{i-1})``, Decide's negated.  A lemma other
@@ -254,11 +256,10 @@ def rule_conflict(cfg: PDRConfig, F: Transformer, alpha, heuristics: HeuristicsB
     ``F(X_j) <= X_{j+1}`` on every changed frame pair implies it.
     """
     lat = F.lattice
-    xs, ob = cfg.frames, cfg.obligations
     if not ob:
         return None
     i = len(xs) - len(ob)
-    head = ob[0]
+    head = ob[-1]
     x_prev = xs[i - 1]
     if fx is None:
         fx = F(x_prev)
@@ -270,22 +271,25 @@ def rule_conflict(cfg: PDRConfig, F: Transformer, alpha, heuristics: HeuristicsB
     if x is not fx and (lat.leq(head, x) or not lat.leq(F(lat.meet(x_prev, x)), x)):
         raise HeuristicViolation(
             "conflict output must satisfy C_i !<= x and F(X_{i-1} /\\ x) <= x")
-    return PDRConfig(_strengthen(lat, xs, i, x), ob[1:])
+    ob.pop()
+    return _strengthen(lat, xs, i, x)
 
 
-def _strengthen(lat: Lattice, xs: tuple, k: int, x) -> tuple:
-    """The frames with ``x`` met into ``X_2 .. X_k`` (Induction, Conflict).
+def _strengthen(lat: Lattice, xs: list, k: int, x) -> int:
+    """Meet ``x`` into ``X_2 .. X_k`` in place (Induction, Conflict), and
+    return the index ``j`` of the highest frame kept.
 
     The chain ascends, so once ``X_j <= x`` every frame below ``X_j`` is
-    below ``x`` too and the meet leaves it as it is.  Only the frames above
-    the highest such ``X_j`` are met; ``X_0 .. X_j`` are kept as the same
-    objects, which ``_fresh_pairs`` and the ``F`` cache of ``run_combined``
-    rely on.
+    below ``x`` too and the meet leaves it as it is.  Only ``X_{j+1} ..
+    X_k``, the frames above the highest such ``X_j`` (and above ``X_1``),
+    are met and replaced; the rest are not touched.
     """
     j = k
     while j >= 2 and not lat.leq(xs[j], x):
         j -= 1
-    return xs[:j + 1] + tuple([lat.meet(e, x) for e in xs[j + 1:k + 1]]) + xs[k + 1:]
+    for i in range(j + 1, k + 1):
+        xs[i] = lat.meet(xs[i], x)
+    return j
 
 
 # ---------------------------------------------------------------------------
@@ -295,49 +299,47 @@ def _strengthen(lat: Lattice, xs: tuple, k: int, x) -> tuple:
 class _InvariantChecker:
     """The configuration invariants of debug mode, checked after every step.
 
-    Frames and obligations are immutable and the rules keep unchanged ones
-    as the same objects, so a test is repeated only where it touches one not
-    identical to the last checked one at its frame index (for obligations,
-    in a chain of the same length).  ``X_{n-2} <= alpha`` and the prefix
-    are re-tested on every step.
+    The rules edit the frames in place, so the last configuration cannot
+    show what changed; the runner passes each step's edit instead, as the
+    fresh frame pairs ``(lo, hi)``: the frames ``X_{lo+1} .. X_hi`` are new,
+    and ``(0, 0)`` names none.  An obligation is new when the chain grew
+    since the last check at the same frame count.  A test is repeated only
+    where it touches a new frame or obligation; ``X_{n-2} <= alpha`` and the
+    prefix are re-tested on every step.
     """
 
     def __init__(self, F: Transformer, alpha):
         self.F = F
         self.alpha = alpha
         self.chain = [F.lattice.bot, F(F.lattice.bot)]  # iterates of F from bottom
-        self.last = PDRConfig((), ())  # the last configuration that passed
+        self.sizes = (0, 0)  # the frame and obligation counts last checked
 
-    def check(self, cfg: PDRConfig) -> None:
+    def check(self, xs: list, ob: list, lo: int = 0, hi: Optional[int] = None) -> None:
         F, lat = self.F, self.F.lattice
-        xs, ob = cfg.frames, cfg.obligations
-        n, k = len(xs), len(xs) - len(ob)
-        old, old_ob = self.last
-        changed = [*map(operator.is_not, xs, old), *[True] * (n - len(old))]
+        n, m = len(xs), len(ob)
+        k, hi = n - m, n - 1 if hi is None else hi
+        top = k + m - self.sizes[1] if self.sizes[0] == n else n  # C_k .. C_{top-1} are new
+        self.sizes = (n, m)
         while len(self.chain) < n:
             self.chain.append(F(self.chain[-1]))
         if n < 2 or not lat.eq(xs[0], lat.bot) or not lat.leq(xs[n - 2], self.alpha):
             raise EngineInvariantError("frame chain invariant broken")
-        for i in range(n - 1):
-            if (changed[i] or changed[i + 1]) and not (
-                    lat.leq(xs[i], xs[i + 1]) and lat.leq(F(xs[i]), xs[i + 1])):
+        for i in range(lo, min(hi + 1, n - 1)) if lo < hi else ():  # touching a new frame
+            if not (lat.leq(xs[i], xs[i + 1]) and lat.leq(F(xs[i]), xs[i + 1])):
                 raise EngineInvariantError("frame chain invariant broken")
-        if ob:
-            pad = len(ob) - len(old_ob) if len(old) == n else len(ob)
-            fresh = [j < pad or c is not old_ob[j - pad] for j, c in enumerate(ob)]
-            for j, c in enumerate(ob):
-                if j and (fresh[j - 1] or fresh[j]) and not lat.leq(c, F(ob[j - 1])):
-                    raise EngineInvariantError("obligation chain invariant broken")
-                if (fresh[j] or changed[k + j]) and not lat.leq(c, xs[k + j]):
-                    raise EngineInvariantError("obligation not admissible (C_j !<= X_j)")
-            if fresh[-1] and lat.leq(ob[-1], self.alpha):
+        for j in range(k + 1, min(top + 1, n)):  # C_j or C_{j-1} is new
+            if not lat.leq(ob[n - 1 - j], F(ob[n - j])):
                 raise EngineInvariantError("obligation chain invariant broken")
+        for j in [*range(k, top), *range(max(k, lo + 1), hi + 1)]:
+            if not lat.leq(ob[n - 1 - j], xs[j]):
+                raise EngineInvariantError("obligation not admissible (C_j !<= X_j)")
+        if top == n and ob and lat.leq(ob[0], self.alpha):
+            raise EngineInvariantError("obligation chain invariant broken")
         if not lat.eq(xs[1], self.chain[1]):
             raise EngineInvariantError("frame prefix (bot, F bot) not preserved")
-        for i in range(n):
-            if changed[i] and not lat.leq(self.chain[i], xs[i]):
+        for i in range(lo + 1, hi + 1):
+            if not lat.leq(self.chain[i], xs[i]):
                 raise EngineInvariantError("frames no longer over-approximate F^i(bot)")
-        self.last = cfg
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +365,7 @@ def certificate_holds(answer: PDRAnswer, F: Transformer, alpha) -> bool:
 
 
 def _finalize(answer: PDRAnswer, stats: RunStats, F: Transformer, alpha,
-              started: float, frames: tuple, debug: bool = False) -> PDRAnswer:
+              started: float, frames, debug: bool = False) -> PDRAnswer:
     """Stop with a True or False answer after re-checking its certificate;
     in debug mode also re-check the whole final frame chain."""
     answer = _stop(answer, stats, started, len(frames))
@@ -375,47 +377,17 @@ def _finalize(answer: PDRAnswer, stats: RunStats, F: Transformer, alpha,
     return answer
 
 
-def _fresh_pairs(rule: str, old: tuple, cfg: PDRConfig,
-                 k: Optional[int]) -> Optional[tuple[int, int]]:
-    """The range ``(lo, hi)`` of frame pairs ``(j, j+1)``, ``lo <= j < hi``,
-    on which Valid can newly hold after ``rule`` turned the frames ``old``
-    into those of ``cfg``; None when the rule kept the frames.
-
-    Valid failed on ``old``.  Unfold adds just the last pair.  Induction at
-    ``k`` and Conflict at ``k`` (the index of the obligation it popped) meet
-    a new element into ``X_2 .. X_k``; ``_strengthen`` keeps the frames the
-    meet leaves unchanged as the same objects, and since the chain ascends
-    these are a prefix ``X_0 .. X_{j0}``.  A pair of two unchanged frames
-    has already failed, and at ``j = k`` the pair would need ``X_{k+1} <=
-    X_k`` already, so only ``j0 <= j < k`` are fresh.
-    """
-    if rule == "unfold":
-        n = len(cfg.frames)
-        return (n - 2, n - 1)
-    if rule not in ("induction", "conflict"):
-        return None
-    xs, ys = old, cfg.frames
-    j0 = k
-    while j0 > 1 and xs[j0] is not ys[j0]:
-        j0 -= 1
-    return (j0, k)
+def _image_at(F: Transformer, cache: dict, xs: list, j: int):
+    """``F(X_j)`` through ``cache``, which maps ``j`` to ``F(X_j)``; the
+    runner drops the entries of the frames each edit replaces."""
+    fx = cache.get(j)
+    if fx is None:
+        fx = cache[j] = F(xs[j])
+    return fx
 
 
-def _image_at(F: Transformer, cache: dict, xs: tuple, j: int):
-    """``F(X_j)`` through ``cache``, which maps ``j`` to ``(X_j, F(X_j))``.
-
-    An entry is reused only while ``X_j`` is the very object it was computed
-    for, so it goes stale exactly when the frame changes.
-    """
-    entry = cache.get(j)
-    if entry is None or entry[0] is not xs[j]:
-        entry = cache[j] = (xs[j], F(xs[j]))
-    return entry[1]
-
-
-def _emit(trace, step: int, rule: str, cfg: PDRConfig) -> None:
-    trace(f"step={step} rule={rule} frames={len(cfg.frames)} "
-          f"obligations={len(cfg.obligations)}")
+def _emit(trace, step: int, rule: str, xs: list, ob: list) -> None:
+    trace(f"step={step} rule={rule} frames={len(xs)} obligations={len(ob)}")
 
 
 def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
@@ -465,32 +437,29 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     the image of ``X_0``.
 
     Valid is a function of the frames alone and has failed on every earlier
-    chain, so each step re-checks it only on the frame pairs the last rule
-    could have made conclusive (``_fresh_pairs``): none after Decide or
-    Candidate, which keep the frames; the new last pair after Unfold; and
-    after Induction or Conflict at index ``k``, pairs ``j0 .. k-1``, where
-    ``X_{j0}`` is the highest frame the meet left unchanged.  Since the
-    chain ascends, the meet changes only ``X_{j0+1} .. X_k``
-    (``_strengthen``).  The certificate check at the end scans the whole
-    chain.
+    chain, so each step re-checks it only on the frame pairs the last edit
+    could have made conclusive: none after Decide or Candidate, which keep
+    the frames; the new last pair after Unfold; and after Induction or
+    Conflict at index ``k``, which return the highest frame ``X_j`` they
+    kept, pairs ``j .. k-1``.  At ``k`` the pair would need ``X_{k+1} <=
+    X_k`` already.  The certificate check at the end scans the whole chain.
 
     ``F(X_{i-1})`` for Decide and Conflict, and ``F(X_{n-2})`` for the
-    canonical Induction, come from a per-index cache of ``(X_j, F(X_j))``
-    (``_image_at``); an entry is reused only while its frame is the same
-    object, so a Conflict or Induction that changes ``X_j`` makes it stale
-    and every unchanged frame keeps its image.
+    canonical Induction, come from a per-index cache (``_image_at``); an
+    edit that replaces ``X_j`` drops its entry, and every frame it kept
+    keeps its image.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    cfg = initial_config(F)
+    xs, ob = initial_config(F)
     stats = RunStats()
     counts = stats.rule_counts  # in first-application order, as --json prints it
     started = time.perf_counter()
+    fresh = (0, len(xs) - 1)  # the pairs Valid has not yet failed on
     checker = _InvariantChecker(F, alpha) if debug else None
     if checker:
-        checker.check(cfg)
-    fresh = (0, len(cfg.frames) - 1)  # the pairs Valid has not yet failed on
-    images: dict = {}  # j -> (X_j, F(X_j))
+        checker.check(xs, ob)
+    images: dict = {}  # j -> F(X_j)
     leq = F.lattice.leq
     propose = heuristics.choose_induction  # None once its lemma has applied
     offer = None  # the proposer, on the step right after an Unfold
@@ -498,15 +467,14 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
 
     for step in range(1, budget + 1):
         if fresh is not None:
-            ans = rule_valid(cfg, F, alpha, *fresh)
+            ans = rule_valid(xs, ob, F, alpha, *fresh)
             if ans is not None:
                 break
-        xs, ob = cfg.frames, cfg.obligations
         if len(ob) == len(xs) - 1:
-            ans = rule_model(cfg, F, alpha)
+            ans = rule_model(xs, ob, F, alpha)
             break
 
-        nxt = k = None
+        edit = k = None
         if not ob:
             below = leq(xs[-1], alpha)
             applied = "induction"  # unless Unfold or Candidate applies
@@ -515,53 +483,58 @@ def run_combined(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
                     inductive = leq(F(alpha), alpha)
                 if inductive:  # alpha first, then the bundle's lemma
                     k = len(xs) - 1
-                    nxt = rule_induction(cfg, F, alpha, k, alpha)
-            if nxt is None and offer is not None:
-                prop = offer(xs)
+                    edit = rule_induction(xs, ob, F, alpha, k, alpha)
+            if edit is None and offer is not None:
+                prop = offer(tuple(xs))
                 if prop is not None:
                     k = prop[0]
-                    nxt = rule_induction(cfg, F, alpha, k, prop[1])
-                    if nxt is not None:
+                    edit = rule_induction(xs, ob, F, alpha, k, prop[1])
+                    if edit is not None:
                         propose = None
             offer = None
-            if nxt is None and below:
-                nxt, applied = rule_unfold(cfg, F, alpha), "unfold"
+            if edit is None and below:
+                edit, applied = rule_unfold(xs, ob, F, alpha), "unfold"
+                k = len(xs) - 1
                 offer = propose
-            elif nxt is None:
-                if len(xs) >= 3:
-                    k = len(xs) - 1
+            elif edit is None:
+                k = len(xs) - 1
+                if k >= 2:
                     fx = _image_at(F, images, xs, k - 1)
                     if leq(fx, alpha):  # Decide would refute any Candidate
-                        nxt = rule_induction(cfg, F, alpha, k, fx, fx)
-                if nxt is None:
-                    nxt, applied = rule_candidate(cfg, F, alpha, heuristics), "candidate"
+                        edit = rule_induction(xs, ob, F, alpha, k, fx, fx)
+                if edit is None:
+                    edit, applied = rule_candidate(xs, ob, F, alpha, heuristics), "candidate"
         else:
             k = len(xs) - len(ob)  # the head's index
             fx = _image_at(F, images, xs, k - 1)
-            nxt, applied = rule_decide(cfg, F, alpha, heuristics, fx), "decide"
-            if nxt is None:
-                nxt, applied = rule_conflict(cfg, F, alpha, heuristics, fx), "conflict"
+            edit, applied = rule_decide(xs, ob, F, alpha, heuristics, fx), "decide"
+            if edit is None:
+                edit, applied = rule_conflict(xs, ob, F, alpha, heuristics, fx), "conflict"
 
-        if nxt is None:
+        if edit is None:
             stats.steps = step
             return _stop(PDRAnswer(Verdict.STUCK), stats, started, len(xs))
-        cfg = nxt
         counts[applied] = counts.get(applied, 0) + 1
         if trace is not None:
-            _emit(trace, step, applied, cfg)
+            _emit(trace, step, applied, xs, ob)
+        if edit == PUSHED:
+            fresh = None
+        else:
+            fresh = (edit, k)
+            for j in range(edit + 1, k + 1):
+                images.pop(j, None)
         if checker:
-            checker.check(cfg)
-        fresh = _fresh_pairs(applied, xs, cfg, k)
+            checker.check(xs, ob, *(fresh or (0, 0)))
     else:
         stats.steps = budget
-        return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, len(cfg.frames))
+        return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, len(xs))
 
     applied = "valid" if ans.verdict is Verdict.TRUE else "model"
     counts[applied] = 1
     stats.steps = step
     if trace is not None:
-        _emit(trace, step, applied, cfg)
-    return _finalize(ans, stats, F, alpha, started, cfg.frames, debug)
+        _emit(trace, step, applied, xs, ob)
+    return _finalize(ans, stats, F, alpha, started, xs, debug)
 
 
 def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
@@ -583,44 +556,43 @@ def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     if budget < 1:
         raise ValueError("budget must be >= 1")
     lat = F.lattice
-    cfg = initial_config(F)
+    xs, ob = initial_config(F)
     stats = RunStats()
     counts = stats.rule_counts
     started = time.perf_counter()
     checker = _InvariantChecker(F, alpha) if debug else None
     if checker:
-        checker.check(cfg)
+        checker.check(xs, ob)
 
     for step in range(1, budget + 1):
-        ans = rule_model(cfg, F, alpha)
+        ans = rule_model(xs, ob, F, alpha)
         if ans is not None:
             counts["model"] = 1
             stats.steps = step
             if trace is not None:
-                _emit(trace, step, "model", cfg)
-            return _finalize(ans, stats, F, alpha, started, cfg.frames, debug)
-        xs, ob = cfg.frames, cfg.obligations
+                _emit(trace, step, "model", xs, ob)
+            return _finalize(ans, stats, F, alpha, started, xs, debug)
         if ob:
             fx = xs[len(xs) - len(ob)]  # X_i, which is F(X_{i-1})
-            nxt, applied = rule_decide(cfg, F, alpha, heuristics, fx), "decide"
+            edit, applied = rule_decide(xs, ob, F, alpha, heuristics, fx), "decide"
         elif lat.leq(xs[-1], alpha):
-            x = F(xs[-1])
-            nxt = None if lat.eq(x, xs[-1]) else PDRConfig(xs + (x,))
-            applied = "iterate"
+            x, edit, applied = F(xs[-1]), None, "iterate"
+            if not lat.eq(x, xs[-1]):
+                xs.append(x)
+                edit = len(xs) - 2
         else:
-            nxt, applied = rule_candidate(cfg, F, alpha, heuristics), "candidate"
-        if nxt is None:
+            edit, applied = rule_candidate(xs, ob, F, alpha, heuristics), "candidate"
+        if edit is None:
             stats.steps = step
             return _stop(PDRAnswer(Verdict.STUCK), stats, started, len(xs))
-        cfg = nxt
         counts[applied] = counts.get(applied, 0) + 1
         if trace is not None:
-            _emit(trace, step, applied, cfg)
+            _emit(trace, step, applied, xs, ob)
         if checker:
-            checker.check(cfg)
+            checker.check(xs, ob, *((0, 0) if edit == PUSHED else (edit, len(xs) - 1)))
 
     stats.steps = budget
-    return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, len(cfg.frames))
+    return _stop(PDRAnswer(Verdict.BUDGET_EXHAUSTED), stats, started, len(xs))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 A problem instance is a complete lattice ``L`` together with a monotone
 transformer ``F: L -> L`` and a bound ``alpha``; the solver decides whether
 the least fixed point of ``F`` is below ``alpha``.  Its answer carries one
-of two certificates, built from the engine's plain tuples only for answers:
+of two certificates, copied from the engine's lists only for answers:
 
 * a :class:`KTSequence` -- an ascending chain of frames whose stabilisation
   yields a Knaster-Tarski style positive certificate (an ``x`` with
@@ -122,7 +122,7 @@ class KleeneSequence:
 def is_kt_sequence(xs, F: Transformer, alpha) -> bool:
     """Check the three frame-chain invariants: ascending, shifted prefixed
     point (``X_0 = bot`` and ``F(X_i) <= X_{i+1}``), and ``X_{n-2} <= alpha``.
-    ``xs`` is a plain tuple of frames or a :class:`KTSequence`."""
+    ``xs`` is a sequence of frames or a :class:`KTSequence`."""
     lat = F.lattice
     n = len(xs)
     if n < 2 or not lat.eq(xs[0], lat.bot):
@@ -136,7 +136,7 @@ def is_kt_sequence(xs, F: Transformer, alpha) -> bool:
 def is_kleene_sequence(cs, F: Transformer, alpha) -> bool:
     """Check the obligation-chain invariants: consecutive elements satisfy
     ``C_j <= F(C_{j-1})`` and the tail is not below ``alpha``.  The empty
-    chain passes vacuously.  ``cs`` is a plain tuple of obligations or a
+    chain passes vacuously.  ``cs`` is a sequence of obligations or a
     :class:`KleeneSequence`."""
     lat = F.lattice
     for j in range(1, len(cs)):
@@ -150,7 +150,7 @@ def is_conclusive_kt(xs, lattice: Lattice, lo: int = 0,
     """Smallest j with ``lo <= j < hi`` and ``X_{j+1} <= X_j``, or None.
 
     The default range is every pair of the chain, ``0 <= j < n-1``; ``xs``
-    is a plain tuple of frames or a :class:`KTSequence`.
+    is a sequence of frames or a :class:`KTSequence`.
     """
     for j in range(lo, len(xs) - 1 if hi is None else hi):
         if lattice.leq(xs[j + 1], xs[j]):

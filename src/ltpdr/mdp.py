@@ -102,7 +102,7 @@ def _aitken(u: float, w: float, v: float) -> Optional[float]:
 def optimistic_induction(F: Transformer, alpha, s0: int):
     """The Induction proposer of the pointwise instances: a guessed prefixed
     point below ``alpha``, as in Optimistic Value Iteration (Hartmanns and
-    Kretinsky, CAV 2020).
+    Kaminski, CAV 2020).
 
     With the canonical lemma alone, the frames of a true instance are the
     Kleene iterates ``F^i(bot)``, and Valid waits until two of them coincide

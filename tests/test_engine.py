@@ -14,7 +14,7 @@ from ltpdr.engine import (
     EngineInvariantError,
     HeuristicViolation,
     HeuristicsBundle,
-    PDRConfig,
+    PUSHED,
     Verdict,
     canonical_heuristics,
     dualize,
@@ -59,13 +59,15 @@ ALPHA = 0b011
 ALPHA_P = 0b001
 
 
-def cfg(frames, obligations=()):
-    return PDRConfig(tuple(frames), tuple(obligations))
+def state(frames, obligations=()):
+    """A run's frames and pending obligations as the lists the rules edit;
+    the obligations are written head last, ``C_{n-1} .. C_i``."""
+    return list(frames), list(obligations)
 
 
-def index(c):
+def index(xs, ob):
     """The index ``i`` of the head obligation ``C_i``."""
-    return len(c.frames) - len(c.obligations)
+    return len(xs) - len(ob)
 
 
 @pytest.fixture
@@ -79,71 +81,96 @@ def H(k1):
 
 
 class TestRules:
+    """Each rule edits the run's two lists in place and returns the edit:
+    the highest frame it kept, or ``PUSHED``; None leaves them as they were."""
+
     def test_valid_fires_on_collapse(self, F):
-        ans = rule_valid(cfg([0, 0b001, 0b011, 0b011]), F, ALPHA)
+        ans = rule_valid(*state([0, 0b001, 0b011, 0b011]), F, ALPHA)
         assert ans.verdict is Verdict.TRUE
         assert ans.kt_witness.elements == (0, 0b001, 0b011, 0b011)
 
     def test_valid_on_empty_initial(self, k1):
         K = dataclasses.replace(k1, initial=0)
         F0 = forward_transformer(K)
-        assert rule_valid(cfg([0, 0]), F0, ALPHA).verdict is Verdict.TRUE
+        assert rule_valid(*state([0, 0]), F0, ALPHA).verdict is Verdict.TRUE
 
     def test_valid_absent_when_ascending(self, F):
-        assert rule_valid(cfg([0, 0b001, 0b011]), F, ALPHA) is None
+        assert rule_valid(*state([0, 0b001, 0b011]), F, ALPHA) is None
+
+    def test_valid_copies_the_frames_it_answers_with(self, F):
+        xs, ob = state([0, 0b001, 0b011, 0b011])
+        ans = rule_valid(xs, ob, F, ALPHA)
+        xs[3] = 0b111
+        assert ans.kt_witness.elements == (0, 0b001, 0b011, 0b011)
 
     def test_unfold_appends_top(self, F):
-        out = rule_unfold(cfg([0, 0b001]), F, ALPHA)
-        assert out.frames == (0, 0b001, 0b111)
-        assert out.obligations == ()
+        xs, ob = state([0, 0b001])
+        assert rule_unfold(xs, ob, F, ALPHA) == 1  # X_2 is new
+        assert (xs, ob) == ([0, 0b001, 0b111], [])
 
     def test_unfold_blocked_by_bound(self, F):
-        assert rule_unfold(cfg([0, 0b001, 0b111]), F, ALPHA) is None
+        xs, ob = state([0, 0b001, 0b111])
+        assert rule_unfold(xs, ob, F, ALPHA) is None
+        assert xs == [0, 0b001, 0b111]
+
+    def test_unfold_waits_for_pending_obligations(self, F):
+        xs, ob = state([0, 0b001], [0b001])
+        assert rule_unfold(xs, ob, F, ALPHA) is None
+        assert (xs, ob) == ([0, 0b001], [0b001])
 
     def test_unfold_with_tight_alpha(self, F):
-        out = rule_unfold(cfg([0, 0b001]), F, ALPHA_P)
-        assert out.frames == (0, 0b001, 0b111)
+        xs, ob = state([0, 0b001])
+        assert rule_unfold(xs, ob, F, ALPHA_P) == 1
+        assert xs == [0, 0b001, 0b111]
 
     def test_induction_strengthens(self, F):
-        out = rule_induction(cfg([0, 0b001, 0b111]), F, ALPHA, 2, 0b011)
-        assert out.frames == (0, 0b001, 0b011)
+        xs, ob = state([0, 0b001, 0b111])
+        assert rule_induction(xs, ob, F, ALPHA, 2, 0b011) == 1
+        assert xs == [0, 0b001, 0b011]
 
     def test_induction_requires_strengthening(self, F):
-        assert rule_induction(cfg([0, 0b001, 0b011]), F, ALPHA, 2, 0b011) is None
+        xs, ob = state([0, 0b001, 0b011])
+        assert rule_induction(xs, ob, F, ALPHA, 2, 0b011) is None
+        assert xs == [0, 0b001, 0b011]
 
     def test_induction_rejects_top(self, F):
-        assert rule_induction(cfg([0, 0b001, 0b111]), F, ALPHA, 2, 0b111) is None
+        assert rule_induction(*state([0, 0b001, 0b111]), F, ALPHA, 2, 0b111) is None
 
     def test_induction_waits_for_pending_obligations(self, F):
         # The lemma passes its guard, but meeting it into X_2 would leave
         # the pending obligation {2} above the frame.
-        c = cfg([0, 0b001, 0b111], [0b100])
-        assert rule_induction(c, F, ALPHA, 2, 0b011) is None
-        assert rule_induction(cfg([0, 0b001, 0b111]), F, ALPHA, 2, 0b011) is not None
+        xs, ob = state([0, 0b001, 0b111], [0b100])
+        assert rule_induction(xs, ob, F, ALPHA, 2, 0b011) is None
+        assert (xs, ob) == ([0, 0b001, 0b111], [0b100])
+        assert rule_induction(*state([0, 0b001, 0b111]), F, ALPHA, 2, 0b011) == 1
 
     def test_candidate_installs_singleton(self, F, H):
-        out = rule_candidate(cfg([0, 0b001, 0b111]), F, ALPHA, H)
-        assert out.obligations == (0b100,)
-        assert index(out) == 2
+        xs, ob = state([0, 0b001, 0b111])
+        assert rule_candidate(xs, ob, F, ALPHA, H) == PUSHED
+        assert ob == [0b100]
+        assert index(xs, ob) == 2
 
     def test_candidate_lowest_index_tiebreak(self, F, H):
-        out = rule_candidate(cfg([0, 0b001, 0b111]), F, ALPHA_P, H)
-        assert out.obligations == (0b010,)
+        xs, ob = state([0, 0b001, 0b111])
+        rule_candidate(xs, ob, F, ALPHA_P, H)
+        assert ob == [0b010]
 
     def test_candidate_absent_when_bounded(self, F, H):
-        assert rule_candidate(cfg([0, 0b001]), F, ALPHA, H) is None
+        xs, ob = state([0, 0b001])
+        assert rule_candidate(xs, ob, F, ALPHA, H) is None
+        assert ob == []
 
     def test_model_prepends_bottom(self, F):
-        ans = rule_model(cfg([0, 0b001, 0b111], [0b001, 0b010]), F, ALPHA_P)
+        ans = rule_model(*state([0, 0b001, 0b111], [0b010, 0b001]), F, ALPHA_P)
         assert ans.verdict is Verdict.FALSE
         assert ans.kleene_witness.elements == (0, 0b001, 0b010)
         assert check_kleene_witness(ans.kleene_witness, F, ALPHA_P)
 
     def test_model_absent_without_obligations(self, F):
-        assert rule_model(cfg([0, 0b001]), F, ALPHA) is None
+        assert rule_model(*state([0, 0b001]), F, ALPHA) is None
 
     def test_model_absent_above_index_one(self, F):
-        assert rule_model(cfg([0, 0b001, 0b111], [0b100]), F, ALPHA) is None
+        assert rule_model(*state([0, 0b001, 0b111], [0b100]), F, ALPHA) is None
 
     def test_model_fires_one_frame_above_the_obligations(self, F):
         # Model needs the head at index 1: len(obligations) == len(frames) - 1.
@@ -151,7 +178,7 @@ class TestRules:
         for xs in ([0, 0b001], [0, 0b001, 0b011], [0, 0b001, 0b011, 0b111]):
             for m in range(len(xs) + 1):
                 ob = chain[len(chain) - m:]
-                ans = rule_model(cfg(xs, ob), F, ALPHA_P)
+                ans = rule_model(*state(xs, reversed(ob)), F, ALPHA_P)
                 if m == len(xs) - 1:
                     assert ans.kleene_witness.elements == (0,) + ob
                 else:
@@ -169,54 +196,65 @@ class TestRules:
 
         xs = [0, 0b001, 0b011, 0b111]
         H = HeuristicsBundle(None, record)
-        out = rule_decide(cfg(xs, [0b010]), F, ALPHA_P, H)
+        frames, ob = state(xs, [0b010])
+        assert rule_decide(frames, ob, F, ALPHA_P, H) == PUSHED
         assert seen == [0b011]  # X_2 at i = 3
-        assert out.obligations == (0b011, 0b010) and index(out) == 2
-        out = rule_decide(cfg(xs, [0b010, 0b010]), F, ALPHA_P, H)
+        assert ob == [0b010, 0b011] and index(frames, ob) == 2
+        frames, ob = state(xs, [0b010, 0b010])
+        rule_decide(frames, ob, F, ALPHA_P, H)
         assert seen == [0b011, 0b001]  # X_1 at i = 2
-        assert out.obligations == (0b001, 0b010, 0b010) and index(out) == 1
-        assert out.frames == tuple(xs)
+        assert ob == [0b010, 0b010, 0b001] and index(frames, ob) == 1
+        assert frames == xs
 
         H = HeuristicsBundle(None, None, choose_conflict=lambda x_prev, head, fx:
                              seen.append(x_prev) or fx)
         seen.clear()
-        out = rule_conflict(cfg(xs, [0b100]), F, ALPHA, H)
+        frames, ob = state(xs, [0b100])
+        assert rule_conflict(frames, ob, F, ALPHA, H) == 2  # X_3 is met
         assert seen == [0b011]  # X_2 at i = 3, lemma F(X_2) = {0, 1}
-        assert out.frames == (0, 0b001, 0b011, 0b011) and out.obligations == ()
-        out = rule_conflict(cfg(xs, [0b100, 0b100]), F, ALPHA, H)
+        assert frames == [0, 0b001, 0b011, 0b011] and ob == []
+        frames, ob = state(xs, [0b100, 0b100])
+        assert rule_conflict(frames, ob, F, ALPHA, H) == 2  # no frame is met
         assert seen == [0b011, 0b001]  # X_1 at i = 2; X_2 is already below F(X_1)
-        assert out.frames == tuple(xs) and out.obligations == (0b100,)
-        assert index(out) == 3
+        assert frames == xs and ob == [0b100]
+        assert index(frames, ob) == 3
 
     def test_decide_prepends_predecessor(self, F, H):
-        out = rule_decide(cfg([0, 0b001, 0b111], [0b010]), F, ALPHA_P, H)
-        assert out.obligations == (0b001, 0b010)
-        assert index(out) == 1
+        xs, ob = state([0, 0b001, 0b111], [0b010])
+        assert rule_decide(xs, ob, F, ALPHA_P, H) == PUSHED
+        assert ob == [0b010, 0b001]
+        assert index(xs, ob) == 1
 
     def test_decide_guard_fails_for_unreachable(self, F, H):
-        assert rule_decide(cfg([0, 0b001, 0b111], [0b100]), F, ALPHA, H) is None
+        xs, ob = state([0, 0b001, 0b111], [0b100])
+        assert rule_decide(xs, ob, F, ALPHA, H) is None
+        assert ob == [0b100]
 
     def test_decide_absent_without_obligations(self, F, H):
-        assert rule_decide(cfg([0, 0b001]), F, ALPHA, H) is None
+        assert rule_decide(*state([0, 0b001]), F, ALPHA, H) is None
 
     def test_conflict_strengthens_and_pops(self, F, H):
-        out = rule_conflict(cfg([0, 0b001, 0b111], [0b100]), F, ALPHA, H)
-        assert out.frames == (0, 0b001, 0b011)
-        assert out.obligations == ()
+        xs, ob = state([0, 0b001, 0b111], [0b100])
+        assert rule_conflict(xs, ob, F, ALPHA, H) == 1
+        assert xs == [0, 0b001, 0b011]
+        assert ob == []
 
     def test_conflict_deeper_frame(self, F, H):
-        out = rule_conflict(cfg([0, 0b001, 0b011, 0b111], [0b100]), F, ALPHA, H)
-        assert out.frames == (0, 0b001, 0b011, 0b011)
-        assert rule_valid(out, F, ALPHA).verdict is Verdict.TRUE
+        xs, ob = state([0, 0b001, 0b011, 0b111], [0b100])
+        assert rule_conflict(xs, ob, F, ALPHA, H) == 2
+        assert xs == [0, 0b001, 0b011, 0b011]
+        assert rule_valid(xs, ob, F, ALPHA).verdict is Verdict.TRUE
 
     def test_conflict_guard_disjoint_from_decide(self, F, H):
-        assert rule_conflict(cfg([0, 0b001, 0b111], [0b010]), F, ALPHA_P, H) is None
+        xs, ob = state([0, 0b001, 0b111], [0b010])
+        assert rule_conflict(xs, ob, F, ALPHA_P, H) is None
+        assert (xs, ob) == ([0, 0b001, 0b111], [0b010])
 
     def test_guard_partition(self, F, H):
         # For any pending head exactly one of Decide/Conflict applies.
         for head in (0b010, 0b100):
-            c = cfg([0, 0b001, 0b111], [head])
-            fired = [rule_decide(c, F, ALPHA, H), rule_conflict(c, F, ALPHA, H)]
+            fired = [rule(*state([0, 0b001, 0b111], [head]), F, ALPHA, H)
+                     for rule in (rule_decide, rule_conflict)]
             assert sum(x is not None for x in fired) == 1
 
 
@@ -399,15 +437,18 @@ class TestCanonicalInduction:
         # guard's image: an equal copy of it is imaged in full.
         F = _model_instance("m1.mdp").F
         lat = F.lattice
-        c = cfg([lat.bot, F(lat.bot), lat.top])
-        fx = F(c.frames[1])
+        frames = [lat.bot, F(lat.bot), lat.top]
+        fx = F(frames[1])
         calls = []
         counted = Transformer(lat, lambda x: calls.append(x) or F.fn(x))
-        strengthened = (lat.bot, c.frames[1], fx)
-        assert rule_induction(c, counted, None, 2, fx, fx).frames == strengthened
+        strengthened = [lat.bot, frames[1], fx]
+        xs = list(frames)
+        assert rule_induction(xs, [], counted, None, 2, fx, fx) == 1 and xs == strengthened
         assert calls == []
-        assert rule_induction(c, counted, None, 2, tuple(list(fx)), fx).frames == strengthened
-        assert calls == [lat.meet(c.frames[1], fx)]
+        xs = list(frames)
+        assert rule_induction(xs, [], counted, None, 2, tuple(list(fx)), fx) == 1
+        assert xs == strengthened
+        assert calls == [lat.meet(frames[1], fx)]
 
 
 class TestInductionSchedule:
@@ -635,19 +676,24 @@ class TestNegative:
 
     def test_debug_checks_every_configuration(self, k1, monkeypatch):
         # The shared per-step checker, as in the combined engine: on the
-        # initial configuration and after every step that changes it.
+        # initial configuration and after every step that changes it, told
+        # the fresh frame pairs of the step's edit, (0, 0) for a push.
         checked = []
         check = engine._InvariantChecker.check
-        monkeypatch.setattr(engine._InvariantChecker, "check",
-                            lambda self, c: checked.append(c) or check(self, c))
+
+        def record(self, xs, ob, *edit):
+            checked.append((tuple(xs), tuple(ob), edit))
+            return check(self, xs, ob, *edit)
+
+        monkeypatch.setattr(engine._InvariantChecker, "check", record)
         F = forward_transformer(k1)
         lines = []
         ans = run_negative(F, ALPHA_P, forward_bundle(k1), debug=True,
                            trace=lines.append)
         assert ans.verdict is Verdict.FALSE
-        assert checked == [initial_config(F), cfg([0, 0b001, 0b011]),
-                           cfg([0, 0b001, 0b011], [0b010]),
-                           cfg([0, 0b001, 0b011], [0b001, 0b010])]
+        assert checked == [((0, 0b001), (), ()), ((0, 0b001, 0b011), (), (1, 2)),
+                           ((0, 0b001, 0b011), (0b010,), (0, 0)),
+                           ((0, 0b001, 0b011), (0b010, 0b001), (0, 0))]
         assert len(checked) == len(lines)  # the last, Model, changes nothing
 
     def test_no_decide_choice_is_stuck(self, k1):
@@ -743,29 +789,45 @@ class TestDualization:
 
 class TestDebugMode:
     def test_initial_config_shape(self, F):
-        c = initial_config(F)
-        assert c.frames == (0, 0b001)
-        assert c.obligations == ()
+        assert initial_config(F) == ([0, 0b001], [])
 
-    # (frames, obligations) of a corrupted config reached from the
-    # valid chain (0, 1, 3, 3, 7): each changes frames, which the checker
-    # sees as new objects, except the last, which adds an obligation that is
-    # not below its frame.
+    # (frames, obligations, edit) of a corrupted config reached from the
+    # valid chain (0, 1, 3, 3, 7): each replaces frames, which the edit
+    # (lo, hi) names as X_{lo+1} .. X_hi, except the last, which pushes two
+    # obligations, the head {2} not below its frame.
     CORRUPTED = {
-        "not ascending": ([0, 0b001, 0b111, 0b011, 0b111], []),
-        "not a prefixed point": ([0, 0b001, 0b001, 0b011, 0b111], []),
-        "bound": ([0, 0b001, 0b011, 0b111, 0b111], []),
-        "below F^i(bot)": ([0, 0, 0, 0b011, 0b111], []),
-        "prefix": ([0, 0b011, 0b011, 0b011, 0b111], []),
-        "obligation": ([0, 0b001, 0b011, 0b011, 0b111], [0b100, 0b100]),
+        "not ascending": ([0, 0b001, 0b111, 0b011, 0b111], [], (1, 2)),
+        "not a prefixed point": ([0, 0b001, 0b001, 0b011, 0b111], [], (1, 2)),
+        "bound": ([0, 0b001, 0b011, 0b111, 0b111], [], (2, 3)),
+        "below F^i(bot)": ([0, 0, 0, 0b011, 0b111], [], (0, 2)),
+        "prefix": ([0, 0b011, 0b011, 0b011, 0b111], [], (0, 2)),
+        "obligation": ([0, 0b001, 0b011, 0b011, 0b111], [0b100, 0b100], (0, 0)),
     }
 
     @pytest.mark.parametrize("case", sorted(CORRUPTED))
     def test_checker_catches_a_corrupted_changed_frame(self, F, case):
         checker = engine._InvariantChecker(F, ALPHA)
-        checker.check(cfg([0, 0b001, 0b011, 0b011, 0b111]))
+        checker.check(*state([0, 0b001, 0b011, 0b011, 0b111]))
+        xs, ob, edit = self.CORRUPTED[case]
         with pytest.raises(EngineInvariantError):
-            checker.check(cfg(*self.CORRUPTED[case]))
+            checker.check(*state(xs, ob), *edit)
+
+    def test_the_checker_reads_each_edit(self, k1, monkeypatch):
+        # The rules edit the run's lists in place, so the configuration the
+        # checker saw last is the very list it is given next: only the edit
+        # tells it what changed.  A meet of X_{k-1} in place of the lemma
+        # leaves F(X_1) = {0, 1} above X_2 = {0} at step 2; the budget ends
+        # the run there, before the final check could see it.
+        def bad_strengthen(lat, xs, k, x):
+            xs[k] = lat.meet(xs[k], xs[k - 1])
+            return k - 1
+
+        monkeypatch.setattr(engine, "_strengthen", bad_strengthen)
+        F = forward_transformer(k1)
+        with pytest.raises(EngineInvariantError):
+            run_combined(F, ALPHA, forward_bundle(k1), budget=2, debug=True)
+        assert run_combined(F, ALPHA, forward_bundle(k1), budget=2).verdict is (
+            Verdict.BUDGET_EXHAUSTED)
 
     def test_checker_skips_unchanged_frames(self, F):
         calls = []
@@ -776,12 +838,12 @@ class TestDebugMode:
 
         checker = engine._InvariantChecker(Transformer(F.lattice, counted), ALPHA)
         xs = [0, 0b001, 0b011, 0b011, 0b111]
-        checker.check(cfg(xs))
+        checker.check(*state(xs))
         calls.clear()
-        checker.check(cfg(xs))
+        checker.check(*state(xs), 0, 0)  # an edit that replaced no frame
         assert calls == []
         # A new last frame touches one pair: one F call, on X_3.
-        checker.check(cfg(xs[:4] + [0b011]))
+        checker.check(*state(xs[:4] + [0b011]), 3, 4)
         assert calls == [0b011]
 
     @pytest.mark.parametrize("which", ["negative", "combined"])
@@ -815,11 +877,13 @@ class TestDebugMode:
 
 
 class TestValidScan:
-    """Valid is re-checked only on the frame pairs the last rule could have
-    made conclusive, and ``F(X_j)`` is reused while ``X_j`` is unchanged.  A
-    full scan -- every pair of the chain on every step, with ``F``
-    evaluated afresh -- must give the same verdicts, rule counts, steps,
-    frames and trace lines."""
+    """Valid is re-checked only on the frame pairs the last edit could have
+    made conclusive, and ``F(X_j)`` is reused while no edit replaced
+    ``X_j``.  A full scan -- every pair of the chain on every step, with
+    ``F`` evaluated afresh -- must give the same verdicts, rule counts,
+    steps, frames and trace lines.  The runner calls Valid only after an
+    edit of the frames, so the full scan also follows each Candidate and
+    Decide, and must fail there."""
 
     @staticmethod
     def _forward_with_induction(K):
@@ -888,9 +952,9 @@ class TestValidScan:
         pairs = []  # frame pairs compared by Valid, per solve
         rule_valid = engine.rule_valid
 
-        def restricted(cfg, F, alpha, lo=0, hi=None):
-            pairs[-1] += (len(cfg.frames) - 1 if hi is None else hi) - lo
-            return rule_valid(cfg, F, alpha, lo, hi)
+        def restricted(xs, ob, F, alpha, lo=0, hi=None):
+            pairs[-1] += (len(xs) - 1 if hi is None else hi) - lo
+            return rule_valid(xs, ob, F, alpha, lo, hi)
 
         monkeypatch.setattr(engine, "rule_valid", restricted)
         outcomes = []
@@ -899,16 +963,24 @@ class TestValidScan:
             outcomes.append(cls._run(*case))
         restricted_pairs = sum(pairs)
 
-        scans = []
+        scans, missed = [], []
 
-        def full_scan(cfg, F, alpha, lo=0, hi=None):
+        def full_scan(xs, ob, F, alpha, lo=0, hi=None):
             scans[-1] += 1
-            pairs[-1] += len(cfg.frames) - 1
-            return rule_valid(cfg, F, alpha)
+            pairs[-1] += len(xs) - 1
+            return rule_valid(xs, ob, F, alpha)
+
+        def then_scan(push):
+            def pushed(xs, ob, F, alpha, *args):
+                edit = push(xs, ob, F, alpha, *args)
+                if edit is not None and full_scan(xs, ob, F, alpha) is not None:
+                    missed.append(len(xs))
+                return edit
+            return pushed
 
         monkeypatch.setattr(engine, "rule_valid", full_scan)
-        monkeypatch.setattr(engine, "_fresh_pairs",
-                            lambda rule, old, cfg, k: (0, len(cfg.frames) - 1))
+        for name in ("rule_candidate", "rule_decide"):
+            monkeypatch.setattr(engine, name, then_scan(getattr(engine, name)))
         # ... and with a fresh F(X_{i-1}) on every step, bypassing the cache.
         monkeypatch.setattr(engine, "_image_at", lambda F, cache, xs, j: F(xs[j]))
         pairs.clear()
@@ -919,6 +991,7 @@ class TestValidScan:
             assert outcome == full
             if isinstance(full[0], Verdict):
                 assert scans[-1] == full[2]
+        assert missed == []
         assert sum(pairs) > restricted_pairs
         monkeypatch.undo()
         return [o[1] for o in outcomes if isinstance(o[0], Verdict)]
@@ -989,17 +1062,19 @@ class TestStrengthen:
                 x = lat.join(xs[rng.randrange(n)], draw(rng))
             k = rng.randint(2, n - 1)
             met.clear()
-            ys = engine._strengthen(lat, xs, k, x)
+            ys = list(xs)
+            j0 = engine._strengthen(lat, ys, k, x)  # the highest frame kept
             assert not any(lat.leq(a, x) for a in met)
-            assert len(ys) == n
+            assert len(ys) == n and 1 <= j0 <= k
             for j in range(n):
                 if not 2 <= j <= k:
                     assert ys[j] is xs[j]
                     continue
                 assert ys[j] == full_meet(xs[j], x)
                 if lat.leq(xs[j], x):
-                    assert ys[j] is xs[j]
+                    assert ys[j] is xs[j] and j <= j0
                     kept += 1
                 else:
+                    assert j > j0
                     changed += 1
         assert kept > 0 and changed > 0

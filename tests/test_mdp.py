@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ltpdr import mdp
 from ltpdr.cli import parse_mdp
-from ltpdr.engine import ContractFailure, PDRConfig, Verdict, rule_conflict
+from ltpdr.engine import ContractFailure, Verdict, rule_conflict
 from ltpdr.mdp import (
     MDPModel,
     PointwiseLattice,
@@ -479,8 +479,9 @@ class TestConflict:
         # Conflict does not fire while Decide's guard C <= F(X_prev) holds.
         F = bellman(m1)
         C = (above(0.4), 0.0, 0.0)  # above(0.4) <= 0.5
-        cfg = PDRConfig((frame(0, 0, 0), frame(0, 0, 1), frame(1, 1, 1)), (C,))
-        assert rule_conflict(cfg, F, m1.bound(), mdp_bundle(m1, F)) is None
+        xs, ob = [frame(0, 0, 0), frame(0, 0, 1), frame(1, 1, 1)], [C]
+        assert rule_conflict(xs, ob, F, m1.bound(), mdp_bundle(m1, F)) is None
+        assert ob == [C] and xs[2] == frame(1, 1, 1)
 
     def test_contract_holds_on_random_frames(self):
         rng = random.Random(3)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import model_path
 from ltpdr.cli import parse_mrm
-from ltpdr.engine import ContractFailure, PDRConfig, Verdict, rule_conflict, solve
+from ltpdr.engine import ContractFailure, Verdict, rule_conflict, solve
 from ltpdr.mdp import heuristic_candidate_mdp
 from ltpdr.mrm import (
     MRMModel,
@@ -106,11 +106,10 @@ class TestHeuristics:
         # one included, where the obligation asks for nothing.
         M = dataclasses.replace(m2, threshold=1.3)
         F = reward_bellman(M)
-        cfg = PDRConfig((frame(0, 0), frame(1, 0), M.lattice().top),
-                        ((above(1.3), 0.0),))
-        out = rule_conflict(cfg, F, M.bound(), mrm_heuristics(M, F))
-        assert out.frames == (frame(0, 0), frame(1, 0), frame(1.25, 0))
-        assert out.obligations == ()
+        xs, ob = [frame(0, 0), frame(1, 0), M.lattice().top], [(above(1.3), 0.0)]
+        assert rule_conflict(xs, ob, F, M.bound(), mrm_heuristics(M, F)) == 1
+        assert xs == [frame(0, 0), frame(1, 0), frame(1.25, 0)]
+        assert ob == []
 
     def test_decide_contract_on_unfolded_frame(self, m2):
         F = reward_bellman(m2)

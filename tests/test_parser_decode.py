@@ -121,3 +121,46 @@ def test_texts_without_fractions_decode_inline_alone():
     for ext, text in texts:
         _parse, bulk, checked = PARSERS[ext]
         assert bulk(text) == checked(text)
+
+
+@pytest.mark.parametrize("name", ["die_by_coin.mrm", "die_by_coin_tight.mrm"])
+def test_fractions_decode_inline(name, monkeypatch):
+    # Both .mrm corpus files write their probabilities as num/den, which the
+    # bulk decode reads as the checked read does, so it is never asked.
+    with open(os.path.join(MODELS_DIR, name)) as fh:
+        text = fh.read()
+    checked = cli._mrm_checked(text)
+
+    def refuse(text):
+        raise AssertionError("the checked read ran")
+
+    monkeypatch.setattr(cli, "_mrm_checked", refuse)
+    model = cli.parse_mrm(text)
+    assert model == checked
+    assert model.delta[0] == (((1, 0), 0.25), ((1, 1), 0.75))
+
+
+def test_a_fractional_threshold_decodes_inline(monkeypatch):
+    text = MDP_HEAD.replace("lambda 1", "lambda 1/3") + "0 0 -> 0:2/3 1:1/3\n1 0 -> 1:1\n"
+    checked = cli._mdp_checked(text)
+    monkeypatch.setattr(cli, "_mdp_checked", None)  # a call would raise
+    assert cli.parse_mdp(text) == checked
+    assert (checked.threshold, checked.delta[0][0]) == (1 / 3, ((0, 2 / 3), (1, 1 / 3)))
+
+
+BIG = "1" + "0" * 400 + "/3"  # a quotient too large for a float
+
+
+@pytest.mark.parametrize("ext, text, error", [
+    (".mrm", MRM_HEAD + "0 -> (1,1):1\n1 -> (0,1):1/0\n", "line 7: bad probability '1/0'"),
+    (".mdp", MDP_HEAD + "0 0 -> 0:1\n1 0 -> 1:1/0\n", "line 8: bad probability '1/0'"),
+    (".mrm", MRM_HEAD.replace("lambda 1", "lambda 2/0") + "0 -> (1,1):1\n1 -> (0,1):1\n",
+     "line 3: bad threshold '2/0'"),
+    (".mdp", MDP_HEAD + f"0 0 -> 0:1\n1 0 -> 1:{BIG}\n", f"line 8: bad probability '{BIG}'"),
+    (".mrm", MRM_HEAD.replace("lambda 1", f"lambda {BIG}") + "0 -> (1,1):1\n1 -> (0,1):1\n",
+     f"line 3: bad threshold '{BIG}'"),
+], ids=["mrm-zero", "mdp-zero", "threshold-zero", "mdp-overflow", "threshold-overflow"])
+def test_a_fraction_that_is_no_float_names_its_line(ext, text, error):
+    # The bulk decode raises ZeroDivisionError or OverflowError on it; the
+    # parser falls back to the checked read, which names the line.
+    assert both_reads(ext, text) == ((cli.ParseError, error),) * 2
