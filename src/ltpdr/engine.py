@@ -305,7 +305,9 @@ class _InvariantChecker:
     and ``(0, 0)`` names none.  An obligation is new when the chain grew
     since the last check at the same frame count.  A test is repeated only
     where it touches a new frame or obligation; ``X_{n-2} <= alpha`` and the
-    prefix are re-tested on every step.
+    prefix are re-tested on every step.  So debug mode trusts the edit a
+    rule reports: a frame written outside it is seen only by ``_finalize``'s
+    rescan, on a True or False answer.
     """
 
     def __init__(self, F: Transformer, alpha):

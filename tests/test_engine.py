@@ -829,6 +829,31 @@ class TestDebugMode:
         assert run_combined(F, ALPHA, forward_bundle(k1), budget=2).verdict is (
             Verdict.BUDGET_EXHAUSTED)
 
+    def test_the_checker_trusts_the_reported_edit(self, k1, monkeypatch):
+        # A rule that writes a frame outside the range it returns passes the
+        # per-step checks: here the kept frame X_j becomes bottom, breaking
+        # F(X_{j-1}) <= X_j, while the edit names only X_{j+1} .. X_k.  Only
+        # _finalize rescans the chain, and this run never answers, so debug
+        # mode misses the break; told the true range, the checker sees it.
+        strengthen, broken = engine._strengthen, []
+
+        def lying_strengthen(lat, xs, k, x):
+            j = strengthen(lat, xs, k, x)
+            if j >= 2:
+                xs[j] = lat.bot
+                broken.append((list(xs), j))
+            return j
+
+        monkeypatch.setattr(engine, "_strengthen", lying_strengthen)
+        F = forward_transformer(k1)
+        answer = run_combined(F, ALPHA, forward_bundle(k1), budget=4, debug=True)
+        assert answer.verdict is Verdict.BUDGET_EXHAUSTED
+        [(xs, j)] = broken
+        checker = engine._InvariantChecker(F, ALPHA)
+        checker.check(*state(xs), j, len(xs) - 1)
+        with pytest.raises(EngineInvariantError):
+            checker.check(*state(xs), j - 1, len(xs) - 1)
+
     def test_checker_skips_unchanged_frames(self, F):
         calls = []
 
