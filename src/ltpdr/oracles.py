@@ -4,16 +4,16 @@ Nothing here calls the engines or any heuristic code.  Each value iteration
 builds its own row view of the safe states from the model fields (``delta``
 and ``safe``), never the solver's, and recomputes the expectations from it,
 so agreement with the solver is meaningful evidence.  Expectations add left
-to right (``reduce``): ``sum`` compensates its rounding from Python 3.12 on.
+to right in a plain ``+=`` loop: ``sum`` compensates its rounding from
+Python 3.12 on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import repeat
-from operator import add, ge, gt, itemgetter, mul, sub
+from operator import ge, gt, sub
 from typing import Optional, Union
 
 
@@ -46,17 +46,6 @@ def bfs_safe(K) -> OracleResult:
     return OracleResult(verdict=(seen & ~K.safe == 0))
 
 
-def _gather(targets) -> itemgetter:
-    """``d -> (d[t] for t in targets)`` in one C call.  ``itemgetter(t)``
-    returns the bare item, so a one-target getter reads ``d[t]`` twice; the
-    ``map`` over it stops at the one probability."""
-    if not targets:
-        return itemgetter(slice(0, 0))
-    if len(targets) == 1:
-        return itemgetter(targets[0], targets[0])
-    return itemgetter(*targets)
-
-
 def vi_max_reach(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
     """Maximum probability of reaching an unsafe state, by value iteration
     of the max-over-actions expectation operator from the all-zero vector.
@@ -64,13 +53,11 @@ def vi_max_reach(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
     Its stop, ``delta < tol``, bounds the last increment, not the distance to
     the value: on the fair gambler's ruin at ``N = 80`` from state 40 it
     stops 6.5e-10 (650 ``tol``) below it.  See ROADMAP.md item 10."""
-    if tol <= 0:
+    if not tol > 0:  # NaN fails every comparison
         raise ValueError("tol must be positive")
     n, safe = M.state_count, M.safe
-    # Each safe state's available actions: a target getter and the
-    # probabilities, in the order of ``delta``.
-    rows = [(s, [(_gather([t for t, _ in dist]), [p for _, p in dist])
-                 for dist in M.delta[s] if dist is not None])
+    # Each safe state's available actions, in the order of ``delta``.
+    rows = [(s, [dist for dist in M.delta[s] if dist is not None])
             for s in range(n) if s in safe]
     fresh = [0.0 if s in safe else 1.0 for s in range(n)]
     d = [0.0] * n
@@ -78,8 +65,10 @@ def vi_max_reach(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
         nd = fresh[:]
         for s, actions in rows:
             best = 0.0
-            for get, ps in actions:
-                v = reduce(add, map(mul, ps, get(d)), 0.0)  # sum of p * d[t]
+            for dist in actions:
+                v = 0.0
+                for t, p in dist:
+                    v += p * d[t]
                 if v > best:  # max(best, v): the first maximal action
                     best = v
             nd[s] = best
@@ -106,24 +95,22 @@ def vi_expected_reward(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
     although the initial state's value is finite.  CHANGES.md records such
     models, and ROADMAP.md item 10 plans an exact graph test in their
     place.  As in ``vi_max_reach``, ``delta < tol`` bounds only the last step."""
-    if tol <= 0:
+    if not tol > 0:  # NaN fails every comparison
         raise ValueError("tol must be positive")
     n, safe = M.state_count, M.safe
-    # Each safe state's entries with p > 0: a target getter, the rewards and
-    # the probabilities, in the order of ``delta``.
-    rows = []
-    for s in range(n):
-        if s in safe:
-            paid = [(c, t, p) for (c, t), p in M.delta[s] if p > 0]
-            rows.append((s, _gather([t for _, t, _ in paid]),
-                         [c for c, _, _ in paid], [p for _, _, p in paid]))
+    # Each safe state's entries with p > 0, in the order of ``delta``.
+    rows = [(s, [(c, t, p) for (c, t), p in M.delta[s] if p > 0])
+            for s in range(n) if s in safe]
     d = [0.0] * n
     checkpoint = 1024
     checkpoint_delta = None
     for it in range(1, cap + 1):
         nd = [0.0] * n
-        for s, get, cs, ps in rows:
-            nd[s] = reduce(add, map(mul, ps, map(add, cs, get(d))), 0.0)  # p * (c + d[t])
+        for s, paid in rows:
+            v = 0.0
+            for c, t, p in paid:
+                v += p * (c + d[t])
+            nd[s] = v
         if any(map(gt, nd, repeat(1e12))):
             return OracleResult(verdict=DIVERGED, value=math.inf)
         delta = max(map(abs, map(sub, d, nd)))

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import inspect
+import math
 import os
 import random
 import subprocess
@@ -70,8 +71,11 @@ class TestMaxReach:
         assert vi_max_reach(M).value == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_nonpositive_tolerance(self, m1):
-        with pytest.raises(ValueError):
-            vi_max_reach(m1, tol=0.0)
+        # NaN fails ``tol <= 0`` as well as ``delta < tol``, so it would run
+        # all ``cap`` sweeps and then raise NoConvergence.
+        for tol in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                vi_max_reach(m1, tol=tol)
 
     def test_no_convergence_within_cap(self):
         with pytest.raises(NoConvergence,
@@ -127,7 +131,7 @@ class TestExpectedReward:
 
     def test_rejects_nonpositive_tolerance(self):
         M = MRMModel(1, ((((1, 0), 1.0),),), 0, 1.0, frozenset())
-        for tol in (0.0, -1e-12):
+        for tol in (math.nan, 0.0, -1e-12, -1.0):
             with pytest.raises(ValueError, match="tol must be positive"):
                 vi_expected_reward(M, tol=tol)
 
@@ -150,9 +154,11 @@ def _oracle_outcome(oracle, M) -> str:
 def test_oracle_values_are_pinned():
     # Every verdict and value, to the last bit, on 600 random MDPs, 600
     # random reward models (60 of them Diverged) and the models/ corpus.  The
-    # digest is that of the plain loops, which summed a generator such as
-    # ``sum(p * d[t] for t, p in dist)`` per action; a change to the
-    # summation, the operand order or the choice among equal actions moves it.
+    # digest is that of the first oracles, which summed a generator such as
+    # ``sum(p * d[t] for t, p in dist)`` per action on Python 3.10 and 3.11.
+    # The oracles now add in a plain ``v += p * d[t]`` loop, left to right
+    # like that ``sum``; a change to the summation, the operand order or the
+    # choice among equal actions moves the digest.
     rng = random.Random(0)
     lines = [_oracle_outcome(vi_max_reach, random_mdp(rng)) for _ in range(600)]
     rng = random.Random(0)
@@ -171,6 +177,38 @@ def test_oracle_values_are_pinned():
     assert digest == "27883103e47205a0d400c9a3c84940b1ac4d9f06344e0d551110a604a7101c24"
 
 
+def test_zero_probability_entries_change_no_bit():
+    # An entry ``t:0.0`` adds ``0.0 * d[t]``, which is +0.0 since every
+    # iterate is finite, to a nonnegative sum; the reward oracle drops such
+    # entries.  Either way the value keeps every bit.
+    rng = random.Random(1)
+    for _ in range(200):
+        M = random_mdp(rng)
+        delta = []
+        for row in M.delta:
+            new_row = []
+            for dist in row:
+                if dist is not None:
+                    at = rng.randint(0, len(dist))
+                    zero = (rng.randrange(M.state_count), 0.0)
+                    dist = dist[:at] + (zero,) + dist[at:]
+                new_row.append(dist)
+            delta.append(tuple(new_row))
+        padded = dataclasses.replace(M, delta=tuple(delta))
+        assert (_oracle_outcome(vi_max_reach, padded)
+                == _oracle_outcome(vi_max_reach, M))
+    for _ in range(200):
+        M = random_mrm(rng)
+        delta = []
+        for dist in M.delta:
+            at = rng.randint(0, len(dist))
+            zero = ((rng.randint(0, 3), rng.randrange(M.state_count)), 0.0)
+            delta.append(dist[:at] + (zero,) + dist[at:])
+        padded = dataclasses.replace(M, delta=tuple(delta))
+        assert (_oracle_outcome(vi_expected_reward, padded)
+                == _oracle_outcome(vi_expected_reward, M))
+
+
 @pytest.mark.usefixtures("compensated_builtin_sum")
 def test_oracle_values_are_pinned_under_a_compensated_sum():
     # Python 3.12's sum compensates its rounding; the oracles add left to
@@ -180,8 +218,10 @@ def test_oracle_values_are_pinned_under_a_compensated_sum():
 
 def test_sum_emulations_match_this_interpreter():
     # The runs under ``compensated_sum`` stand for Python 3.12 and later, and
-    # the models' and oracles' ``reduce`` for the ``sum`` of 3.10 and 3.11,
-    # only if each matches that ``sum`` to the bit.
+    # the left-to-right sums (the ``reduce`` of the model constructors and
+    # ``decide_lp``, the oracles' plain ``+=`` loops) for the ``sum`` of 3.10
+    # and 3.11, only if each matches that ``sum`` to the bit.  ``reduce(add,
+    # xs, 0.0)`` below does the additions of such a loop in the same order.
     assert compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
     compensated = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
     rng = random.Random(0)
