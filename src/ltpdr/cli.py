@@ -30,12 +30,13 @@ lines are ignored):
     trans
     s -> (c,t):p ...  # c = nonnegative integer reward
 
-Each parser decodes the whole file, comments, blank lines and CRLF line
-ends included, in one bulk pass that checks only keywords, line shapes,
-transition keys and, before allocating, ``MAX_STATES`` and ``MAX_ACTIONS``;
-every other range is left to the model constructor.  Only when the decode
-or the constructor raises is the file read again token by token with every
-check (``_Lines``): to name the first bad line, or to read ``unsafe`` lines.
+Each parser decodes the whole file, comments, blank lines, CRLF line ends
+and ``unsafe`` lines included, in one bulk pass that checks only keywords,
+line shapes, transition keys, ``.kr`` state ids and, before allocating,
+``MAX_STATES`` and ``MAX_ACTIONS``; every other range is left to the model
+constructor.  Only when the decode or the constructor raises is the file
+read again token by token with every check (``_Lines``), to name the first
+bad line.
 Both reads take a ``num/den`` number as ``int(num) / int(den)``.
 ``KINDS`` maps each command-line kind to its parser, its ``Instance``
 builder and its oracle; ``run_cli`` solves the instance with
@@ -84,12 +85,14 @@ def _stripped(text: str):
     return text.splitlines()
 
 
-def _bulk_rows(text: str, keys: list) -> tuple:
+def _bulk_rows(text: str, keys: list, alias: str = "") -> tuple:
     """The state count, at most ``MAX_STATES``, and the token lists of the
-    header lines ``keys[1:]`` and of the transition lines."""
+    header lines ``keys[1:]`` (the last may start with ``alias`` instead)
+    and of the transition lines."""
     rows = list(filter(None, map(str.split, _stripped(text))))
     k = len(keys)
-    if (list(map(itemgetter(0), rows[:k])) != keys or rows[k] != ["trans"]
+    heads = list(map(itemgetter(0), rows[:k]))
+    if (heads != keys and heads != keys[:-1] + [alias] or rows[k] != ["trans"]
             or len(rows[0]) != 2 or int(rows[0][1]) > MAX_STATES):
         raise ValueError("not the header of this format")
     return int(rows[0][1]), rows[1:k], rows[k + 1:]
@@ -183,15 +186,15 @@ def _mask(toks, n: int, no: int) -> int:
 
 
 def _kripke_bulk(text: str) -> kr.KripkeStructure:
-    n, headers, pairs = _bulk_rows(text, ["states", "init", "safe"])
+    n, headers, pairs = _bulk_rows(text, ["states", "init", "safe"], "unsafe")
     masks = []
-    for _, *ids in headers:  # the init and safe lines
+    for key, *ids in headers:  # the init line, then the safe or unsafe line
         mask = 0
         for s in map(int, ids):
             if not 0 <= s < n:  # before the shift allocates a 1 << s
                 raise ValueError("state index out of range")
             mask |= 1 << s
-        masks.append(mask)
+        masks.append(mask ^ ((1 << n) - 1) if key == "unsafe" else mask)  # the complement
     return kr.KripkeStructure(n, frozenset([(int(a), int(b)) for a, b in pairs]), *masks)
 
 

@@ -5,15 +5,15 @@ builds its own row view of the safe states from the model fields (``delta``
 and ``safe``), never the solver's, and recomputes the expectations from it,
 so agreement with the solver is meaningful evidence.  Expectations add left
 to right in a plain ``+=`` loop: ``sum`` compensates its rounding from
-Python 3.12 on.
+Python 3.12 on.  A sweep is one pass over the safe states: with each new
+value it takes the step ``abs(d[s] - new)`` into a running maximum and
+makes that state's checks (nondecreasing, or at most 1e12).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import ge, gt, sub
 from typing import Optional, Union
 
 
@@ -61,8 +61,10 @@ def vi_max_reach(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
             for s in range(n) if s in safe]
     fresh = [0.0 if s in safe else 1.0 for s in range(n)]
     d = [0.0] * n
+    jump = float(1.0 in fresh)  # the unsafe states' first step, 0 to 1
     for _ in range(cap):
         nd = fresh[:]
+        delta, jump = jump, 0.0
         for s, actions in rows:
             best = 0.0
             for dist in actions:
@@ -72,10 +74,13 @@ def vi_max_reach(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
                 if v > best:  # max(best, v): the first maximal action
                     best = v
             nd[s] = best
-        delta = max(map(abs, map(sub, d, nd)))
-        # Raised, not asserted, so that ``python -O`` keeps the check.
-        if not all(map(ge, nd, map(sub, d, repeat(1e-15)))):
-            raise AssertionError("iteration from zero must be nondecreasing")
+            old = d[s]
+            # Raised, not asserted, so that ``python -O`` keeps the check.
+            if best < old - 1e-15:
+                raise AssertionError("iteration from zero must be nondecreasing")
+            step = abs(old - best)
+            if step > delta:
+                delta = step
         d = nd
         if delta < tol:
             value = d[M.initial_state]
@@ -106,14 +111,17 @@ def vi_expected_reward(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
     checkpoint_delta = None
     for it in range(1, cap + 1):
         nd = [0.0] * n
+        delta = 0.0
         for s, paid in rows:
             v = 0.0
             for c, t, p in paid:
                 v += p * (c + d[t])
+            if v > 1e12:
+                return OracleResult(verdict=DIVERGED, value=math.inf)
             nd[s] = v
-        if any(map(gt, nd, repeat(1e12))):
-            return OracleResult(verdict=DIVERGED, value=math.inf)
-        delta = max(map(abs, map(sub, d, nd)))
+            step = abs(d[s] - v)
+            if step > delta:
+                delta = step
         d = nd
         if it == checkpoint:
             # The iteration is monotone, so a step size that refuses to

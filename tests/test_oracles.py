@@ -82,6 +82,16 @@ class TestMaxReach:
                            match="no convergence within 1000 iterations"):
             vi_max_reach(LEAK, cap=1000)
 
+    def test_unreached_unsafe_state_counts_its_first_step(self):
+        # No safe state reaches the unsafe state 1, so every safe iterate
+        # stays 0.0.  The first sweep's step is state 1's jump from 0 to 1;
+        # the second sweep's is 0, and only then does the oracle stop.
+        M = MDPModel(2, 1, ((((0, 1.0),),), (((1, 1.0),),)), 0, 0.5,
+                     frozenset({0}))
+        with pytest.raises(NoConvergence):
+            vi_max_reach(M, cap=1)
+        assert vi_max_reach(M, cap=2) == oracles.OracleResult(True, 0.0)
+
     def test_decreasing_iterate_is_rejected(self):
         with pytest.raises(AssertionError,
                            match="iteration from zero must be nondecreasing"):
@@ -175,6 +185,44 @@ def test_oracle_values_are_pinned():
             lines.append(_oracle_outcome(vi_expected_reward, cli.parse_mrm(text)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "27883103e47205a0d400c9a3c84940b1ac4d9f06344e0d551110a604a7101c24"
+
+
+def _answers(oracle, M, cap: int) -> bool:
+    try:
+        oracle(M, cap=cap)
+    except NoConvergence:
+        return False
+    return True
+
+
+def _stopping_sweep(oracle, M) -> int:
+    """The least ``cap`` at which ``oracle`` answers on ``M``: the sweep it
+    stops on.  A smaller cap raises NoConvergence, any larger one answers."""
+    hi = 1
+    while not _answers(oracle, M, hi):
+        hi *= 2
+        assert hi <= 2**20, "no answer within 2**20 sweeps"
+    lo = hi // 2  # no answer at ``lo`` (vacuously at 0), an answer at ``hi``
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _answers(oracle, M, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_stopping_sweeps_are_pinned():
+    # The sweep on which each oracle stops, on 30 random MDPs and 30 random
+    # reward models: a change to the step, the stop rule or the Diverged
+    # rules that keeps every value can still move a stopping sweep.
+    rng = random.Random(0)
+    sweeps = [_stopping_sweep(vi_max_reach, random_mdp(rng)) for _ in range(30)]
+    rng = random.Random(0)
+    sweeps += [_stopping_sweep(vi_expected_reward, random_mrm(rng))
+               for _ in range(30)]
+    digest = hashlib.sha256(repr(sweeps).encode()).hexdigest()
+    assert digest == "1bb6bb117efa21e1fac3e6eeefcb2cfdf9447d314c53d970677f888576f2ff46"
 
 
 def test_zero_probability_entries_change_no_bit():

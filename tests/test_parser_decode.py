@@ -148,6 +148,16 @@ def test_a_fractional_threshold_decodes_inline(monkeypatch):
     assert (checked.threshold, checked.delta[0][0]) == (1 / 3, ((0, 2 / 3), (1, 1 / 3)))
 
 
+def test_an_unsafe_line_decodes_inline(monkeypatch):
+    # The bulk decode reads ``unsafe`` as the complement of its states, with
+    # a repeated id and a comment, so the checked read is never asked.
+    text = "states 4\ninit 0 1\nunsafe 3 1 3  # two bad states\ntrans\n0 1\n1 3\n"
+    checked = cli._kripke_checked(text)
+    monkeypatch.setattr(cli, "_kripke_checked", None)  # a call would raise
+    assert cli.parse_kripke(text) == checked
+    assert (checked.initial, checked.safe) == (0b0011, 0b0101)
+
+
 BIG = "1" + "0" * 400 + "/3"  # a quotient too large for a float
 
 
