@@ -40,14 +40,10 @@ import traceback
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent.parent / "tests"))
 from util import random_kripke, random_mdp, random_mrm  # noqa: E402
 
-from ltpdr.cli import (_positive_int, serialize_kripke, serialize_mdp,  # noqa: E402
-                       serialize_mrm)
+from ltpdr.cli import (KINDS, _positive_int, serialize_kripke,  # noqa: E402
+                       serialize_mdp, serialize_mrm)
 from ltpdr.engine import Verdict, solve  # noqa: E402
-from ltpdr.kripke import forward, inverse_backward  # noqa: E402
-from ltpdr.mdp import max_reach  # noqa: E402
-from ltpdr.mrm import expected_reward  # noqa: E402
-from ltpdr.oracles import (NoConvergence, bfs_safe, vi_expected_reward,  # noqa: E402
-                           vi_max_reach)
+from ltpdr.oracles import NoConvergence  # noqa: E402
 
 
 def true_summary(answers) -> str:
@@ -117,32 +113,34 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     answers = []
+    kripke = [spec for spec in KINDS.values() if spec.suffix == ".kr"]
     for i in range(args.kripke):
         K = random_kripke(rng)
-        expected = bfs_safe(K).verdict
-        for name, build in (("fkr", forward), ("ibkr", inverse_backward)):
-            ans = solve(build(K), debug=True, budget=args.budget)
+        expected = kripke[0].oracle(K).verdict
+        for spec in kripke:
+            ans = solve(spec.build(K), debug=True, budget=args.budget)
             note(digests, "kripke", "combined", ans)
             answers.append(ans)
             got = ans.verdict is Verdict.TRUE
             if ans.verdict not in (Verdict.TRUE, Verdict.FALSE) or got != expected:
                 mismatches += 1
-                print(f"MISMATCH kripke #{i} engine={name} "
+                print(f"MISMATCH kripke #{i} engine={spec.name} "
                       f"got={ans.verdict} expected={expected}\n{serialize_kripke(K)}")
-            mismatches += one_sided_mismatches(build(K), expected, args.budget,
-                                               f"kripke #{i} {name}",
+            mismatches += one_sided_mismatches(spec.build(K), expected, args.budget,
+                                               f"kripke #{i} {spec.name}",
                                                serialize_kripke(K), positive_exhausted,
                                                digests)
-    print(f"kripke: {args.kripke} models x 2 instances x 3 engines, "
+    print(f"kripke: {args.kripke} models x {len(kripke)} instances x 3 engines, "
           f"{time.perf_counter() - t0:.1f}s; {true_summary(answers)}")
 
-    # kind, draws, generator, oracle, instance, serialiser, and the
-    # thresholds (True side, False side) around a value
-    phases = (("mdp", args.mdp, random_mdp, vi_max_reach, max_reach, serialize_mdp,
+    # kind, draws, generator, serialiser, and the thresholds (True side,
+    # False side) around a value; the oracle and instance are the kind's
+    phases = (("mdp", args.mdp, random_mdp, serialize_mdp,
                lambda v: (min(v + 0.1, 1.0), v - 0.1 if v >= 0.1 else v / 2)),
-              ("mrm", args.mrm, random_mrm, vi_expected_reward, expected_reward,
-               serialize_mrm, lambda v: (1.1 * v, 0.9 * v)))
-    for kind, count, draw, oracle, build, serialize, sides in phases:
+              ("mrm", args.mrm, random_mrm, serialize_mrm,
+               lambda v: (1.1 * v, 0.9 * v)))
+    for kind, count, draw, serialize, sides in phases:
+        oracle, build = KINDS[kind].oracle, KINDS[kind].build
         t0 = time.perf_counter()
         answers = []
         for i in range(count):

@@ -21,15 +21,23 @@ import pathlib
 import sys
 import time
 
-from ltpdr.cli import KINDS, ParseError, _oracle_report, _positive_int, instance
+from ltpdr.cli import (KINDS, SOLVE_ENGINES, ParseError, _oracle_report, _positive_int,
+                       instance)
 from ltpdr.engine import Verdict, solve
 
-# (file suffix, label, command-line kind, engine), in the order printed.
-RUNS = ((".kr", "fkr", "kripke-forward", "combined"),
-        (".kr", "ibkr", "kripke-ibackward", "combined"),
-        (".kr", "opdual", "kripke-forward", "opdual"),
-        (".mdp", "ibmdp", "mdp", "combined"),
-        (".mrm", "mrm", "mrm", "combined"))
+
+def runs(suffix: str) -> list:
+    """The (label, kind, engine) runs on a model file, in the order printed:
+    the combined engine of each kind that reads ``suffix``, labelled with the
+    kind's name, then each engine of the first kind that builds its own
+    instance (``opdual``), labelled with its own name.  That instance is the
+    same for every kind of the suffix, so it runs once."""
+    kinds = [kind for kind, spec in KINDS.items() if spec.suffix == suffix]
+    out = [(KINDS[kind].name, kind, "combined") for kind in kinds]
+    if kinds:
+        out += [(engine, kinds[0], engine) for engine in KINDS[kinds[0]].engines
+                if engine not in SOLVE_ENGINES]
+    return out
 
 
 def main(argv=None) -> int:
@@ -46,20 +54,20 @@ def main(argv=None) -> int:
         return 1
     failures = 0
     for path in paths:
-        runs = [run for run in RUNS if run[0] == path.suffix]
-        if not runs:
+        file_runs = runs(path.suffix)
+        if not file_runs:
             continue
-        parse, _build, oracle = KINDS[runs[0][2]]
+        kind = KINDS[file_runs[0][1]]
         try:
-            model = parse(path.read_text())
+            model = kind.parse(path.read_text())
         except (OSError, ParseError, ValueError) as exc:
             failures += 1
             print(f"{path.name} error: {exc}")
             continue
-        expected = _oracle_report(oracle, model)["safe"]
-        for _suffix, name, kind, engine in runs:
+        expected = _oracle_report(kind.oracle, model)["safe"]
+        for name, kind_name, engine in file_runs:
             t0 = time.perf_counter()
-            ans = solve(*instance(kind, engine, model), budget=args.budget)
+            ans = solve(*instance(kind_name, engine, model), budget=args.budget)
             dt = time.perf_counter() - t0
             agree = "-"
             if ans.verdict in (Verdict.TRUE, Verdict.FALSE) and expected is not None:

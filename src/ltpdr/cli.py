@@ -38,9 +38,8 @@ constructor.  Only when the decode or the constructor raises is the file
 read again token by token with every check (``_Lines``), to name the first
 bad line.
 Both reads take a ``num/den`` number as ``int(num) / int(den)``.
-``KINDS`` maps each command-line kind to its parser, its ``Instance``
-builder and its oracle; ``run_cli`` solves the instance with
-``engine.solve``, and ``scripts/run_corpus.py`` reads the same table.
+``KINDS`` is the one table of the command-line kinds and the engines each
+takes; ``run_cli``, the scripts and the tests all read it.
 
 Exit codes: 0 verdict True; 10 verdict False; 2 BudgetExhausted or Stuck;
 3 witness-validation or oracle mismatch; 1 parse or I/O error (a model the
@@ -51,6 +50,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from operator import itemgetter
 from typing import Optional
 
@@ -422,12 +422,18 @@ def _witness_jsonable(answer):
     return None
 
 
-# kind -> (parser, Instance builder, oracle)
+# kind -> its model-file suffix, the paper's name of its instance, parser,
+# Instance builder, oracle and ``--engine`` names (``opdual``: ``instance``).
+SOLVE_ENGINES = ("combined", "positive", "negative")
+Kind = namedtuple("Kind", "suffix name parse build oracle engines",
+                  defaults=[SOLVE_ENGINES])
 KINDS = {
-    "kripke-forward": (parse_kripke, kr.forward, bfs_safe),
-    "kripke-ibackward": (parse_kripke, kr.inverse_backward, bfs_safe),
-    "mdp": (parse_mdp, mdp_mod.max_reach, vi_max_reach),
-    "mrm": (parse_mrm, mrm_mod.expected_reward, vi_expected_reward),
+    "kripke-forward": Kind(".kr", "fkr", parse_kripke, kr.forward, bfs_safe,
+                           SOLVE_ENGINES + ("opdual",)),
+    "kripke-ibackward": Kind(".kr", "ibkr", parse_kripke, kr.inverse_backward,
+                             bfs_safe, SOLVE_ENGINES + ("opdual",)),
+    "mdp": Kind(".mdp", "ibmdp", parse_mdp, mdp_mod.max_reach, vi_max_reach),
+    "mrm": Kind(".mrm", "mrm", parse_mrm, mrm_mod.expected_reward, vi_expected_reward),
 }
 
 
@@ -448,12 +454,19 @@ def instance(kind: str, engine: str, model) -> tuple[Instance, str]:
     runs: ``opdual`` is the combined engine on ``kripke.opdual``."""
     if engine == "opdual":
         return kr.opdual(model), "combined"
-    return KINDS[kind][1](model), engine
+    return KINDS[kind].build(model), engine
 
 
 def run_cli(req: argparse.Namespace) -> int:
     """Run the request ``main`` parsed and report; returns the exit code."""
     import json  # here and below, so that importing the parsers costs less
+    kind = KINDS[req.kind]
+    if req.engine not in kind.engines:
+        takers = " or ".join(k for k in KINDS if req.engine in KINDS[k].engines)
+        print(f"error: the {req.engine} engine requires a kind with a supplied "
+              f"join ({takers})", file=sys.stderr)
+        return 1
+
     try:
         with open(req.model, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -461,16 +474,10 @@ def run_cli(req: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    parse, _build, run_oracle = KINDS[req.kind]
     try:
-        model = parse(text)
+        model = kind.parse(text)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    if req.engine == "opdual" and not req.kind.startswith("kripke"):
-        print("error: the opdual engine requires a kind with a supplied join "
-              "(kripke-forward or kripke-ibackward)", file=sys.stderr)
         return 1
 
     inst, engine = instance(req.kind, req.engine, model)
@@ -480,7 +487,7 @@ def run_cli(req: argparse.Namespace) -> int:
     validation = (certificate_holds(answer, inst.F, inst.alpha)
                   if req.validate_witness and decided else None)
 
-    oracle = _oracle_report(run_oracle, model) if req.oracle else None
+    oracle = _oracle_report(kind.oracle, model) if req.oracle else None
     mismatch = validation is False or (
         decided and oracle is not None and oracle["safe"] is not None
         and (answer.verdict is Verdict.TRUE) != oracle["safe"])
@@ -538,8 +545,8 @@ def main(argv=None) -> int:
                     "and Markov reward models.")
     ap.add_argument("kind", choices=list(KINDS))
     ap.add_argument("model", help="path to a .kr/.mdp/.mrm model file")
-    ap.add_argument("--engine", choices=["combined", "positive", "negative",
-                                         "opdual"], default="combined")
+    ap.add_argument("--engine", default="combined", choices=list(dict.fromkeys(
+        e for kind in KINDS.values() for e in kind.engines)))
     ap.add_argument("--budget", type=_positive_int, default=100000)
     ap.add_argument("--trace", action="store_true")
     ap.add_argument("--validate-witness", action="store_true")

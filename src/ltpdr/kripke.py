@@ -12,8 +12,8 @@ Three ``Instance`` builders ask whether every reachable state is safe:
 ``forward`` bounds the forward transformer by the safe set;
 ``inverse_backward`` bounds the inverse-backward transformer by the
 complement of the initial set; ``opdual`` asks the dual question on the
-opposite lattice.  ``pdr_fkr`` and ``pdr_ibkr`` run the combined engine on
-the first two.
+opposite lattice.  ``pdr_fkr`` and ``pdr_ibkr``, the combined engine on the
+first two, remain only for ``perfbench``; callers use ``engine.solve``.
 
 All three transformers are built on one image function, ``_image``, the
 union of per-state successor or predecessor masks (the backward one as the
@@ -177,6 +177,7 @@ def _set_heuristics(base_mask: int, contributor_masks: tuple) -> HeuristicsBundl
 
 
 def forward_bundle(K: KripkeStructure) -> HeuristicsBundle:
+    """``forward``'s choices, which ``perfbench/spans.py`` wraps by name."""
     return _set_heuristics(K.initial, K.pred)
 
 
@@ -211,13 +212,13 @@ def opdual(K: KripkeStructure) -> Instance:
 
 
 def pdr_fkr(K: KripkeStructure, **kw) -> PDRAnswer:
-    """The combined engine on ``forward(K)``.  ``perfbench`` calls it and
+    """``solve(forward(K))`` for ``perfbench/gate.py``, its last caller, which
     wraps ``run_combined`` in this module, hence no ``engine.solve``."""
     inst = forward(K)
     return run_combined(inst.F, inst.alpha, inst.bundle, **kw)
 
 
 def pdr_ibkr(K: KripkeStructure, **kw) -> PDRAnswer:
-    """The combined engine on ``inverse_backward(K)``, as ``pdr_fkr``."""
+    """``pdr_fkr`` on ``inverse_backward(K)``; only ``perfbench`` calls it."""
     inst = inverse_backward(K)
     return run_combined(inst.F, inst.alpha, inst.bundle, **kw)

@@ -9,8 +9,8 @@ the initial state is at most a threshold.
 ``MDPModel`` and the reward instance's ``MRMModel`` are ``PointwiseModel``
 records, which share the Bellman kernel ``bellman``.  It reads the model's
 ``rows``, cached on first use: None off the safe set, else the actions,
-each of ``(reward, target, p)`` entries with ``p > 0`` (an MDP's rewards
-are 0), and the model's value ``OFF`` off the safe set.
+each of ``(reward, target, p)`` entries with ``p > 0`` and a float reward
+(0 in an MDP; it adds as the int would), and ``OFF``, the value off the set.
 
 Elements are tuples of floats.  The one strict inequality of a
 refutation, ``C(s0) > threshold``, is the float ``nextafter(threshold,
@@ -385,10 +385,6 @@ def decide_lp(M, F: Transformer, X_prev, C_head, cost):
     return result
 
 
-def _mdp_cost(v: float) -> float:
-    return 2.0 - v
-
-
 def pointwise_bundle(M, F: Transformer, cost) -> HeuristicsBundle:
     """The choices of the MDP and reward instances: Candidate
     ``heuristic_candidate_mdp``, Decide ``decide_lp`` at the instance's
@@ -402,8 +398,8 @@ def pointwise_bundle(M, F: Transformer, cost) -> HeuristicsBundle:
 
 
 def mdp_bundle(M: MDPModel, F: Transformer) -> HeuristicsBundle:
-    """``pointwise_bundle`` at cost ``2 - X_prev(t)``."""
-    return pointwise_bundle(M, F, _mdp_cost)
+    """``pointwise_bundle`` at cost ``2 - X_prev(t)``; ``perfbench`` wraps it."""
+    return pointwise_bundle(M, F, lambda v: 2.0 - v)
 
 
 def max_reach(M: MDPModel) -> Instance:
@@ -414,6 +410,6 @@ def max_reach(M: MDPModel) -> Instance:
 
 
 def pdr_ibmdp(M: MDPModel, **kw) -> PDRAnswer:
-    """The combined engine on ``max_reach(M)``, as ``kripke.pdr_fkr``."""
+    """``kripke.pdr_fkr`` on ``max_reach(M)``; only ``perfbench`` calls it."""
     inst = max_reach(M)
     return run_combined(inst.F, inst.alpha, inst.bundle, **kw)

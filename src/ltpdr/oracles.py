@@ -104,7 +104,7 @@ def vi_expected_reward(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
         raise ValueError("tol must be positive")
     n, safe = M.state_count, M.safe
     # Each safe state's entries with p > 0, in the order of ``delta``.
-    rows = [(s, [(c, t, p) for (c, t), p in M.delta[s] if p > 0])
+    rows = [(s, [(float(c), t, p) for (c, t), p in M.delta[s] if p > 0])
             for s in range(n) if s in safe]
     d = [0.0] * n
     checkpoint = 1024

@@ -3,17 +3,17 @@ import os
 
 import pytest
 
+from ltpdr.cli import KINDS
 from ltpdr.kripke import KripkeStructure
 from util import compensated_sum
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
-# The command-line kinds and engines that run on each model-file suffix:
+# The command-line (kind, engine) pairs that run on each model-file suffix:
 # the golden rows and the parser fuzz test both run every pair.
-RUNS = {".kr": (("kripke-forward", "kripke-ibackward"),
-                ("combined", "positive", "negative", "opdual")),
-        ".mdp": (("mdp",), ("combined", "positive", "negative")),
-        ".mrm": (("mrm",), ("combined", "positive", "negative"))}
+RUNS: dict = {}
+for _kind, _spec in KINDS.items():
+    RUNS.setdefault(_spec.suffix, []).extend((_kind, e) for e in _spec.engines)
 
 
 def model_path(name: str) -> str:

@@ -30,13 +30,12 @@ from ltpdr.engine import Verdict, solve
 from ltpdr.kripke import (
     forward,
     forward_transformer,
+    inverse_backward,
     inverse_backward_transformer,
-    pdr_fkr,
-    pdr_ibkr,
 )
 from ltpdr.lattice import check_kleene_witness, check_kt_witness, is_conclusive_kt
-from ltpdr.mdp import max_reach, pdr_ibmdp
-from ltpdr.mrm import expected_reward, pdr_mrm
+from ltpdr.mdp import max_reach
+from ltpdr.mrm import expected_reward
 from ltpdr.oracles import (
     NoConvergence,
     bfs_safe,
@@ -118,10 +117,10 @@ def test_acceptance_1_kripke_differential(kripke_suite, debug_ledger):
     ok = True
     for K, expected in kripke_suite:
         Ff = forward_transformer(K)
-        ok = ok and _validated(pdr_fkr(K, debug=True), Ff, K.safe, expected)
+        ok = ok and _validated(solve(forward(K), debug=True), Ff, K.safe, expected)
         Fib = inverse_backward_transformer(K)
         alpha_ib = Fib.lattice.top & ~K.initial
-        ok = ok and _validated(pdr_ibkr(K, debug=True), Fib, alpha_ib,
+        ok = ok and _validated(solve(inverse_backward(K), debug=True), Fib, alpha_ib,
                                expected)
     elapsed = time.perf_counter() - t0
     debug_ledger["kripke"] = True
@@ -173,10 +172,10 @@ def test_acceptance_3_mrm_reference(debug_ledger):
     ok = True
 
     t0 = time.perf_counter()
-    ok = ok and pdr_mrm(loose, debug=True).verdict is Verdict.TRUE
+    ok = ok and solve(expected_reward(loose), debug=True).verdict is Verdict.TRUE
     ok = ok and time.perf_counter() - t0 < 1.0
     t0 = time.perf_counter()
-    ok = ok and pdr_mrm(tight, debug=True).verdict is Verdict.FALSE
+    ok = ok and solve(expected_reward(tight), debug=True).verdict is Verdict.FALSE
     ok = ok and time.perf_counter() - t0 < 1.0
 
     value = vi_expected_reward(loose).value
@@ -191,8 +190,8 @@ def test_acceptance_4_mdp_differential(mdp_suite, debug_ledger):
     safe_exhausted = 0
     for M, value in mdp_suite:
         lam = value - 0.1 if value >= 0.1 else value / 2
-        ans = pdr_ibmdp(dataclasses.replace(M, threshold=lam),
-                        budget=100000, debug=True)
+        ans = solve(max_reach(dataclasses.replace(M, threshold=lam)),
+                    budget=100000, debug=True)
         if ans.verdict is not Verdict.FALSE:
             if ans.verdict is Verdict.TRUE:
                 wrong += 1
@@ -200,8 +199,8 @@ def test_acceptance_4_mdp_differential(mdp_suite, debug_ledger):
                 unsafe_unresolved += 1
 
         lam = min(value + 0.1, 1.0)
-        ans = pdr_ibmdp(dataclasses.replace(M, threshold=lam),
-                        budget=100000, debug=True)
+        ans = solve(max_reach(dataclasses.replace(M, threshold=lam)),
+                    budget=100000, debug=True)
         if ans.verdict is Verdict.FALSE:
             wrong += 1
         elif ans.verdict is not Verdict.TRUE:
@@ -210,7 +209,7 @@ def test_acceptance_4_mdp_differential(mdp_suite, debug_ledger):
     with open(model_path("grid3x3.mdp")) as fh:
         grid = parse_mdp(fh.read())
     t0 = time.perf_counter()
-    grid_ans = pdr_ibmdp(grid, debug=True)
+    grid_ans = solve(max_reach(grid), debug=True)
     grid_ok = (time.perf_counter() - t0 < 10.0
                and (grid_ans.verdict is Verdict.TRUE)
                == vi_max_reach(grid).verdict)
@@ -259,7 +258,7 @@ def test_acceptance_5_one_sided_soundness(kripke_suite, mdp_suite):
         latch = parse_kripke(fh.read())
     ok = ok and solve(forward(latch), "negative", budget=500).verdict \
         is Verdict.STUCK
-    ok = ok and pdr_fkr(latch, debug=True).verdict is Verdict.TRUE
+    ok = ok and solve(forward(latch), debug=True).verdict is Verdict.TRUE
 
     # Unsafe micro model: the one-sided prover is stuck once the last frame
     # exceeds the bound, the combined engine finds the counterexample.
@@ -267,7 +266,7 @@ def test_acceptance_5_one_sided_soundness(kripke_suite, mdp_suite):
         counter = parse_kripke(fh.read())
     ok = ok and solve(forward(counter), "positive", budget=500).verdict \
         is Verdict.STUCK
-    ok = ok and pdr_fkr(counter, debug=True).verdict is Verdict.FALSE
+    ok = ok and solve(forward(counter), debug=True).verdict is Verdict.FALSE
 
     report(5, "one-sided-soundness", ok)
 

@@ -329,8 +329,15 @@ class TestRunner:
     def test_missing_file_exit_one(self):
         assert main(["kripke-forward", "/nonexistent.kr"]) == 1
 
-    def test_opdual_restricted_to_kripke(self):
-        assert main(["mdp", model_path("m1.mdp"), "--engine", "opdual"]) == 1
+    def test_opdual_restricted_to_kripke(self, capsys):
+        # Both non-Kripke kinds.  The arguments alone decide the refusal, so
+        # it comes before the file is read: a missing file gets it too.
+        refusal = ("error: the opdual engine requires a kind with a supplied "
+                   "join (kripke-forward or kripke-ibackward)\n")
+        for kind, name in (("mdp", "m1.mdp"), ("mrm", "die_by_coin.mrm"),
+                           ("mdp", "none.mdp"), ("mrm", "none.mrm")):
+            assert main([kind, model_path(name), "--engine", "opdual"]) == 1
+            assert capsys.readouterr().err == refusal, (kind, name)
 
     def test_opdual_on_kripke(self):
         assert main(["kripke-ibackward", model_path("k1.kr"),

@@ -23,11 +23,8 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_cli.json"
 
 def runs():
     for path in sorted(MODELS.iterdir()):
-        if path.suffix in RUNS:
-            kinds, engines = RUNS[path.suffix]
-            for kind in kinds:
-                for engine in engines:
-                    yield f"{kind} {path.name} {engine}"
+        for kind, engine in RUNS.get(path.suffix, ()):
+            yield f"{kind} {path.name} {engine}"
 
 
 def row(key) -> dict:

@@ -35,11 +35,9 @@ from ltpdr.kripke import (
     SubsetLattice,
     backward_transformer,
     forward,
-    forward_bundle,
     forward_transformer,
     inverse_backward,
     opdual,
-    pdr_fkr,
 )
 from ltpdr.lattice import (
     KleeneSequence,
@@ -77,7 +75,7 @@ def F(k1):
 
 @pytest.fixture
 def H(k1):
-    return forward_bundle(k1)
+    return forward(k1).bundle
 
 
 class TestRules:
@@ -263,7 +261,7 @@ class TestCombined:
         # alpha = {0, 1} is inductive, so alpha itself is the lemma at the
         # first step with X_{n-1} !<= alpha, and again after the next Unfold.
         trace = []
-        ans = pdr_fkr(k1, trace=trace.append, debug=True)
+        ans = solve(forward(k1), trace=trace.append, debug=True)
         assert ans.verdict is Verdict.TRUE
         assert [line.split()[1] for line in trace] == [
             "rule=unfold", "rule=induction", "rule=unfold", "rule=induction",
@@ -277,7 +275,7 @@ class TestCombined:
         K = dataclasses.replace(k1, state_count=4,
                                 transitions=k1.transitions | {(3, 2)}, safe=0b1011)
         trace = []
-        ans = pdr_fkr(K, trace=trace.append, debug=True)
+        ans = solve(forward(K), trace=trace.append, debug=True)
         assert ans.verdict is Verdict.TRUE
         assert [line.split()[1] for line in trace] == [
             "rule=unfold", "rule=induction", "rule=unfold", "rule=induction",
@@ -286,13 +284,13 @@ class TestCombined:
 
     def test_unsafe_witness(self, k1):
         K = dataclasses.replace(k1, safe=ALPHA_P)
-        ans = pdr_fkr(K, debug=True)
+        ans = solve(forward(K), debug=True)
         assert ans.verdict is Verdict.FALSE
         assert ans.kleene_witness.elements == (0, 0b001, 0b010)
 
     def test_empty_initial_is_immediately_true(self, k1):
         K = dataclasses.replace(k1, initial=0)
-        ans = pdr_fkr(K)
+        ans = solve(forward(K))
         assert ans.verdict is Verdict.TRUE
         assert ans.stats.steps == 1
 
@@ -301,7 +299,7 @@ class TestCombined:
             run_combined(F, ALPHA, H, budget=0)
 
     def test_stats_counts_sum_to_steps(self, k1):
-        ans = pdr_fkr(k1)
+        ans = solve(forward(k1))
         assert sum(ans.stats.rule_counts.values()) == ans.stats.steps
 
     def test_heuristic_violation_aborts(self, F):
@@ -635,7 +633,7 @@ class TestNegative:
         # Iterate to F^2(bot) = {0,1}, Candidate {1}, Decide {0}, Model.
         lines = []
         F = forward_transformer(k1)
-        ans = run_negative(F, ALPHA_P, forward_bundle(k1), debug=True, trace=lines.append)
+        ans = run_negative(F, ALPHA_P, forward(k1).bundle, debug=True, trace=lines.append)
         assert ans.verdict is Verdict.FALSE
         assert ans.kleene_witness.elements == (0, 0b001, 0b010)
         assert [line.split()[1] for line in lines] == [
@@ -643,12 +641,12 @@ class TestNegative:
 
     def test_alpha_top_is_stuck(self, k1):
         F = forward_transformer(k1)
-        ans = run_negative(F, 0b111, forward_bundle(k1), budget=50)
+        ans = run_negative(F, 0b111, forward(k1).bundle, budget=50)
         assert ans.verdict is Verdict.STUCK
 
     def test_safe_is_stuck_once_the_iterates_repeat(self, k1):
         F = forward_transformer(k1)
-        ans = run_negative(F, ALPHA, forward_bundle(k1), budget=100)
+        ans = run_negative(F, ALPHA, forward(k1).bundle, budget=100)
         assert ans.verdict is Verdict.STUCK
         assert ans.stats.rule_counts == {"iterate": 1} and ans.stats.steps == 2
 
@@ -670,7 +668,7 @@ class TestNegative:
 
     def test_bad_decide_rejected(self, k1):
         F = forward_transformer(k1)
-        bad = dataclasses.replace(forward_bundle(k1), choose_decide=lambda xp, c, fx: 0b111)
+        bad = dataclasses.replace(forward(k1).bundle, choose_decide=lambda xp, c, fx: 0b111)
         with pytest.raises(HeuristicViolation):
             run_negative(F, ALPHA_P, bad, budget=10)
 
@@ -688,7 +686,7 @@ class TestNegative:
         monkeypatch.setattr(engine._InvariantChecker, "check", record)
         F = forward_transformer(k1)
         lines = []
-        ans = run_negative(F, ALPHA_P, forward_bundle(k1), debug=True,
+        ans = run_negative(F, ALPHA_P, forward(k1).bundle, debug=True,
                            trace=lines.append)
         assert ans.verdict is Verdict.FALSE
         assert checked == [((0, 0b001), (), ()), ((0, 0b001, 0b011), (), (1, 2)),
@@ -698,7 +696,7 @@ class TestNegative:
 
     def test_no_decide_choice_is_stuck(self, k1):
         F = forward_transformer(k1)
-        none = dataclasses.replace(forward_bundle(k1), choose_decide=lambda xp, c, fx: None)
+        none = dataclasses.replace(forward(k1).bundle, choose_decide=lambda xp, c, fx: None)
         assert run_negative(F, ALPHA_P, none).verdict is Verdict.STUCK
 
 
@@ -825,8 +823,8 @@ class TestDebugMode:
         monkeypatch.setattr(engine, "_strengthen", bad_strengthen)
         F = forward_transformer(k1)
         with pytest.raises(EngineInvariantError):
-            run_combined(F, ALPHA, forward_bundle(k1), budget=2, debug=True)
-        assert run_combined(F, ALPHA, forward_bundle(k1), budget=2).verdict is (
+            run_combined(F, ALPHA, forward(k1).bundle, budget=2, debug=True)
+        assert run_combined(F, ALPHA, forward(k1).bundle, budget=2).verdict is (
             Verdict.BUDGET_EXHAUSTED)
 
     def test_the_checker_trusts_the_reported_edit(self, k1, monkeypatch):
@@ -846,7 +844,7 @@ class TestDebugMode:
 
         monkeypatch.setattr(engine, "_strengthen", lying_strengthen)
         F = forward_transformer(k1)
-        answer = run_combined(F, ALPHA, forward_bundle(k1), budget=4, debug=True)
+        answer = run_combined(F, ALPHA, forward(k1).bundle, budget=4, debug=True)
         assert answer.verdict is Verdict.BUDGET_EXHAUSTED
         [(xs, j)] = broken
         checker = engine._InvariantChecker(F, ALPHA)

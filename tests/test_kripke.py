@@ -17,8 +17,6 @@ from ltpdr.kripke import (
     inverse_backward,
     inverse_backward_transformer,
     opdual,
-    pdr_fkr,
-    pdr_ibkr,
 )
 from ltpdr.lattice import Transformer
 from ltpdr.oracles import bfs_safe
@@ -132,8 +130,8 @@ def unsafe_chain(n: int) -> KripkeStructure:
                            initial=1, safe=((1 << n) - 1) & ~(1 << (n - 1)))
 
 
-@pytest.mark.parametrize("solve", [pdr_fkr, pdr_ibkr])
-def test_unsafe_chain_search_is_pinned(solve, monkeypatch):
+@pytest.mark.parametrize("build", [forward, inverse_backward])
+def test_unsafe_chain_search_is_pinned(build, monkeypatch):
     # The exact search on a depth-99 counterexample: a change to the image
     # or to the engine's bookkeeping must not alter a single rule choice.
     # Each Unfold but the last is followed by one Induction with the
@@ -158,7 +156,7 @@ def test_unsafe_chain_search_is_pinned(solve, monkeypatch):
 
     monkeypatch.setattr(Transformer, "__call__", counted_call)
     monkeypatch.setattr(SubsetLattice, "meet", counted_meet)
-    ans = solve(unsafe_chain(100))
+    ans = solve(build(unsafe_chain(100)))
     assert ans.verdict is Verdict.FALSE
     assert ans.stats.steps == 298
     assert ans.stats.rule_counts == {"unfold": 99, "induction": 98, "candidate": 1,
@@ -227,12 +225,12 @@ class TestInductiveBound:
                 assert solve(build(K), debug=True).verdict is expected
 
 
-@pytest.mark.parametrize("solve", [pdr_fkr, pdr_ibkr])
-def test_deep_unsafe_chain_is_refuted_within_budget(solve):
+@pytest.mark.parametrize("build", [forward, inverse_backward])
+def test_deep_unsafe_chain_is_refuted_within_budget(build):
     # With a Conflict that blocks one state at a time the search takes
     # order n^2 steps, and the depth-999 chain exhausts the default
     # 100,000-step budget.
-    ans = solve(unsafe_chain(1000))
+    ans = solve(build(unsafe_chain(1000)))
     assert ans.verdict is Verdict.FALSE
     assert ans.stats.steps == 2998
     # The path-shaped Decide keeps one state per obligation: the witness is
@@ -243,27 +241,27 @@ def test_deep_unsafe_chain_is_refuted_within_budget(solve):
 
 class TestSolverInstances:
     def test_forward_safe(self, k1):
-        assert pdr_fkr(k1).verdict is Verdict.TRUE
+        assert solve(forward(k1)).verdict is Verdict.TRUE
 
     def test_forward_unsafe(self, k1):
         K = dataclasses.replace(k1, safe=0b001)
-        ans = pdr_fkr(K)
+        ans = solve(forward(K))
         assert ans.verdict is Verdict.FALSE
         # The counterexample tail is a reachable state outside the safe set.
         assert ans.kleene_witness.elements[-1] & ~K.safe
 
     def test_forward_empty_initial(self, k1):
         K = dataclasses.replace(k1, initial=0)
-        assert pdr_fkr(K).verdict is Verdict.TRUE
+        assert solve(forward(K)).verdict is Verdict.TRUE
 
     def test_inverse_backward_agrees(self, k1):
-        assert pdr_ibkr(k1).verdict is Verdict.TRUE
+        assert solve(inverse_backward(k1)).verdict is Verdict.TRUE
         K = dataclasses.replace(k1, safe=0b001)
-        assert pdr_ibkr(K).verdict is Verdict.FALSE
+        assert solve(inverse_backward(K)).verdict is Verdict.FALSE
 
     def test_inverse_backward_alpha_full(self, k1):
         K = dataclasses.replace(k1, safe=0b111)
-        assert pdr_ibkr(K).verdict is Verdict.TRUE
+        assert solve(inverse_backward(K)).verdict is Verdict.TRUE
 
     def test_canonical_heuristics_agree(self):
         # The lattice-agnostic bundle (Candidate X_{n-1}, Decide X_{i-1})
@@ -291,8 +289,8 @@ def test_all_instances_agree_with_reachability(seed):
     rng = random.Random(seed)
     K = random_kripke(rng)
     expected = Verdict.TRUE if bfs_safe(K).verdict else Verdict.FALSE
-    assert pdr_fkr(K, debug=True).verdict is expected
-    assert pdr_ibkr(K, debug=True).verdict is expected
+    assert solve(forward(K), debug=True).verdict is expected
+    assert solve(inverse_backward(K), debug=True).verdict is expected
     assert solve(opdual(K)).verdict is expected
 
 

@@ -10,17 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from ltpdr import mdp
 from ltpdr.cli import parse_mdp
-from ltpdr.engine import ContractFailure, Verdict, rule_conflict
+from ltpdr.engine import ContractFailure, Verdict, rule_conflict, solve
 from ltpdr.mdp import (
     MDPModel,
     PointwiseLattice,
     bellman,
     decide_lp,
     heuristic_candidate_mdp,
-    mdp_bundle,
-    pdr_ibmdp,
+    max_reach,
 )
-from ltpdr.mrm import MRMModel, reward_bellman
+from ltpdr.mrm import MRMModel, expected_reward
 from ltpdr.oracles import vi_max_reach
 from ltpdr.simplex import simplex_min
 from util import above, lp_vertex_min, random_mdp, random_mrm
@@ -40,9 +39,9 @@ def frame(*vals):
     return tuple(float(v) for v in vals)
 
 
-def solve_decide_lp(X_prev, C, M, F=None):
+def solve_decide_lp(X_prev, C, M):
     """The Decide choice of the MDP bundle (``mdp.decide_lp``)."""
-    return mdp_bundle(M, F or bellman(M)).choose_decide(X_prev, C, None)
+    return max_reach(M).bundle.choose_decide(X_prev, C, None)
 
 
 # Values a strictness test must cover: zero, the least subnormal, a
@@ -197,7 +196,7 @@ def kernel_cases(rng: random.Random):
             rng, dist, ((rng.randint(0, 3), rng.randrange(M.state_count)), 0.0))
             for dist in M.delta)
         M = dataclasses.replace(M, delta=delta)
-        F, by_definition = reward_bellman(M), reward_bellman_by_definition
+        F, by_definition = bellman(M), reward_bellman_by_definition
         values = [0.0, math.inf, 2.5]
     n = M.state_count
 
@@ -268,7 +267,7 @@ class TestCandidate:
         M = dataclasses.replace(m1, threshold=1.0, safe=frozenset({0}))
         with pytest.raises(ContractFailure):
             heuristic_candidate_mdp(M)(M.lattice().top, M.bound(), None)
-        ans = pdr_ibmdp(M, debug=True)
+        ans = solve(max_reach(M), debug=True)
         assert ans.verdict is Verdict.TRUE
         assert "candidate" not in ans.stats.rule_counts
 
@@ -278,7 +277,7 @@ class TestCandidate:
         # for the least positive float at s0.
         M = MDPModel(3, 1, ((((1, 1.0 - 1e-6), (2, 1e-6)),), (((1, 1.0),),),
                             (((2, 1.0),),)), 0, 0.0, frozenset({0, 1}))
-        ans = pdr_ibmdp(M, debug=True)
+        ans = solve(max_reach(M), debug=True)
         assert ans.verdict is Verdict.FALSE
         assert ans.stats.rule_counts["candidate"] == 1
         assert ans.kleene_witness.elements[-1] == (5e-324, 0.0, 0.0)
@@ -353,7 +352,7 @@ class TestDecideLP:
             C = tuple(C)
             if not lat.leq(C, fx):
                 continue
-            out = solve_decide_lp(X_prev, C, M, F)
+            out = solve_decide_lp(X_prev, C, M)
             assert lat.leq(out, X_prev)
             assert lat.leq(C, F(out))
             checked += 1
@@ -397,15 +396,15 @@ class TestDecideLP:
         M = MRMModel(3, ((((2, 1), 0.5), ((1, 2), 0.5)),
                          (((1, 1), 0.5), ((0, 2), 0.5)), (((0, 2), 1.0),)),
                      0, 2.5, frozenset({0, 1}))
-        F = reward_bellman(M)
+        F = bellman(M)
         X_prev = frame(5, 3, 0)
         C = (3.0, 0.0, 0.0)
         assert F(X_prev)[0] == 3.0
         monkeypatch.setattr(mdp, "simplex_min", _no_program)
         assert decide_lp(M, F, X_prev, C, lambda v: 1.0) == frame(0, 3, 0)
 
-    @pytest.mark.parametrize("draw, build", [(random_mdp, bellman),
-                                             (random_mrm, reward_bellman)],
+    @pytest.mark.parametrize("draw, build", [(random_mdp, max_reach),
+                                             (random_mrm, expected_reward)],
                              ids=["mdp", "mrm"])
     def test_kleene_frames_have_one_feasible_point(self, draw, build, monkeypatch):
         # An obligation F(X_{i-1}) restricted to some safe states, on a
@@ -415,7 +414,7 @@ class TestDecideLP:
         checked = 0
         for _ in range(150):
             M = draw(rng)
-            F = build(M)
+            F = build(M).F
             X_prev = M.lattice().bot
             for _ in range(rng.randint(1, 4)):
                 X_prev = F(X_prev)
@@ -444,7 +443,7 @@ class TestDecideLP:
         checked = 0
         for i in range(80):
             M = random_mrm(rng)
-            F = reward_bellman(M)
+            F = bellman(M)
             X_prev = F(F(M.lattice().bot))
             C = tuple(F(X_prev)[s] if s in M.safe else 0.0
                       for s in range(M.state_count))
@@ -473,14 +472,14 @@ class TestConflict:
         X_prev = frame(0, 0, 1)
         C = (above(0.6), 0.0, 0.0)
         fx = bellman(m1)(X_prev)
-        assert mdp_bundle(m1, bellman(m1)).choose_conflict(X_prev, C, fx) == frame(0.5, 0, 1)
+        assert max_reach(m1).bundle.choose_conflict(X_prev, C, fx) == frame(0.5, 0, 1)
 
     def test_precondition_enforced(self, m1):
         # Conflict does not fire while Decide's guard C <= F(X_prev) holds.
-        F = bellman(m1)
+        inst = max_reach(m1)
         C = (above(0.4), 0.0, 0.0)  # above(0.4) <= 0.5
         xs, ob = [frame(0, 0, 0), frame(0, 0, 1), frame(1, 1, 1)], [C]
-        assert rule_conflict(xs, ob, F, m1.bound(), mdp_bundle(m1, F)) is None
+        assert rule_conflict(xs, ob, inst.F, inst.alpha, inst.bundle) is None
         assert ob == [C] and xs[2] == frame(1, 1, 1)
 
     def test_contract_holds_on_random_frames(self):
@@ -497,7 +496,7 @@ class TestConflict:
             C = tuple(above(v) if rng.random() < 0.5 else v for v in C)
             if lat.leq(C, fx):
                 continue
-            x = mdp_bundle(M, F).choose_conflict(X_prev, C, fx)
+            x = max_reach(M).bundle.choose_conflict(X_prev, C, fx)
             assert x == fx
             assert not lat.leq(C, x)
             assert lat.leq(F(lat.meet(X_prev, x)), x)
@@ -548,12 +547,12 @@ class TestPingPongRegression:
     def test_refuted_within_budget(self, name):
         M = parse_mdp(PING_PONG_MODELS[name])
         assert vi_max_reach(M).value > 0.999
-        ans = pdr_ibmdp(M, budget=2000, debug=True)
+        ans = solve(max_reach(M), budget=2000, debug=True)
         assert ans.verdict is Verdict.FALSE
 
 
-# (seed, draw, threshold) -> (verdict, steps, rule counts, frames) of
-# pdr_ibmdp on the draw-th random_mdp of Random(seed), counted from 0.
+# (seed, draw, threshold) -> (verdict, steps, rule counts, frames) of the
+# combined engine on the draw-th random_mdp of Random(seed), counted from 0.
 PINNED_SEARCHES = {
     (2026, 78, 0.420588): (Verdict.FALSE, 34, {"unfold": 11, "induction": 10,
                                                "candidate": 1, "decide": 11,
@@ -576,7 +575,7 @@ def test_random_search_is_pinned(seed, draw, threshold):
         random_mdp(rng)
     M = dataclasses.replace(random_mdp(rng), threshold=threshold)
     verdict, steps, rules, frames = PINNED_SEARCHES[seed, draw, threshold]
-    ans = pdr_ibmdp(M)
+    ans = solve(max_reach(M))
     assert ans.verdict is verdict
     assert ans.stats.steps == steps
     assert ans.stats.rule_counts == rules
@@ -585,16 +584,16 @@ def test_random_search_is_pinned(seed, draw, threshold):
 
 class TestSolver:
     def test_safe_threshold(self, m1):
-        assert pdr_ibmdp(m1, debug=True).verdict is Verdict.TRUE
+        assert solve(max_reach(m1), debug=True).verdict is Verdict.TRUE
 
     def test_unsafe_threshold(self, m1):
         M = dataclasses.replace(m1, threshold=0.4)
-        ans = pdr_ibmdp(M, debug=True)
+        ans = solve(max_reach(M), debug=True)
         assert ans.verdict is Verdict.FALSE
 
     def test_all_safe_zero_threshold(self, m1):
         M = dataclasses.replace(m1, safe=frozenset({0, 1, 2}), threshold=0.0)
-        assert pdr_ibmdp(M, debug=True).verdict is Verdict.TRUE
+        assert solve(max_reach(M), debug=True).verdict is Verdict.TRUE
 
     def test_oracle_value(self, m1):
         assert vi_max_reach(m1).value == pytest.approx(0.5, abs=1e-9)

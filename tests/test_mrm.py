@@ -10,13 +10,7 @@ from conftest import model_path
 from ltpdr.cli import parse_mrm
 from ltpdr.engine import ContractFailure, Verdict, rule_conflict, solve
 from ltpdr.mdp import heuristic_candidate_mdp
-from ltpdr.mrm import (
-    MRMModel,
-    expected_reward,
-    mrm_heuristics,
-    pdr_mrm,
-    reward_bellman,
-)
+from ltpdr.mrm import MRMModel, expected_reward
 from ltpdr.oracles import NoConvergence, vi_expected_reward
 from util import above, random_mrm
 
@@ -35,27 +29,38 @@ def frame(*vals):
     return tuple(float(v) for v in vals)
 
 
-def solve_decide_lp_mrm(X_prev, C, M, F=None):
+def solve_decide_lp_mrm(X_prev, C, M):
     """The Decide choice of the reward bundle (``mdp.decide_lp``)."""
-    return mrm_heuristics(M, F or reward_bellman(M)).choose_decide(X_prev, C, None)
+    return expected_reward(M).bundle.choose_decide(X_prev, C, None)
 
 
 class TestRewardBellman:
     def test_one_step_reward(self, m2):
-        assert reward_bellman(m2)(frame(0, 0)) == frame(1, 0)
+        assert expected_reward(m2).F(frame(0, 0)) == frame(1, 0)
+        # 2**53 + 1 lies halfway between two floats.  Python adds an int to
+        # a float by rounding the int first, here to 2**53, so c + 1.0 is
+        # 2**53 where exact arithmetic gives 2**53 + 2.  The kernel and the
+        # oracle, which hold float(c), must keep that rounding.
+        c, p = 2**53 + 1, 2.0**-40
+        M = MRMModel(3, ((((c, 1), p), ((0, 2), 1.0 - p)), (((1, 2), 1.0),),
+                         (((0, 2), 1.0),)), 0, 1e6, frozenset({0, 1}))
+        value = 0.0 + p * (c + 1.0) + (1.0 - p) * (0 + 0.0)
+        assert value == 8192.0 != p * float(c + 1)
+        assert expected_reward(M).F((0.0, 1.0, 0.0)) == (value, 1.0, 0.0)
+        assert vi_expected_reward(M).value == value
 
     def test_second_iterate(self, m2):
-        assert reward_bellman(m2)(frame(1, 0)) == frame(1.25, 0)
+        assert expected_reward(m2).F(frame(1, 0)) == frame(1.25, 0)
 
     def test_fixed_point(self, m2):
-        F = reward_bellman(m2)
+        F = expected_reward(m2).F
         d = frame(4.0 / 3.0, 0)
         out = F(d)
         assert out[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
         assert out[1] == 0.0
 
     def test_infinity_is_absorbing(self, m2):
-        F = reward_bellman(m2)
+        F = expected_reward(m2).F
         out = F((math.inf, 0.0))
         assert out[0] == math.inf
 
@@ -63,7 +68,7 @@ class TestRewardBellman:
         rng = random.Random(3)
         for _ in range(50):
             M = random_mrm(rng)
-            F = reward_bellman(M)
+            F = expected_reward(M).F
             lat = M.lattice()
             d1 = tuple(
                 math.inf if rng.random() < 0.15 else rng.random() * 5
@@ -105,18 +110,18 @@ class TestHeuristics:
         # lemma F(X_1) = (1.25, 0): it caps X_2 at every state, the unsafe
         # one included, where the obligation asks for nothing.
         M = dataclasses.replace(m2, threshold=1.3)
-        F = reward_bellman(M)
+        inst = expected_reward(M)
         xs, ob = [frame(0, 0), frame(1, 0), M.lattice().top], [(above(1.3), 0.0)]
-        assert rule_conflict(xs, ob, F, M.bound(), mrm_heuristics(M, F)) == 1
+        assert rule_conflict(xs, ob, inst.F, inst.alpha, inst.bundle) == 1
         assert xs == [frame(0, 0), frame(1, 0), frame(1.25, 0)]
         assert ob == []
 
     def test_decide_contract_on_unfolded_frame(self, m2):
-        F = reward_bellman(m2)
+        F = expected_reward(m2).F
         lat = m2.lattice()
         X_prev = (2.0, 0.0)
         C = (above(1.3), 0.0)
-        out = solve_decide_lp_mrm(X_prev, C, m2, F)
+        out = solve_decide_lp_mrm(X_prev, C, m2)
         assert lat.leq(out, X_prev) and lat.leq(C, F(out))
 
 
@@ -126,19 +131,19 @@ class TestSolver:
         for lam, expected in [(1.3, Verdict.FALSE), (gt + 0.01, Verdict.TRUE),
                               (1.5, Verdict.TRUE), (10.0, Verdict.TRUE)]:
             M = dataclasses.replace(m2, threshold=lam)
-            assert pdr_mrm(M, debug=True).verdict is expected, lam
+            assert solve(expected_reward(M), debug=True).verdict is expected, lam
 
     def test_empty_safe_region(self, m2):
         M = dataclasses.replace(m2, safe=frozenset(), threshold=0.0)
-        assert pdr_mrm(M, debug=True).verdict is Verdict.TRUE
+        assert solve(expected_reward(M), debug=True).verdict is Verdict.TRUE
 
     def test_oracle_value(self, m2):
         assert vi_expected_reward(m2).value == pytest.approx(4.0 / 3.0,
                                                              abs=1e-9)
 
 
-# (draw, threshold) -> (verdict, steps, rule counts, frames) of pdr_mrm on
-# the draw-th random_mrm of Random(2026), counted from 0.
+# (draw, threshold) -> (verdict, steps, rule counts, frames) of the combined
+# engine on the draw-th random_mrm of Random(2026), counted from 0.
 PINNED_SEARCHES = {
     (4, 9.9): (Verdict.FALSE, 31, {"unfold": 10, "induction": 9,
                                    "candidate": 1, "decide": 10,
@@ -170,7 +175,7 @@ def test_random_search_is_pinned(draw, threshold):
     # result or an order test that drifts by one ulp changes these counts.
     M = dataclasses.replace(nth_random_mrm(draw), threshold=threshold)
     verdict, steps, rules, frames = PINNED_SEARCHES[draw, threshold]
-    ans = pdr_mrm(M)
+    ans = solve(expected_reward(M))
     assert ans.verdict is verdict
     assert ans.stats.steps == steps
     assert ans.stats.rule_counts == rules
@@ -186,7 +191,8 @@ def test_decide_lp_stays_feasible(draw, factor):
     # #112, at both factors for #153).
     M = nth_random_mrm(draw)
     value = vi_expected_reward(M).value
-    ans = pdr_mrm(dataclasses.replace(M, threshold=factor * value), debug=True)
+    ans = solve(expected_reward(dataclasses.replace(M, threshold=factor * value)),
+                debug=True)
     assert ans.verdict is (Verdict.TRUE if factor > 1 else Verdict.FALSE)
 
 

@@ -7,9 +7,9 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ltpdr.engine import Verdict, run_combined, solve
-from ltpdr.mdp import bellman, max_reach, mdp_bundle, optimistic_induction
-from ltpdr.mrm import MRMModel, expected_reward, mrm_heuristics, reward_bellman
+from ltpdr.engine import Verdict, solve
+from ltpdr.mdp import max_reach, optimistic_induction
+from ltpdr.mrm import MRMModel, expected_reward
 from ltpdr.oracles import NoConvergence, vi_expected_reward, vi_max_reach
 from util import random_mdp, random_mrm
 
@@ -112,7 +112,7 @@ def test_fires_once_per_chain_length():
     # TestInductionSchedule); here the proposal itself is checked.
     M = MRMModel(2, ((((1, 0), 0.5), ((1, 1), 0.5)), (((0, 1), 1.0),)), 0, 2.5,
                  frozenset({0}))
-    F = reward_bellman(M)
+    F = expected_reward(M).F
     top = F.lattice.top
     propose = optimistic_induction(F, M.bound(), M.initial_state)
     chain = [F.lattice.bot]
@@ -160,7 +160,7 @@ def test_alternating_iterates_are_extrapolated_over_every_second_frame():
     # still every second step, so no three consecutive ones are geometric.
     M = MRMModel(3, ((((1, 1), 1.0),), (((0, 0), 0.5), ((0, 2), 0.5)),
                      (((0, 2), 1.0),)), 0, 2.5, frozenset({0, 1}))
-    F = reward_bellman(M)
+    F = expected_reward(M).F
     top = F.lattice.top
     propose = optimistic_induction(F, M.bound(), M.initial_state)
     chain = kleene_chain(F, 5)
@@ -177,9 +177,8 @@ def test_alternating_iterates_are_extrapolated_over_every_second_frame():
 def test_a_reused_bundle_proposes_on_the_next_solve():
     M = MRMModel(2, ((((1, 0), 0.5), ((1, 1), 0.5)), (((0, 1), 1.0),)), 0, 2.5,
                  frozenset({0}))
-    F = reward_bellman(M)
-    bundle = mrm_heuristics(M, F)
-    first, second = (run_combined(F, M.bound(), bundle) for _ in range(2))
+    inst = expected_reward(M)
+    first, second = (solve(inst) for _ in range(2))
     assert first.verdict is second.verdict is Verdict.TRUE
     assert first.stats.rule_counts == second.stats.rule_counts
     assert first.kt_witness == second.kt_witness
@@ -195,24 +194,23 @@ def test_a_bundle_on_an_equal_transformer_proposes():
     # as the engine's own does, not after 54 canonical Inductions.
     M = MRMModel(2, ((((1, 0), 0.5), ((1, 1), 0.5)), (((0, 1), 1.0),)), 0, 2.5,
                  frozenset({0}))
-    ans = run_combined(reward_bellman(M), M.bound(),
-                       mrm_heuristics(M, reward_bellman(M)))
+    ans = solve(dataclasses.replace(expected_reward(M),
+                                    bundle=expected_reward(M).bundle))
     assert ans.verdict is Verdict.TRUE
     assert (ans.stats.steps, ans.stats.frame_count) == (7, 5)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_a_second_transformer_makes_the_same_search(kind):
-    bundle = {"mdp": mdp_bundle, "mrm": mrm_heuristics}[kind]
     build, sides = KINDS[kind][2], KINDS[kind][3:]
     proved = 0
     for i, M, value in valued_draws(kind, 60):
         for side in sides:
             model = dataclasses.replace(M, threshold=side(value))
             inst = build(model)
-            own = run_combined(inst.F, inst.alpha, inst.bundle, budget=2000)
-            other = run_combined(inst.F, inst.alpha,
-                                 bundle(model, bellman(model)), budget=2000)
+            own = solve(inst, budget=2000)
+            other = solve(dataclasses.replace(inst, bundle=build(model).bundle),
+                          budget=2000)
             assert (other.verdict, other.stats.steps, other.stats.rule_counts) == (
                 own.verdict, own.stats.steps, own.stats.rule_counts), i
             proved += own.verdict is Verdict.TRUE
@@ -224,7 +222,7 @@ def test_a_repair_round_completes_the_guess():
     # stops with 1/4; s1 returns to s0 for free.  Both values are 3.
     M = MRMModel(3, ((((1, 0), 0.5), ((1, 1), 0.25), ((0, 2), 0.25)),
                      (((0, 0), 1.0),), (((0, 2), 1.0),)), 0, 3.3, frozenset({0, 1}))
-    F = reward_bellman(M)
+    F = expected_reward(M).F
     propose = optimistic_induction(F, M.bound(), M.initial_state)
     # X_0, X_1, X_2 at s0 are 0, 0.75, 1.125: limit 1.5, lifted to 3.12.
     # s1 (0, 0, 0.75) does not converge yet and is lifted from 0.75 to

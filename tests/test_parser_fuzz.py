@@ -8,7 +8,6 @@ witness and agree with the oracle; no run may end in a traceback.
 
 import contextlib
 import io
-import itertools
 import os
 import tempfile
 
@@ -57,7 +56,7 @@ def test_mutated_models_exit_cleanly(name, mutations):
         path = os.path.join(tmp, "model" + ext)
         with open(path, "w") as fh:
             fh.write(text)
-        for kind, engine in itertools.product(*RUNS[ext]):
+        for kind, engine in RUNS[ext]:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([kind, path, "--engine", engine, "--budget", "300",
