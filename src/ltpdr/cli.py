@@ -38,8 +38,9 @@ constructor.  Only when the decode or the constructor raises is the file
 read again token by token with every check (``_Lines``), to name the first
 bad line.
 Both reads take a ``num/den`` number as ``int(num) / int(den)``.
-``KINDS`` is the one table of the command-line kinds and the engines each
-takes; ``run_cli``, the scripts and the tests all read it.
+``KINDS`` is the one table of the command-line kinds, ``kripke-opdual``
+(the dual Kripke question) among them; each runs every engine of
+``SOLVE_ENGINES``, and ``run_cli``, the scripts and the tests all read it.
 
 Exit codes: 0 verdict True; 10 verdict False; 2 BudgetExhausted or Stuck;
 3 witness-validation or oracle mismatch; 1 parse or I/O error (a model the
@@ -57,7 +58,7 @@ from typing import Optional
 from . import kripke as kr
 from . import mdp as mdp_mod
 from . import mrm as mrm_mod
-from .engine import Instance, Verdict, certificate_holds, solve
+from .engine import Verdict, certificate_holds, solve
 from .oracles import (DIVERGED, NoConvergence, bfs_safe, vi_expected_reward,
                       vi_max_reach)
 
@@ -423,15 +424,13 @@ def _witness_jsonable(answer):
 
 
 # kind -> its model-file suffix, the paper's name of its instance, parser,
-# Instance builder, oracle and ``--engine`` names (``opdual``: ``instance``).
+# Instance builder and oracle.  Every kind runs every engine of ``solve``.
 SOLVE_ENGINES = ("combined", "positive", "negative")
-Kind = namedtuple("Kind", "suffix name parse build oracle engines",
-                  defaults=[SOLVE_ENGINES])
+Kind = namedtuple("Kind", "suffix name parse build oracle")
 KINDS = {
-    "kripke-forward": Kind(".kr", "fkr", parse_kripke, kr.forward, bfs_safe,
-                           SOLVE_ENGINES + ("opdual",)),
-    "kripke-ibackward": Kind(".kr", "ibkr", parse_kripke, kr.inverse_backward,
-                             bfs_safe, SOLVE_ENGINES + ("opdual",)),
+    "kripke-forward": Kind(".kr", "fkr", parse_kripke, kr.forward, bfs_safe),
+    "kripke-ibackward": Kind(".kr", "ibkr", parse_kripke, kr.inverse_backward, bfs_safe),
+    "kripke-opdual": Kind(".kr", "opdual", parse_kripke, kr.opdual, bfs_safe),
     "mdp": Kind(".mdp", "ibmdp", parse_mdp, mdp_mod.max_reach, vi_max_reach),
     "mrm": Kind(".mrm", "mrm", parse_mrm, mrm_mod.expected_reward, vi_expected_reward),
 }
@@ -449,24 +448,10 @@ def _oracle_report(oracle, model) -> dict:
     return {"name": oracle.__name__, "safe": bool(res.verdict), "value": res.value}
 
 
-def instance(kind: str, engine: str, model) -> tuple[Instance, str]:
-    """The ``Instance`` and ``solve`` engine a kind and ``--engine`` pair
-    runs: ``opdual`` is the combined engine on ``kripke.opdual``."""
-    if engine == "opdual":
-        return kr.opdual(model), "combined"
-    return KINDS[kind].build(model), engine
-
-
 def run_cli(req: argparse.Namespace) -> int:
     """Run the request ``main`` parsed and report; returns the exit code."""
     import json  # here and below, so that importing the parsers costs less
     kind = KINDS[req.kind]
-    if req.engine not in kind.engines:
-        takers = " or ".join(k for k in KINDS if req.engine in KINDS[k].engines)
-        print(f"error: the {req.engine} engine requires a kind with a supplied "
-              f"join ({takers})", file=sys.stderr)
-        return 1
-
     try:
         with open(req.model, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -480,8 +465,8 @@ def run_cli(req: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    inst, engine = instance(req.kind, req.engine, model)
-    answer = solve(inst, engine, budget=req.budget, trace=print if req.trace else None)
+    inst = kind.build(model)
+    answer = solve(inst, req.engine, budget=req.budget, trace=print if req.trace else None)
 
     decided = answer.verdict in (Verdict.TRUE, Verdict.FALSE)
     validation = (certificate_holds(answer, inst.F, inst.alpha)
@@ -545,8 +530,7 @@ def main(argv=None) -> int:
                     "and Markov reward models.")
     ap.add_argument("kind", choices=list(KINDS))
     ap.add_argument("model", help="path to a .kr/.mdp/.mrm model file")
-    ap.add_argument("--engine", default="combined", choices=list(dict.fromkeys(
-        e for kind in KINDS.values() for e in kind.engines)))
+    ap.add_argument("--engine", default="combined", choices=SOLVE_ENGINES)
     ap.add_argument("--budget", type=_positive_int, default=100000)
     ap.add_argument("--trace", action="store_true")
     ap.add_argument("--validate-witness", action="store_true")

@@ -14,6 +14,7 @@ import ltpdr
 from conftest import model_path
 from ltpdr import cli
 from ltpdr.cli import (
+    KINDS,
     ParseError,
     main,
     parse_kripke,
@@ -329,19 +330,16 @@ class TestRunner:
     def test_missing_file_exit_one(self):
         assert main(["kripke-forward", "/nonexistent.kr"]) == 1
 
-    def test_opdual_restricted_to_kripke(self, capsys):
-        # Both non-Kripke kinds.  The arguments alone decide the refusal, so
-        # it comes before the file is read: a missing file gets it too.
-        refusal = ("error: the opdual engine requires a kind with a supplied "
-                   "join (kripke-forward or kripke-ibackward)\n")
-        for kind, name in (("mdp", "m1.mdp"), ("mrm", "die_by_coin.mrm"),
-                           ("mdp", "none.mdp"), ("mrm", "none.mrm")):
-            assert main([kind, model_path(name), "--engine", "opdual"]) == 1
-            assert capsys.readouterr().err == refusal, (kind, name)
+    def test_engine_opdual_is_a_usage_error(self, capsys):
+        # The dual question is the kripke-opdual kind, not an engine.
+        for kind in KINDS:
+            with pytest.raises(SystemExit) as exc:
+                main([kind, "/nonexistent", "--engine", "opdual"])
+            assert exc.value.code == 2
+            assert "argument --engine: invalid choice: 'opdual'" in capsys.readouterr().err
 
     def test_opdual_on_kripke(self):
-        assert main(["kripke-ibackward", model_path("k1.kr"),
-                     "--engine", "opdual"]) == 0
+        assert main(["kripke-opdual", model_path("k1.kr")]) == 0
 
     def test_json_schema_stable(self, capsys):
         for args, _expected in [
@@ -384,7 +382,7 @@ class TestRunner:
     @pytest.mark.parametrize("name, code", [("k1.kr", 0), ("k1_unsafe.kr", 10)])
     def test_opdual_witness_is_validated(self, name, code, capsys):
         # The certificate lives on the opposite lattice and is checked there.
-        assert main(["kripke-forward", model_path(name), "--engine", "opdual",
+        assert main(["kripke-opdual", model_path(name),
                      "--validate-witness"]) == code
         assert "witness-valid: True" in capsys.readouterr().out
 

@@ -9,7 +9,7 @@ import pytest
 
 import ltpdr.engine as engine
 from conftest import MODELS_DIR
-from ltpdr.cli import parse_kripke, parse_mdp, parse_mrm
+from ltpdr.cli import KINDS, parse_kripke, parse_mdp
 from ltpdr.engine import (
     EngineInvariantError,
     HeuristicViolation,
@@ -328,11 +328,18 @@ def _two_unsafe_states():
         "states 7\ninit 2 3 4\nsafe 1 2 3 4 6\ntrans\n1 4\n2 5\n"))
 
 
-def _model_instance(name: str):
-    parse, build = ((parse_mdp, max_reach) if name.endswith(".mdp")
-                    else (parse_mrm, expected_reward))
+def _corpus_model(name: str):
+    """The model in the corpus file ``name`` and the ``Instance`` builders of
+    the kinds that read its suffix, in the order of ``cli.KINDS``."""
+    kinds = [spec for spec in KINDS.values() if name.endswith(spec.suffix)]
     with open(os.path.join(MODELS_DIR, name)) as fh:
-        return build(parse(fh.read()))
+        return kinds[0].parse(fh.read()), [spec.build for spec in kinds]
+
+
+def _model_instance(name: str):
+    """The one instance of an ``.mdp`` or ``.mrm`` corpus file."""
+    model, (build,) = _corpus_model(name)
+    return build(model)
 
 
 def _whole_frame_candidate(inst):
@@ -533,12 +540,7 @@ class TestSolve:
         """A traced run has the untraced run's verdict, steps, frame count
         and rule counts, in the order of first application that ``--json``
         prints, and traces one line per applied rule."""
-        parsers = {".kr": (parse_kripke, (forward, inverse_backward, opdual)),
-                   ".mdp": (parse_mdp, (max_reach,)),
-                   ".mrm": (parse_mrm, (expected_reward,))}
-        parse, builds = parsers[os.path.splitext(name)[1]]
-        with open(os.path.join(MODELS_DIR, name)) as fh:
-            model = parse(fh.read())
+        model, builds = _corpus_model(name)
         for build in builds:
             for engine_name in ("combined", "positive", "negative"):
                 runs, lines = [], []
@@ -927,14 +929,9 @@ class TestValidScan:
     @classmethod
     def _combined_solves(cls):
         solves = []
-        parsers = {".kr": (parse_kripke, (forward, inverse_backward, opdual)),
-                   ".mdp": (parse_mdp, (max_reach,)),
-                   ".mrm": (parse_mrm, (expected_reward,))}
         for name in sorted(os.listdir(MODELS_DIR)):
-            parse, builders = parsers[os.path.splitext(name)[1]]
-            with open(os.path.join(MODELS_DIR, name)) as fh:
-                model = parse(fh.read())
-            solves += [(build, model, {}) for build in builders]
+            model, builds = _corpus_model(name)
+            solves += [(build, model, {}) for build in builds]
         rng = random.Random(5)
         for _ in range(60):
             K = random_kripke(rng)

@@ -7,19 +7,20 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ltpdr import cli
 from ltpdr.engine import Verdict, solve
-from ltpdr.mdp import max_reach, optimistic_induction
+from ltpdr.mdp import optimistic_induction
 from ltpdr.mrm import MRMModel, expected_reward
-from ltpdr.oracles import NoConvergence, vi_expected_reward, vi_max_reach
+from ltpdr.oracles import NoConvergence
 from util import random_mdp, random_mrm
 
-# kind -> (draw, oracle, Instance builder, true threshold, false threshold)
-KINDS = {
-    "mrm": (random_mrm, vi_expected_reward, expected_reward,
-            lambda v: 1.1 * v, lambda v: 0.9 * v),
-    "mdp": (random_mdp, vi_max_reach, max_reach,
-            lambda v: min(v + 0.1, 1.0), lambda v: v - 0.1 if v >= 0.2 else v / 2),
-}
+# kind -> (draw, oracle, Instance builder, true threshold, false threshold);
+# the oracle and the builder are the kind's in ``ltpdr.cli.KINDS``
+KINDS = {kind: (draw, cli.KINDS[kind].oracle, cli.KINDS[kind].build, upper, lower)
+         for kind, draw, upper, lower in (
+             ("mrm", random_mrm, lambda v: 1.1 * v, lambda v: 0.9 * v),
+             ("mdp", random_mdp, lambda v: min(v + 0.1, 1.0),
+              lambda v: v - 0.1 if v >= 0.2 else v / 2))}
 
 
 def valued_draws(kind, count, seed=2026):

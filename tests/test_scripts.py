@@ -45,8 +45,8 @@ def test_random_differential_is_clean(capsys):
     # the search shows here, and must be meant.
     digests = [line for line in out.splitlines() if "_sha256=" in line]
     assert digests == [
-        "answers_sha256=e7924acd930d76df2fdd598abb5b132f77f942f41df48d9bfed2b6622d97f2b3",
-        "search_sha256=872b32986efb06a5e771193466c9939f2bf83ce3546e03a041192999f7b6ad42"]
+        "answers_sha256=d037b7ea7ac87b3e6cb80366b42124d62b1593d5738cf1540e189f96697d96f4",
+        "search_sha256=a6baa05a2d3374cc2ac727dd7c44d89960e5382d47471f811e0756a9a5ed5fdc"]
 
 
 @pytest.mark.usefixtures("compensated_builtin_sum")
