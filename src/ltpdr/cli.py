@@ -43,8 +43,9 @@ Both reads take a ``num/den`` number as ``int(num) / int(den)``.
 ``SOLVE_ENGINES``, and ``run_cli``, the scripts and the tests all read it.
 
 Exit codes: 0 verdict True; 10 verdict False; 2 BudgetExhausted or Stuck;
-3 witness-validation or oracle mismatch; 1 parse or I/O error (a model the
-parsers reject never ends in a traceback).
+3 oracle mismatch; 1 parse or I/O error (a model the parsers reject never
+ends in a traceback).  Every engine checks a True or False answer's
+certificate before it answers, so the runner does not check it again.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from typing import Optional
 from . import kripke as kr
 from . import mdp as mdp_mod
 from . import mrm as mrm_mod
-from .engine import Verdict, certificate_holds, solve
+from .engine import Verdict, solve
 from .oracles import (DIVERGED, NoConvergence, bfs_safe, vi_expected_reward,
                       vi_max_reach)
 
@@ -465,49 +466,27 @@ def run_cli(req: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    inst = kind.build(model)
-    answer = solve(inst, req.engine, budget=req.budget, trace=print if req.trace else None)
-
-    decided = answer.verdict in (Verdict.TRUE, Verdict.FALSE)
-    validation = (certificate_holds(answer, inst.F, inst.alpha)
-                  if req.validate_witness and decided else None)
-
-    oracle = _oracle_report(kind.oracle, model) if req.oracle else None
-    mismatch = validation is False or (
-        decided and oracle is not None and oracle["safe"] is not None
-        and (answer.verdict is Verdict.TRUE) != oracle["safe"])
-
+    answer = solve(kind.build(model), req.engine, budget=req.budget,
+                   trace=print if req.trace else None)
     stats = answer.stats
-    stats_obj = {"steps": stats.steps, "rule_counts": stats.rule_counts,
-                 "frame_count": stats.frame_count,
-                 "wall_time": stats.wall_time}
-
+    report = {"verdict": answer.verdict.value, "witness": _witness_jsonable(answer),
+              "stats": {"steps": stats.steps, "rule_counts": stats.rule_counts,
+                        "frame_count": stats.frame_count, "wall_time": stats.wall_time},
+              "oracle": _oracle_report(kind.oracle, model) if req.oracle else None}
     if req.json_output:
-        report = {"verdict": answer.verdict.value, "witness": _witness_jsonable(answer),
-                  "stats": stats_obj, "oracle": oracle}
-        if req.validate_witness:
-            report["witness_valid"] = validation
         print(json.dumps(report))
     else:
-        print(f"RESULT: {answer.verdict.value}")
-        witness = _witness_jsonable(answer)
-        if witness is not None:
-            print(f"witness: {json.dumps(witness)}")
-        print(f"stats: {json.dumps(stats_obj)}")
-        if validation is not None:
-            print(f"witness-valid: {validation}")
-        if oracle is not None:
-            print(f"oracle: {json.dumps(oracle)}")
+        print(f"RESULT: {report.pop('verdict')}")
+        for key, value in report.items():
+            if value is not None:
+                print(f"{key}: {json.dumps(value)}")
 
-    if mismatch:
-        print("error: verdict disagrees with validation/oracle (engine bug)",
-              file=sys.stderr)
+    code = {Verdict.TRUE: 0, Verdict.FALSE: 10}.get(answer.verdict, 2)
+    safe = (report["oracle"] or {}).get("safe")
+    if code != 2 and safe is not None and (code == 0) != safe:
+        print("error: verdict disagrees with the oracle (engine bug)", file=sys.stderr)
         return 3
-    if answer.verdict is Verdict.TRUE:
-        return 0
-    if answer.verdict is Verdict.FALSE:
-        return 10
-    return 2
+    return code
 
 
 def _positive_int(tok: str) -> int:
@@ -533,7 +512,6 @@ def main(argv=None) -> int:
     ap.add_argument("--engine", default="combined", choices=SOLVE_ENGINES)
     ap.add_argument("--budget", type=_positive_int, default=100000)
     ap.add_argument("--trace", action="store_true")
-    ap.add_argument("--validate-witness", action="store_true")
     ap.add_argument("--oracle", action="store_true")
     ap.add_argument("--json", action="store_true", dest="json_output")
     return run_cli(ap.parse_args(argv))

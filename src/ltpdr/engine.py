@@ -107,6 +107,11 @@ class PDRAnswer:
     stats: Optional[RunStats] = None
 
 
+def canonical_decide(x_prev, head, fx):
+    """Decide's canonical choice ``x := X_{i-1}``, whose image is ``fx``."""
+    return x_prev
+
+
 def canonical_conflict(x_prev, head, fx):
     """Conflict's canonical choice ``x := F(X_{i-1})``, which the engine
     passes in precomputed as ``fx``."""
@@ -122,7 +127,7 @@ class HeuristicsBundle:
     ``choose_decide``/``choose_conflict`` receive ``F(X_{i-1})`` precomputed.
     Conflict defaults to ``canonical_conflict``, which every instance uses
     and whose lemma, the very ``F(X_{i-1})`` object the engine passed in, is
-    not re-imaged.
+    not re-imaged; nor is ``canonical_decide``'s ``X_{i-1}``.
     ``choose_induction`` is offered a tuple snapshot of the frames, before the
     other rules on the step right after each Unfold, and returns
     ``(k, x)``; ``rule_induction`` applies it when ``X_k !<= x`` and
@@ -240,7 +245,8 @@ def rule_decide(xs: list, ob: list, F: Transformer, alpha,
     x = heuristics.choose_decide(x_prev, head, fx)
     if x is None:
         return None
-    if not lat.leq(x, x_prev) or not lat.leq(head, F(x)):
+    if heuristics.choose_decide is not canonical_decide and (  # its F(x) is fx
+            not lat.leq(x, x_prev) or not lat.leq(head, F(x))):
         raise HeuristicViolation("decide output must satisfy x <= X_{i-1} and C_i <= F(x)")
     ob.append(x)
     return PUSHED
@@ -608,10 +614,7 @@ def canonical_heuristics(F: Transformer) -> HeuristicsBundle:
     def candidate(last, alpha, info):
         return last
 
-    def decide(x_prev, head, fx):
-        return x_prev
-
-    return HeuristicsBundle(candidate, decide)
+    return HeuristicsBundle(candidate, canonical_decide)
 
 
 @dataclass(frozen=True)

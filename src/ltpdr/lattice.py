@@ -74,6 +74,9 @@ class OppositeLattice(Lattice):
     def leq_info(self, a, b):
         return self.base.leq_info(b, a)
 
+    def leq(self, a, b):
+        return self.base.leq(b, a)
+
     def meet(self, a, b):
         return self.base.join(a, b)
 

@@ -9,6 +9,9 @@ from util import compensated_sum
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
+# The Instance builders of the Kripke kinds, in the order of ``cli.KINDS``.
+KRIPKE_BUILDS = [spec.build for spec in KINDS.values() if spec.suffix == ".kr"]
+
 # The command-line (kind, engine) pairs that run on each model-file suffix,
 # every engine on every kind: the golden rows and the parser fuzz test both
 # run every pair.

@@ -261,12 +261,10 @@ class TestRoundTrip:
 
 class TestRunner:
     def test_safe_kripke_exit_zero(self, capsys):
-        code = main(["kripke-forward", model_path("k1.kr"),
-                     "--validate-witness", "--oracle"])
+        code = main(["kripke-forward", model_path("k1.kr"), "--oracle"])
         out = capsys.readouterr().out
         assert code == 0
         assert "RESULT: True" in out
-        assert "witness-valid: True" in out
 
     def test_unsafe_kripke_exit_ten(self, capsys):
         assert main(["kripke-forward", model_path("k1_unsafe.kr")]) == 10
@@ -306,11 +304,9 @@ class TestRunner:
 
     def test_negative_engine_refutes_the_grid(self, capsys):
         # lambda 0.3 lies below the value 0.4096.
-        code = main(["mdp", model_path("grid3x3.mdp"), "--engine", "negative",
-                     "--validate-witness"])
-        out = capsys.readouterr().out
+        code = main(["mdp", model_path("grid3x3.mdp"), "--engine", "negative"])
         assert code == 10
-        assert "RESULT: False" in out and "witness-valid: True" in out
+        assert "RESULT: False" in capsys.readouterr().out
 
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_budget_below_one_is_a_usage_error(self, budget, capsys):
@@ -361,30 +357,41 @@ class TestRunner:
                 assert entries and all(
                     v == "inf" or type(v) is float for v in entries)
 
-    @pytest.mark.parametrize("args, code, valid", [
+    @pytest.mark.parametrize("args, code, checked", [
         (["mdp", model_path("m1.mdp")], 0, True),
         (["kripke-forward", model_path("k1_unsafe.kr")], 10, True),
         (["mrm", model_path("die_by_coin.mrm"), "--engine", "positive",
           "--budget", "5"], 2, None)])
-    def test_json_reports_the_witness_check(self, args, code, valid, capsys):
-        # Only with --validate-witness: the schema without it is unchanged.
-        assert main(args + ["--json", "--validate-witness"]) == code
+    def test_json_reports_the_witness_check(self, args, code, checked, capsys):
+        # The engine checks every True/False certificate before it answers,
+        # so the report has no key for the check: it carries a witness
+        # exactly when there was one to check (None: an undecided run).
+        assert main(args + ["--json"]) == code
         report = json.loads(capsys.readouterr().out)
-        assert set(report) == {"verdict", "witness", "stats", "oracle",
-                               "witness_valid"}
-        assert report["witness_valid"] is valid
-
-    def test_json_reports_a_failed_witness_check(self, monkeypatch, capsys):
-        monkeypatch.setattr(ltpdr.cli, "certificate_holds", lambda *args: False)
-        assert main(["mdp", model_path("m1.mdp"), "--json", "--validate-witness"]) == 3
-        assert json.loads(capsys.readouterr().out)["witness_valid"] is False
+        assert set(report) == {"verdict", "witness", "stats", "oracle"}
+        assert (report["witness"] is not None) is bool(checked)
 
     @pytest.mark.parametrize("name, code", [("k1.kr", 0), ("k1_unsafe.kr", 10)])
     def test_opdual_witness_is_validated(self, name, code, capsys):
-        # The certificate lives on the opposite lattice and is checked there.
-        assert main(["kripke-opdual", model_path(name),
-                     "--validate-witness"]) == code
-        assert "witness-valid: True" in capsys.readouterr().out
+        # The certificate lives on the opposite lattice, and the engine
+        # checks it there before it answers.
+        assert main(["kripke-opdual", model_path(name)]) == code
+        assert f"RESULT: {code == 0}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, safe", [("k1.kr", False), ("k1_unsafe.kr", True)])
+    def test_oracle_mismatch_exits_three(self, name, safe, monkeypatch, capsys):
+        # The oracles agree on the corpus, so a stub stands in for a wrong one.
+        monkeypatch.setattr(ltpdr.cli, "_oracle_report",
+                            lambda oracle, model: {"safe": safe})
+        assert main(["kripke-forward", model_path(name), "--oracle"]) == 3
+        assert "verdict disagrees with the oracle" in capsys.readouterr().err
+
+    def test_validate_witness_is_a_usage_error(self, capsys):
+        # The engine checks every certificate itself; no option asks again.
+        with pytest.raises(SystemExit) as exc:
+            main(["kripke-forward", model_path("k1.kr"), "--validate-witness"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --validate-witness" in capsys.readouterr().err
 
     def test_trace_flag(self, capsys):
         main(["kripke-forward", model_path("k1.kr"), "--trace"])

@@ -8,7 +8,7 @@ import random
 import pytest
 
 import ltpdr.engine as engine
-from conftest import MODELS_DIR
+from conftest import KRIPKE_BUILDS, MODELS_DIR
 from ltpdr.cli import KINDS, parse_kripke, parse_mdp
 from ltpdr.engine import (
     EngineInvariantError,
@@ -37,7 +37,6 @@ from ltpdr.kripke import (
     forward,
     forward_transformer,
     inverse_backward,
-    opdual,
 )
 from ltpdr.lattice import (
     KleeneSequence,
@@ -531,7 +530,7 @@ class TestSolve:
 
     def test_every_instance_has_every_engine(self, k1):
         unsafe = dataclasses.replace(k1, safe=ALPHA_P)
-        for build in (forward, inverse_backward, opdual):
+        for build in KRIPKE_BUILDS:
             assert solve(build(k1), "negative").verdict is Verdict.STUCK
             assert solve(build(unsafe), "negative", debug=True).verdict is Verdict.FALSE
 
@@ -567,10 +566,9 @@ class TestSolve:
         monkeypatch.setattr(Transformer, "__call__",
                             lambda self, x: calls.append(x) or call(self, x))
         rng = random.Random(3)
-        for build, model in ((forward, k1), (inverse_backward, k1), (opdual, k1),
-                             (max_reach, random_mdp(rng)),
-                             (expected_reward, random_mrm(rng))):
-            build(model)
+        models = {".kr": k1, ".mdp": random_mdp(rng), ".mrm": random_mrm(rng)}
+        for spec in KINDS.values():
+            spec.build(models[spec.suffix])
         assert calls == []
 
 

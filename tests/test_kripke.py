@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import KRIPKE_BUILDS
 from ltpdr.engine import Verdict, canonical_heuristics, run_combined, solve
 from ltpdr.kripke import (
     KripkeStructure,
@@ -221,7 +222,7 @@ class TestInductiveBound:
         for _ in range(1000):
             K = random_kripke(rng, max_states=12)
             expected = Verdict.TRUE if bfs_safe(K).verdict else Verdict.FALSE
-            for build in (forward, inverse_backward, opdual):
+            for build in KRIPKE_BUILDS:
                 assert solve(build(K), debug=True).verdict is expected
 
 
@@ -237,6 +238,28 @@ def test_deep_unsafe_chain_is_refuted_within_budget(build):
     # bot followed by the 1000 states of the path.
     path = ans.kleene_witness.elements[1:]
     assert len(path) == 1000 and all(c and c & (c - 1) == 0 for c in path)
+
+
+@pytest.mark.parametrize("engine, extra", [("combined", 1), ("negative", 0)])
+def test_opdual_chain_takes_linear_images(engine, extra, monkeypatch):
+    # The canonical Decide picks X_{i-1}, whose image is the F(X_{i-1}) its
+    # guard has just tested, so the engine does not re-image it.  Re-imaging
+    # it took about 3n calls, each on a frame about n/2 states from the last
+    # one imaged: quadratic time on the dual kind.
+    n = 3000
+    inst = opdual(unsafe_chain(n))
+    calls = [0]
+    call = Transformer.__call__
+
+    def counted_call(self, x):
+        calls[0] += self is inst.F
+        return call(self, x)
+
+    monkeypatch.setattr(Transformer, "__call__", counted_call)
+    ans = solve(inst, engine)
+    assert ans.verdict is Verdict.FALSE
+    assert ans.stats.rule_counts["decide"] == n - 1
+    assert calls[0] <= 2 * n + extra
 
 
 class TestSolverInstances:

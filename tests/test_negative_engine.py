@@ -9,8 +9,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import KRIPKE_BUILDS
 from ltpdr.engine import Verdict, solve
-from ltpdr.kripke import forward, inverse_backward, opdual
+from ltpdr.kripke import forward, inverse_backward
 from ltpdr.mdp import max_reach
 from ltpdr.mrm import expected_reward
 from ltpdr.oracles import NoConvergence, bfs_safe, vi_expected_reward, vi_max_reach
@@ -111,7 +112,7 @@ def test_refutes_exactly_the_unsafe_draws(seed):
     rng = random.Random(seed)
     K = random_kripke(rng, max_states=12)
     unsafe = not bfs_safe(K).verdict
-    cases = [(build(K), unsafe) for build in (forward, inverse_backward, opdual)]
+    cases = [(build(K), unsafe) for build in KRIPKE_BUILDS]
     M = random_mdp(rng)
     value = vi_max_reach(M).value
     cases += [(max_reach(dataclasses.replace(M, threshold=t)), t < value)

@@ -60,6 +60,6 @@ def test_mutated_models_exit_cleanly(name, mutations):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([kind, path, "--engine", engine, "--budget", "300",
-                             "--oracle", "--validate-witness"])
+                             "--oracle"])
             assert code in (0, 1, 2, 10), (text, kind, engine, err.getvalue())
             assert (code == 1) == err.getvalue().startswith("error: ")
