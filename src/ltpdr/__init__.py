@@ -44,8 +44,8 @@ from .lattice import (
     is_kleene_sequence,
     is_kt_sequence,
 )
-from .mdp import MDPModel, bellman, decide_lp
-from .mrm import MRMModel, reward_bellman
+from .mdp import MDPModel, bellman
+from .mrm import MRMModel
 from .oracles import (
     NoConvergence,
     OracleResult,
@@ -53,6 +53,5 @@ from .oracles import (
     vi_expected_reward,
     vi_max_reach,
 )
-from .simplex import Infeasible, simplex_min
 
 __version__ = "0.1.0"

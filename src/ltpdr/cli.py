@@ -466,8 +466,8 @@ def run_cli(req: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    answer = solve(kind.build(model), req.engine, budget=req.budget,
-                   trace=print if req.trace else None)
+    trace = (lambda line: print(line, file=sys.stderr)) if req.trace else None
+    answer = solve(kind.build(model), req.engine, budget=req.budget, trace=trace)
     stats = answer.stats
     report = {"verdict": answer.verdict.value, "witness": _witness_jsonable(answer),
               "stats": {"steps": stats.steps, "rule_counts": stats.rule_counts,

@@ -107,8 +107,9 @@ class PDRAnswer:
     stats: Optional[RunStats] = None
 
 
-def canonical_decide(x_prev, head, fx):
-    """Decide's canonical choice ``x := X_{i-1}``, whose image is ``fx``."""
+def canonical_decide(x_prev, head):
+    """Decide's canonical choice ``x := X_{i-1}``, whose image Decide's
+    guard has just tested."""
     return x_prev
 
 
@@ -124,7 +125,9 @@ class HeuristicsBundle:
 
     Each function may return None ("no choice available"); any returned
     element is re-verified by the engine and a violation aborts the run.
-    ``choose_decide``/``choose_conflict`` receive ``F(X_{i-1})`` precomputed.
+    Each takes only what its contract reads: ``choose_candidate(X_{n-1},
+    alpha)`` and ``choose_decide(X_{i-1}, C_i)``; ``choose_conflict`` also
+    receives ``F(X_{i-1})`` precomputed, which is its canonical lemma.
     Conflict defaults to ``canonical_conflict``, which every instance uses
     and whose lemma, the very ``F(X_{i-1})`` object the engine passed in, is
     not re-imaged; nor is ``canonical_decide``'s ``X_{i-1}``.
@@ -143,8 +146,8 @@ class HeuristicsBundle:
     Kripke instance supplies none, and relies on the engine's.
     """
 
-    choose_candidate: Callable[[Any, Any, Any], Optional[Any]]
-    choose_decide: Callable[[Any, Any, Any], Optional[Any]]
+    choose_candidate: Callable[[Any, Any], Optional[Any]]
+    choose_decide: Callable[[Any, Any], Optional[Any]]
     choose_conflict: Callable[[Any, Any, Any], Optional[Any]] = canonical_conflict
     choose_induction: Optional[Callable[[tuple], Optional[tuple[int, Any]]]] = None
 
@@ -210,10 +213,9 @@ def rule_candidate(xs: list, ob: list, F: Transformer, alpha,
     if ob:
         return None
     last = xs[-1]
-    ok, info = lat.leq_info(last, alpha)
-    if ok:
+    if lat.leq(last, alpha):
         return None
-    x = heuristics.choose_candidate(last, alpha, info)
+    x = heuristics.choose_candidate(last, alpha)
     if x is None:
         return None
     if not lat.leq(x, last) or lat.leq(x, alpha):
@@ -242,7 +244,7 @@ def rule_decide(xs: list, ob: list, F: Transformer, alpha,
         fx = F(x_prev)
     if not lat.leq(head, fx):
         return None
-    x = heuristics.choose_decide(x_prev, head, fx)
+    x = heuristics.choose_decide(x_prev, head)
     if x is None:
         return None
     if heuristics.choose_decide is not canonical_decide and (  # its F(x) is fx
@@ -553,8 +555,8 @@ def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
     The frames are ``F^i(bot)``, one more per step (rule ``iterate``), until
     ``F^n(bot) !<= alpha``; two equal iterates first mean ``mu F <= alpha``,
     and the run is Stuck.  Then Candidate picks ``C_n`` below ``F^n(bot)``,
-    Decide at ``i`` picks ``C_{i-1}`` by ``choose_decide(F^{i-1}(bot), C_i,
-    F^i(bot))``, whose guard ``C_i <= F^i(bot)`` always holds, and Model
+    Decide at ``i`` picks ``C_{i-1}`` by ``choose_decide(F^{i-1}(bot), C_i)``,
+    whose guard ``C_i <= F^i(bot)`` always holds, and Model
     closes the chain at index 1.  It ends with ``run_combined``'s frames and
     counterexample on a false instance, where a refuted Kripke Candidate can
     add choices; a rule with no choice is Stuck.  Debug mode runs the
@@ -607,14 +609,10 @@ def run_negative(F: Transformer, alpha, heuristics: HeuristicsBundle, *,
 # Generic heuristics and dualization.
 
 
-def canonical_heuristics(F: Transformer) -> HeuristicsBundle:
+def canonical_heuristics() -> HeuristicsBundle:
     """Lattice-agnostic choices: Candidate x := X_{n-1}, Decide x := X_{i-1},
     Conflict x := F(X_{i-1}).  Always contract-valid, never generalizing."""
-
-    def candidate(last, alpha, info):
-        return last
-
-    return HeuristicsBundle(candidate, canonical_decide)
+    return HeuristicsBundle(lambda last, alpha: last, canonical_decide)
 
 
 @dataclass(frozen=True)

@@ -74,19 +74,11 @@ class KripkeStructure:
 
 
 class SubsetLattice(Lattice):
-    """Powerset of a finite state space, elements as bitmasks.
-
-    ``leq_info`` reports the mask of states violating the inclusion, which
-    the set heuristics use directly.
-    """
+    """Powerset of a finite state space, elements as bitmasks."""
 
     def __init__(self, state_count: int):
         self.bot = 0
         self.top = (1 << state_count) - 1
-
-    def leq_info(self, a, b):
-        diff = a & ~b
-        return (diff == 0, diff)
 
     def leq(self, a, b):
         return not a & ~b
@@ -151,7 +143,7 @@ def _path_decide(base_mask: int, contributor_masks: tuple):
     ``head`` outside ``base``, so a counterexample is a path; None when a
     state has none (never under the engines' Decide guard)."""
 
-    def decide(x_prev, head, fx=None):
+    def decide(x_prev, head):
         x = 0
         m = head & ~base_mask
         while m:
@@ -166,23 +158,19 @@ def _path_decide(base_mask: int, contributor_masks: tuple):
     return decide
 
 
-def _set_heuristics(base_mask: int, contributor_masks: tuple) -> HeuristicsBundle:
-    """The set instances' choices; Conflict is the engine's canonical one."""
-
-    def candidate(last, alpha, diff):
-        # diff is the violation mask X_{n-1} & ~alpha from leq_info.
-        return _lowest_bit(diff)
-
-    return HeuristicsBundle(candidate, _path_decide(base_mask, contributor_masks))
+def _candidate(last, alpha):
+    """The set instances' Candidate: the lowest state of ``X_{n-1} \\ alpha``."""
+    return _lowest_bit(last & ~alpha)
 
 
 def forward_bundle(K: KripkeStructure) -> HeuristicsBundle:
-    """``forward``'s choices, which ``perfbench/spans.py`` wraps by name."""
-    return _set_heuristics(K.initial, K.pred)
+    """``forward``'s choices, which ``perfbench/spans.py`` wraps by name;
+    Conflict is the engine's canonical one."""
+    return HeuristicsBundle(_candidate, _path_decide(K.initial, K.pred))
 
 
 def inverse_backward_bundle(K: KripkeStructure) -> HeuristicsBundle:
-    return _set_heuristics(K.full_mask & ~K.safe, K.succ)
+    return HeuristicsBundle(_candidate, _path_decide(K.full_mask & ~K.safe, K.succ))
 
 
 def forward(K: KripkeStructure) -> Instance:
@@ -208,7 +196,7 @@ def opdual(K: KripkeStructure) -> Instance:
     Fb = backward_transformer(K)
     G = Transformer(Fb.lattice, lambda A: K.safe & Fb(A))
     G_op, alpha_op = dualize(G, K.initial)
-    return Instance(G_op, alpha_op, canonical_heuristics(G_op))
+    return Instance(G_op, alpha_op, canonical_heuristics())
 
 
 def pdr_fkr(K: KripkeStructure, **kw) -> PDRAnswer:

@@ -34,23 +34,21 @@ class UnsupportedDual(LatticeError):
 class Lattice:
     """Contract for a complete lattice restricted to a representable carrier.
 
-    Subclasses set ``bot`` and ``top`` and implement ``leq_info`` and
-    ``meet``; ``join`` is optional and only needed for order-dualization
-    (``engine.dualize``).  ``leq_info`` returns the order test
-    together with an instance-specific counterexample descriptor (e.g. the
-    set of violating states) that heuristics may use; it may be None when
-    no heuristic of the instance reads it.  A subclass may override ``leq``
-    with a direct test, which must agree with ``leq_info``.
+    Subclasses set ``bot`` and ``top`` and implement ``leq``, the one order
+    test, and ``meet``; ``join`` is optional and only needed for
+    order-dualization (``engine.dualize``).
     """
 
     bot: Any
     top: Any
 
-    def leq_info(self, a, b) -> tuple[bool, Any]:
+    def leq(self, a, b) -> bool:
         raise NotImplementedError
 
-    def leq(self, a, b) -> bool:
-        return self.leq_info(a, b)[0]
+    def leq_info(self, a, b) -> tuple[bool, None]:
+        """``(leq(a, b), None)``, kept only because ``perfbench/spans.py:157``
+        wraps it by name; ROADMAP item 1a deletes it."""
+        return (self.leq(a, b), None)
 
     def meet(self, a, b):
         raise NotImplementedError
@@ -70,9 +68,6 @@ class OppositeLattice(Lattice):
         self.base = base
         self.bot = base.top
         self.top = base.bot
-
-    def leq_info(self, a, b):
-        return self.base.leq_info(b, a)
 
     def leq(self, a, b):
         return self.base.leq(b, a)

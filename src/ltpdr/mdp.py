@@ -64,10 +64,7 @@ _PROBABILITY = operator.itemgetter(1)  # of a model's distribution entry
 
 class PointwiseLattice(Lattice):
     """Tuples of floats over the state space, ordered pointwise, from 0.0
-    up to ``top_value`` (``inf`` for the reward instance).
-
-    ``leq_info`` gives no descriptor: no pointwise heuristic reads one.
-    """
+    up to ``top_value`` (``inf`` for the reward instance)."""
 
     def __init__(self, state_count: int, top_value: float):
         self.bot = (0.0,) * state_count
@@ -75,9 +72,6 @@ class PointwiseLattice(Lattice):
 
     def leq(self, a, b):
         return all(map(operator.le, a, b))
-
-    def leq_info(self, a, b):
-        return (self.leq(a, b), None)
 
     # min and max keep their first argument on ties.
     def meet(self, a, b):
@@ -288,7 +282,7 @@ def heuristic_candidate_mdp(M):
     x = tuple(math.nextafter(lam, math.inf) if s == M.initial_state else 0.0
               for s in range(M.state_count))
 
-    def candidate(last, alpha, info):
+    def candidate(last, alpha):
         if not last[M.initial_state] > lam:
             raise ContractFailure("candidate requires the last frame to exceed "
                                   "the threshold at the initial state")
@@ -390,7 +384,7 @@ def pointwise_bundle(M, F: Transformer, cost) -> HeuristicsBundle:
     ``heuristic_candidate_mdp``, Decide ``decide_lp`` at the instance's
     ``cost``, Induction ``optimistic_induction``; Conflict
     is the engine's canonical choice ``x := F(X_{i-1})``."""
-    def decide(x_prev, head, fx):
+    def decide(x_prev, head):
         return decide_lp(M, F, x_prev, head, cost)
 
     return HeuristicsBundle(heuristic_candidate_mdp(M), decide, choose_induction=(

@@ -395,8 +395,17 @@ class TestRunner:
 
     def test_trace_flag(self, capsys):
         main(["kripke-forward", model_path("k1.kr"), "--trace"])
-        out = capsys.readouterr().out
-        assert "step=1 rule=" in out and "obligations=" in out
+        out, err = capsys.readouterr()
+        assert "step=1 rule=" in err and "obligations=" in err
+        assert "step=" not in out and out.startswith("RESULT: True\n")
+
+    def test_json_trace_prints_one_object(self, capsys):
+        # The step lines go to stderr, so stdout is the one report.
+        assert main(["kripke-forward", model_path("k1_unsafe.kr"), "--json",
+                     "--trace"]) == 10
+        out, err = capsys.readouterr()
+        assert json.loads(out)["verdict"] == "False"
+        assert err.startswith("step=1 rule=")
 
     @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
     def test_oracle_without_convergence_is_undecided(self, flags, tmp_path,

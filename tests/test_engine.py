@@ -14,6 +14,7 @@ from ltpdr.engine import (
     EngineInvariantError,
     HeuristicViolation,
     HeuristicsBundle,
+    Instance,
     PUSHED,
     Verdict,
     canonical_heuristics,
@@ -40,6 +41,7 @@ from ltpdr.kripke import (
 )
 from ltpdr.lattice import (
     KleeneSequence,
+    Lattice,
     LatticeError,
     OppositeLattice,
     Transformer,
@@ -187,7 +189,7 @@ class TestRules:
         # selects a different frame.
         seen = []
 
-        def record(x_prev, head, fx):
+        def record(x_prev, head):
             seen.append(x_prev)
             return x_prev
 
@@ -304,8 +306,8 @@ class TestCombined:
     def test_heuristic_violation_aborts(self, F):
         # ALPHA_P = {0} is not inductive (F({0}) = {0, 1}), so Candidate runs.
         bad = HeuristicsBundle(
-            choose_candidate=lambda last, alpha, info: 0,  # bottom <= alpha
-            choose_decide=lambda xp, c, fx: None,
+            choose_candidate=lambda last, alpha: 0,  # bottom <= alpha
+            choose_decide=lambda xp, c: None,
             choose_conflict=lambda xp, c, fx: None)
         with pytest.raises(HeuristicViolation):
             run_combined(F, ALPHA_P, bad, budget=50)
@@ -313,9 +315,9 @@ class TestCombined:
     def test_canonical_heuristics_are_always_admissible(self, F):
         # ALPHA is inductive and closes by Induction; ALPHA_P is not, and
         # Candidate, Decide and Conflict run.
-        ans = run_combined(F, ALPHA, canonical_heuristics(F), debug=True)
+        ans = run_combined(F, ALPHA, canonical_heuristics(), debug=True)
         assert ans.verdict is Verdict.TRUE
-        ans = run_combined(F, ALPHA_P, canonical_heuristics(F), debug=True)
+        ans = run_combined(F, ALPHA_P, canonical_heuristics(), debug=True)
         assert ans.verdict is Verdict.FALSE
 
 
@@ -346,7 +348,7 @@ def _whole_frame_candidate(inst):
     refutes it whenever ``X_{n-1} !<= F(X_{n-2})``, so Conflict runs where
     ``F(X_{n-2}) !<= alpha`` and the bundle's own Candidate is decided."""
     return dataclasses.replace(inst, bundle=dataclasses.replace(
-        inst.bundle, choose_candidate=lambda last, alpha, info: last))
+        inst.bundle, choose_candidate=lambda last, alpha: last))
 
 
 def _count_images(monkeypatch) -> list:
@@ -534,6 +536,28 @@ class TestSolve:
             assert solve(build(k1), "negative").verdict is Verdict.STUCK
             assert solve(build(unsafe), "negative", debug=True).verdict is Verdict.FALSE
 
+    @pytest.mark.parametrize("engine_name, lam, verdict", [
+        ("combined", 6, Verdict.TRUE), ("combined", 3, Verdict.FALSE),
+        ("positive", 6, Verdict.TRUE), ("positive", 3, Verdict.STUCK),
+        ("negative", 6, Verdict.STUCK), ("negative", 3, Verdict.FALSE)])
+    def test_a_lattice_needs_only_its_order_and_meet(self, engine_name, lam, verdict):
+        """A lattice with ``bot``, ``top``, ``leq`` and ``meet`` alone, the
+        ints 0..10 in their order, runs every engine with the canonical
+        choices; ``mu F`` is 5."""
+
+        class Chain(Lattice):
+            bot, top = 0, 10
+
+            def leq(self, a, b):
+                return a <= b
+
+            def meet(self, a, b):
+                return min(a, b)
+
+        F = Transformer(Chain(), lambda x: min(x + 1, 5))
+        ans = solve(Instance(F, lam, canonical_heuristics()), engine_name, debug=True)
+        assert ans.verdict is verdict
+
     @pytest.mark.parametrize("name", sorted(os.listdir(MODELS_DIR)))
     def test_a_trace_sink_changes_nothing(self, name):
         """A traced run has the untraced run's verdict, steps, frame count
@@ -661,14 +685,14 @@ class TestNegative:
 
     def test_bad_candidate_rejected(self, k1):
         F = forward_transformer(k1)
-        bad = HeuristicsBundle(choose_candidate=lambda last, alpha, info: 0,
-                               choose_decide=lambda xp, c, fx: None)
+        bad = HeuristicsBundle(choose_candidate=lambda last, alpha: 0,
+                               choose_decide=lambda xp, c: None)
         with pytest.raises(HeuristicViolation):
             run_negative(F, ALPHA_P, bad, budget=10)
 
     def test_bad_decide_rejected(self, k1):
         F = forward_transformer(k1)
-        bad = dataclasses.replace(forward(k1).bundle, choose_decide=lambda xp, c, fx: 0b111)
+        bad = dataclasses.replace(forward(k1).bundle, choose_decide=lambda xp, c: 0b111)
         with pytest.raises(HeuristicViolation):
             run_negative(F, ALPHA_P, bad, budget=10)
 
@@ -696,7 +720,7 @@ class TestNegative:
 
     def test_no_decide_choice_is_stuck(self, k1):
         F = forward_transformer(k1)
-        none = dataclasses.replace(forward(k1).bundle, choose_decide=lambda xp, c, fx: None)
+        none = dataclasses.replace(forward(k1).bundle, choose_decide=lambda xp, c: None)
         assert run_negative(F, ALPHA_P, none).verdict is Verdict.STUCK
 
 
@@ -729,20 +753,20 @@ class TestDualization:
     def test_dual_answers_match_forward(self, k1):
         G = self._gfp_instance(k1)
         G_op, alpha_op = dualize(G, k1.initial)
-        ans = run_combined(G_op, alpha_op, canonical_heuristics(G_op))
+        ans = run_combined(G_op, alpha_op, canonical_heuristics())
         assert ans.verdict is Verdict.TRUE
 
         K = dataclasses.replace(k1, safe=ALPHA_P)
         G2 = self._gfp_instance(K)
         G2_op, alpha2 = dualize(G2, K.initial)
-        ans2 = run_combined(G2_op, alpha2, canonical_heuristics(G2_op))
+        ans2 = run_combined(G2_op, alpha2, canonical_heuristics())
         assert ans2.verdict is Verdict.FALSE
 
     def test_dual_with_alpha_top(self, k1):
         K = dataclasses.replace(k1, safe=0b111)
         G = self._gfp_instance(K)
         G_op, alpha_op = dualize(G, K.initial)
-        ans = run_combined(G_op, alpha_op, canonical_heuristics(G_op))
+        ans = run_combined(G_op, alpha_op, canonical_heuristics())
         assert ans.verdict is Verdict.TRUE
 
     def test_dualize_requires_join(self):
@@ -751,8 +775,8 @@ class TestDualization:
         class MeetOnly(Lattice):
             bot, top = 0, 1
 
-            def leq_info(self, a, b):
-                return (a <= b, None)
+            def leq(self, a, b):
+                return a <= b
 
             def meet(self, a, b):
                 return min(a, b)

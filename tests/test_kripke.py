@@ -297,7 +297,7 @@ class TestSolverInstances:
             for F, alpha in ((forward_transformer(K), K.safe),
                              (inverse_backward_transformer(K),
                               K.full_mask & ~K.initial)):
-                ans = run_combined(F, alpha, canonical_heuristics(F), debug=True)
+                ans = run_combined(F, alpha, canonical_heuristics(), debug=True)
                 assert ans.verdict is expected
 
     def test_opdual_agrees(self, k1):

@@ -205,8 +205,10 @@ class TestLatticeLaws:
 
 
 class TestDirectLeq:
-    """A lattice's direct ``leq`` must agree with ``leq_info``, and ``eq``
-    with ``leq_info`` both ways."""
+    """``leq`` is a lattice's one order test: ``eq`` is ``leq`` both ways,
+    which on these carriers, one representation per element, is ``==``.
+    The base class's ``leq_info``, which only ``perfbench`` still wraps, is
+    ``(leq, None)``; the test keeps its name until that shim goes."""
 
     @pytest.mark.parametrize("opposite", [False, True], ids=["base", "opposite"])
     @pytest.mark.parametrize("name", sorted(_LATTICES))
@@ -218,5 +220,5 @@ class TestDirectLeq:
         a = data.draw(elements)
         b = data.draw(st.one_of(elements, st.just(a)))  # often equal to a
         for x, y in ((a, b), (b, a), (a, a), (lat.bot, a), (a, lat.top)):
-            assert lat.leq(x, y) == lat.leq_info(x, y)[0]
-        assert lat.eq(a, b) == (lat.leq_info(a, b)[0] and lat.leq_info(b, a)[0])
+            assert lat.eq(x, y) == (lat.leq(x, y) and lat.leq(y, x)) == (x == y)
+            assert lat.leq_info(x, y) == (lat.leq(x, y), None)

@@ -41,7 +41,7 @@ def frame(*vals):
 
 def solve_decide_lp(X_prev, C, M):
     """The Decide choice of the MDP bundle (``mdp.decide_lp``)."""
-    return max_reach(M).bundle.choose_decide(X_prev, C, None)
+    return max_reach(M).bundle.choose_decide(X_prev, C)
 
 
 # Values a strictness test must cover: zero, the least subnormal, a
@@ -250,23 +250,23 @@ class TestPointwiseKernel:
 class TestCandidate:
     def test_threshold_plus_eps_at_initial(self, m1):
         M = dataclasses.replace(m1, threshold=0.4)
-        out = heuristic_candidate_mdp(M)(frame(0.5, 0, 1), M.bound(), None)
+        out = heuristic_candidate_mdp(M)(frame(0.5, 0, 1), M.bound())
         assert out == (above(0.4), 0.0, 0.0)
 
     def test_precondition_enforced(self, m1):
         M = dataclasses.replace(m1, threshold=0.0)
         with pytest.raises(ContractFailure):
-            heuristic_candidate_mdp(M)(frame(0.0, 0, 0), M.bound(), None)
+            heuristic_candidate_mdp(M)(frame(0.0, 0, 0), M.bound())
 
     def test_tight_threshold(self, m1):
-        out = heuristic_candidate_mdp(m1)(frame(0.61, 0, 1), m1.bound(), None)
+        out = heuristic_candidate_mdp(m1)(frame(0.61, 0, 1), m1.bound())
         assert out == (above(0.6), 0.0, 0.0)
 
     def test_never_fires_at_threshold_one(self, m1):
         # No element of [0, 1]^S exceeds 1 at the initial state.
         M = dataclasses.replace(m1, threshold=1.0, safe=frozenset({0}))
         with pytest.raises(ContractFailure):
-            heuristic_candidate_mdp(M)(M.lattice().top, M.bound(), None)
+            heuristic_candidate_mdp(M)(M.lattice().top, M.bound())
         ans = solve(max_reach(M), debug=True)
         assert ans.verdict is Verdict.TRUE
         assert "candidate" not in ans.stats.rule_counts

@@ -31,7 +31,7 @@ def frame(*vals):
 
 def solve_decide_lp_mrm(X_prev, C, M):
     """The Decide choice of the reward bundle (``mdp.decide_lp``)."""
-    return expected_reward(M).bundle.choose_decide(X_prev, C, None)
+    return expected_reward(M).bundle.choose_decide(X_prev, C)
 
 
 class TestRewardBellman:
@@ -82,12 +82,12 @@ class TestRewardBellman:
 class TestHeuristics:
     def test_candidate(self, m2):
         M = dataclasses.replace(m2, threshold=1.3)
-        out = heuristic_candidate_mdp(M)(frame(4.0 / 3.0, 0), M.bound(), None)
+        out = heuristic_candidate_mdp(M)(frame(4.0 / 3.0, 0), M.bound())
         assert out == (above(1.3), 0.0)
 
     def test_candidate_precondition(self, m2):
         with pytest.raises(ContractFailure):
-            heuristic_candidate_mdp(m2)(frame(1.0, 0), m2.bound(), None)
+            heuristic_candidate_mdp(m2)(frame(1.0, 0), m2.bound())
 
     def test_candidate_never_fires_at_threshold_inf(self):
         # State 0 pays 1 forever, so its value is inf; no frame exceeds the
@@ -95,7 +95,7 @@ class TestHeuristics:
         M = MRMModel(state_count=1, delta=((((1, 0), 1.0),),),
                      initial_state=0, threshold=math.inf, safe=frozenset({0}))
         with pytest.raises(ContractFailure):
-            heuristic_candidate_mdp(M)(M.lattice().top, M.bound(), None)
+            heuristic_candidate_mdp(M)(M.lattice().top, M.bound())
         ans = solve(expected_reward(M), debug=True)
         assert ans.verdict is Verdict.TRUE
         assert "candidate" not in ans.stats.rule_counts
