@@ -142,8 +142,8 @@ class HeuristicsBundle:
     proposes ``(n-1, alpha)`` and asks the bundle only when that fails.
     When the bundle declines too and Unfold does not apply, the engine
     applies ``(n-1, F(X_{n-2}))`` if it is below ``alpha``, before Candidate.
-    The MDP and reward instances supply ``mdp.optimistic_induction``; the
-    Kripke instance supplies none, and relies on the engine's.
+    The MDP instance supplies ``mdp.optimistic_induction``, the reward one
+    ``mrm.value_induction``; the Kripke one none, and relies on the engine's.
     """
 
     choose_candidate: Callable[[Any, Any], Optional[Any]]

@@ -33,9 +33,8 @@ the budget runs out.
 With that Conflict the frames of a true instance are the Kleene iterates
 ``F^i(bot)``, which reach a prefixed point only when two of them coincide
 in floating point.  ``optimistic_induction``, the Induction proposer of
-this instance and of the reward instance, guesses one instead: it
-extrapolates the frames, lifts the guess towards ``alpha`` and proposes it
-when ``F(x) <= x``.
+this instance, guesses one instead: it extrapolates the frames, lifts the
+guess towards ``alpha`` and proposes it when ``F(x) <= x``.
 """
 
 from __future__ import annotations
@@ -94,8 +93,8 @@ def _aitken(u: float, w: float, v: float) -> Optional[float]:
 
 
 def optimistic_induction(F: Transformer, alpha, s0: int):
-    """The Induction proposer of the pointwise instances: a guessed prefixed
-    point below ``alpha``, as in Optimistic Value Iteration (Hartmanns and
+    """The Induction proposer of the MDP instance: a guessed prefixed point
+    below ``alpha``, as in Optimistic Value Iteration (Hartmanns and
     Kaminski, CAV 2020).
 
     With the canonical lemma alone, the frames of a true instance are the
@@ -379,21 +378,21 @@ def decide_lp(M, F: Transformer, X_prev, C_head, cost):
     return result
 
 
-def pointwise_bundle(M, F: Transformer, cost) -> HeuristicsBundle:
+def pointwise_bundle(M, F: Transformer, cost, propose) -> HeuristicsBundle:
     """The choices of the MDP and reward instances: Candidate
     ``heuristic_candidate_mdp``, Decide ``decide_lp`` at the instance's
-    ``cost``, Induction ``optimistic_induction``; Conflict
+    ``cost``, and the instance's Induction proposer ``propose``; Conflict
     is the engine's canonical choice ``x := F(X_{i-1})``."""
     def decide(x_prev, head):
         return decide_lp(M, F, x_prev, head, cost)
 
-    return HeuristicsBundle(heuristic_candidate_mdp(M), decide, choose_induction=(
-        optimistic_induction(F, M.bound(), M.initial_state)))
+    return HeuristicsBundle(heuristic_candidate_mdp(M), decide, choose_induction=propose)
 
 
 def mdp_bundle(M: MDPModel, F: Transformer) -> HeuristicsBundle:
     """``pointwise_bundle`` at cost ``2 - X_prev(t)``; ``perfbench`` wraps it."""
-    return pointwise_bundle(M, F, lambda v: 2.0 - v)
+    return pointwise_bundle(M, F, lambda v: 2.0 - v, optimistic_induction(
+        F, M.bound(), M.initial_state))
 
 
 def max_reach(M: MDPModel) -> Instance:

@@ -11,15 +11,11 @@ allowed; infinity is absorbing in the arithmetic (``p * inf = inf`` for
 ``p > 0``; ``0 * inf`` is NaN, so ``MRMModel.rows`` drops ``p = 0``).  The
 model is an ``mdp.PointwiseModel`` with ``TOP = inf`` and ``OFF = 0``, and
 its transformer ``reward_bellman`` is the MDP kernel ``mdp.bellman``.
-``expected_reward(M)`` is the ``Instance`` of this question.  Its choices
-are the MDP instance's ``mdp.pointwise_bundle``: the same Candidate, the
-Decide ``mdp.decide_lp``, which takes the frame on the states a tight
-obligation touches and runs its program, with the reward moved to the
-right-hand side and unit costs, only for a slack one, and the Induction
-proposer ``mdp.optimistic_induction``, so that a true bound is proved by a
-guessed prefixed point instead of by waiting for the Kleene iterates to
-converge.
-The proposer caps its guess by ``F(top)``, which is 0 off the safe set.
+``expected_reward(M)`` is the ``Instance`` of this question.  Its Candidate
+and Decide are the MDP instance's (``mdp.pointwise_bundle``; a slack
+Decide's program moves the reward to the right-hand side, at unit costs).
+Its Induction proposer, ``value_induction``, solves the chain's one linear
+system for a lemma instead of waiting for the Kleene iterates to converge.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from operator import add
 
 from .engine import (
@@ -87,9 +83,74 @@ class MRMModel(PointwiseModel):
 reward_bellman = bellman  # for ``perfbench/gate.py``, its last caller
 
 
+def _reaching(preds: list, targets) -> set:
+    """``targets`` and every state with a path into them along ``preds``."""
+    seen, todo = set(targets), list(targets)
+    while todo:
+        for s in preds[todo.pop()]:
+            if s not in seen:
+                seen.add(s)
+                todo.append(s)
+    return seen
+
+
+def value_induction(M: MRMModel, F: Transformer):
+    """The reward instance's Induction proposer: the chain's value, solved
+    on the first ask, as the lemma ``(n-1, x)`` of every ask.  A safe state
+    that reaches only closed classes that pay, or reaches such a state, gets
+    ``inf``; one that reaches no reward gets 0.  The rest reach an exit, so
+    ``(I - P)[v y] = [r 1]`` (``y`` the time to exit) is an M-matrix system,
+    which elimination with one dict per row solves without pivoting.  ``x =
+    v + delta*y`` has ``F(x) = x - delta`` there and ``x(s0)`` halfway to a
+    finite threshold.  It is declined unless ``v(s0)`` is below that
+    threshold, ``F(x) <= x`` holds in floats, and the elimination stays
+    within a bound on its work, linear in the states beyond 10**5."""
+    rows, s0, lam = M.rows, M.initial_state, M.threshold
+
+    @cache
+    def lemma():
+        preds = [[] for _ in rows]
+        for s, row in enumerate(rows):
+            for _c, t, _p in row[0] if row else ():
+                preds[t].append(s)
+        paying = _reaching(preds, [s for s, row in enumerate(rows)
+                                   if row and any(e[0] for e in row[0])])
+        leaking = _reaching(preds, [s for s in range(len(rows)) if s not in paying])
+        infinite = _reaching(preds, paying - leaking)
+        solved = paying - infinite
+        v = [math.inf if s in infinite else 0.0 for s in range(len(rows))]
+        y, U = [0.0] * len(rows), {}  # U[s]: row s of U, unit diagonal dropped
+        work = 10**5 + 64 * len(rows)  # a factor that fills in is declined
+        for s in sorted(solved):
+            row, vs, ys = {s: 1.0}, 0.0, 1.0
+            for c, t, p in rows[s][0]:
+                vs += p * c
+                if t in solved:
+                    row[t] = row.get(t, 0.0) - p
+            while (k := min(row)) < s:  # eliminate column k by row k of U
+                f, work = row.pop(k), work - len(U[k])
+                for j, a in U[k].items():
+                    row[j] = row.get(j, 0.0) - f * a
+                vs, ys = vs - f * v[k], ys - f * y[k]
+            if work < 0 or not (d := row.pop(s)) > 0.0:
+                return None  # the factor filled in, or rounding lost a leak
+            U[s] = {j: a / d for j, a in row.items()}
+            v[s], y[s] = vs / d, ys / d
+        for k in sorted(solved, reverse=True):
+            for j, a in U[k].items():
+                v[k], y[k] = v[k] - a * v[j], y[k] - a * y[j]
+        if not v[s0] < lam < math.inf:
+            return None
+        delta = (lam - v[s0]) / (2.0 * max(y[s0], 1.0))  # y is 0 off solved
+        x = tuple(vs + delta * ys for vs, ys in zip(v, y))
+        return x if x[s0] <= lam and F.lattice.leq(F(x), x) else None
+
+    return lambda xs: None if lemma() is None else (len(xs) - 1, lemma())
+
+
 def mrm_heuristics(M: MRMModel, F: Transformer) -> HeuristicsBundle:
-    """``mdp.pointwise_bundle`` with unit costs; ``perfbench`` wraps it."""
-    return pointwise_bundle(M, F, lambda v: 1.0)
+    """``pointwise_bundle``, unit costs, ``value_induction``; ``perfbench`` wraps it."""
+    return pointwise_bundle(M, F, lambda v: 1.0, value_induction(M, F))
 
 
 def expected_reward(M: MRMModel) -> Instance:

@@ -395,13 +395,15 @@ class TestConflictLemma:
             ans.stats.steps, ans.stats.rule_counts, ans.stats.frame_count)
 
     @pytest.mark.parametrize("name, images, repeats", [
-        ("grid3x3.mdp", 18, 2), ("die_by_coin.mrm", 9, 0)])
+        ("grid3x3.mdp", 18, 2), ("die_by_coin.mrm", 6, 0)])
     def test_images_per_solve_are_pinned(self, name, images, repeats, monkeypatch):
-        # Each solve applies the canonical lemma F(X_{n-2}) as Induction 3
-        # times, where Candidate would have been refuted, and re-imaging it
-        # would make 21 and 12 calls.  A repeat, the same object imaged
-        # twice in a row, is Decide's re-check of the element decide_lp has
-        # just imaged; the transformer keeps no memo, so it images it again.
+        # The grid's solve applies the canonical lemma F(X_{n-2}) as
+        # Induction 3 times, where Candidate would have been refuted, and the
+        # reward model's once, after the lemma its proposer solved for;
+        # re-imaging it would make 21 and 7 calls.  A repeat, the same object
+        # imaged twice in a row, is Decide's re-check of the element
+        # decide_lp has just imaged; the transformer keeps no memo, so it
+        # images it again.
         # The grid's first three Decides are slack and run the program,
         # which images its solution; the last is tight, so decide_lp returns
         # the frame restricted to its support without imaging it, and the

@@ -45,8 +45,8 @@ def test_random_differential_is_clean(capsys):
     # the search shows here, and must be meant.
     digests = [line for line in out.splitlines() if "_sha256=" in line]
     assert digests == [
-        "answers_sha256=d037b7ea7ac87b3e6cb80366b42124d62b1593d5738cf1540e189f96697d96f4",
-        "search_sha256=a6baa05a2d3374cc2ac727dd7c44d89960e5382d47471f811e0756a9a5ed5fdc"]
+        "answers_sha256=7b435d0bfa65b05513953690101ddc184ccaf8d85029aa7936205000aba02bdc",
+        "search_sha256=85f2cb3eef9799990c46dbd0c073021882e6054dde34aac212b3f5bd48979289"]
 
 
 @pytest.mark.usefixtures("compensated_builtin_sum")

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: random model generators and a
+"""Shared helpers for the test suite: random model generators, the reward
+ruin, exact expected rewards of small reward models and a
 vertex-enumeration oracle for small linear programs."""
 
 from __future__ import annotations
@@ -107,6 +108,63 @@ def _solve_exact(rows, rhs):
                 f = aug[i][col] / p[col]
                 aug[i] = [a - f * b for a, b in zip(aug[i], p)]
     return [aug[i][n] / aug[i][i] for i in range(n)]
+
+
+def exact_reward_values(M: MRMModel) -> list:
+    """The expected reward of every state of ``M`` until it leaves the safe
+    set, as a ``Fraction`` of the float probabilities, or ``math.inf``.
+
+    It shares no code with the solver.  A state's value is infinite when it
+    reaches, through safe states, a state ``u`` of a closed class that pays:
+    every state ``u`` reaches is safe and reaches ``u`` back, and one of
+    them has a positive reward.  It is 0 when no positive reward is
+    reachable.  The other values solve ``v = r + P v`` on those states by
+    ``_solve_exact``."""
+    n = M.state_count
+    succ = [[t for (_c, t), p in M.delta[s] if p > 0] if s in M.safe else []
+            for s in range(n)]
+    pays = [s in M.safe and any(c > 0 and p > 0 for (c, _t), p in M.delta[s])
+            for s in range(n)]
+    reach = []
+    for s in range(n):
+        seen, todo = {s}, [s]
+        while todo:
+            for t in succ[todo.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        reach.append(seen)
+    closed_paying = {u for u in range(n) if reach[u] <= M.safe
+                     and all(u in reach[w] for w in reach[u])
+                     and any(pays[w] for w in reach[u])}
+    infinite = {s for s in range(n) if reach[s] & closed_paying}
+    zero = {s for s in range(n) if not any(pays[w] for w in reach[s])}
+    rest = [s for s in range(n) if s not in infinite and s not in zero]
+    col = {s: i for i, s in enumerate(rest)}
+    rows, rhs = [], []
+    for s in rest:
+        row = [Fraction(0)] * len(rest)
+        row[col[s]] += 1
+        r = Fraction(0)
+        for (c, t), p in M.delta[s]:
+            r += Fraction(p) * c
+            if t in col:
+                row[col[t]] -= Fraction(p)
+        rows.append(row)
+        rhs.append(r)
+    values = [math.inf if s in infinite else Fraction(0) for s in range(n)]
+    for s, v in zip(rest, _solve_exact(rows, rhs)):
+        values[s] = v
+    return values
+
+
+def reward_ruin(N: int, s0: int, threshold: float) -> MRMModel:
+    """The fair gambler's ruin with reward 1 per step: states ``0..N``,
+    both ends unsafe, each inner state steps down or up with probability
+    1/2.  The expected reward from ``s0`` is ``s0 (N - s0)``."""
+    delta = [(((0, s), 1.0),) if s in (0, N) else
+             (((1, s - 1), 0.5), ((1, s + 1), 0.5)) for s in range(N + 1)]
+    return MRMModel(N + 1, tuple(delta), s0, threshold, frozenset(range(1, N)))
 
 
 def lp_vertex_min(costs, constraints, bounds, tol: float = 1e-9):
