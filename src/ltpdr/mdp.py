@@ -19,11 +19,11 @@ inf)`` at the initial state: no float lies strictly between the two, so
 
 ``max_reach(M)`` is the ``Instance`` of this question.  Its choices,
 ``pointwise_bundle``, are shared with the reward instance: Candidate is the
-least float above the threshold at the initial state, and Decide is
-``decide_lp`` on the model's rows.  A tight obligation, one whose
-dominating actions meet it exactly at the frame, takes the frame itself on
-the states it touches; only a slack one runs the linear program for a
-cheapest supporting valuation, at each instance's own costs.
+least float above the threshold at the initial state.  Decide takes the
+frame on the successors of the first dominating action of each state the
+obligation asks for, and 0 elsewhere, which meets it exactly and solves no
+program.  Only the reward instance's ``decide_lp`` runs a program, and only
+for a slack obligation, one its dominating actions exceed at the frame.
 Conflict is the engine's canonical choice ``x := F(X_{i-1})``, which caps
 every state at its transformer value and which the engine does not re-image.
 Capping only the states the current obligation violates gives lemmas each
@@ -298,40 +298,13 @@ def _restriction(X_prev, states) -> tuple:
     return tuple(out)
 
 
-def decide_lp(M, F: Transformer, X_prev, C_head, cost):
-    """The Decide choice of the pointwise instances: a cheapest successor
-    valuation supporting the obligation over the states it touches.
-
-    ``M`` is an ``MDPModel`` or ``MRMModel``.  Each safe state ``s`` with
-    ``C_head(s) > 0`` gives one row ``sum_t p_t x_t >= C_head(s) - r`` from
-    the first action of ``M.rows[s]`` whose expectation under ``X_prev``
-    dominates ``C_head(s)``, with ``r`` its expected one-step reward (0 in
-    an MDP); ``ContractFailure`` when there is none.  The targets of these
-    actions are the support, and the restriction is ``X_prev`` on the
-    support and 0 elsewhere.
-
-    When every such expectation equals ``C_head(s)`` (a tight obligation)
-    and every support entry is at most the cap 1e9, the restriction is the
-    program's only feasible point, and it is returned without the program:
-    its image sums the same entries in the same order as the dominance
-    test, so it meets the obligation exactly.  On a false instance the
-    frames are the Kleene iterates, so a frame restricted to some states,
-    or a program solution at its caps, is a tight obligation for the next
-    Decide.
-
-    Otherwise (a slack obligation, or a support entry above the cap) the
-    program minimizes ``sum cost(X_prev(t)) * x_t``, every cost ``>= 0``,
-    subject to the rows and the box ``0 <= x_t <= cap_t``, where ``cap_t =
-    min(X_prev(t), 1e9)``: ``simplex_min`` takes the caps, and the finite
-    cap replaces infinite frame entries.  The output is the program's
-    solution, snapped to the cap within 1e-9; a strict obligation is
-    already a float above its bound, so the rows ask for no more than it.
-    If rounding makes the solution miss a row by an ulp, the restriction is
-    returned (always contract-valid).  None when the program is infeasible,
-    which only a head needing a value above the cap makes it.
-    """
+def _support(M, X_prev, C_head):
+    """For each safe ``s`` with ``C_head(s) > 0``, the first action of
+    ``M.rows[s]`` whose expectation under ``X_prev`` dominates ``C_head(s)``
+    (else ``ContractFailure``): the ``(action, C_head(s))`` pairs, the
+    support (their targets, each mapped to its first-seen index) and
+    whether each expectation equals ``C_head(s)`` (a tight obligation)."""
     supports = []
-    var_states: list[int] = []
     var_index: dict[int, int] = {}
     tight = True
     for s in range(M.state_count):
@@ -349,50 +322,77 @@ def decide_lp(M, F: Transformer, X_prev, C_head, cost):
         supports.append((dist, c))
         for _r, t, _p in dist:
             if t not in var_index:
-                var_index[t] = len(var_states)
-                var_states.append(t)
-    if tight and all(X_prev[t] <= _CAP for t in var_states):
-        return _restriction(X_prev, var_states)
-    n = len(var_states)
+                var_index[t] = len(var_index)
+    return supports, var_index, tight
+
+
+def decide_lp(M, F: Transformer, X_prev, C_head):
+    """The Decide choice of the reward instance: a cheapest successor
+    valuation supporting the obligation over the states it touches, from
+    one row ``sum_t p_t x_t >= C_head(s) - r`` per row of ``_support``,
+    with ``r`` the action's expected one-step reward.
+
+    When the obligation is tight and every support entry is at most the cap
+    1e9, the restriction of ``X_prev`` to the support is the program's only
+    feasible point, and it is returned without the program, as the MDP
+    Decide returns it for every obligation.  On a false instance a frame
+    restricted to some states, or a solution at its caps, is a tight
+    obligation for the next Decide, the frames being the Kleene iterates.
+
+    Otherwise (a slack obligation, or a support entry above the cap) the
+    program minimizes ``sum x_t``, at cost 1 per variable, subject to the
+    rows and the box ``0 <= x_t <= min(X_prev(t), 1e9)``: ``simplex_min``
+    takes the caps, and the finite cap replaces infinite frame entries.
+    The output is the program's solution, snapped to the cap within 1e-9;
+    a strict obligation is already a float above its bound.  If rounding
+    makes the solution miss a row by an ulp, the restriction is returned.
+    None when the program is infeasible, which only a head needing a value
+    above the cap makes it.
+    """
+    supports, var_index, tight = _support(M, X_prev, C_head)
+    if tight and all(X_prev[t] <= _CAP for t in var_index):
+        return _restriction(X_prev, var_index)
+    n = len(var_index)
     rows = []
     for dist, c in supports:
         coeffs = [0.0] * n
         for _r, t, p in dist:
             coeffs[var_index[t]] += p
         rows.append((coeffs, c - reduce(operator.add, [p * r for r, _, p in dist], 0.0)))
-    caps = [min(X_prev[t], _CAP) for t in var_states]
+    caps = [min(X_prev[t], _CAP) for t in var_index]
     try:
-        xs = simplex_min([cost(X_prev[t]) for t in var_states], rows, caps)
+        xs = simplex_min([1.0] * n, rows, caps)
     except Infeasible:  # the head needs a value above the cap
         return None
 
     out = [0.0] * M.state_count
-    for t, x, cap in zip(var_states, xs, caps):
+    for t, x, cap in zip(var_index, xs, caps):
         x = min(max(x, 0.0), cap)
         out[t] = cap if cap - x <= _SNAP and X_prev[t] <= _CAP else x
     result = tuple(out)
 
     lat = F.lattice
     if not (lat.leq(result, X_prev) and lat.leq(C_head, F(result))):
-        result = _restriction(X_prev, var_states)
+        result = _restriction(X_prev, var_index)
     return result
 
 
-def pointwise_bundle(M, F: Transformer, cost, propose) -> HeuristicsBundle:
+def pointwise_bundle(M, decide, propose) -> HeuristicsBundle:
     """The choices of the MDP and reward instances: Candidate
-    ``heuristic_candidate_mdp``, Decide ``decide_lp`` at the instance's
-    ``cost``, and the instance's Induction proposer ``propose``; Conflict
-    is the engine's canonical choice ``x := F(X_{i-1})``."""
-    def decide(x_prev, head):
-        return decide_lp(M, F, x_prev, head, cost)
-
+    ``heuristic_candidate_mdp``, the instance's Decide ``decide(X_prev,
+    C_head)`` and its Induction proposer ``propose``; Conflict is the
+    engine's canonical choice ``x := F(X_{i-1})``."""
     return HeuristicsBundle(heuristic_candidate_mdp(M), decide, choose_induction=propose)
 
 
 def mdp_bundle(M: MDPModel, F: Transformer) -> HeuristicsBundle:
-    """``pointwise_bundle`` at cost ``2 - X_prev(t)``; ``perfbench`` wraps it."""
-    return pointwise_bundle(M, F, lambda v: 2.0 - v, optimistic_induction(
-        F, M.bound(), M.initial_state))
+    """``pointwise_bundle`` whose Decide is ``X_prev`` on the ``_support``:
+    each dominating action's expectation sums the same entries in the same
+    order as its dominance test, so it meets the obligation exactly, tight
+    or slack, with no program and no image.  ``perfbench`` wraps it."""
+    return pointwise_bundle(
+        M, lambda x_prev, head: _restriction(x_prev, _support(M, x_prev, head)[1]),
+        optimistic_induction(F, M.bound(), M.initial_state))
 
 
 def max_reach(M: MDPModel) -> Instance:

@@ -11,9 +11,9 @@ allowed; infinity is absorbing in the arithmetic (``p * inf = inf`` for
 ``p > 0``; ``0 * inf`` is NaN, so ``MRMModel.rows`` drops ``p = 0``).  The
 model is an ``mdp.PointwiseModel`` with ``TOP = inf`` and ``OFF = 0``, and
 its transformer ``reward_bellman`` is the MDP kernel ``mdp.bellman``.
-``expected_reward(M)`` is the ``Instance`` of this question.  Its Candidate
-and Decide are the MDP instance's (``mdp.pointwise_bundle``; a slack
-Decide's program moves the reward to the right-hand side, at unit costs).
+``expected_reward(M)`` is the ``Instance`` of this question, with the MDP
+Candidate (``mdp.pointwise_bundle``) and Decide ``mdp.decide_lp``, which
+runs a unit-cost program, reward on the right, for slack obligations only.
 Its Induction proposer, ``value_induction``, solves the chain's one linear
 system for a lemma instead of waiting for the Kleene iterates to converge.
 """
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 from operator import add
 
 from .engine import (
@@ -33,10 +33,9 @@ from .engine import (
     Transformer,
     run_combined,
 )
-from .mdp import _PROBABILITY, PointwiseModel, bellman, pointwise_bundle
-# ``mdp.decide_lp`` solves the reward Decide programs too, so
-# ``simplex_min`` is not called here; ``perfbench/spans.py`` wraps
-# ``mrm.simplex_min`` and needs the name.
+from .mdp import _PROBABILITY, PointwiseModel, bellman, decide_lp, pointwise_bundle
+# Unused: ``mdp.decide_lp`` calls ``mdp.simplex_min``, but
+# ``perfbench/spans.py`` wraps ``mrm.simplex_min`` and needs the name.
 from .simplex import simplex_min  # noqa: F401
 
 
@@ -149,8 +148,8 @@ def value_induction(M: MRMModel, F: Transformer):
 
 
 def mrm_heuristics(M: MRMModel, F: Transformer) -> HeuristicsBundle:
-    """``pointwise_bundle``, unit costs, ``value_induction``; ``perfbench`` wraps it."""
-    return pointwise_bundle(M, F, lambda v: 1.0, value_induction(M, F))
+    """``pointwise_bundle``, ``decide_lp``, ``value_induction``; ``perfbench`` wraps it."""
+    return pointwise_bundle(M, partial(decide_lp, M, F), value_induction(M, F))
 
 
 def expected_reward(M: MRMModel) -> Instance:

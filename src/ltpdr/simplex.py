@@ -1,9 +1,10 @@
-"""Bounded-variable dual simplex for the probabilistic Decide programs.
+"""Bounded-variable dual simplex for the reward Decide programs.
 
 Solves ``minimize c . x  subject to  A x >= b,  0 <= x <= cap`` with every
-cost ``c_j >= 0``: the shape of the programs ``mdp.decide_lp`` poses for the
-MDP and reward instances, a handful of variables, one to five rows, costs
-in ``[1, 2]``.  All comparisons use an absolute tolerance of 1e-9.
+cost ``c_j >= 0``: the shape of the programs ``mdp.decide_lp`` poses for a
+slack reward obligation (the MDP Decide poses none), a handful of
+variables, one to five rows, unit costs.  Comparisons use an absolute
+tolerance of 1e-9.
 
 Row ``i`` reads ``-A_i x + s_i = -b_i`` with a surplus ``s_i >= 0``: the
 tableau has one row per constraint and ``n + m`` columns, and the surpluses

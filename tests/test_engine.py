@@ -395,19 +395,17 @@ class TestConflictLemma:
             ans.stats.steps, ans.stats.rule_counts, ans.stats.frame_count)
 
     @pytest.mark.parametrize("name, images, repeats", [
-        ("grid3x3.mdp", 18, 2), ("die_by_coin.mrm", 6, 0)])
+        ("grid3x3.mdp", 15, 0), ("die_by_coin.mrm", 6, 0)])
     def test_images_per_solve_are_pinned(self, name, images, repeats, monkeypatch):
         # The grid's solve applies the canonical lemma F(X_{n-2}) as
         # Induction 3 times, where Candidate would have been refuted, and the
         # reward model's once, after the lemma its proposer solved for;
-        # re-imaging it would make 21 and 7 calls.  A repeat, the same object
-        # imaged twice in a row, is Decide's re-check of the element
-        # decide_lp has just imaged; the transformer keeps no memo, so it
-        # images it again.
-        # The grid's first three Decides are slack and run the program,
-        # which images its solution; the last is tight, so decide_lp returns
-        # the frame restricted to its support without imaging it, and the
-        # engine's re-check is that element's only image.
+        # re-imaging it would make 18 and 7 calls.  A repeat, the same object
+        # imaged twice in a row, would be Decide's re-check of an element
+        # the Decide choice had just imaged; the transformer keeps no memo.
+        # The grid's four Decides, three of them slack, return the frame
+        # restricted to the support without imaging it, so the engine's
+        # re-check is that element's only image.
         calls = _count_images(monkeypatch)
         solve(_model_instance(name))
         assert len(calls) == images

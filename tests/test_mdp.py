@@ -1,5 +1,6 @@
 """The probabilistic instance: strictness as the next float up, the Bellman
-operator, Candidate, and the Decide linear program."""
+operator, Candidate, and the two Decides: the MDP's frame on the support and
+the reward instance's linear program."""
 
 import dataclasses
 import math
@@ -22,7 +23,7 @@ from ltpdr.mdp import (
 from ltpdr.mrm import MRMModel, expected_reward
 from ltpdr.oracles import vi_max_reach
 from ltpdr.simplex import simplex_min
-from util import above, lp_vertex_min, random_mdp, random_mrm
+from util import above, grid_mdp, lp_vertex_min, random_mdp, random_mrm
 
 
 @pytest.fixture
@@ -39,8 +40,8 @@ def frame(*vals):
     return tuple(float(v) for v in vals)
 
 
-def solve_decide_lp(X_prev, C, M):
-    """The Decide choice of the MDP bundle (``mdp.decide_lp``)."""
+def mdp_decide(X_prev, C, M):
+    """The Decide choice of the MDP bundle: the frame on the support."""
     return max_reach(M).bundle.choose_decide(X_prev, C)
 
 
@@ -284,7 +285,7 @@ class TestCandidate:
 
 
 def _no_program(*args):
-    raise AssertionError("a tight obligation reached the simplex")
+    raise AssertionError("a Decide that needs no program reached the simplex")
 
 
 def _tight_program(M, X_prev, C):
@@ -314,20 +315,22 @@ def _tight_program(M, X_prev, C):
 
 class TestDecideLP:
     def test_reference_program(self, m1):
+        # A slack obligation: the MDP Decide keeps the frame on the support,
+        # and the program on the same rows, at unit costs, asks for less.
         X_prev = frame(0, 0, 1)
         C = (above(0.4), 0.0, 0.0)
-        out = solve_decide_lp(X_prev, C, m1)
-        assert out == (0.0, 0.0, above(0.8))
+        assert mdp_decide(X_prev, C, m1) == (0.0, 0.0, 1.0)
+        assert decide_lp(m1, bellman(m1), X_prev, C) == (0.0, 0.0, 0.8000000000000002)
 
     def test_zero_obligation_gives_zero(self, m1):
-        out = solve_decide_lp(frame(1, 1, 1), frame(0, 0, 0), m1)
+        out = mdp_decide(frame(1, 1, 1), frame(0, 0, 0), m1)
         assert out == frame(0, 0, 0)
 
     def test_tight_upper_bound_stays_plain(self, m1):
-        # A non-strict obligation: the program's own solution meets it.
+        # A non-strict slack obligation: the frame on the support meets it.
         X_prev = frame(0, 1, 1)
         C = frame(0.5, 0, 0)
-        out = solve_decide_lp(X_prev, C, m1)
+        out = mdp_decide(X_prev, C, m1)
         F = bellman(m1)
         lat = m1.lattice()
         assert lat.leq(out, X_prev) and lat.leq(C, F(out))
@@ -352,7 +355,7 @@ class TestDecideLP:
             C = tuple(C)
             if not lat.leq(C, fx):
                 continue
-            out = solve_decide_lp(X_prev, C, M)
+            out = mdp_decide(X_prev, C, M)
             assert lat.leq(out, X_prev)
             assert lat.leq(C, F(out))
             checked += 1
@@ -378,7 +381,7 @@ class TestDecideLP:
             return optimum
 
         monkeypatch.setattr(mdp, "simplex_min", fake_simplex_min)
-        out = decide_lp(M, F, X_prev, C, lambda v: 1.0)
+        out = decide_lp(M, F, X_prev, C)
         assert calls == [[([p1, p2], C[0])]]
         assert out == (0.0, 0.97, 0.5)
         assert lat.leq(out, X_prev) and lat.leq(C, F(out))
@@ -388,7 +391,7 @@ class TestDecideLP:
         C = (bellman(m1)(X_prev)[0], 0.0, 0.0)
         assert C[0] == 0.5 * 0.4 + 0.5 * 1.0
         monkeypatch.setattr(mdp, "simplex_min", _no_program)
-        assert solve_decide_lp(X_prev, C, m1) == frame(0, 0.4, 1)
+        assert mdp_decide(X_prev, C, m1) == frame(0, 0.4, 1)
 
     def test_a_tight_reward_obligation_takes_the_frame(self, monkeypatch):
         # s0 earns 2 to s1 or 1 to s2, s1 earns 1 to itself or 0 to s2, and
@@ -401,7 +404,54 @@ class TestDecideLP:
         C = (3.0, 0.0, 0.0)
         assert F(X_prev)[0] == 3.0
         monkeypatch.setattr(mdp, "simplex_min", _no_program)
-        assert decide_lp(M, F, X_prev, C, lambda v: 1.0) == frame(0, 3, 0)
+        assert decide_lp(M, F, X_prev, C) == frame(0, 3, 0)
+
+    def test_a_slack_reward_obligation_runs_the_program(self, monkeypatch):
+        # The reward Decide is the only caller of the simplex, which the
+        # benchmark's trace counts as its own layer.  At the frame (2, 0),
+        # the obligation above(1.3) at s0 is slack, F(X_prev)(s0) being 1.5:
+        # the program asks 0.25 x0 >= above(1.3) - 1 with x0 <= 2.
+        M = MRMModel(2, ((((1, 0), 0.25), ((1, 1), 0.75)), (((0, 1), 1.0),)),
+                     0, 1.5, frozenset({0}))
+        inst = expected_reward(M)
+        X_prev, C = frame(2, 0), (above(1.3), 0.0)
+        assert inst.F(X_prev)[0] == 1.5
+        programs = []
+        monkeypatch.setattr(mdp, "simplex_min",
+                            lambda *a: programs.append(a) or simplex_min(*a))
+        out = inst.bundle.choose_decide(X_prev, C)
+        assert len(programs) == 1
+        assert out[0] == pytest.approx(1.2) and out[0] < X_prev[0]
+        assert M.lattice().leq(out, X_prev) and M.lattice().leq(C, inst.F(out))
+
+    @pytest.mark.parametrize("models", [
+        lambda: map(random_mdp, [random.Random(39)] * 150),
+        lambda: map(grid_mdp, range(3, 7))], ids=["random_mdp", "grid_mdp"])
+    def test_the_mdp_decide_is_the_frame_on_the_support(self, models, monkeypatch):
+        # On the Kleene frames X_{i-1} = F^i(bot), with obligations below
+        # F(X_{i-1}) that are tight, slack or strict, the MDP Decide is the
+        # frame on the targets of each asked state's first dominating action
+        # and 0 elsewhere, meets its contract, and solves no program.
+        monkeypatch.setattr(mdp, "simplex_min", _no_program)
+        rng = random.Random(39)
+        slack = 0
+        for M in models():
+            inst = max_reach(M)
+            F, lat = inst.F, M.lattice()
+            X_prev = lat.bot
+            for _ in range(6):
+                X_prev = F(X_prev)
+                fx = F(X_prev)
+                C = tuple(rng.choice([0.0, v, rng.random() * v,
+                                      min(above(rng.random() * v), v)])
+                          for v in fx)
+                support, _rows, _box, tight = _tight_program(M, X_prev, C)
+                out = inst.bundle.choose_decide(X_prev, C)
+                assert out == tuple(X_prev[s] if s in support else 0.0
+                                    for s in range(M.state_count))
+                assert lat.leq(out, X_prev) and lat.leq(C, F(out))
+                slack += not tight
+        assert slack > 20
 
     @pytest.mark.parametrize("draw, build", [(random_mdp, max_reach),
                                              (random_mrm, expected_reward)],
@@ -428,7 +478,7 @@ class TestDecideLP:
             monkeypatch.setattr(mdp, "simplex_min", _no_program)
             restriction = tuple(X_prev[s] if s in support else 0.0
                                 for s in range(M.state_count))
-            assert decide_lp(M, F, X_prev, C, lambda v: 1.0) == restriction
+            assert decide_lp(M, F, X_prev, C) == restriction
             caps = [hi for _lo, hi in box]
             assert lp_vertex_min([1.0] * len(support), rows, box) == pytest.approx(
                 sum(caps), abs=1e-9)
@@ -459,7 +509,7 @@ class TestDecideLP:
             programs = []
             monkeypatch.setattr(mdp, "simplex_min",
                                 lambda *a: programs.append(a) or simplex_min(*a))
-            assert decide_lp(M, F, X_prev, C, lambda v: 1.0) is None
+            assert decide_lp(M, F, X_prev, C) is None
             assert len(programs) == 1
             checked += 1
         assert checked > 20

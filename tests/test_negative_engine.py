@@ -62,7 +62,7 @@ FAMILIES = {
 PINNED = {
     "kripke-forward": (60, {"False": 47, "Stuck": 13}, "6f94a95d5a45c0f2"),
     "kripke-inverse-backward": (60, {"False": 47, "Stuck": 13}, "0527d8744f401d84"),
-    "mdp": (41, {"False": 18, "Stuck": 23}, "819105c686ae230b"),
+    "mdp": (41, {"False": 18, "Stuck": 23}, "7326896c6be3fba5"),
     "mrm": (30, {"False": 15, "Stuck": 14, "BudgetExhausted": 1}, "ed31550738520018"),
 }
 

@@ -45,7 +45,7 @@ def test_random_differential_is_clean(capsys):
     # the search shows here, and must be meant.
     digests = [line for line in out.splitlines() if "_sha256=" in line]
     assert digests == [
-        "answers_sha256=7b435d0bfa65b05513953690101ddc184ccaf8d85029aa7936205000aba02bdc",
+        "answers_sha256=e67649a55d6b6232fa5bd6113446e502a907778b84556b27a83237b466eb0829",
         "search_sha256=85f2cb3eef9799990c46dbd0c073021882e6054dde34aac212b3f5bd48979289"]
 
 

@@ -79,6 +79,24 @@ def random_mdp(rng: random.Random, max_states: int = 6,
     return MDPModel(n, m, tuple(delta), initial, 0.5, safe)
 
 
+def grid_mdp(k: int, p: float = 0.8) -> MDPModel:
+    """``k x k`` grid, cell ``r*k + c``, built as the benchmark's grid
+    workload builds it (``perfbench/workloads.py``) at a fixed ``p``:
+    action 0 moves right, action 1 down; a move succeeds with probability
+    ``p`` and otherwise falls into the safe trap ``k*k``, and a move off the
+    grid stays put.  The far corner is unsafe."""
+    trap, goal = k * k, k * k - 1
+    delta = []
+    for cell in range(k * k):
+        r, c = divmod(cell, k)
+        moves = (cell + 1 if c + 1 < k else cell, cell + k if r + 1 < k else cell)
+        delta.append(tuple(((t, p), (trap, 1.0 - p)) if t != cell else ((cell, 1.0),)
+                           for t in moves))
+    delta.append((((trap, 1.0),), ((trap, 1.0),)))
+    return MDPModel(k * k + 1, 2, tuple(delta), 0, 0.5,
+                    frozenset(range(k * k + 1)) - {goal})
+
+
 def random_mrm(rng: random.Random, max_states: int = 5) -> MRMModel:
     n = rng.randint(2, max_states)
     delta = []
