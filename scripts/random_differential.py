@@ -9,7 +9,7 @@ reward models at 0.9 and 1.1 times theirs.  Every instance is also solved
 by the two one-sided engines.  The negative engine must answer False
 exactly on the unsafe ones and never True; on a safe one it may end Stuck
 or out of budget.  The positive engine must never answer False, nor True
-on an unsafe one, nor Stuck on a safe one.  It has no Optimistic Induction,
+on an unsafe one, nor Stuck on a safe one.  It has no Induction proposer,
 so a safe reward model can take it many steps; its runs that exhaust the
 budget are listed, but they fail nothing.  Any mismatch, any combined MDP
 or reward model run that exhausts its step budget and any MDP or reward

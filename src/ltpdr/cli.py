@@ -60,8 +60,7 @@ from . import kripke as kr
 from . import mdp as mdp_mod
 from . import mrm as mrm_mod
 from .engine import Verdict, solve
-from .oracles import (DIVERGED, NoConvergence, bfs_safe, vi_expected_reward,
-                      vi_max_reach)
+from .oracles import NoConvergence, bfs_safe, vi_expected_reward, vi_max_reach
 
 
 class ParseError(Exception):
@@ -438,15 +437,14 @@ KINDS = {
 
 
 def _oracle_report(oracle, model) -> dict:
-    """The oracle's verdict; undecided (``safe`` None) if it does not converge."""
+    """The oracle's verdict and value (``"inf"`` for an infinite reward);
+    undecided (``safe`` None) only if its value iteration does not converge."""
     try:
         res = oracle(model)
     except NoConvergence as exc:
         return {"name": oracle.__name__, "safe": None, "reason": str(exc)}
-    if res.verdict == DIVERGED:  # an infinite expected reward
-        return {"name": oracle.__name__, "safe": math.isinf(model.threshold),
-                "value": "inf"}
-    return {"name": oracle.__name__, "safe": bool(res.verdict), "value": res.value}
+    return {"name": oracle.__name__, "safe": res.verdict,
+            "value": "inf" if res.value == math.inf else res.value}
 
 
 def run_cli(req: argparse.Namespace) -> int:

@@ -56,7 +56,6 @@ from .engine import (
 from .lattice import Lattice
 from .simplex import Infeasible, simplex_min
 
-_CAP = 1e9  # replaces infinite frame entries as an LP bound
 _SNAP = 1e-9
 _PROBABILITY = operator.itemgetter(1)  # of a model's distribution entry
 
@@ -332,25 +331,24 @@ def decide_lp(M, F: Transformer, X_prev, C_head):
     one row ``sum_t p_t x_t >= C_head(s) - r`` per row of ``_support``,
     with ``r`` the action's expected one-step reward.
 
-    When the obligation is tight and every support entry is at most the cap
-    1e9, the restriction of ``X_prev`` to the support is the program's only
-    feasible point, and it is returned without the program, as the MDP
-    Decide returns it for every obligation.  On a false instance a frame
-    restricted to some states, or a solution at its caps, is a tight
-    obligation for the next Decide, the frames being the Kleene iterates.
+    When the obligation is tight, the restriction of ``X_prev`` to the
+    support is the program's only feasible point, and it is returned
+    without the program, as the MDP Decide returns it for every obligation.
+    On a false instance a frame restricted to some states, or a solution at
+    its caps, is a tight obligation for the next Decide, the frames being
+    the Kleene iterates.
 
-    Otherwise (a slack obligation, or a support entry above the cap) the
-    program minimizes ``sum x_t``, at cost 1 per variable, subject to the
-    rows and the box ``0 <= x_t <= min(X_prev(t), 1e9)``: ``simplex_min``
-    takes the caps, and the finite cap replaces infinite frame entries.
-    The output is the program's solution, snapped to the cap within 1e-9;
-    a strict obligation is already a float above its bound.  If rounding
-    makes the solution miss a row by an ulp, the restriction is returned.
-    None when the program is infeasible, which only a head needing a value
-    above the cap makes it.
+    Otherwise the program minimizes ``sum x_t``, at cost 1 per variable,
+    subject to the rows and the box ``0 <= x_t <= X_prev(t)``, the frame
+    itself, infinite entries included.  The output is the program's
+    solution, snapped to the cap within 1e-9; a strict obligation is
+    already a float above its bound.  Decide's guard puts the restriction
+    in the box and on every row, so it is returned when rounding makes the
+    solution miss a row by an ulp, and when a row's right-hand side is
+    infinite, the only way the program is infeasible.
     """
     supports, var_index, tight = _support(M, X_prev, C_head)
-    if tight and all(X_prev[t] <= _CAP for t in var_index):
+    if tight:
         return _restriction(X_prev, var_index)
     n = len(var_index)
     rows = []
@@ -359,16 +357,16 @@ def decide_lp(M, F: Transformer, X_prev, C_head):
         for _r, t, p in dist:
             coeffs[var_index[t]] += p
         rows.append((coeffs, c - reduce(operator.add, [p * r for r, _, p in dist], 0.0)))
-    caps = [min(X_prev[t], _CAP) for t in var_index]
+    caps = [X_prev[t] for t in var_index]
     try:
         xs = simplex_min([1.0] * n, rows, caps)
-    except Infeasible:  # the head needs a value above the cap
-        return None
+    except Infeasible:  # a row of an infinite head
+        return _restriction(X_prev, var_index)
 
     out = [0.0] * M.state_count
     for t, x, cap in zip(var_index, xs, caps):
         x = min(max(x, 0.0), cap)
-        out[t] = cap if cap - x <= _SNAP and X_prev[t] <= _CAP else x
+        out[t] = cap if cap - x <= _SNAP else x
     result = tuple(out)
 
     lat = F.lattice

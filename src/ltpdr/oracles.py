@@ -6,27 +6,24 @@ and ``safe``), never the solver's, and recomputes the expectations from it,
 so agreement with the solver is meaningful evidence.  Expectations add left
 to right in a plain ``+=`` loop: ``sum`` compensates its rounding from
 Python 3.12 on.  A sweep is one pass over the safe states: with each new
-value it takes the step ``abs(d[s] - new)`` into a running maximum and
-makes that state's checks (nondecreasing, or at most 1e12).
+value it takes the step ``abs(d[s] - new)`` into a running maximum, and
+``vi_max_reach`` checks that the value did not fall.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 
 class NoConvergence(Exception):
     """Value iteration failed to reach the tolerance within the cap."""
 
 
-DIVERGED = "Diverged"
-
-
 @dataclass(frozen=True)
 class OracleResult:
-    verdict: Union[bool, str]  # True / False / DIVERGED
+    verdict: bool  # value <= threshold; bfs_safe computes no value
     value: Optional[float] = None
 
 
@@ -88,49 +85,55 @@ def vi_max_reach(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
     raise NoConvergence(f"no convergence within {cap} iterations")
 
 
-def vi_expected_reward(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
-    """Expected accumulated reward until leaving the safe region, by value
-    iteration from zero.
+def _reaching(preds: list, targets) -> set:
+    """``targets`` and every state with a path into them along ``preds``."""
+    seen, todo = set(targets), list(targets)
+    while todo:
+        new = set(preds[todo.pop()]) - seen
+        seen |= new
+        todo += new
+    return seen
 
-    It answers ``DIVERGED`` (value ``inf``) when the iterate of any state,
-    not only the initial one, passes 1e12, and when the increment fails to
-    halve over a doubling window, checked at iterations 2048, 4096, ...
-    against the one at 1024, 2048, ....  Both rules are heuristics: a slow
-    leak, or an unreachable state of infinite value, reads ``DIVERGED``
-    although the initial state's value is finite.  CHANGES.md records such
-    models, and ROADMAP.md item 10 plans an exact graph test in their
-    place.  As in ``vi_max_reach``, ``delta < tol`` bounds only the last step."""
+
+def vi_expected_reward(M, tol: float = 1e-12, cap: int = 10**6) -> OracleResult:
+    """Expected accumulated reward until leaving the safe region: ``inf``,
+    or else by value iteration from zero.
+
+    A value is ``inf`` iff its state reaches a closed class that pays
+    (Baier and Katoen, *Principles of Model Checking*, 2008): ``paying``
+    holds the safe states that reach a positive reward, and ``infinite``
+    those that reach a paying state from which only paying states can be
+    reached.  The sweeps cover the safe states that are not infinite, which
+    reach none that are; ``delta < tol`` bounds only the last step."""
     if not tol > 0:  # NaN fails every comparison
         raise ValueError("tol must be positive")
     n, safe = M.state_count, M.safe
     # Each safe state's entries with p > 0, in the order of ``delta``.
     rows = [(s, [(float(c), t, p) for (c, t), p in M.delta[s] if p > 0])
             for s in range(n) if s in safe]
+    preds = [[] for _ in range(n)]
+    for s, paid in rows:
+        for _c, t, _p in paid:
+            preds[t].append(s)
+    paying = _reaching(preds, [s for s, paid in rows if any(e[0] > 0 for e in paid)])
+    leaking = _reaching(preds, [s for s in range(n) if s not in paying])
+    infinite = _reaching(preds, paying - leaking)
+    if M.initial_state in infinite:
+        return OracleResult(verdict=math.inf <= M.threshold, value=math.inf)
+    rows = [row for row in rows if row[0] not in infinite]
     d = [0.0] * n
-    checkpoint = 1024
-    checkpoint_delta = None
-    for it in range(1, cap + 1):
+    for _ in range(cap):
         nd = [0.0] * n
         delta = 0.0
         for s, paid in rows:
             v = 0.0
             for c, t, p in paid:
                 v += p * (c + d[t])
-            if v > 1e12:
-                return OracleResult(verdict=DIVERGED, value=math.inf)
             nd[s] = v
             step = abs(d[s] - v)
             if step > delta:
                 delta = step
         d = nd
-        if it == checkpoint:
-            # The iteration is monotone, so a step size that refuses to
-            # shrink over a doubling window signals (at least) linear growth.
-            if (checkpoint_delta is not None and delta >= tol
-                    and delta >= 0.5 * checkpoint_delta):
-                return OracleResult(verdict=DIVERGED, value=math.inf)
-            checkpoint_delta = delta
-            checkpoint *= 2
         if delta < tol:
             value = d[M.initial_state]
             return OracleResult(verdict=(value <= M.threshold), value=value)

@@ -432,7 +432,7 @@ class TestRunner:
 
     @pytest.mark.parametrize("lam, code", [("5", 10), ("inf", 0)])
     def test_oracle_on_an_infinite_reward(self, lam, code, tmp_path, capsys):
-        # State 0 pays 1 and returns forever: the oracle diverges, which
+        # State 0 pays 1 and returns forever: the oracle reads inf, which
         # refutes every finite threshold and agrees with lambda inf.
         path = tmp_path / "loop.mrm"
         path.write_text(f"states 2\ninit 0\nlambda {lam}\nsafe 0\ntrans\n"
@@ -440,6 +440,35 @@ class TestRunner:
         assert main(["mrm", str(path), "--oracle", "--json"]) == code
         assert json.loads(capsys.readouterr().out)["oracle"] == {
             "name": "vi_expected_reward", "safe": lam == "inf", "value": "inf"}
+
+    @pytest.mark.parametrize("text, value", [
+        # The island: state 1 pays forever, but state 0 never reaches it.
+        ("states 3\ninit 0\nlambda 2\nsafe 0 1\ntrans\n"
+         "0 -> (1,2):1\n1 -> (1,1):1\n2 -> (0,2):1\n", 1.0),
+        # The initial state is unsafe; safe state 1 pays forever.
+        ("states 3\ninit 2\nlambda 1\nsafe 0 1\ntrans\n"
+         "0 -> (2,1):1\n1 -> (0,1):0.5 (3,0):0.5\n2 -> (0,2):1\n", 0.0),
+    ], ids=["island", "unsafe-initial"])
+    def test_oracle_reads_a_finite_value_beside_an_infinite_state(
+            self, text, value, tmp_path, capsys):
+        path = tmp_path / "m.mrm"
+        path.write_text(text)
+        assert main(["mrm", str(path), "--oracle", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracle"] == {
+            "name": "vi_expected_reward", "safe": True, "value": value}
+
+    def test_oracle_on_a_slow_leak_is_undecided(self, tmp_path, capsys):
+        # The value, 1e7, is finite, but each sweep's step shrinks only by
+        # the factor 0.9999999: the iteration does not converge within its
+        # cap, and the proved verdict stands.
+        path = tmp_path / "leak.mrm"
+        path.write_text("states 2\ninit 0\nlambda 20000000\nsafe 0\ntrans\n"
+                        "0 -> (1,0):0.9999999 (1,1):0.0000001\n1 -> (0,1):1\n")
+        assert main(["mrm", str(path), "--oracle", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "True"
+        assert report["oracle"] == {"name": "vi_expected_reward", "safe": None,
+                                    "reason": "no convergence within 1000000 iterations"}
 
     def test_positive_engine_on_mdp(self):
         assert main(["mdp", model_path("m1.mdp"), "--engine", "positive",

@@ -291,7 +291,7 @@ def _no_program(*args):
 def _tight_program(M, X_prev, C):
     """The Decide program of ``C``, built apart from ``decide_lp``: one row
     ``sum p_t x_t >= C(s) - r`` per supported state from its first
-    dominating action, and the box ``0 <= x_t <= min(X_prev(t), 1e9)``.
+    dominating action, and the box ``0 <= x_t <= X_prev(t)``.
     Also the support, and whether every row's action meets ``C(s)``
     exactly at ``X_prev``.  Expectations are summed by ``mdp._expectation``,
     left to right as the kernel sums them, so that a tight action reads as
@@ -310,7 +310,7 @@ def _tight_program(M, X_prev, C):
         for _r, t, p in action:
             coeffs[support.index(t)] += p
         rows.append((coeffs, C[s] - sum(p * r for r, _t, p in action)))
-    return support, rows, [(0.0, min(X_prev[t], 1e9)) for t in support], tight
+    return support, rows, [(0.0, X_prev[t]) for t in support], tight
 
 
 class TestDecideLP:
@@ -485,10 +485,12 @@ class TestDecideLP:
             checked += 1
         assert checked > 50
 
-    def test_a_tight_entry_above_the_cap_still_runs_the_program(self, monkeypatch):
-        # Lifting a support entry past the 1e9 cap keeps the obligation
-        # tight, but the box no longer holds the frame: the program is
-        # infeasible and Decide returns None, as for a slack obligation.
+    def test_a_tight_entry_of_any_size_takes_the_restriction_with_no_program(
+            self, monkeypatch):
+        # Lifting a support entry to 2e9 or inf keeps the obligation tight,
+        # and the box is the frame itself, so the restriction is still the
+        # program's only point and no program runs.
+        monkeypatch.setattr(mdp, "simplex_min", _no_program)
         rng = random.Random(24)
         checked = 0
         for i in range(80):
@@ -506,14 +508,10 @@ class TestDecideLP:
             C = tuple(F(X_prev)[s] if C[s] > 0.0 else 0.0
                       for s in range(M.state_count))
             assert _tight_program(M, X_prev, C)[3]
-            programs = []
-            monkeypatch.setattr(mdp, "simplex_min",
-                                lambda *a: programs.append(a) or simplex_min(*a))
-            assert decide_lp(M, F, X_prev, C) is None
-            assert len(programs) == 1
+            assert decide_lp(M, F, X_prev, C) == tuple(
+                X_prev[s] if s in support else 0.0 for s in range(M.state_count))
             checked += 1
         assert checked > 20
-
 
 class TestConflict:
     """The bundle's Conflict is the canonical choice ``x := F(X_{i-1})``."""

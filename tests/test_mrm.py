@@ -14,7 +14,7 @@ from ltpdr.cli import parse_mrm
 from ltpdr.engine import ContractFailure, Verdict, rule_conflict, solve
 from ltpdr.mdp import heuristic_candidate_mdp
 from ltpdr.mrm import MRMModel, expected_reward
-from ltpdr.oracles import DIVERGED, NoConvergence, vi_expected_reward
+from ltpdr.oracles import NoConvergence, vi_expected_reward
 from util import above, exact_reward_values, random_mrm, reward_ruin
 
 
@@ -199,6 +199,23 @@ def test_decide_lp_stays_feasible(draw, factor):
     assert ans.verdict is (Verdict.TRUE if factor > 1 else Verdict.FALSE)
 
 
+# Value 1e12: state 0 steps to state 1 for free, and state 1 pays 1e12 on
+# its exit, taken with probability 1/2.  Refuting a bound below the value
+# asks for obligation values above 1e9 at state 1, inside Decide's box, the
+# frame itself, whose entries there are infinite.
+VALUE_1E12 = ("states 3\ninit 0\nlambda {}\nsafe 0 1\ntrans\n0 -> (0,1):1\n"
+              "1 -> (1000000000000,2):0.5 (0,1):0.5\n2 -> (0,2):1\n")
+
+
+@pytest.mark.parametrize("lam", ["1e9", "1e10", "4e11", "6e11", "9.9e11", "1.1e12"])
+def test_a_value_of_1e12_is_decided(lam):
+    inst = expected_reward(parse_mrm(VALUE_1E12.format(lam)))
+    want = Verdict.TRUE if float(lam) > 1e12 else Verdict.FALSE
+    assert solve(inst, budget=200, debug=True).verdict is want
+    if want is Verdict.FALSE:
+        assert solve(inst, "negative", budget=200, debug=True).verdict is want
+
+
 class TestNegativeEngine:
     def test_refutes_the_tight_reference_model(self):
         # 1.3 is below the value 4/3: two iterates pass 1.3 at the initial
@@ -210,8 +227,10 @@ class TestNegativeEngine:
         assert ans.stats.steps == 6
 
     def test_refutes_most_false_random_bounds(self):
-        # 46 of 150 draws of random_mrm(Random(7)) have a finite non-zero
-        # value; at 0.9x the value each is refuted within 200 steps.
+        # 47 of 150 draws of random_mrm(Random(7)) have a finite non-zero
+        # value; at 0.9x the value each is refuted within 200 steps.  Draw
+        # #15 (value 2.8) has a state of infinite value off its initial
+        # state's paths.
         rng = random.Random(7)
         false = refuted = 0
         for _ in range(150):
@@ -227,7 +246,7 @@ class TestNegativeEngine:
             ans = solve(expected_reward(M), "negative", budget=200, debug=True)
             assert ans.verdict is not Verdict.TRUE
             refuted += ans.verdict is Verdict.FALSE
-        assert false == 46 and refuted == 46
+        assert false == 47 and refuted == 47
 
     def test_refutes_draw_38(self):
         # 3 states, safe {2}, value about 2, bound 1.8.  The Decide LP
@@ -284,10 +303,10 @@ class TestValueInduction:
         assert ans.verdict is Verdict.TRUE
 
     # The draws of ``random_mrm`` (seeds 0-5, 400 each) with a safe initial
-    # state and a finite value above 1e-6 that ``vi_expected_reward`` reads
-    # as Diverged, by (seed, draw), with the steps of their refutation at
-    # 0.9x the value.  Like the island, each has a state of infinite value
-    # off the initial state's paths.
+    # state, a finite value above 1e-6 and some state of infinite value, by
+    # (seed, draw), with the steps of their refutation at 0.9x the value.
+    # Like the island, each has its infinite states off the initial state's
+    # paths.  ``vi_expected_reward`` once read them all as Diverged.
     MISREAD = {(1, 342): 7, (2, 122): 7, (2, 212): 2, (2, 264): 2, (2, 279): 37,
                (2, 356): 4, (3, 164): 16, (3, 220): 2, (3, 295): 2, (3, 331): 2,
                (4, 229): 7, (4, 392): 7, (5, 54): 64, (5, 63): 2, (5, 154): 19,
@@ -299,15 +318,14 @@ class TestValueInduction:
             rng = random.Random(seed)
             for i in range(400):
                 M = random_mrm(rng)
-                try:
-                    misread = vi_expected_reward(M).verdict == DIVERGED
-                except NoConvergence:
-                    continue
-                value = exact_reward_values(M)[M.initial_state]
-                if misread and 1e-6 < value < math.inf and M.initial_state in M.safe:
+                values = exact_reward_values(M)
+                value = values[M.initial_state]
+                if (1e-6 < value < math.inf and M.initial_state in M.safe
+                        and math.inf in values):
                     found[seed, i] = M, float(value)
         assert found.keys() == self.MISREAD.keys()
         for key, (M, value) in found.items():
+            assert vi_expected_reward(M).value == pytest.approx(value, abs=1e-9), key
             proved = solve(expected_reward(dataclasses.replace(M, threshold=1.1 * value)),
                            budget=50, debug=True)
             assert proved.verdict is Verdict.TRUE, key

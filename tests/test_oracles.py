@@ -19,13 +19,12 @@ from ltpdr import cli, oracles
 from ltpdr.mdp import MDPModel
 from ltpdr.mrm import MRMModel
 from ltpdr.oracles import (
-    DIVERGED,
     NoConvergence,
     bfs_safe,
     vi_expected_reward,
     vi_max_reach,
 )
-from util import compensated_sum, random_mdp, random_mrm
+from util import compensated_sum, exact_reward_values, random_mdp, random_mrm
 
 # A leak that value iteration approaches by 1e-7 a step.
 LEAK = MDPModel(2, 1, ((((0, 0.9999999), (1, 0.0000001)),), (((1, 1.0),),)),
@@ -127,17 +126,38 @@ class TestExpectedReward:
 
     def test_divergence_flagged(self):
         M = MRMModel(1, ((((1, 0), 1.0),),), 0, 1.0, frozenset({0}))
-        res = vi_expected_reward(M)
-        assert res.verdict == DIVERGED
+        assert vi_expected_reward(M) == oracles.OracleResult(False, math.inf)
+        inf_bound = dataclasses.replace(M, threshold=math.inf)
+        assert vi_expected_reward(inf_bound) == oracles.OracleResult(True, math.inf)
 
-    def test_iterate_past_1e12_is_diverged(self):
-        # The iterate is 1e9 * k after k sweeps and passes 1e12 at sweep
-        # 1,001, before the doubling-window rule can first fire at 2,048.
+    def test_a_closed_paying_state_reads_inf_even_at_cap_1(self):
+        # The graph search answers before any sweep, however large the
+        # reward: the iterate would be 1e9 * k after k sweeps.
         M = MRMModel(1, ((((10**9, 0), 1.0),),), 0, 1.0, frozenset({0}))
-        with pytest.raises(NoConvergence):
-            vi_expected_reward(M, cap=1000)
-        res = vi_expected_reward(M, cap=1001)
-        assert res.verdict == DIVERGED and res.value == float("inf")
+        assert vi_expected_reward(M, cap=1) == oracles.OracleResult(False, math.inf)
+
+    def test_a_value_of_1e13_is_finite(self):
+        # State 0 pays 1e13 and stays with probability 1/2: v = 0.5 (1e13 + v).
+        M = MRMModel(2, ((((10**13, 0), 0.5), ((0, 1), 0.5)), (((0, 1), 1.0),)),
+                     0, 2e13, frozenset({0}))
+        assert vi_expected_reward(M) == oracles.OracleResult(True, 1e13)
+
+    def test_agrees_with_the_exact_values_on_every_draw(self):
+        # 2,400 draws, 161 of them infinite at the initial state: the graph
+        # search finds exactly those, and the sweep the others within 1e-9.
+        infinite = 0
+        for seed in range(6):
+            rng = random.Random(seed)
+            for i in range(400):
+                M = random_mrm(rng)
+                exact = exact_reward_values(M)[M.initial_state]
+                value = vi_expected_reward(M).value
+                if exact == math.inf:
+                    infinite += 1
+                    assert value == math.inf, (seed, i)
+                else:
+                    assert value == pytest.approx(float(exact), abs=1e-9), (seed, i)
+        assert infinite == 161
 
     def test_rejects_nonpositive_tolerance(self):
         M = MRMModel(1, ((((1, 0), 1.0),),), 0, 1.0, frozenset())
@@ -163,7 +183,7 @@ def _oracle_outcome(oracle, M) -> str:
 
 def test_oracle_values_are_pinned():
     # Every verdict and value, to the last bit, on 600 random MDPs, 600
-    # random reward models (60 of them Diverged) and the models/ corpus.  The
+    # random reward models (37 of them infinite) and the models/ corpus.  The
     # digest is that of the first oracles, which summed a generator such as
     # ``sum(p * d[t] for t, p in dist)`` per action on Python 3.10 and 3.11.
     # The oracles now add in a plain ``v += p * d[t]`` loop, left to right
@@ -184,7 +204,7 @@ def test_oracle_values_are_pinned():
         else:
             lines.append(_oracle_outcome(vi_expected_reward, cli.parse_mrm(text)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "27883103e47205a0d400c9a3c84940b1ac4d9f06344e0d551110a604a7101c24"
+    assert digest == "44c8c138110cd653a4aa82497f64d37107e8b8ae64bab3c037601320f53353f2"
 
 
 def _answers(oracle, M, cap: int) -> bool:
@@ -214,15 +234,16 @@ def _stopping_sweep(oracle, M) -> int:
 
 def test_stopping_sweeps_are_pinned():
     # The sweep on which each oracle stops, on 30 random MDPs and 30 random
-    # reward models: a change to the step, the stop rule or the Diverged
-    # rules that keeps every value can still move a stopping sweep.
+    # reward models: a change to the step or the stop rule that keeps every
+    # value can still move a stopping sweep.  The 8 reward models whose
+    # initial state is infinite stop at 1, before any sweep.
     rng = random.Random(0)
     sweeps = [_stopping_sweep(vi_max_reach, random_mdp(rng)) for _ in range(30)]
     rng = random.Random(0)
     sweeps += [_stopping_sweep(vi_expected_reward, random_mrm(rng))
                for _ in range(30)]
     digest = hashlib.sha256(repr(sweeps).encode()).hexdigest()
-    assert digest == "1bb6bb117efa21e1fac3e6eeefcb2cfdf9447d314c53d970677f888576f2ff46"
+    assert digest == "cc5059ba42425cc79b000a78c193217dc283c8acbb3b0773dbf2798dda915aa6"
 
 
 def test_zero_probability_entries_change_no_bit():

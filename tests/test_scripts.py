@@ -61,7 +61,7 @@ LOOP_MRM = ("states 2\ninit 0\nlambda 5\nsafe 0\ntrans\n"
 
 
 def test_run_corpus_refutes_an_infinite_reward(tmp_path, capsys):
-    # The oracle reads Diverged; the verdict it stands for is False.
+    # The oracle's graph search reads the value as inf, above lambda 5.
     (tmp_path / "loop.mrm").write_text(LOOP_MRM)
     assert load("run_corpus").main(["--models", str(tmp_path)]) == 0
     line, = capsys.readouterr().out.splitlines()
@@ -69,9 +69,11 @@ def test_run_corpus_refutes_an_infinite_reward(tmp_path, capsys):
 
 
 def test_run_corpus_fails_on_an_undecided_oracle(tmp_path, monkeypatch, capsys):
-    # Capped at one sweep, value iteration does not converge; the run is
-    # decided but cannot be judged, and no traceback ends the script.
-    (tmp_path / "loop.mrm").write_text(LOOP_MRM.replace("lambda 5", "lambda inf"))
+    # Capped at one sweep, value iteration does not converge on this finite
+    # value, 2; the run is decided but cannot be judged, and no traceback
+    # ends the script.  (An infinite value is answered at any cap.)
+    (tmp_path / "half.mrm").write_text("states 2\ninit 0\nlambda 3\nsafe 0\ntrans\n"
+                                       "0 -> (1,0):0.5 (0,1):0.5\n1 -> (0,1):1\n")
     monkeypatch.setattr(vi_expected_reward, "__defaults__", (1e-12, 1))
     assert load("run_corpus").main(["--models", str(tmp_path)]) == 1
     out, err = capsys.readouterr()
