@@ -129,8 +129,9 @@ class HeuristicsBundle:
     alpha)`` and ``choose_decide(X_{i-1}, C_i)``; ``choose_conflict`` also
     receives ``F(X_{i-1})`` precomputed, which is its canonical lemma.
     Conflict defaults to ``canonical_conflict``, which every instance uses
-    and whose lemma, the very ``F(X_{i-1})`` object the engine passed in, is
-    not re-imaged; nor is ``canonical_decide``'s ``X_{i-1}``.
+    and whose lemma, the very ``F(X_{i-1})`` object, is not re-imaged; nor
+    is ``canonical_decide``'s ``X_{i-1}``, which ``canonical_heuristics``
+    and the MDP instance's ``mdp_bundle`` use.
     ``choose_induction`` is offered a tuple snapshot of the frames, before the
     other rules on the step right after each Unfold, and returns
     ``(k, x)``; ``rule_induction`` applies it when ``X_k !<= x`` and

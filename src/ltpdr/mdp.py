@@ -19,11 +19,12 @@ inf)`` at the initial state: no float lies strictly between the two, so
 
 ``max_reach(M)`` is the ``Instance`` of this question.  Its choices,
 ``pointwise_bundle``, are shared with the reward instance: Candidate is the
-least float above the threshold at the initial state.  Decide takes the
-frame on the successors of the first dominating action of each state the
-obligation asks for, and 0 elsewhere, which meets it exactly and solves no
-program.  Only the reward instance's ``decide_lp`` runs a program, and only
-for a slack obligation, one its dominating actions exceed at the frame.
+least float above the threshold at the initial state.  The MDP Decide is
+the engine's canonical ``x := X_{i-1}``, which scans no support and is not
+re-imaged; on a false bound the frames below the last, and so the
+obligations, are the Kleene iterates.  The reward ``decide_lp`` takes the
+frame on the successors of each asked state's first dominating action,
+and runs a program only when those actions exceed the obligation.
 Conflict is the engine's canonical choice ``x := F(X_{i-1})``, which caps
 every state at its transformer value and which the engine does not re-image.
 Capping only the states the current obligation violates gives lemmas each
@@ -51,6 +52,7 @@ from .engine import (
     Instance,
     PDRAnswer,
     Transformer,
+    canonical_decide,
     run_combined,
 )
 from .lattice import Lattice
@@ -332,8 +334,7 @@ def decide_lp(M, F: Transformer, X_prev, C_head):
     with ``r`` the action's expected one-step reward.
 
     When the obligation is tight, the restriction of ``X_prev`` to the
-    support is the program's only feasible point, and it is returned
-    without the program, as the MDP Decide returns it for every obligation.
+    support is the program's only feasible point, returned with no program.
     On a false instance a frame restricted to some states, or a solution at
     its caps, is a tight obligation for the next Decide, the frames being
     the Kleene iterates.
@@ -384,13 +385,11 @@ def pointwise_bundle(M, decide, propose) -> HeuristicsBundle:
 
 
 def mdp_bundle(M: MDPModel, F: Transformer) -> HeuristicsBundle:
-    """``pointwise_bundle`` whose Decide is ``X_prev`` on the ``_support``:
-    each dominating action's expectation sums the same entries in the same
-    order as its dominance test, so it meets the obligation exactly, tight
-    or slack, with no program and no image.  ``perfbench`` wraps it."""
+    """``pointwise_bundle`` whose Decide is ``canonical_decide``, ``x :=
+    X_{i-1}``: it scans no support, and the engine does not re-image it, as
+    Decide's guard has.  ``perfbench`` wraps it."""
     return pointwise_bundle(
-        M, lambda x_prev, head: _restriction(x_prev, _support(M, x_prev, head)[1]),
-        optimistic_induction(F, M.bound(), M.initial_state))
+        M, canonical_decide, optimistic_induction(F, M.bound(), M.initial_state))
 
 
 def max_reach(M: MDPModel) -> Instance:

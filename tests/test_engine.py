@@ -395,17 +395,16 @@ class TestConflictLemma:
             ans.stats.steps, ans.stats.rule_counts, ans.stats.frame_count)
 
     @pytest.mark.parametrize("name, images, repeats", [
-        ("grid3x3.mdp", 15, 0), ("die_by_coin.mrm", 6, 0)])
+        ("grid3x3.mdp", 11, 0), ("die_by_coin.mrm", 6, 0)])
     def test_images_per_solve_are_pinned(self, name, images, repeats, monkeypatch):
         # The grid's solve applies the canonical lemma F(X_{n-2}) as
         # Induction 3 times, where Candidate would have been refuted, and the
         # reward model's once, after the lemma its proposer solved for;
-        # re-imaging it would make 18 and 7 calls.  A repeat, the same object
+        # re-imaging it would make 14 and 7 calls.  A repeat, the same object
         # imaged twice in a row, would be Decide's re-check of an element
         # the Decide choice had just imaged; the transformer keeps no memo.
-        # The grid's four Decides, three of them slack, return the frame
-        # restricted to the support without imaging it, so the engine's
-        # re-check is that element's only image.
+        # The grid's four Decides take the frame X_{i-1} itself, whose image
+        # is their guard's, so the engine images no Decide output.
         calls = _count_images(monkeypatch)
         solve(_model_instance(name))
         assert len(calls) == images

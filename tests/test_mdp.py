@@ -1,5 +1,5 @@
 """The probabilistic instance: strictness as the next float up, the Bellman
-operator, Candidate, and the two Decides: the MDP's frame on the support and
+operator, Candidate, and the two Decides: the MDP's canonical ``X_{i-1}`` and
 the reward instance's linear program."""
 
 import dataclasses
@@ -11,7 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 from ltpdr import mdp
 from ltpdr.cli import parse_mdp
-from ltpdr.engine import ContractFailure, Verdict, rule_conflict, solve
+from ltpdr.engine import (
+    PUSHED,
+    ContractFailure,
+    Instance,
+    Transformer,
+    Verdict,
+    canonical_decide,
+    rule_conflict,
+    rule_decide,
+    solve,
+)
 from ltpdr.mdp import (
     MDPModel,
     PointwiseLattice,
@@ -41,7 +51,7 @@ def frame(*vals):
 
 
 def mdp_decide(X_prev, C, M):
-    """The Decide choice of the MDP bundle: the frame on the support."""
+    """The Decide choice of the MDP bundle: the frame ``X_prev`` itself."""
     return max_reach(M).bundle.choose_decide(X_prev, C)
 
 
@@ -315,19 +325,22 @@ def _tight_program(M, X_prev, C):
 
 class TestDecideLP:
     def test_reference_program(self, m1):
-        # A slack obligation: the MDP Decide keeps the frame on the support,
-        # and the program on the same rows, at unit costs, asks for less.
+        # A slack obligation: the MDP Decide keeps the frame, and the
+        # program on the rows of its support, at unit costs, asks for less.
         X_prev = frame(0, 0, 1)
         C = (above(0.4), 0.0, 0.0)
         assert mdp_decide(X_prev, C, m1) == (0.0, 0.0, 1.0)
         assert decide_lp(m1, bellman(m1), X_prev, C) == (0.0, 0.0, 0.8000000000000002)
 
-    def test_zero_obligation_gives_zero(self, m1):
-        out = mdp_decide(frame(1, 1, 1), frame(0, 0, 0), m1)
-        assert out == frame(0, 0, 0)
+    def test_the_mdp_decide_is_the_canonical_choice(self, m1):
+        # The obligation is not read: even a zero one takes the frame object
+        # itself, whose image Decide's guard has just tested.
+        assert max_reach(m1).bundle.choose_decide is canonical_decide
+        X_prev = frame(1, 1, 1)
+        assert mdp_decide(X_prev, frame(0, 0, 0), m1) is X_prev
 
     def test_tight_upper_bound_stays_plain(self, m1):
-        # A non-strict slack obligation: the frame on the support meets it.
+        # A non-strict slack obligation: the frame meets it.
         X_prev = frame(0, 1, 1)
         C = frame(0.5, 0, 0)
         out = mdp_decide(X_prev, C, m1)
@@ -387,11 +400,19 @@ class TestDecideLP:
         assert lat.leq(out, X_prev) and lat.leq(C, F(out))
 
     def test_a_tight_mdp_obligation_takes_the_frame(self, m1, monkeypatch):
+        # rule_decide images X_{i-1} once, for its guard, and pushes that
+        # frame: no program and no re-image of the choice.
+        inst = max_reach(m1)
         X_prev = frame(0.3, 0.4, 1)
-        C = (bellman(m1)(X_prev)[0], 0.0, 0.0)
+        C = (inst.F(X_prev)[0], 0.0, 0.0)
         assert C[0] == 0.5 * 0.4 + 0.5 * 1.0
         monkeypatch.setattr(mdp, "simplex_min", _no_program)
-        assert mdp_decide(X_prev, C, m1) == frame(0, 0.4, 1)
+        calls = []
+        counted = Transformer(inst.F.lattice, lambda x: calls.append(x) or inst.F.fn(x))
+        xs, ob = [frame(0, 0, 0), X_prev, frame(1, 1, 1)], [C]
+        assert rule_decide(xs, ob, counted, inst.alpha, inst.bundle) == PUSHED
+        assert ob == [C, X_prev] and ob[1] is X_prev
+        assert calls == [X_prev]
 
     def test_a_tight_reward_obligation_takes_the_frame(self, monkeypatch):
         # s0 earns 2 to s1 or 1 to s2, s1 earns 1 to itself or 0 to s2, and
@@ -424,34 +445,44 @@ class TestDecideLP:
         assert out[0] == pytest.approx(1.2) and out[0] < X_prev[0]
         assert M.lattice().leq(out, X_prev) and M.lattice().leq(C, inst.F(out))
 
-    @pytest.mark.parametrize("models", [
-        lambda: map(random_mdp, [random.Random(39)] * 150),
-        lambda: map(grid_mdp, range(3, 7))], ids=["random_mdp", "grid_mdp"])
-    def test_the_mdp_decide_is_the_frame_on_the_support(self, models, monkeypatch):
-        # On the Kleene frames X_{i-1} = F^i(bot), with obligations below
-        # F(X_{i-1}) that are tight, slack or strict, the MDP Decide is the
-        # frame on the targets of each asked state's first dominating action
-        # and 0 elsewhere, meets its contract, and solves no program.
-        monkeypatch.setattr(mdp, "simplex_min", _no_program)
-        rng = random.Random(39)
-        slack = 0
+    @pytest.mark.parametrize("models, false_runs", [
+        (lambda: map(random_mdp, [random.Random(39)] * 150), 168),
+        (lambda: map(grid_mdp, range(3, 7)), 8)], ids=["random_mdp", "grid_mdp"])
+    def test_the_frame_searches_as_the_frame_on_the_support(self, models, false_runs):
+        # A frame X_j below the last is min(top, F(X_{j-1})) at Decide time,
+        # so the frame passes every Decide guard that its restriction to the
+        # support passes: each run is the same search with either Decide.
+        # No false instance applies Conflict, and the obligations below the
+        # Candidate are the Kleene iterates, each met with top.
+        def on_the_support(M):
+            return lambda x_prev, head: mdp._restriction(
+                x_prev, mdp._support(M, x_prev, head)[1])
+
+        refuted = 0
         for M in models():
-            inst = max_reach(M)
-            F, lat = inst.F, M.lattice()
-            X_prev = lat.bot
-            for _ in range(6):
-                X_prev = F(X_prev)
-                fx = F(X_prev)
-                C = tuple(rng.choice([0.0, v, rng.random() * v,
-                                      min(above(rng.random() * v), v)])
-                          for v in fx)
-                support, _rows, _box, tight = _tight_program(M, X_prev, C)
-                out = inst.bundle.choose_decide(X_prev, C)
-                assert out == tuple(X_prev[s] if s in support else 0.0
-                                    for s in range(M.state_count))
-                assert lat.leq(out, X_prev) and lat.leq(C, F(out))
-                slack += not tight
-        assert slack > 20
+            value = vi_max_reach(M).value
+            for lam in (value - 0.1, value + 0.1):
+                if not 0.0 <= lam <= 1.0:
+                    continue
+                inst = max_reach(dataclasses.replace(M, threshold=lam))
+                F, lat = inst.F, inst.F.lattice
+                support = Instance(F, inst.alpha, dataclasses.replace(
+                    inst.bundle, choose_decide=on_the_support(M)))
+                for engine in ("combined", "negative"):
+                    ans, old = solve(inst, engine), solve(support, engine)
+                    assert (ans.verdict, ans.stats.steps, ans.stats.rule_counts,
+                            ans.stats.frame_count) == (
+                        old.verdict, old.stats.steps, old.stats.rule_counts,
+                        old.stats.frame_count)
+                    if ans.verdict is not Verdict.FALSE:
+                        continue
+                    assert "conflict" not in ans.stats.rule_counts
+                    x = lat.bot
+                    for c in ans.kleene_witness.elements[1:-1]:
+                        x = lat.meet(F(x), lat.top)
+                        assert c == x
+                    refuted += 1
+        assert refuted == false_runs  # each false instance, on both engines
 
     @pytest.mark.parametrize("draw, build", [(random_mdp, max_reach),
                                              (random_mrm, expected_reward)],
